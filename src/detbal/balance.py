@@ -254,9 +254,9 @@ def check_implication_sqdb_db2(
     """
     require_dynamics(tau, rho, tol, mode)
     sq = _sqdb_definition(tau, rho, th, tol, mode)
-    comm = delta_commutator_residual(tau, rho)
-    applicable = bool(sq.passed and comm <= tol.eq_tol)
     db2 = _db2_modular(tau, rho, tol, mode)
+    comm = db2.detail["modular_commutator"]
+    applicable = bool(sq.passed and comm <= tol.eq_tol)
     if not applicable:
         return CheckResult(
             passed=True,
@@ -382,7 +382,7 @@ def run_report(
     db2_ent = _db2_entangled(tau, rho, tol, mode)
     sq_def = _sqdb_definition(tau, rho, th, tol, mode)
     sq_ent = _sqdb_entangled(tau, rho, th, tol, mode)
-    comm = delta_commutator_residual(tau, rho)
+    comm = db2_mod.detail["modular_commutator"]
     delta_commutes = CheckResult(
         passed=bool(comm <= tol.eq_tol),
         residual=comm,

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -158,8 +159,8 @@ def _parse_tol(data) -> Tolerance:
     for key, val in data.items():
         if key not in allowed:
             raise SchemaError(f"tol.{key}", "unknown tolerance field")
-        if not _is_number(val) or val <= 0:
-            raise SchemaError(f"tol.{key}", "must be a positive number")
+        if not _is_number(val) or not math.isfinite(val) or val <= 0:
+            raise SchemaError(f"tol.{key}", "must be a finite positive number")
         values[key] = float(val)
     return Tolerance(
         eq_tol=values.get("eq_tol", DEFAULT_TOL.eq_tol),
@@ -469,8 +470,8 @@ def _render_json(payload: dict) -> str:
 def _cmd_check(args) -> int:
     parsed = parse_problem(args.file)
     if args.tol is not None:
-        if args.tol <= 0:
-            raise SchemaError("--tol", "must be a positive number")
+        if not math.isfinite(args.tol) or args.tol <= 0:
+            raise SchemaError("--tol", "must be a finite positive number")
         parsed = replace(
             parsed,
             tol=Tolerance(

@@ -151,8 +151,8 @@ def random_unital_kraus(n: int, k: int, seed: int) -> KrausChannel:
     for _ in range(100):
         vs = [_gaussian(rng, n) for _ in range(k)]
         m = sum(v @ v.conj().T for v in vs)
-        lam = hermitian_eig(m).eigenvalues
-        if lam[-1] > 1e-8 * lam[0]:
+        lam = np.linalg.eigvalsh(m)
+        if lam[0] > 1e-8 * lam[-1]:
             root = mat_power(m, -0.5)
             return make_kraus([root @ v for v in vs], unital=True)
     raise DetbalError("could not draw a nonsingular Kraus normalization")

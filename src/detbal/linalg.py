@@ -1,10 +1,11 @@
 """Dense complex linear algebra substrate for small Hilbert spaces.
 
 All downstream modules work with n x n complex matrices at desk scale
-(n <= 16 or so).  At that size a self-contained cyclic Jacobi eigensolver
-is accurate to near machine precision and, unlike library solvers, has a
-fixed sweep order, so identical input bits always produce identical output
-bits.  Every function here is pure: inputs are never modified.
+(n <= 16 or so).  Eigenproblems go to numpy's LAPACK driver (eigh and
+eigvalsh), which is deterministic for a fixed numpy/LAPACK build: identical
+input bits give identical output bits on one build, though another build
+may differ in the last digits or pick another basis inside a degenerate
+eigenspace.  Every function here is pure: inputs are never modified.
 
 The Hilbert-Schmidt inner product is conjugate-linear in the first
 argument: hs_inner(a, b) = tr(a^dag b).
@@ -12,15 +13,12 @@ argument: hs_inner(a, b) = tr(a^dag b).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DetbalError, DimensionMismatch, NotHermitian, NotInvertible
-
-_MAX_SWEEPS = 60
 
 
 @dataclass(frozen=True)
@@ -38,8 +36,9 @@ class Tolerance:
     inv_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.eq_tol <= 0.0 or self.psd_tol <= 0.0 or self.inv_tol <= 0.0:
-            raise ValueError("tolerances must be strictly positive")
+        for value in (self.eq_tol, self.psd_tol, self.inv_tol):
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError("tolerances must be finite and strictly positive")
 
 
 DEFAULT_TOL = Tolerance()
@@ -105,62 +104,16 @@ def require_hermitian(m: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
     return m
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a - np.diag(np.diag(a))))
-
-
 def hermitian_eig(m) -> EigenDecomposition:
-    """Diagonalize a Hermitian matrix with a cyclic Jacobi scheme.
+    """Diagonalize a Hermitian matrix with LAPACK (numpy.linalg.eigh).
 
-    Sweeps run over index pairs (p, q), p < q, in a fixed lexicographic
-    order; each rotation is the complex Givens rotation annihilating the
-    (p, q) entry.  The fixed order makes the result, including the
-    eigenvector choice inside degenerate eigenspaces, deterministic for
-    fixed input.  Eigenvalues come back sorted in descending order.
+    The input is validated by require_hermitian and symmetrized before the
+    solve.  Eigenvalues come back sorted in descending order.  The sort is
+    stable, so tied eigenvalues keep LAPACK's order, and the basis inside a
+    degenerate eigenspace is LAPACK's, fixed for one numpy/LAPACK build.
     """
     a = require_hermitian(m)
-    n = a.shape[0]
-    a = 0.5 * (a + a.conj().T)
-    v = np.eye(n, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    if n == 1:
-        return EigenDecomposition(np.array([a[0, 0].real]), v)
-    converged = False
-    for _ in range(_MAX_SWEEPS):
-        if _offdiag_norm(a) <= 1e-14 * scale:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= 1e-18 * scale:
-                    continue
-                phase = apq / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # A <- G^dag A G with the rotation G supported on columns p, q:
-                # G[p,p]=c, G[p,q]=s, G[q,p]=-s*conj(phase), G[q,q]=c*conj(phase).
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(phase) * col_q
-                a[:, q] = s * col_p + c * np.conj(phase) * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * phase * row_q
-                a[q, :] = s * row_p + c * phase * row_q
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * np.conj(phase) * vq
-                v[:, q] = s * vp + c * np.conj(phase) * vq
-    if not converged and _offdiag_norm(a) > 1e-14 * scale:
-        raise DetbalError("jacobi eigensolver failed to converge")
-    lam = np.real(np.diag(a)).copy()
+    lam, v = np.linalg.eigh(0.5 * (a + a.conj().T))
     order = np.argsort(-lam, kind="stable")
     return EigenDecomposition(lam[order], v[:, order])
 
@@ -184,9 +137,8 @@ def mat_power(m, z, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether a Hermitian matrix is PSD within tol.psd_tol (relative, floor 1)."""
-    eig = hermitian_eig(m)
-    lam = eig.eigenvalues
-    return bool(lam[-1] >= -tol.psd_tol * max(1.0, float(lam[0])))
+    lam = np.linalg.eigvalsh(require_hermitian(m))
+    return bool(lam[0] >= -tol.psd_tol * max(1.0, float(lam[-1])))
 
 
 @lru_cache(maxsize=None)

@@ -22,8 +22,6 @@ from .linalg import (
     CheckResult,
     Tolerance,
     as_matrix,
-    hermitian_eig,
-    matrix_units,
 )
 
 
@@ -163,11 +161,12 @@ def choi(s: SuperOperator) -> ChoiMatrix:
     The map sits in the second tensor factor; C is PSD exactly when s is
     completely positive.  For the identity map C is n times the projector
     onto the canonical maximally entangled vector, eigenvalues (n, 0, ...).
+
+    C is an index realignment of s.mat: entry (a + n b, j + n k) of s.mat is
+    s(E_jk)[a, b], which C holds at (j n + a, k n + b).
     """
     n = s.n
-    c = np.zeros((n * n, n * n), dtype=complex)
-    for j, k, e in matrix_units(n):
-        c += np.kron(e, s.apply(e))
+    c = s.mat.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n * n, n * n)
     return ChoiMatrix(n, c)
 
 
@@ -180,9 +179,9 @@ def is_completely_positive(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> Ch
     """
     c = choi(s).mat
     herm = float(np.linalg.norm(c - c.conj().T)) / max(1.0, float(np.linalg.norm(c)))
-    lam = hermitian_eig(0.5 * (c + c.conj().T)).eigenvalues
-    lam_max = float(lam[0])
-    lam_min = float(lam[-1])
+    lam = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
+    lam_max = float(lam[-1])
+    lam_min = float(lam[0])
     negativity = max(0.0, -lam_min) / max(1.0, lam_max)
     passed = bool(herm <= tol.eq_tol and negativity <= tol.psd_tol)
     return CheckResult(
@@ -222,14 +221,12 @@ def is_positive_map(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> CheckResu
     family) only a necessary condition for positivity, but it is the check
     of choice when the stronger Choi criterion is deliberately disabled.
     """
-    worst_neg = 0.0
-    worst_herm = 0.0
-    for proj in _projector_frame(s.n):
-        out = s.apply(proj)
-        herm = float(np.linalg.norm(out - out.conj().T)) / max(1.0, float(np.linalg.norm(out)))
-        worst_herm = max(worst_herm, herm)
-        lam = hermitian_eig(0.5 * (out + out.conj().T)).eigenvalues
-        worst_neg = max(worst_neg, max(0.0, -float(lam[-1])) / max(1.0, float(lam[0])))
+    outs = np.array([s.apply(p) for p in _projector_frame(s.n)])
+    adj = outs.conj().transpose(0, 2, 1)
+    scale = np.maximum(1.0, np.linalg.norm(outs, axis=(1, 2)))
+    worst_herm = float(np.max(np.linalg.norm(outs - adj, axis=(1, 2)) / scale))
+    lam = np.linalg.eigvalsh(0.5 * (outs + adj))
+    worst_neg = float(np.max(np.maximum(0.0, -lam[:, 0]) / np.maximum(1.0, lam[:, -1])))
     passed = bool(worst_herm <= tol.eq_tol and worst_neg <= tol.psd_tol)
     return CheckResult(
         passed=passed,
@@ -251,12 +248,15 @@ def is_unital(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
 
 
 def is_hermitian_map(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
-    """Hermiticity-preservation test: s(A^dag) = s(A)^dag on matrix units."""
-    residual = 0.0
-    for j, k, e in matrix_units(s.n):
-        lhs = s.apply(e.conj().T)
-        rhs = s.apply(e).conj().T
-        residual = max(residual, float(np.linalg.norm(lhs - rhs)))
+    """Hermiticity-preservation test: s(A^dag) = s(A)^dag on matrix units.
+
+    The map A -> s(A^dag)^dag has matrix K conj(M) K with K the commutation
+    matrix.  Column j + n k of M - K conj(M) K is s(E_jk) - s(E_kj)^dag, so
+    the largest column norm is the largest defect over the matrix units.
+    """
+    k = _commutation_matrix(s.n)
+    diff = s.mat - k @ s.mat.conj() @ k
+    residual = float(np.max(np.linalg.norm(diff, axis=0)))
     return CheckResult(
         passed=bool(residual <= tol.eq_tol),
         residual=residual,

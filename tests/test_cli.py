@@ -291,7 +291,20 @@ def test_tol_flag_reaches_the_checkers(tmp_path, capsys):
     assert loose["delta_commutes"]["passed"] is True
     assert loose["db2_definition"]["passed"] is False
     assert main(["check", path, "--tol", "-1"]) == 2
-    capsys.readouterr()
+    assert main(["check", path, "--tol", "nan"]) == 2
+    assert "--tol: must be a finite positive number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "tol",
+    [{"eq_tol": float("inf"), "psd_tol": float("inf")}, {"eq_tol": float("nan")}],
+)
+def test_non_finite_tolerances_are_schema_errors(tmp_path, capsys, tol):
+    # json.dumps writes Infinity / NaN, which json.load accepts
+    payload = dict(generate_payload("random-unital", 3, 3, 0.75, 0.2, 5), tol=tol)
+    path = _write(tmp_path, payload)
+    assert main(["check", path, "--assert", "db2"]) == 2
+    assert "error: tol.eq_tol: must be a finite positive number" in capsys.readouterr().err
 
 
 def test_generate_stdout_and_param_error(capsys):

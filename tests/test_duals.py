@@ -19,7 +19,7 @@ from detbal.duals import (
     transpose_reversing,
 )
 from detbal.errors import NonUnitary, NotInvolutive
-from detbal.linalg import hs_inner, matrix_unit, matrix_units
+from detbal.linalg import DEFAULT_TOL, hs_inner, matrix_unit, matrix_units
 from detbal.states import expectation, make_density
 from detbal.superop import (
     SuperOperator,
@@ -313,6 +313,53 @@ def test_make_reversing_accepts_diagonal_phases():
     th = make_reversing(np.diag([1.0, 1j]))
     for _, _, e in matrix_units(2):
         assert np.allclose(th.apply(th.apply(e)), e, atol=1e-14)
+
+
+def test_make_reversing_accepts_spin_reversal():
+    # u conj(u) = -1: the time reversal of a spin-1/2, involutive up to the phase
+    u = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    th = make_reversing(u)
+    for _, _, e in matrix_units(2):
+        assert np.allclose(th.apply(th.apply(e)), e, atol=0)
+
+
+def reversing_oracle(u):
+    """Loop residuals of anti-multiplicativity, *-compatibility and involution."""
+    def th(a):
+        return u @ a.T @ u.conj().T
+
+    units = [e for _, _, e in matrix_units(u.shape[0])]
+    star = max(float(np.linalg.norm(th(e.conj().T) - th(e).conj().T)) for e in units)
+    anti = max(
+        float(np.linalg.norm(th(e1 @ e2) - th(e2) @ th(e1))) for e1 in units for e2 in units
+    )
+    invol = max(float(np.linalg.norm(th(th(e)) - e)) for e in units)
+    return anti, star, invol
+
+
+def haar(n, rng):
+    q, r = np.linalg.qr(random_mat(n, rng))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_make_reversing_agrees_with_loop_oracle(n):
+    rng = np.random.default_rng(90 + n)
+    v = haar(n, rng)
+    diag = np.diag(np.exp(1j * rng.uniform(0.0, 6.0, n)))
+    candidates = [(v @ v.T, True), (diag, True), (haar(n, rng), False)]
+    if n % 2 == 0:
+        j = np.kron(np.eye(n // 2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        candidates.append((v @ j @ v.T, True))  # antisymmetric: u conj(u) = -1
+    for u, involutive in candidates:
+        anti, star, invol = reversing_oracle(u)
+        assert max(anti, star) <= 1e-13
+        assert (invol <= DEFAULT_TOL.eq_tol) == involutive
+        if involutive:
+            make_reversing(u)
+        else:
+            with pytest.raises(NotInvolutive):
+                make_reversing(u)
 
 
 def test_make_reversing_rejects_generic_rotation():

@@ -1,4 +1,4 @@
-"""Substrate checks: inner product, Jacobi eigensolver, matrix powers."""
+"""Substrate checks: inner product, Hermitian eigensolver, matrix powers."""
 
 import cmath
 import math
@@ -206,8 +206,11 @@ def test_matrix_units_basis():
 
 
 def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        Tolerance(eq_tol=0.0)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            Tolerance(eq_tol=bad)
+        with pytest.raises(ValueError):
+            Tolerance(psd_tol=bad)
     assert DEFAULT_TOL.eq_tol == 1e-9
     assert DEFAULT_TOL.psd_tol == 1e-9
     assert DEFAULT_TOL.inv_tol == 1e-12

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from detbal.errors import DimensionMismatch
-from detbal.linalg import hermitian_eig, matrix_unit, matrix_units
+from detbal.linalg import DEFAULT_TOL, hermitian_eig, matrix_unit, matrix_units
 from detbal.superop import (
     KrausChannel,
     SuperOperator,
@@ -213,3 +213,76 @@ def test_hermitian_map_iff_conjugated_version():
     for s in [from_kraus([random_mat(2, rng)]), pi_rep(np.eye(2), matrix_unit(2, 0, 1))]:
         bar = t.compose(s).compose(t)
         assert is_hermitian_map(s).passed == is_hermitian_map(bar).passed
+
+
+# Loop oracles: the defining formulas that choi, is_hermitian_map and
+# is_positive_map implement in closed matrix form, evaluated unit by unit.
+
+
+def choi_oracle(s):
+    n = s.n
+    c = np.zeros((n * n, n * n), dtype=complex)
+    for _, _, e in matrix_units(n):
+        c += np.kron(e, s.apply(e))
+    return c
+
+
+def hermitian_map_oracle(s):
+    residual = 0.0
+    for _, _, e in matrix_units(s.n):
+        residual = max(residual, float(np.linalg.norm(s.apply(e.conj().T) - s.apply(e).conj().T)))
+    return residual
+
+
+def positive_map_oracle(s):
+    n = s.n
+    eye = np.eye(n, dtype=complex)
+    vecs = [eye[:, j] for j in range(n)]
+    for j in range(n):
+        for k in range(j + 1, n):
+            vecs.append((eye[:, j] + eye[:, k]) / np.sqrt(2.0))
+            vecs.append((eye[:, j] + 1j * eye[:, k]) / np.sqrt(2.0))
+    worst_herm = worst_neg = 0.0
+    for v in vecs:
+        out = s.apply(np.outer(v, v.conj()))
+        herm = np.linalg.norm(out - out.conj().T) / max(1.0, np.linalg.norm(out))
+        worst_herm = max(worst_herm, float(herm))
+        lam = np.linalg.eigvalsh(0.5 * (out + out.conj().T))
+        worst_neg = max(worst_neg, max(0.0, -float(lam[0])) / max(1.0, float(lam[-1])))
+    return worst_herm, worst_neg
+
+
+def oracle_pool(n, seed):
+    """Maps on M_n with and without Hermiticity preservation or positivity."""
+    rng = np.random.default_rng(seed)
+    return [
+        SuperOperator(n, random_mat(n * n, rng)),
+        from_kraus([random_mat(n, rng) for _ in range(2)]),
+        pi_rep(random_mat(n, rng), random_mat(n, rng)),
+        transpose_superop(n),
+        identity_superop(n),
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_choi_matches_loop_oracle_exactly(n):
+    for s in oracle_pool(n, 40 + n):
+        assert np.array_equal(choi(s).mat, choi_oracle(s))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_is_hermitian_map_residual_matches_loop_oracle(n):
+    for s in oracle_pool(n, 50 + n):
+        res = is_hermitian_map(s)
+        want = hermitian_map_oracle(s)
+        assert res.residual == pytest.approx(want, rel=1e-13, abs=1e-15)
+        assert res.passed == (want <= DEFAULT_TOL.eq_tol)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_is_positive_map_matches_loop_oracle(n):
+    for s in oracle_pool(n, 60 + n):
+        res = is_positive_map(s)
+        herm, neg = positive_map_oracle(s)
+        assert res.detail["output_hermiticity"] == pytest.approx(herm, rel=1e-12, abs=1e-15)
+        assert res.detail["output_negativity"] == pytest.approx(neg, rel=1e-12, abs=1e-15)

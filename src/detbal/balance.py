@@ -21,6 +21,12 @@ Theta: the kms dual of tau equals Theta tau Theta.  Two characterizations:
   entangled    omega[A ox tau^Theta(B)] = omega[tau(A) ox B] over all
                matrix unit pairs
 
+Every pair identity is decided at once: a bilinear form with Gram matrix G
+on the vec basis, F(A, B) = vec(A)^T G vec(B), has F(E_i, R(E_j)) =
+F(L(E_i), E_j) on all matrix-unit pairs iff G R = L^T G (_pair_residual,
+shared with thermofield; the per-pair loops are test oracles).  Each check
+still builds its own dual or conjugate map.
+
 The two notions agree on channels commuting with the modular map; sqdb
 does not require that commutation.  check_implication_sqdb_db2 probes the
 one-way implication (sqdb + commutation => db2) empirically.
@@ -39,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duals import (
-    hat_map,
+    bar_map,
     kms_dual,
     modular,
     rho_dual,
@@ -47,13 +53,14 @@ from .duals import (
     ReversingOperation,
 )
 from .errors import DimensionMismatch, InputNotDynamics, NotStochastic
-from .linalg import DEFAULT_TOL, CheckResult, Tolerance, matrix_units
-from .states import DensityMatrix, expectation, omega_eval, purify
+from .linalg import DEFAULT_TOL, CheckResult, Tolerance
+from .states import DensityMatrix, omega_gram, purify
 from .superop import (
     SuperOperator,
     is_completely_positive,
     is_positive_map,
     is_unital,
+    vec,
 )
 
 logger = logging.getLogger(__name__)
@@ -96,8 +103,13 @@ def delta_commutator_residual(tau: SuperOperator, rho: DensityMatrix) -> float:
     return float(np.linalg.norm(tau.mat @ d - d @ tau.mat))
 
 
-def _db2_definition(tau, rho, tol, mode) -> CheckResult:
-    dual = rho_dual(tau, rho)
+def _pair_residual(g: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
+    """Largest |F(e_i, right e_j) - F(left e_i, e_j)| over basis pairs, for
+    F(x, y) = x^T g y: max|g right - left^T g|."""
+    return float(np.max(np.abs(g @ right - left.T @ g)))
+
+
+def _db2_definition(dual, tol, mode) -> CheckResult:
     cp = _cp_check(dual, tol, mode)
     un = is_unital(dual, tol)
     detail = {f"dual_{k}": v for k, v in cp.detail.items()}
@@ -112,9 +124,8 @@ def _db2_definition(tau, rho, tol, mode) -> CheckResult:
 
 def _db2_modular(tau, rho, tol, mode) -> CheckResult:
     comm = delta_commutator_residual(tau, rho)
-    inv = 0.0
-    for _, _, e in matrix_units(rho.n):
-        inv = max(inv, abs(expectation(rho, tau.apply(e)) - expectation(rho, e)))
+    # <tau(E_i)> = <E_i>: the pair identity of F(A, c) = c <A>, L = tau, R = 1
+    inv = _pair_residual(vec(rho.matrix())[:, None], tau.mat, np.eye(1))
     residual = max(comm, inv)
     return CheckResult(
         passed=bool(residual <= tol.eq_tol),
@@ -124,18 +135,9 @@ def _db2_modular(tau, rho, tol, mode) -> CheckResult:
     )
 
 
-def _db2_entangled(tau, rho, tol, mode) -> CheckResult:
-    p = purify(rho)
-    hat = hat_map(tau, rho)
-    units = matrix_units(rho.n)
-    hat_of = [hat.apply(e) for _, _, e in units]
-    tau_of = [tau.apply(e) for _, _, e in units]
-    pair = 0.0
-    for i, (_, _, a) in enumerate(units):
-        for j, (_, _, b) in enumerate(units):
-            lhs = omega_eval(p, a, hat_of[j])
-            rhs = omega_eval(p, tau_of[i], b)
-            pair = max(pair, abs(lhs - rhs))
+def _db2_entangled(tau, rho, dual, tol) -> CheckResult:
+    hat = bar_map(dual)
+    pair = _pair_residual(omega_gram(purify(rho)), tau.mat, hat.mat)
     eye = np.eye(rho.n)
     hat_unital = float(np.linalg.norm(hat.apply(eye) - eye))
     residual = max(pair, hat_unital)
@@ -165,15 +167,8 @@ def _sqdb_definition(tau, rho, th, tol, mode) -> CheckResult:
 
 
 def _sqdb_entangled(tau, rho, th, tol, mode) -> CheckResult:
-    p = purify(rho)
     conj = theta_conjugate(tau, th)
-    units = matrix_units(rho.n)
-    conj_of = [conj.apply(e) for _, _, e in units]
-    tau_of = [tau.apply(e) for _, _, e in units]
-    pair = 0.0
-    for i, (_, _, a) in enumerate(units):
-        for j, (_, _, b) in enumerate(units):
-            pair = max(pair, abs(omega_eval(p, a, conj_of[j]) - omega_eval(p, tau_of[i], b)))
+    pair = _pair_residual(omega_gram(purify(rho)), tau.mat, conj.mat)
     return CheckResult(
         passed=bool(pair <= tol.eq_tol),
         residual=pair,
@@ -190,7 +185,7 @@ def check_db2_definition(
 ) -> CheckResult:
     """Standard balance by its definition: the state dual is CP and unital."""
     require_dynamics(tau, rho, tol, mode)
-    return _db2_definition(tau, rho, tol, mode)
+    return _db2_definition(rho_dual(tau, rho), tol, mode)
 
 
 def check_db2_modular(
@@ -212,7 +207,7 @@ def check_db2_entangled(
 ) -> CheckResult:
     """Standard balance via the purified two-copy functional."""
     require_dynamics(tau, rho, tol, mode)
-    return _db2_entangled(tau, rho, tol, mode)
+    return _db2_entangled(tau, rho, rho_dual(tau, rho), tol)
 
 
 def check_sqdb_definition(
@@ -325,13 +320,7 @@ def classical_phi_balance(c: ClassicalChain, tol: Tolerance = DEFAULT_TOL) -> Ch
     reversibility says phi[(Gamma f) ox g] = phi[f ox (Gamma g)] for all f, g;
     the residual runs over all coordinate basis pairs.
     """
-    residual = 0.0
-    eye = np.eye(c.n)
-    for j in range(c.n):
-        for k in range(c.n):
-            lhs = float(np.sum(c.p * (c.gamma @ eye[:, j]) * eye[:, k]))
-            rhs = float(np.sum(c.p * eye[:, j] * (c.gamma @ eye[:, k])))
-            residual = max(residual, abs(lhs - rhs))
+    residual = _pair_residual(np.diag(c.p), c.gamma, c.gamma)
     return CheckResult(
         passed=bool(residual <= tol.eq_tol),
         residual=residual,
@@ -377,9 +366,10 @@ def run_report(
 ) -> BalanceReport:
     """Run every checker on one (channel, state, reversing operation) triple."""
     require_dynamics(tau, rho, tol, mode)
-    db2_def = _db2_definition(tau, rho, tol, mode)
+    dual = rho_dual(tau, rho)
+    db2_def = _db2_definition(dual, tol, mode)
     db2_mod = _db2_modular(tau, rho, tol, mode)
-    db2_ent = _db2_entangled(tau, rho, tol, mode)
+    db2_ent = _db2_entangled(tau, rho, dual, tol)
     sq_def = _sqdb_definition(tau, rho, th, tol, mode)
     sq_ent = _sqdb_entangled(tau, rho, th, tol, mode)
     comm = db2_mod.detail["modular_commutator"]

@@ -58,6 +58,8 @@ def random_unitary(n: int, seed: int) -> np.ndarray:
 def random_density(n: int, min_eig: float = 0.05, seed: int = 0) -> DensityMatrix:
     """Random invertible state: flat simplex spectrum squeezed above min_eig,
     conjugated by a random unitary before re-diagonalization."""
+    if n < 1:
+        raise ValueError(f"dimension n must be at least 1, got {n}")
     if not 0.0 < min_eig < 1.0 / n:
         raise ValueError(f"min_eig must lie in (0, 1/{n}), got {min_eig}")
     rng = np.random.default_rng(seed)

@@ -136,6 +136,12 @@ def omega_eval(p: Purification, a, b) -> complex:
     return complex(np.trace(p.r.conj().T @ a @ p.r @ b.T))
 
 
+def omega_gram(p: Purification) -> np.ndarray:
+    """Gram matrix G of omega on the column-stacking vec basis:
+    omega_eval(p, a, b) = vec(a)^T G vec(b), G = kron(r, conj(r))."""
+    return np.kron(p.r, p.r.conj())
+
+
 def theta_eval(s: DiagonalCorrelatedState, a, b) -> complex:
     """Classically correlated expectation sum_j rho_j a_jj b_jj."""
     a = np.asarray(a, dtype=complex)

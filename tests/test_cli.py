@@ -315,6 +315,21 @@ def test_generate_stdout_and_param_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family", ["schur-db2", "random-unital"])
+@pytest.mark.parametrize("n", [0, -2])
+def test_generate_rejects_nonpositive_dimension(family, n, capsys):
+    assert main(["generate", family, "--n", str(n)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"dimension n must be at least 1, got {n}" in err
+
+
+@pytest.mark.parametrize("family", ["schur-db2", "random-unital"])
+def test_generate_accepts_dimension_one(family, capsys):
+    assert main(["generate", family, "--n", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["rho"] == [pytest.approx(1.0, abs=1e-15)]
+
+
 def test_unknown_and_missing_fields(tmp_path):
     good = generate_payload("gad-sqdb", None, 3, 0.75, 0.2, 0)
     junk = dict(good)

@@ -24,8 +24,9 @@ Theta: the kms dual of tau equals Theta tau Theta.  Two characterizations:
 Every pair identity is decided at once: a bilinear form with Gram matrix G
 on the vec basis, F(A, B) = vec(A)^T G vec(B), has F(E_i, R(E_j)) =
 F(L(E_i), E_j) on all matrix-unit pairs iff G R = L^T G (_pair_residual,
-shared with thermofield; the per-pair loops are test oracles).  Each check
-still builds its own dual or conjugate map.
+shared with thermofield; the per-pair loops are test oracles).  run_report
+builds the state dual and the Theta-conjugate (duals) once for both checks
+that use each.
 
 The two notions agree on channels commuting with the modular map; sqdb
 does not require that commutation.  check_implication_sqdb_db2 probes the
@@ -47,7 +48,6 @@ import numpy as np
 from .duals import (
     bar_map,
     kms_dual,
-    modular,
     rho_dual,
     theta_conjugate,
     ReversingOperation,
@@ -98,9 +98,10 @@ def require_dynamics(
 
 
 def delta_commutator_residual(tau: SuperOperator, rho: DensityMatrix) -> float:
-    """Frobenius norm of tau Delta - Delta tau on the superoperator level."""
-    d = modular(rho).delta.mat
-    return float(np.linalg.norm(tau.mat @ d - d @ tau.mat))
+    """Frobenius norm of tau Delta - Delta tau on the superoperator level;
+    Delta = diag(r), r = kron(1/d, d), so entry (i, j) is tau_ij (r_j - r_i)."""
+    r = np.kron(1.0 / rho.diag, rho.diag)
+    return float(np.linalg.norm(tau.mat * (r - r[:, None])))
 
 
 def _pair_residual(g: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
@@ -122,7 +123,7 @@ def _db2_definition(dual, tol, mode) -> CheckResult:
     )
 
 
-def _db2_modular(tau, rho, tol, mode) -> CheckResult:
+def _db2_modular(tau, rho, tol) -> CheckResult:
     comm = delta_commutator_residual(tau, rho)
     # <tau(E_i)> = <E_i>: the pair identity of F(A, c) = c <A>, L = tau, R = 1
     inv = _pair_residual(vec(rho.matrix())[:, None], tau.mat, np.eye(1))
@@ -155,9 +156,8 @@ def _db2_entangled(tau, rho, dual, tol) -> CheckResult:
     )
 
 
-def _sqdb_definition(tau, rho, th, tol, mode) -> CheckResult:
-    reversed_mat = th.superop().compose(tau).compose(th.superop()).mat
-    residual = float(np.linalg.norm(kms_dual(tau, rho).mat - reversed_mat))
+def _sqdb_definition(tau, rho, conj, tol) -> CheckResult:
+    residual = float(np.linalg.norm(kms_dual(tau, rho).mat - bar_map(conj).mat))
     return CheckResult(
         passed=bool(residual <= tol.eq_tol),
         residual=residual,
@@ -166,8 +166,7 @@ def _sqdb_definition(tau, rho, th, tol, mode) -> CheckResult:
     )
 
 
-def _sqdb_entangled(tau, rho, th, tol, mode) -> CheckResult:
-    conj = theta_conjugate(tau, th)
+def _sqdb_entangled(tau, rho, conj, tol) -> CheckResult:
     pair = _pair_residual(omega_gram(purify(rho)), tau.mat, conj.mat)
     return CheckResult(
         passed=bool(pair <= tol.eq_tol),
@@ -196,7 +195,7 @@ def check_db2_modular(
 ) -> CheckResult:
     """Standard balance via modular commutation plus state invariance."""
     require_dynamics(tau, rho, tol, mode)
-    return _db2_modular(tau, rho, tol, mode)
+    return _db2_modular(tau, rho, tol)
 
 
 def check_db2_entangled(
@@ -219,7 +218,7 @@ def check_sqdb_definition(
 ) -> CheckResult:
     """Square-root balance by its definition: kms dual equals Theta tau Theta."""
     require_dynamics(tau, rho, tol, mode)
-    return _sqdb_definition(tau, rho, th, tol, mode)
+    return _sqdb_definition(tau, rho, theta_conjugate(tau, th), tol)
 
 
 def check_sqdb_entangled(
@@ -231,7 +230,7 @@ def check_sqdb_entangled(
 ) -> CheckResult:
     """Square-root balance via the purified two-copy functional."""
     require_dynamics(tau, rho, tol, mode)
-    return _sqdb_entangled(tau, rho, th, tol, mode)
+    return _sqdb_entangled(tau, rho, theta_conjugate(tau, th), tol)
 
 
 def check_implication_sqdb_db2(
@@ -248,8 +247,8 @@ def check_implication_sqdb_db2(
     clears eq_tol; a False here would be a counterexample worth keeping.
     """
     require_dynamics(tau, rho, tol, mode)
-    sq = _sqdb_definition(tau, rho, th, tol, mode)
-    db2 = _db2_modular(tau, rho, tol, mode)
+    sq = _sqdb_definition(tau, rho, theta_conjugate(tau, th), tol)
+    db2 = _db2_modular(tau, rho, tol)
     comm = db2.detail["modular_commutator"]
     applicable = bool(sq.passed and comm <= tol.eq_tol)
     if not applicable:
@@ -284,11 +283,14 @@ class ClassicalChain:
 
 
 def make_chain(p, gamma) -> ClassicalChain:
-    """Validate chain data to 1e-12 (positivity, normalization, stochasticity)."""
+    """Validate chain data to 1e-12 (finiteness, positivity, normalization, stochasticity)."""
     p = np.asarray(p, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
     if p.ndim != 1 or gamma.shape != (len(p), len(p)):
         raise DimensionMismatch(f"chain shapes p {p.shape}, gamma {gamma.shape}")
+    for name, x in (("p", p), ("gamma", gamma)):
+        if not np.all(np.isfinite(x)):
+            raise NotStochastic(f"{name} has a non-finite entry")
     if np.min(p) <= 0.0:
         raise NotStochastic(f"p must be strictly positive (min {np.min(p):.3e})")
     if abs(float(np.sum(p)) - 1.0) > 1e-12:
@@ -367,11 +369,12 @@ def run_report(
     """Run every checker on one (channel, state, reversing operation) triple."""
     require_dynamics(tau, rho, tol, mode)
     dual = rho_dual(tau, rho)
+    conj = theta_conjugate(tau, th)
     db2_def = _db2_definition(dual, tol, mode)
-    db2_mod = _db2_modular(tau, rho, tol, mode)
+    db2_mod = _db2_modular(tau, rho, tol)
     db2_ent = _db2_entangled(tau, rho, dual, tol)
-    sq_def = _sqdb_definition(tau, rho, th, tol, mode)
-    sq_ent = _sqdb_entangled(tau, rho, th, tol, mode)
+    sq_def = _sqdb_definition(tau, rho, conj, tol)
+    sq_ent = _sqdb_entangled(tau, rho, conj, tol)
     comm = db2_mod.detail["modular_commutator"]
     delta_commutes = CheckResult(
         passed=bool(comm <= tol.eq_tol),

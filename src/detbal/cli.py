@@ -108,10 +108,18 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _float(x, field: str) -> float:
+    """float(x), with an integer too large for a float reported against field."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise SchemaError(field, "number too large for a float") from None
+
+
 def _complex_entry(x, field: str) -> complex:
     if not (isinstance(x, list) and len(x) == 2 and all(_is_number(v) for v in x)):
         raise SchemaError(field, "complex entries must be [re, im] pairs of numbers")
-    return complex(float(x[0]), float(x[1]))
+    return complex(_float(x[0], field), _float(x[1], field))
 
 
 def _parse_matrix(data, field: str) -> np.ndarray:
@@ -130,7 +138,7 @@ def _parse_matrix(data, field: str) -> np.ndarray:
 def _parse_real_vector(data, field: str) -> np.ndarray:
     if not (isinstance(data, list) and data and all(_is_number(v) for v in data)):
         raise SchemaError(field, "expected a non-empty array of numbers")
-    return np.asarray([float(v) for v in data], dtype=float)
+    return np.asarray([_float(v, field) for v in data], dtype=float)
 
 
 def _encode_matrix(m) -> list:
@@ -159,7 +167,7 @@ def _parse_tol(data) -> Tolerance:
     for key, val in data.items():
         if key not in allowed:
             raise SchemaError(f"tol.{key}", "unknown tolerance field")
-        if not _is_number(val) or not math.isfinite(val) or val <= 0:
+        if not _is_number(val) or not math.isfinite(_float(val, f"tol.{key}")) or val <= 0:
             raise SchemaError(f"tol.{key}", "must be a finite positive number")
         values[key] = float(val)
     return Tolerance(

@@ -11,10 +11,15 @@ and write <A> = tr(rho A).  For a linear map s on M_n this module builds:
   hat_map      s^hat   transpose conjugate of the state dual: s'(A^T)^T
   theta_conjugate      (Theta s Theta)(A^T)^T for a reversing operation Theta
 
-Closed forms used (all checked against their defining pairings in tests):
-  s^#(A)      = s^dag(A^dag)^dag, equal to s^dag for Hermiticity-preserving s
-  s'(A)       = rho^(-1) s^#(rho A)
-  s^(1/2)(A)  = rho^(-1/2) s^#(rho^(1/2) A rho^(1/2)) rho^(-1/2)
+Closed forms used (all checked against their defining pairings in tests),
+for s with matrix M, K the commutation matrix and rho = diag(d):
+  s^#(A)     = s^dag(A^dag)^dag                      K M^T K
+  s'(A)      = rho^(-1) s^#(rho A)                   K M^T K, rows / d_j, columns * d_j
+  s^(1/2)(A) = rho^(-1/2) s^#(rho^(1/2) A rho^(1/2)) rho^(-1/2)
+               K M^T K, rows / (d_j d_k)^(1/2), columns * (d_j d_k)^(1/2)
+where row or column j + n k belongs to the unit E_jk.  Products with K are
+index permutations (superop._transpose_sides), so no dual costs a matrix
+product; the Theta-conjugate is conj(W) M W with W = kron(conj u, u).
 
 The kms dual preserves complete positivity and is an involution; the state
 dual agrees with it exactly when s commutes with the modular map
@@ -32,7 +37,7 @@ import numpy as np
 from .errors import DimensionMismatch, NonUnitary, NotInvolutive
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix
 from .states import DensityMatrix
-from .superop import SuperOperator, _commutation_matrix, pi_rep
+from .superop import SuperOperator, _transpose_sides, pi_rep
 
 
 def hs_adjoint(s: SuperOperator) -> SuperOperator:
@@ -40,26 +45,20 @@ def hs_adjoint(s: SuperOperator) -> SuperOperator:
     return SuperOperator(s.n, s.mat.conj().T)
 
 
-def _dagger_conjugate(s: SuperOperator) -> SuperOperator:
-    """The (linear) map A -> s(A^dag)^dag."""
-    k = _commutation_matrix(s.n)
-    return SuperOperator(s.n, k @ s.mat.conj() @ k)
-
-
 def bar_map(s: SuperOperator) -> SuperOperator:
     """Transpose conjugate A -> s(A^T)^T; CP for CP input."""
-    k = _commutation_matrix(s.n)
-    return SuperOperator(s.n, k @ s.mat @ k)
+    return SuperOperator(s.n, _transpose_sides(s.mat, s.n))
 
 
 def trace_dual(s: SuperOperator) -> SuperOperator:
     """The map s^# with tr[s^#(A) B] = tr[A s(B)] for all A, B.
 
-    Computed as s^dag(A^dag)^dag; for Hermiticity-preserving s this equals
+    Computed as s^dag(A^dag)^dag, whose matrix K conj(M^dag) K = K M^T K is
+    an index permutation of M; for Hermiticity-preserving s this equals
     hs_adjoint(s).  Kraus maps dualize to their Kraus-adjoint families, so
     unital maps have trace-preserving duals and conversely.
     """
-    return _dagger_conjugate(hs_adjoint(s))
+    return SuperOperator(s.n, _transpose_sides(s.mat.T, s.n))
 
 
 def _check_state(s: SuperOperator, rho: DensityMatrix) -> None:
@@ -70,28 +69,26 @@ def _check_state(s: SuperOperator, rho: DensityMatrix) -> None:
 def rho_dual(s: SuperOperator, rho: DensityMatrix) -> SuperOperator:
     """State dual s' with <s'(A) B> = <A s(B)>, via rho^(-1) s^#(rho A).
 
-    The closed form is two products of dense n^2 x n^2 matrices, O(n^6);
-    the defining pairing is kept as a test oracle.  s' is unital iff s
-    preserves <.>, and trace-of-rho-preserving iff s is unital.
+    rho is diagonal, so left and right multiplication by it scale the rows
+    and columns of the matrix of s^#: O(n^4).  The defining pairing is kept
+    as a test oracle.  s' is unital iff s preserves <.>, and
+    trace-of-rho-preserving iff s is unital.
     """
     _check_state(s, rho)
-    left = pi_rep(rho.power(-1), np.eye(rho.n)).mat
-    right = pi_rep(rho.matrix(), np.eye(rho.n)).mat
-    return SuperOperator(s.n, left @ trace_dual(s).mat @ right)
+    row = np.tile(rho.diag, rho.n)  # vec index j + n k -> d_j
+    return SuperOperator(s.n, (1.0 / row)[:, None] * trace_dual(s).mat * row)
 
 
 def kms_dual(s: SuperOperator, rho: DensityMatrix) -> SuperOperator:
     """Symmetrized state dual rho^(-1/2) s^#(rho^(1/2) A rho^(1/2)) rho^(-1/2).
 
     Involutive, completely positive for completely positive s, and equal to
-    rho_dual exactly on maps commuting with the modular map.
+    rho_dual exactly on maps commuting with the modular map.  The products
+    with powers of the diagonal rho are row and column scalings: O(n^4).
     """
     _check_state(s, rho)
-    half = rho.power(0.5)
-    halfinv = rho.power(-0.5)
-    outer = pi_rep(halfinv, halfinv.T).mat
-    inner = pi_rep(half, half.T).mat
-    return SuperOperator(s.n, outer @ trace_dual(s).mat @ inner)
+    half = np.sqrt(np.kron(rho.diag, rho.diag))  # vec index j + n k -> (d_j d_k)^(1/2)
+    return SuperOperator(s.n, trace_dual(s).mat / half[:, None] * half)
 
 
 def hat_map(s: SuperOperator, rho: DensityMatrix) -> SuperOperator:
@@ -156,8 +153,9 @@ class ReversingOperation:
         return self.u @ a.T @ self.u.conj().T
 
     def superop(self) -> SuperOperator:
-        k = _commutation_matrix(self.n)
-        return SuperOperator(self.n, np.kron(self.u.conj(), self.u) @ k)
+        """Matrix kron(conj u, u) K: the columns of kron(conj u, u) permuted."""
+        w = np.kron(self.u.conj(), self.u)
+        return SuperOperator(self.n, _transpose_sides(w, self.n, (0, 1, 3, 2)))
 
 
 def make_reversing(u, tol: Tolerance = DEFAULT_TOL) -> ReversingOperation:
@@ -191,14 +189,12 @@ def transpose_reversing(n: int) -> ReversingOperation:
 
 
 def theta_conjugate(s: SuperOperator, th: ReversingOperation) -> SuperOperator:
-    """The map A -> (Theta s Theta)(A^T)^T.
+    """The map A -> (Theta s Theta)(A^T)^T = conj(u) s(u A u^dag) u^T.
 
-    For the plain transpose this is s itself; in general it is the
-    candidate against which the kms dual is compared by the square-root
-    balance condition.
+    Its matrix is conj(W) M W with W = kron(conj u, u); Theta s Theta is
+    bar_map of it.  For the plain transpose this is s itself.
     """
     if s.n != th.n:
         raise DimensionMismatch(f"map on M_{s.n} vs reversing operation on M_{th.n}")
-    k = _commutation_matrix(s.n)
-    tm = th.superop().mat
-    return SuperOperator(s.n, k @ tm @ s.mat @ tm @ k)
+    w = np.kron(th.u.conj(), th.u)
+    return SuperOperator(s.n, w.conj() @ s.mat @ w)

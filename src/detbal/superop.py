@@ -72,19 +72,16 @@ def identity_superop(n: int) -> SuperOperator:
     return SuperOperator(n, np.eye(n * n, dtype=complex))
 
 
-@lru_cache(maxsize=None)
-def _commutation_matrix(n: int) -> np.ndarray:
-    k = np.zeros((n * n, n * n), dtype=complex)
-    for r in range(n):
-        for c in range(n):
-            k[r + n * c, c + n * r] = 1.0
-    k.setflags(write=False)
-    return k
+def _transpose_sides(m: np.ndarray, n: int, axes=(1, 0, 3, 2)) -> np.ndarray:
+    """K m K for the commutation matrix K, vec(X^T) = K vec(X): entry
+    (a + n b, j + n k) sits at [b, a, k, j] of m.reshape(n, n, n, n), so
+    swapping axes 0, 1 transposes the output and 2, 3 the input (m K)."""
+    return m.reshape(n, n, n, n).transpose(axes).reshape(n * n, n * n)
 
 
 def transpose_superop(n: int) -> SuperOperator:
     """The transpose map X -> X^T; its matrix is the commutation matrix."""
-    return SuperOperator(n, _commutation_matrix(n).copy())
+    return SuperOperator(n, _transpose_sides(np.eye(n * n, dtype=complex), n, (0, 1, 3, 2)))
 
 
 def pi_rep(a, b) -> SuperOperator:
@@ -254,8 +251,7 @@ def is_hermitian_map(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> CheckRes
     matrix.  Column j + n k of M - K conj(M) K is s(E_jk) - s(E_kj)^dag, so
     the largest column norm is the largest defect over the matrix units.
     """
-    k = _commutation_matrix(s.n)
-    diff = s.mat - k @ s.mat.conj() @ k
+    diff = s.mat - _transpose_sides(s.mat.conj(), s.n)
     residual = float(np.max(np.linalg.norm(diff, axis=0)))
     return CheckResult(
         passed=bool(residual <= tol.eq_tol),

@@ -30,11 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balance import MODE_CP, _pair_residual, require_dynamics
-from .duals import ReversingOperation, rho_dual
+from .duals import ReversingOperation, bar_map, modular, rho_dual, theta_conjugate
 from .errors import DimensionMismatch
 from .linalg import DEFAULT_TOL, CheckResult, Tolerance, matrix_units
 from .states import DensityMatrix
-from .superop import SuperOperator, pi_rep
+from .superop import SuperOperator, pi_rep, transpose_superop
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,16 +72,12 @@ def check_tilde_substitution(rho: DensityMatrix, tol: Tolerance = DEFAULT_TOL) -
 
 
 def check_kms(rho: DensityMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
-    """Verify <A Delta(B)> = <B A> on all matrix-unit pairs."""
-    rm = rho.matrix()
-    rinv = rho.power(-1)
-    residual = 0.0
-    units = matrix_units(rho.n)
-    for _, _, a in units:
-        for _, _, b in units:
-            lhs = np.trace(rm @ a @ (rm @ b @ rinv))
-            rhs = np.trace(rm @ b @ a)
-            residual = max(residual, abs(complex(lhs) - complex(rhs)))
+    """Verify <A Delta(B)> = <B A> on all matrix-unit pairs: max|H Delta - H^T|
+    for H = kron(1, rho^T) K, the Gram matrix of (A, B) -> <A B> on the vec
+    basis (K the commutation matrix).  The pair loop is a test oracle."""
+    n = rho.n
+    h = np.kron(np.eye(n), rho.matrix().T) @ transpose_superop(n).mat
+    residual = float(np.max(np.abs(h @ modular(rho).delta.mat - h.T)))
     return CheckResult(
         passed=bool(residual <= tol.eq_tol),
         residual=residual,
@@ -140,9 +136,7 @@ def check_sqdb_tfd(
     """Square-root balance in mirror form:
     <tau(A) tilde(B)> = <A tilde(Theta tau Theta(B))> on matrix-unit pairs."""
     require_dynamics(tau, rho, tol, mode)
-    if th.n != rho.n:
-        raise DimensionMismatch(f"reversing operation on M_{th.n} vs dimension {rho.n}")
-    reversed_mat = th.superop().compose(tau).compose(th.superop()).mat
+    reversed_mat = bar_map(theta_conjugate(tau, th)).mat
     pair = _pair_residual(_mirror_gram(rho), tau.mat, reversed_mat.conj())
     return CheckResult(
         passed=bool(pair <= tol.eq_tol),

@@ -275,6 +275,10 @@ def test_make_chain_validation():
         make_chain([1.5, -0.5], [[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(DimensionMismatch):
         make_chain([0.5, 0.5], [[1.0]])
+    with pytest.raises(NotStochastic, match="p has a non-finite entry"):
+        make_chain([np.nan, 0.5], [[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(NotStochastic, match="gamma has a non-finite entry"):
+        make_chain([0.5, 0.5], [[1.0, 0.0], [np.nan, 1.0]])
 
 
 def test_classical_metropolis_reversible():

@@ -307,6 +307,57 @@ def test_non_finite_tolerances_are_schema_errors(tmp_path, capsys, tol):
     assert "error: tol.eq_tol: must be a finite positive number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "p,gamma,name",
+    [
+        ([float("nan"), 0.5], [[1.0, 0.0], [0.0, 1.0]], "p"),
+        ([0.5, 0.5], [[1.0, 0.0], [float("nan"), 1.0]], "gamma"),
+    ],
+    ids=["p", "gamma"],
+)
+def test_non_finite_chain_entries_are_rejected(tmp_path, capsys, p, gamma, name):
+    path = _write(tmp_path, {"kind": "classical", "p": p, "gamma": gamma})
+    assert main(["check", path, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert f"{name} has a non-finite entry" in captured.err
+
+
+HUGE = 10**400  # a JSON integer literal no float can hold
+
+
+def _overflow_payload(field):
+    if field in ("p", "gamma[0]"):
+        payload = generate_payload("metropolis", 2, 3, 0.75, 0.2, 0)
+        if field == "p":
+            payload["p"][0] = HUGE
+        else:
+            payload["gamma"][0][0] = HUGE
+        return payload
+    payload = generate_payload("gad-sqdb", None, 3, 0.75, 0.2, 0)
+    if field == "tol.eq_tol":
+        payload["tol"] = {"eq_tol": HUGE}
+    elif field == "rho":
+        payload["rho"][0] = HUGE
+    elif field == "channel.data[0][0][0]":
+        payload["channel"]["data"][0][0][0] = [HUGE, 0.0]
+    else:
+        payload["theta"] = {"kind": "unitary", "u": _enc(np.eye(2))}
+        payload["theta"]["u"][0][0] = [1.0, HUGE]
+    return payload
+
+
+@pytest.mark.parametrize(
+    "field", ["tol.eq_tol", "rho", "channel.data[0][0][0]", "theta.u[0][0]", "p", "gamma[0]"]
+)
+def test_integers_too_large_for_a_float_are_schema_errors(tmp_path, capsys, field):
+    path = _write(tmp_path, _overflow_payload(field))
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ")
+
+
 def test_generate_stdout_and_param_error(capsys):
     assert main(["generate", "cycle"]) == 0
     doc = json.loads(capsys.readouterr().out)

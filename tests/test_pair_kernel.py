@@ -1,10 +1,19 @@
-"""The Gram-matrix pair kernel against the per-pair loops it replaced.
+"""The Gram-matrix pair kernel against the per-pair loops it replaced, and
+the permuted / scaled transforms against the dense products they replaced.
 
 Every pair identity (entangled, mirror, classical functional) and the
 state-invariance test are decided by balance._pair_residual.  The loops
 below are the defining forms, one evaluation of the functional per pair of
 matrix units; at n <= 4 the kernel must reproduce their residuals to
-1e-12 relative and give the same verdicts.
+1e-12 relative and give the same verdicts.  The KMS identity has its own
+Gram-matrix form in thermofield.check_kms, checked the same way.
+
+The duals, the Theta-conjugate, the transpose map and the modular
+commutator are index permutations and row / column scalings of the
+column-stacking matrix.  Their reference is the dense product with the
+commutation matrix K (built here by its loop definition) and with Kronecker
+matrices of rho's powers: a permutation must agree exactly, a scaling or
+a reordered product to 1e-13 relative.
 """
 
 import numpy as np
@@ -12,6 +21,7 @@ import pytest
 
 from detbal.balance import (
     _pair_residual,
+    delta_commutator_residual,
     check_db2_definition,
     check_db2_entangled,
     check_db2_modular,
@@ -19,7 +29,18 @@ from detbal.balance import (
     classical_phi_balance,
     run_report,
 )
-from detbal.duals import hat_map, make_reversing, rho_dual, theta_conjugate, transpose_reversing
+from detbal.duals import (
+    ReversingOperation,
+    bar_map,
+    hat_map,
+    kms_dual,
+    make_reversing,
+    modular,
+    rho_dual,
+    theta_conjugate,
+    trace_dual,
+    transpose_reversing,
+)
 from detbal.generators import (
     cycle_chain,
     degenerate_db2_channel,
@@ -31,8 +52,8 @@ from detbal.generators import (
 )
 from detbal.linalg import DEFAULT_TOL, matrix_units
 from detbal.states import expectation, omega_eval, omega_gram, purify
-from detbal.superop import vec
-from detbal.thermofield import check_db2_tfd, check_sqdb_tfd, expect_tilde
+from detbal.superop import SuperOperator, is_hermitian_map, transpose_superop, vec
+from detbal.thermofield import check_db2_tfd, check_kms, check_sqdb_tfd, expect_tilde
 
 SPIN = np.array([[0, 1], [-1, 0]], dtype=complex)
 DEGENERATE_SPECTRA = {2: (0.5, 0.5), 3: (0.5, 0.25, 0.25), 4: (0.4, 0.2, 0.2, 0.2)}
@@ -106,6 +127,37 @@ def state_invariance_oracle(tau, rho):
     for _, _, e in matrix_units(rho.n):
         inv = max(inv, abs(expectation(rho, tau.apply(e)) - expectation(rho, e)))
     return inv
+
+
+def kms_oracle(rho):
+    rm = rho.matrix()
+    rinv = rho.power(-1)
+    residual = 0.0
+    units = matrix_units(rho.n)
+    for _, _, a in units:
+        for _, _, b in units:
+            lhs = np.trace(rm @ a @ (rm @ b @ rinv))
+            rhs = np.trace(rm @ b @ a)
+            residual = max(residual, abs(complex(lhs) - complex(rhs)))
+    return residual
+
+
+def commutation_matrix(n):
+    """K with vec(X^T) = K vec(X), by its loop definition."""
+    k = np.zeros((n * n, n * n), dtype=complex)
+    for r in range(n):
+        for c in range(n):
+            k[r + n * c, c + n * r] = 1.0
+    return k
+
+
+def trace_dual_product(m, k):
+    """s^# as s^dag(A^dag)^dag: K conj(M^dag) K."""
+    return k @ m.conj().T.conj() @ k
+
+
+def reversing_product(th, k):
+    return np.kron(th.u.conj(), th.u) @ k
 
 
 def classical_phi_oracle(c):
@@ -265,3 +317,127 @@ def test_classical_phi_matches_loop_oracle(chain):
     oracle = classical_phi_oracle(chain)
     assert close(res.residual, oracle)
     assert res.passed == (oracle <= DEFAULT_TOL.eq_tol)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kms_matches_loop_oracle(n):
+    rho = random_density(n, seed=90 + n)
+    res = check_kms(rho)
+    oracle = kms_oracle(rho)
+    assert close(res.residual, oracle)
+    assert res.passed == (oracle <= DEFAULT_TOL.eq_tol)
+
+
+# ------------------------------------------- transforms against dense products
+
+
+def random_map(n, seed):
+    """A generic complex map on M_n; not Hermiticity-preserving."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+    return SuperOperator(n, m)
+
+
+def reversings(n):
+    """A Haar u (not involutive, so built without make_reversing: the
+    formulas hold for every unitary u), a symmetric v v^T and, for even n,
+    the block spin reversal."""
+    v = haar_unitary(n, 140 + n)
+    out = [
+        ("haar", ReversingOperation(u=haar_unitary(n, 150 + n))),
+        ("symmetric", make_reversing(v @ v.T)),
+    ]
+    if n % 2 == 0:
+        out.append(("spin", make_reversing(np.kron(np.eye(n // 2), SPIN))))
+    return out
+
+
+REVERSING_PARAMS = [
+    pytest.param(n, k, id=f"{n}-{name}")
+    for n in (2, 3, 4)
+    for k, (name, _) in enumerate(reversings(n))
+]
+
+
+def scaled_close(new, old):
+    return np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_transpose_superop_is_the_commutation_matrix(n):
+    assert np.array_equal(transpose_superop(n).mat, commutation_matrix(n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bar_map_matches_commutation_product(n):
+    k = commutation_matrix(n)
+    s = random_map(n, 160 + n)
+    assert np.array_equal(bar_map(s).mat, k @ s.mat @ k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_trace_dual_matches_commutation_product(n):
+    k = commutation_matrix(n)
+    s = random_map(n, 160 + n)
+    assert np.array_equal(trace_dual(s).mat, trace_dual_product(s.mat, k))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_is_hermitian_map_matches_commutation_product(n):
+    k = commutation_matrix(n)
+    s = random_map(n, 160 + n)
+    want = np.max(np.linalg.norm(s.mat - k @ s.mat.conj() @ k, axis=0))
+    assert is_hermitian_map(s).residual == want
+
+
+@pytest.mark.parametrize("n,k", REVERSING_PARAMS)
+def test_reversing_superop_matches_commutation_product(n, k):
+    th = reversings(n)[k][1]
+    assert np.array_equal(th.superop().mat, reversing_product(th, commutation_matrix(n)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rho_dual_matches_kronecker_products(n):
+    s = random_map(n, 170 + n)
+    rho = random_density(n, seed=170 + n)
+    sharp = trace_dual_product(s.mat, commutation_matrix(n))
+    left, right = np.kron(np.eye(n), rho.power(-1)), np.kron(np.eye(n), rho.matrix())
+    assert scaled_close(rho_dual(s, rho).mat, left @ sharp @ right)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kms_dual_matches_kronecker_products(n):
+    s = random_map(n, 170 + n)
+    rho = random_density(n, seed=170 + n)
+    sharp = trace_dual_product(s.mat, commutation_matrix(n))
+    half, halfinv = rho.power(0.5), rho.power(-0.5)
+    outer, inner = np.kron(halfinv, halfinv), np.kron(half, half)
+    assert scaled_close(kms_dual(s, rho).mat, outer @ sharp @ inner)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_delta_commutator_matches_modular_products(n):
+    s = random_map(n, 170 + n)
+    rho = random_density(n, seed=170 + n)
+    d = modular(rho).delta.mat
+    want = np.linalg.norm(s.mat @ d - d @ s.mat)
+    assert abs(delta_commutator_residual(s, rho) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("n,k", REVERSING_PARAMS)
+def test_theta_conjugate_matches_commutation_products(n, k):
+    th = reversings(n)[k][1]
+    kk = commutation_matrix(n)
+    s = random_map(n, 180 + n)
+    tm = reversing_product(th, kk)
+    assert scaled_close(theta_conjugate(s, th).mat, kk @ tm @ s.mat @ tm @ kk)
+
+
+@pytest.mark.parametrize("n,k", REVERSING_PARAMS)
+def test_theta_tau_theta_matches_commutation_products(n, k):
+    """Theta s Theta is bar_map of the Theta-conjugate; the reference
+    composes the reversing operation's matrix on both sides."""
+    th = reversings(n)[k][1]
+    s = random_map(n, 180 + n)
+    tm = reversing_product(th, commutation_matrix(n))
+    assert scaled_close(bar_map(theta_conjugate(s, th)).mat, tm @ s.mat @ tm)

@@ -23,10 +23,11 @@ Theta: the kms dual of tau equals Theta tau Theta.  Two characterizations:
 
 Every pair identity is decided at once: a bilinear form with Gram matrix G
 on the vec basis, F(A, B) = vec(A)^T G vec(B), has F(E_i, R(E_j)) =
-F(L(E_i), E_j) on all matrix-unit pairs iff G R = L^T G (_pair_residual,
-shared with thermofield; the per-pair loops are test oracles).  run_report
-builds the state dual and the Theta-conjugate (duals) once for both checks
-that use each.
+F(L(E_i), E_j) on all matrix-unit pairs iff G R = L^T G.  G = diag(g) with
+g = kron(d^(1/2), d^(1/2)) for rho = diag(d) (entangled, mirror) or p, so
+_pair_residual, shared with thermofield, is max|g_i R_ij - L_ji g_j|, O(n^4);
+the pair loops and dense Gram products are test oracles.  run_report builds
+the state dual and the Theta-conjugate once for both checks that use each.
 
 The two notions agree on channels commuting with the modular map; sqdb
 does not require that commutation.  check_implication_sqdb_db2 probes the
@@ -54,7 +55,7 @@ from .duals import (
 )
 from .errors import DimensionMismatch, InputNotDynamics, NotStochastic
 from .linalg import DEFAULT_TOL, CheckResult, Tolerance
-from .states import DensityMatrix, omega_gram, purify
+from .states import DensityMatrix
 from .superop import (
     SuperOperator,
     is_completely_positive,
@@ -106,8 +107,15 @@ def delta_commutator_residual(tau: SuperOperator, rho: DensityMatrix) -> float:
 
 def _pair_residual(g: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
     """Largest |F(e_i, right e_j) - F(left e_i, e_j)| over basis pairs, for
-    F(x, y) = x^T g y: max|g right - left^T g|."""
-    return float(np.max(np.abs(g @ right - left.T @ g)))
+    F(x, y) = x^T diag(g) y: max|g_i right_ij - left_ji g_j|, O(n^4)."""
+    return float(np.max(np.abs(g[:, None] * right - left.T * g)))
+
+
+def _pair_gram(rho: DensityMatrix) -> np.ndarray:
+    """Diagonal of states.omega_gram (w = 1) and of the mirror Gram matrix
+    kron(rho^(1/2), (rho^(1/2))^T): kron(d^(1/2), d^(1/2)), rho = diag(d)."""
+    half = np.sqrt(rho.diag)
+    return np.outer(half, half).ravel()
 
 
 def _db2_definition(dual, tol, mode) -> CheckResult:
@@ -125,8 +133,9 @@ def _db2_definition(dual, tol, mode) -> CheckResult:
 
 def _db2_modular(tau, rho, tol) -> CheckResult:
     comm = delta_commutator_residual(tau, rho)
-    # <tau(E_i)> = <E_i>: the pair identity of F(A, c) = c <A>, L = tau, R = 1
-    inv = _pair_residual(vec(rho.matrix())[:, None], tau.mat, np.eye(1))
+    # <tau(E_i)> = <E_i> for every matrix unit: vec(rho) = tau^T vec(rho)
+    r = vec(rho.matrix())
+    inv = float(np.max(np.abs(r - tau.mat.T @ r)))
     residual = max(comm, inv)
     return CheckResult(
         passed=bool(residual <= tol.eq_tol),
@@ -138,7 +147,7 @@ def _db2_modular(tau, rho, tol) -> CheckResult:
 
 def _db2_entangled(tau, rho, dual, tol) -> CheckResult:
     hat = bar_map(dual)
-    pair = _pair_residual(omega_gram(purify(rho)), tau.mat, hat.mat)
+    pair = _pair_residual(_pair_gram(rho), tau.mat, hat.mat)
     eye = np.eye(rho.n)
     hat_unital = float(np.linalg.norm(hat.apply(eye) - eye))
     residual = max(pair, hat_unital)
@@ -167,7 +176,7 @@ def _sqdb_definition(tau, rho, conj, tol) -> CheckResult:
 
 
 def _sqdb_entangled(tau, rho, conj, tol) -> CheckResult:
-    pair = _pair_residual(omega_gram(purify(rho)), tau.mat, conj.mat)
+    pair = _pair_residual(_pair_gram(rho), tau.mat, conj.mat)
     return CheckResult(
         passed=bool(pair <= tol.eq_tol),
         residual=pair,
@@ -290,16 +299,16 @@ def make_chain(p, gamma) -> ClassicalChain:
         raise DimensionMismatch(f"chain shapes p {p.shape}, gamma {gamma.shape}")
     for name, x in (("p", p), ("gamma", gamma)):
         if not np.all(np.isfinite(x)):
-            raise NotStochastic(f"{name} has a non-finite entry")
+            raise NotStochastic(name, "has a non-finite entry")
     if np.min(p) <= 0.0:
-        raise NotStochastic(f"p must be strictly positive (min {np.min(p):.3e})")
+        raise NotStochastic("p", f"must be strictly positive (min {np.min(p):.3e})")
     if abs(float(np.sum(p)) - 1.0) > 1e-12:
-        raise NotStochastic(f"p must sum to 1, got {np.sum(p):.12g}")
+        raise NotStochastic("p", f"must sum to 1, got {np.sum(p):.12g}")
     if np.min(gamma) < -1e-12:
-        raise NotStochastic(f"gamma has a negative entry ({np.min(gamma):.3e})")
+        raise NotStochastic("gamma", f"has a negative entry ({np.min(gamma):.3e})")
     rows = np.abs(gamma.sum(axis=1) - 1.0)
     if float(np.max(rows)) > 1e-12:
-        raise NotStochastic(f"gamma rows must sum to 1 (worst {np.max(rows):.3e})")
+        raise NotStochastic("gamma", f"rows must sum to 1 (worst {np.max(rows):.3e})")
     return ClassicalChain(p=p, gamma=gamma)
 
 
@@ -322,7 +331,7 @@ def classical_phi_balance(c: ClassicalChain, tol: Tolerance = DEFAULT_TOL) -> Ch
     reversibility says phi[(Gamma f) ox g] = phi[f ox (Gamma g)] for all f, g;
     the residual runs over all coordinate basis pairs.
     """
-    residual = _pair_residual(np.diag(c.p), c.gamma, c.gamma)
+    residual = _pair_residual(c.p, c.gamma, c.gamma)
     return CheckResult(
         passed=bool(residual <= tol.eq_tol),
         residual=residual,

@@ -59,7 +59,7 @@ from .balance import (
     run_report,
 )
 from .duals import ReversingOperation, make_reversing, transpose_reversing
-from .errors import DetbalError, InputNotDynamics, SchemaError
+from .errors import DetbalError, InputNotDynamics, NotStochastic, SchemaError
 from .generators import (
     cycle_chain,
     gad_kraus,
@@ -116,10 +116,18 @@ def _float(x, field: str) -> float:
         raise SchemaError(field, "number too large for a float") from None
 
 
+def _finite(x, field: str) -> float:
+    """_float(x), which must be finite: json.load reads NaN, Infinity, 1e400."""
+    v = _float(x, field)
+    if not math.isfinite(v):
+        raise SchemaError(field, f"must be a finite number, got {v!r}")
+    return v
+
+
 def _complex_entry(x, field: str) -> complex:
     if not (isinstance(x, list) and len(x) == 2 and all(_is_number(v) for v in x)):
         raise SchemaError(field, "complex entries must be [re, im] pairs of numbers")
-    return complex(_float(x[0], field), _float(x[1], field))
+    return complex(_finite(x[0], field), _finite(x[1], field))
 
 
 def _parse_matrix(data, field: str) -> np.ndarray:
@@ -148,7 +156,7 @@ def _encode_matrix(m) -> list:
 
 def _parse_rho(data, tol: Tolerance) -> DensityMatrix:
     if isinstance(data, list) and data and all(_is_number(v) for v in data):
-        mat = np.diag(_parse_real_vector(data, "rho")).astype(complex)
+        mat = np.diag([_finite(v, "rho") for v in data]).astype(complex)
     else:
         mat = _parse_matrix(data, "rho")
     try:
@@ -319,6 +327,8 @@ def parse_problem(path: str) -> ParsedProblem:
         rows = [_parse_real_vector(r, f"gamma[{i}]") for i, r in enumerate(gamma)]
         try:
             chain = make_chain(p, np.asarray(rows))
+        except NotStochastic as exc:
+            raise SchemaError(exc.argument, str(exc)) from exc
         except DetbalError as exc:
             raise SchemaError("gamma", str(exc)) from exc
         return ParsedProblem(kind="classical", tol=tol, powers=powers, chain=chain)

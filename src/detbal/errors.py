@@ -34,7 +34,12 @@ class InputNotDynamics(DetbalError):
 
 
 class NotStochastic(DetbalError):
-    """Classical chain data violates positivity or row normalization."""
+    """Classical chain data violates positivity or row normalization;
+    argument names the offending input, "p" or "gamma"."""
+
+    def __init__(self, argument: str, reason: str):
+        self.argument = argument
+        super().__init__(f"{argument} {reason}")
 
 
 class SchemaError(DetbalError):

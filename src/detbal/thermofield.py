@@ -18,9 +18,10 @@ Balance translates into mirror correlation identities:
   sqdb  <tau(A) tilde(B)> = <A tilde(Theta tau Theta (B))> for all A, B
 
 whose booleans must agree with the corresponding checks in balance.  Both
-are decided at once by balance's Gram-matrix kernel on the bilinear form
-(A, C) -> <A tilde(conj(C))>; the map s in the antilinear mirror slot
-enters as conj(s.mat).  The expect_tilde pair loops are test oracles.
+are decided at once by balance's kernel on (A, C) -> <A tilde(conj(C))>,
+whose Gram matrix is the entangled one's diagonal; the map s in the
+antilinear mirror slot enters as conj(s.mat).  The expect_tilde pair loops
+are test oracles.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balance import MODE_CP, _pair_residual, require_dynamics
+from .balance import MODE_CP, _pair_gram, _pair_residual, require_dynamics
 from .duals import ReversingOperation, bar_map, modular, rho_dual, theta_conjugate
 from .errors import DimensionMismatch
 from .linalg import DEFAULT_TOL, CheckResult, Tolerance, matrix_units
@@ -98,12 +99,6 @@ def expect_tilde(rho: DensityMatrix, a, b) -> complex:
     return complex(np.trace(half @ a @ half @ b.conj().T))
 
 
-def _mirror_gram(rho: DensityMatrix) -> np.ndarray:
-    """Gram matrix of the bilinear form (A, C) -> <A tilde(conj(C))>."""
-    half = rho.power(0.5)
-    return np.kron(half, half.T)
-
-
 def check_db2_tfd(
     tau: SuperOperator,
     rho: DensityMatrix,
@@ -114,7 +109,7 @@ def check_db2_tfd(
     on all matrix-unit pairs, plus unitality of the state dual."""
     require_dynamics(tau, rho, tol, mode)
     dual = rho_dual(tau, rho)
-    pair = _pair_residual(_mirror_gram(rho), tau.mat, dual.mat.conj())
+    pair = _pair_residual(_pair_gram(rho), tau.mat, dual.mat.conj())
     eye = np.eye(rho.n)
     dual_unital = float(np.linalg.norm(dual.apply(eye) - eye))
     residual = max(pair, dual_unital)
@@ -137,7 +132,7 @@ def check_sqdb_tfd(
     <tau(A) tilde(B)> = <A tilde(Theta tau Theta(B))> on matrix-unit pairs."""
     require_dynamics(tau, rho, tol, mode)
     reversed_mat = bar_map(theta_conjugate(tau, th)).mat
-    pair = _pair_residual(_mirror_gram(rho), tau.mat, reversed_mat.conj())
+    pair = _pair_residual(_pair_gram(rho), tau.mat, reversed_mat.conj())
     return CheckResult(
         passed=bool(pair <= tol.eq_tol),
         residual=pair,

@@ -324,6 +324,63 @@ def test_non_finite_chain_entries_are_rejected(tmp_path, capsys, p, gamma, name)
     assert f"{name} has a non-finite entry" in captured.err
 
 
+@pytest.mark.parametrize(
+    "p,message",
+    [([0.3, 0.3], "p must sum to 1, got 0.6"), ([1.5, -0.5], "p must be strictly positive")],
+    ids=["sum", "negative"],
+)
+def test_chain_errors_in_p_are_reported_under_p(tmp_path, capsys, p, message):
+    path = _write(tmp_path, {"kind": "classical", "p": p, "gamma": [[1.0, 0.0], [0.0, 1.0]]})
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: p: ")
+    assert message in err
+
+
+def test_chain_errors_in_gamma_are_reported_under_gamma(tmp_path, capsys):
+    path = _write(tmp_path, {"kind": "classical", "p": [0.5, 0.5], "gamma": [[1.5, -0.5], [0.0, 1.0]]})
+    assert main(["check", path]) == 2
+    assert capsys.readouterr().err.startswith("error: gamma: gamma has a negative entry")
+
+
+NON_FINITE_FIELDS = ["rho", "rho[1][1]", "channel.data[0][0][0]", "channel.data[1][2]", "theta.u[1][0]"]
+
+
+def _non_finite_text(field, token):
+    """A gad-sqdb problem file with the JSON number token at field; rho[1][1]
+    uses the matrix form of rho and channel.data[1][2] a matrix channel."""
+    payload = generate_payload("gad-sqdb", None, 3, 0.75, 0.2, 0)
+    mark = "NON_FINITE"
+    if field == "rho":
+        payload["rho"][1] = mark
+    elif field == "rho[1][1]":
+        payload["rho"] = _enc(np.diag(payload["rho"]))
+        payload["rho"][1][1] = [mark, 0.0]
+    elif field == "channel.data[0][0][0]":
+        payload["channel"]["data"][0][0][0] = [mark, 0.0]
+    elif field == "channel.data[1][2]":
+        ops = [np.asarray(m)[..., 0] + 1j * np.asarray(m)[..., 1] for m in payload["channel"]["data"]]
+        data = _enc(sum(np.kron(v.conj(), v) for v in ops))
+        data[1][2] = [0.0, mark]
+        payload["channel"] = {"kind": "matrix", "convention": "column-stacking", "data": data}
+    else:
+        payload["theta"] = {"kind": "unitary", "u": _enc(np.eye(2))}
+        payload["theta"]["u"][1][0] = [mark, 0.0]
+    return json.dumps(payload).replace(f'"{mark}"', token)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("field", NON_FINITE_FIELDS)
+def test_non_finite_numbers_are_schema_errors(tmp_path, capsys, field, token):
+    # json.load reads NaN and Infinity, and 1e400 as inf
+    path = tmp_path / "problem.json"
+    path.write_text(_non_finite_text(field, token), encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field}: must be a finite number, got ")
+
+
 HUGE = 10**400  # a JSON integer literal no float can hold
 
 

@@ -1,12 +1,15 @@
 """The Gram-matrix pair kernel against the per-pair loops it replaced, and
 the permuted / scaled transforms against the dense products they replaced.
 
-Every pair identity (entangled, mirror, classical functional) and the
-state-invariance test are decided by balance._pair_residual.  The loops
-below are the defining forms, one evaluation of the functional per pair of
-matrix units; at n <= 4 the kernel must reproduce their residuals to
-1e-12 relative and give the same verdicts.  The KMS identity has its own
-Gram-matrix form in thermofield.check_kms, checked the same way.
+Every pair identity (entangled, mirror, classical functional) is decided
+by balance._pair_residual on a diagonal Gram matrix, and the state
+invariance by one matrix-vector product.  The loops below are the defining
+forms, one evaluation of the functional per pair of matrix units; at n <= 4
+the kernel must reproduce their residuals to 1e-12 relative and give the
+same verdicts.  The dense Gram products the diagonal kernel replaced
+(states.omega_gram, the mirror Gram matrix) are a second reference.  The
+KMS identity has its own Gram-matrix form in thermofield.check_kms, checked
+the same way.
 
 The duals, the Theta-conjugate, the transpose map and the modular
 commutator are index permutations and row / column scalings of the
@@ -219,18 +222,58 @@ def close(new, oracle):
 
 
 def test_pair_residual_is_the_bilinear_pair_maximum():
-    """Non-symmetric G, L, R: the kernel is the maximum over basis pairs of
-    |F(e_i, R e_j) - F(L e_i, e_j)| with F(x, y) = x^T G y."""
+    """Complex diagonal G = diag(g), non-symmetric L, R: the kernel is the
+    maximum over basis pairs of |F(e_i, R e_j) - F(L e_i, e_j)| with
+    F(x, y) = x^T G y."""
     rng = np.random.default_rng(5)
     m = 6
-    g, left, right = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for _ in range(3))
+    left, right = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for _ in range(2))
+    g = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    gram = np.diag(g)
     eye = np.eye(m)
     want = max(
-        abs(eye[i] @ g @ (right @ eye[j]) - (left @ eye[i]) @ g @ eye[j])
+        abs(eye[i] @ gram @ (right @ eye[j]) - (left @ eye[i]) @ gram @ eye[j])
         for i in range(m)
         for j in range(m)
     )
     assert close(_pair_residual(g, left, right), want)
+
+
+def dense_pair_residual(gram, left, right):
+    """The kernel as it was before the Gram diagonal: max|G R - L^T G|."""
+    return float(np.max(np.abs(gram @ right - left.T @ gram)))
+
+
+def mirror_gram(rho):
+    """Gram matrix of (A, C) -> <A tilde(conj(C))>: kron(rho^(1/2), (rho^(1/2))^T)."""
+    half = rho.power(0.5)
+    return np.kron(half, half.T)
+
+
+@pytest.mark.parametrize("make,n,k", THETA_PARAMS)
+def test_diagonal_pair_kernel_matches_dense_gram_kernel(make, n, k):
+    """Entangled and mirror residuals against the dense products with
+    omega_gram (w = 1) and the mirror Gram matrix, both diagonal here."""
+    tau, rho = make(n)
+    th = thetas(n)[k][1]
+    dual = rho_dual(tau, rho)
+    conj = theta_conjugate(tau, th)
+    omega = omega_gram(purify(rho))
+    mirror = mirror_gram(rho)
+    assert np.array_equal(omega, np.diag(np.diagonal(omega)))
+    assert np.array_equal(mirror, np.diag(np.diagonal(mirror)))
+    pairs = [
+        (check_db2_entangled(tau, rho).detail["pair_residual"],
+         dense_pair_residual(omega, tau.mat, bar_map(dual).mat)),
+        (check_sqdb_entangled(tau, rho, th).residual,
+         dense_pair_residual(omega, tau.mat, conj.mat)),
+        (check_db2_tfd(tau, rho).detail["pair_residual"],
+         dense_pair_residual(mirror, tau.mat, dual.mat.conj())),
+        (check_sqdb_tfd(tau, rho, th).residual,
+         dense_pair_residual(mirror, tau.mat, bar_map(conj).mat.conj())),
+    ]
+    for new, dense in pairs:
+        assert abs(new - dense) <= 1e-13 * max(1.0, dense)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -431,6 +474,13 @@ def test_theta_conjugate_matches_commutation_products(n, k):
     s = random_map(n, 180 + n)
     tm = reversing_product(th, kk)
     assert scaled_close(theta_conjugate(s, th).mat, kk @ tm @ s.mat @ tm @ kk)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 12])
+def test_theta_conjugate_is_exact_for_the_transpose(n):
+    rho = random_density(n, seed=190 + n)
+    for s in (random_map(n, 190 + n), schur_db2_channel(rho, seed=190 + n)):
+        assert np.array_equal(theta_conjugate(s, transpose_reversing(n)).mat, s.mat)
 
 
 @pytest.mark.parametrize("n,k", REVERSING_PARAMS)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from detbal.errors import DimensionMismatch
+from detbal.generators import degenerate_db2_channel, random_density, schur_db2_channel
 from detbal.linalg import DEFAULT_TOL, hermitian_eig, matrix_unit, matrix_units
 from detbal.superop import (
     KrausChannel,
     SuperOperator,
+    _hermitian_spectrum,
     choi,
     from_kraus,
     identity_superop,
@@ -174,6 +176,93 @@ def test_cp_scale_relative_tolerance():
     rng = np.random.default_rng(8)
     s = from_kraus([1e4 * random_mat(2, rng)])
     assert is_completely_positive(s).passed
+
+
+def random_hermitian(m, rng):
+    h = random_mat(m, rng)
+    return h + h.conj().T
+
+
+def isolate(h, rows, diag):
+    """Zero the off-diagonal entries of the given rows and columns of h and
+    put diag on their diagonal."""
+    h = h.copy()
+    h[rows, :] = 0.0
+    h[:, rows] = 0.0
+    h[rows, rows] = diag
+    return h
+
+
+def spectrum_cases():
+    rng = np.random.default_rng(12)
+    full = random_hermitian(9, rng)
+    return {
+        "zero-rows": isolate(full, [1, 4, 8], 0.0),
+        "isolated-diagonal": isolate(full, [0, 3, 5, 6], [2.5, -0.75, 0.0, 1e-3]),
+        "none-isolated": full,
+        "all-isolated": np.diag(rng.standard_normal(9)).astype(complex),
+        "one-by-one": np.array([[-0.25]], dtype=complex),
+        "one-by-one-zero": np.zeros((1, 1), dtype=complex),
+    }
+
+
+@pytest.mark.parametrize("name", list(spectrum_cases()))
+def test_hermitian_spectrum_matches_full_solve(name):
+    h = spectrum_cases()[name]
+    lam = _hermitian_spectrum(h)
+    full = np.linalg.eigvalsh(h)
+    assert lam.shape == full.shape
+    assert np.max(np.abs(np.sort(lam) - full)) <= 1e-13 * max(1.0, np.max(np.abs(full)))
+    if name == "none-isolated":
+        assert np.array_equal(lam, full)  # one full solve, nothing split off
+
+
+def test_hermitian_spectrum_keeps_isolated_entries_exactly():
+    h = spectrum_cases()["isolated-diagonal"]
+    lam = _hermitian_spectrum(h)
+    for x in (2.5, -0.75, 0.0, 1e-3):
+        assert x in lam
+
+
+def test_cp_rejects_an_isolated_negative_choi_eigenvalue():
+    """Choi matrix of the identity map (coupled rows j n + j) plus -0.1 on
+    the diagonal of row 1 = 0 n + 1, which couples to nothing: that entry
+    is the only negative eigenvalue and must decide the verdict."""
+    n = 3
+    c = choi(identity_superop(n)).mat.copy()
+    c[1, 1] = -0.1
+    # choi's index realignment is its own inverse
+    s = SuperOperator(n, c.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n * n, n * n))
+    assert np.array_equal(choi(s).mat, c)
+    res = is_completely_positive(s)
+    assert not res.passed
+    assert res.detail["choi_min_eigenvalue"] == -0.1
+    assert res.detail["choi_max_eigenvalue"] == pytest.approx(n, rel=1e-14)
+
+
+def choi_spectrum_pool(n):
+    rho = random_density(n, seed=90 + n)
+    spectrum = {2: (0.5, 0.5), 3: (0.5, 0.25, 0.25), 4: (0.4, 0.2, 0.2, 0.2)}[n]
+    tau, _ = degenerate_db2_channel(95 + n, spectrum=spectrum)
+    rng = np.random.default_rng(100 + n)
+    return [
+        schur_db2_channel(rho, seed=90 + n),
+        tau,
+        from_kraus([random_mat(n, rng) for _ in range(3)]),
+        transpose_superop(n),
+        identity_superop(n),
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cp_spectrum_matches_full_choi_solve(n):
+    for s in choi_spectrum_pool(n):
+        c = choi(s).mat
+        full = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
+        res = is_completely_positive(s)
+        scale = max(1.0, np.max(np.abs(full)))
+        assert abs(res.detail["choi_min_eigenvalue"] - full[0]) <= 1e-13 * scale
+        assert abs(res.detail["choi_max_eigenvalue"] - full[-1]) <= 1e-13 * scale
 
 
 def test_positive_map_probe():

@@ -25,9 +25,9 @@ Every pair identity is decided at once: a bilinear form with Gram matrix G
 on the vec basis, F(A, B) = vec(A)^T G vec(B), has F(E_i, R(E_j)) =
 F(L(E_i), E_j) on all matrix-unit pairs iff G R = L^T G.  G = diag(g) with
 g = kron(d^(1/2), d^(1/2)) for rho = diag(d) (entangled, mirror) or p, so
-_pair_residual, shared with thermofield, is max|g_i R_ij - L_ji g_j|, O(n^4);
-the pair loops and dense Gram products are test oracles.  run_report builds
-the state dual and the Theta-conjugate once for both checks that use each.
+_pair_residual is max|g_i R_ij - L_ji g_j|, O(n^4); the pair loops and dense
+Gram products are test oracles.  thermofield's mirror kernels live here too:
+run_report(tfd=True) runs them on its own dual, Theta-conjugate and g.
 
 The two notions agree on channels commuting with the modular map; sqdb
 does not require that commutation.  check_implication_sqdb_db2 probes the
@@ -83,8 +83,9 @@ def require_dynamics(
     rho: DensityMatrix,
     tol: Tolerance = DEFAULT_TOL,
     mode: str = MODE_CP,
-) -> None:
-    """Raise InputNotDynamics unless tau is a (completely) positive unital map."""
+) -> CheckResult:
+    """Raise InputNotDynamics unless tau is a (completely) positive unital map;
+    return its complete positivity (positivity in MODE_POSITIVITY) check."""
     if tau.n != rho.n:
         raise DimensionMismatch(f"channel on M_{tau.n} vs state of dimension {rho.n}")
     cp = _cp_check(tau, tol, mode)
@@ -96,6 +97,7 @@ def require_dynamics(
     un = is_unital(tau, tol)
     if not un.passed:
         raise InputNotDynamics(f"channel is not unital (residual {un.residual:.3e})")
+    return cp
 
 
 def delta_commutator_residual(tau: SuperOperator, rho: DensityMatrix) -> float:
@@ -145,11 +147,10 @@ def _db2_modular(tau, rho, tol) -> CheckResult:
     )
 
 
-def _db2_entangled(tau, rho, dual, tol) -> CheckResult:
+def _db2_entangled(tau, g, dual, tol) -> CheckResult:
     hat = bar_map(dual)
-    pair = _pair_residual(_pair_gram(rho), tau.mat, hat.mat)
-    eye = np.eye(rho.n)
-    hat_unital = float(np.linalg.norm(hat.apply(eye) - eye))
+    pair = _pair_residual(g, tau.mat, hat.mat)
+    hat_unital = is_unital(hat, tol).residual
     residual = max(pair, hat_unital)
     return CheckResult(
         passed=bool(residual <= tol.eq_tol),
@@ -175,14 +176,34 @@ def _sqdb_definition(tau, rho, conj, tol) -> CheckResult:
     )
 
 
-def _sqdb_entangled(tau, rho, conj, tol) -> CheckResult:
-    pair = _pair_residual(_pair_gram(rho), tau.mat, conj.mat)
+def _pair_check(g, left, right, tol) -> CheckResult:
+    pair = _pair_residual(g, left, right)
     return CheckResult(
         passed=bool(pair <= tol.eq_tol),
         residual=pair,
         detail={"pair_residual": pair},
         tol=tol,
     )
+
+
+def _sqdb_entangled(tau, g, conj, tol) -> CheckResult:
+    return _pair_check(g, tau.mat, conj.mat, tol)
+
+
+def _db2_tfd(tau, g, dual, tol) -> CheckResult:
+    pair = _pair_residual(g, tau.mat, dual.mat.conj())
+    dual_unital = is_unital(dual, tol).residual
+    residual = max(pair, dual_unital)
+    return CheckResult(
+        passed=bool(residual <= tol.eq_tol),
+        residual=residual,
+        detail={"pair_residual": pair, "dual_unital": dual_unital},
+        tol=tol,
+    )
+
+
+def _sqdb_tfd(tau, g, conj, tol) -> CheckResult:
+    return _pair_check(g, tau.mat, bar_map(conj).mat.conj(), tol)
 
 
 def check_db2_definition(
@@ -215,7 +236,7 @@ def check_db2_entangled(
 ) -> CheckResult:
     """Standard balance via the purified two-copy functional."""
     require_dynamics(tau, rho, tol, mode)
-    return _db2_entangled(tau, rho, rho_dual(tau, rho), tol)
+    return _db2_entangled(tau, _pair_gram(rho), rho_dual(tau, rho), tol)
 
 
 def check_sqdb_definition(
@@ -239,7 +260,7 @@ def check_sqdb_entangled(
 ) -> CheckResult:
     """Square-root balance via the purified two-copy functional."""
     require_dynamics(tau, rho, tol, mode)
-    return _sqdb_entangled(tau, rho, theta_conjugate(tau, th), tol)
+    return _sqdb_entangled(tau, _pair_gram(rho), theta_conjugate(tau, th), tol)
 
 
 def check_implication_sqdb_db2(
@@ -347,7 +368,8 @@ class BalanceReport:
     consistency records whether the three db2 booleans agree and the two
     sqdb booleans agree; these characterizations are provably equivalent,
     so False flags a tolerance artifact (or a bug) rather than physics.
-    degenerate_rho is propagated from the state.
+    degenerate_rho is propagated from the state, dynamics from require_dynamics;
+    the mirror fields db2_tfd, sqdb_tfd, tfd_agrees are None unless tfd=True.
     """
 
     db2_definition: CheckResult
@@ -358,6 +380,10 @@ class BalanceReport:
     delta_commutes: CheckResult
     consistency: bool
     degenerate_rho: bool
+    dynamics: CheckResult
+    db2_tfd: CheckResult | None
+    sqdb_tfd: CheckResult | None
+    tfd_agrees: bool | None  # db2_tfd, sqdb_tfd agree with db2_entangled, sqdb_definition
 
     @property
     def db2(self) -> bool:
@@ -374,16 +400,20 @@ def run_report(
     th: ReversingOperation,
     tol: Tolerance = DEFAULT_TOL,
     mode: str = MODE_CP,
+    tfd: bool = False,
 ) -> BalanceReport:
-    """Run every checker on one (channel, state, reversing operation) triple."""
-    require_dynamics(tau, rho, tol, mode)
+    """Run every checker on one (channel, state, reversing operation) triple,
+    with thermofield's mirror checks if tfd; all share one dynamics check,
+    state dual, Theta-conjugate and pair Gram."""
+    dynamics = require_dynamics(tau, rho, tol, mode)
     dual = rho_dual(tau, rho)
     conj = theta_conjugate(tau, th)
+    g = _pair_gram(rho)
     db2_def = _db2_definition(dual, tol, mode)
     db2_mod = _db2_modular(tau, rho, tol)
-    db2_ent = _db2_entangled(tau, rho, dual, tol)
+    db2_ent = _db2_entangled(tau, g, dual, tol)
     sq_def = _sqdb_definition(tau, rho, conj, tol)
-    sq_ent = _sqdb_entangled(tau, rho, conj, tol)
+    sq_ent = _sqdb_entangled(tau, g, conj, tol)
     comm = db2_mod.detail["modular_commutator"]
     delta_commutes = CheckResult(
         passed=bool(comm <= tol.eq_tol),
@@ -400,6 +430,10 @@ def run_report(
             "characterizations disagree: db2 %s/%s/%s sqdb %s/%s",
             db2_def.passed, db2_mod.passed, db2_ent.passed, sq_def.passed, sq_ent.passed,
         )
+    db2_tfd = sq_tfd = tfd_agrees = None
+    if tfd:
+        db2_tfd, sq_tfd = _db2_tfd(tau, g, dual, tol), _sqdb_tfd(tau, g, conj, tol)
+        tfd_agrees = db2_tfd.passed == db2_ent.passed and sq_tfd.passed == sq_def.passed
     return BalanceReport(
         db2_definition=db2_def,
         db2_modular=db2_mod,
@@ -409,6 +443,10 @@ def run_report(
         delta_commutes=delta_commutes,
         consistency=consistency,
         degenerate_rho=rho.degenerate,
+        dynamics=dynamics,
+        db2_tfd=db2_tfd,
+        sqdb_tfd=sq_tfd,
+        tfd_agrees=tfd_agrees,
     )
 
 

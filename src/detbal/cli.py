@@ -40,6 +40,7 @@ Exit codes: 0 on success (and all requested assertions hold), 1 when an
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -71,8 +72,7 @@ from .generators import (
 )
 from .linalg import DEFAULT_TOL, CheckResult, Tolerance
 from .states import DensityMatrix, make_density
-from .superop import SuperOperator, from_kraus, is_hermitian_map, is_unital, make_kraus, pi_rep
-from .thermofield import check_db2_tfd, check_sqdb_tfd
+from .superop import SuperOperator, _kron_sandwich, from_kraus, is_hermitian_map, is_unital
 
 CONVENTION = "column-stacking"
 
@@ -218,7 +218,7 @@ def _parse_channel(obj, n: int, tol: Tolerance):
                     f"channel.data[{idx}]", f"expected a {n}x{n} matrix, got {v.shape}"
                 )
             ops.append(v)
-        return from_kraus(make_kraus(ops)), ops
+        return from_kraus(ops), ops
     if kind == "matrix":
         extra = set(obj) - {"kind", "data", "convention"}
         if extra:
@@ -269,16 +269,16 @@ def _parse_theta(obj, n: int) -> ReversingOperation:
 
 
 def _to_eigenbasis(rho, tau, kraus_ops, theta):
-    """Conjugate channel and reversing operation into rho's eigenbasis."""
+    """Conjugate channel and reversing operation into rho's eigenbasis; a
+    matrix channel M becomes pi_rep(v^dag, v^T) M pi_rep(v, conj v)."""
     v = rho.basis
     if np.array_equal(v, np.eye(rho.n)):
         return tau, theta
     if kraus_ops is not None:
-        tau = from_kraus(make_kraus([v.conj().T @ op @ v for op in kraus_ops]))
+        tau = from_kraus([v.conj().T @ op @ v for op in kraus_ops])
     else:
-        left = pi_rep(v.conj().T, v.T).mat
-        right = pi_rep(v, v.conj()).mat
-        tau = SuperOperator(rho.n, left @ tau.mat @ right)
+        mat = _kron_sandwich(tau.mat, rho.n, v.conj().T, v.T, v, v.conj())
+        tau = SuperOperator(rho.n, mat)
     u = v.conj().T @ theta.u @ v.conj()
     return tau, make_reversing(u)
 
@@ -343,9 +343,7 @@ def _check_payload(c: CheckResult) -> dict:
     }
 
 
-def _quantum_power_payload(
-    report: BalanceReport, power: int, tfd_checks: dict | None
-) -> dict:
+def _quantum_power_payload(report: BalanceReport, power: int) -> dict:
     checks = {
         name: _check_payload(getattr(report, name)) for name in _QUANTUM_CHECKS
     }
@@ -356,13 +354,10 @@ def _quantum_power_payload(
         "sqdb": bool(report.sqdb),
         "consistency": bool(report.consistency),
     }
-    if tfd_checks is not None:
-        checks["db2_tfd"] = _check_payload(tfd_checks["db2"])
-        checks["sqdb_tfd"] = _check_payload(tfd_checks["sqdb"])
-        entry["tfd_agrees"] = bool(
-            tfd_checks["db2"].passed == report.db2_entangled.passed
-            and tfd_checks["sqdb"].passed == report.sqdb_definition.passed
-        )
+    if report.tfd_agrees is not None:
+        checks["db2_tfd"] = _check_payload(report.db2_tfd)
+        checks["sqdb_tfd"] = _check_payload(report.sqdb_tfd)
+        entry["tfd_agrees"] = bool(report.tfd_agrees)
     return entry
 
 
@@ -377,16 +372,8 @@ def run_checks(
     if parsed.kind == "quantum":
         for k in parsed.powers:
             tau_k = parsed.tau if k == 1 else parsed.tau.power(k)
-            report = run_report(tau_k, parsed.rho, parsed.theta, parsed.tol, mode)
-            tfd_checks = None
-            if tfd:
-                tfd_checks = {
-                    "db2": check_db2_tfd(tau_k, parsed.rho, parsed.tol, mode),
-                    "sqdb": check_sqdb_tfd(
-                        tau_k, parsed.rho, parsed.theta, parsed.tol, mode
-                    ),
-                }
-            reports.append(_quantum_power_payload(report, k, tfd_checks))
+            report = run_report(tau_k, parsed.rho, parsed.theta, parsed.tol, mode, tfd)
+            reports.append(_quantum_power_payload(report, k))
         payload = {
             "kind": "quantum",
             "n": parsed.rho.n,
@@ -579,6 +566,7 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args keeps no state between calls: one parser per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="detbal",

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import DimensionMismatch, NonUnitary, NotInvolutive
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix
 from .states import DensityMatrix
-from .superop import SuperOperator, _transpose_sides, pi_rep
+from .superop import SuperOperator, _kron_sandwich, _transpose_sides, pi_rep
 
 
 def hs_adjoint(s: SuperOperator) -> SuperOperator:
@@ -191,16 +191,11 @@ def transpose_reversing(n: int) -> ReversingOperation:
 def theta_conjugate(s: SuperOperator, th: ReversingOperation) -> SuperOperator:
     """The map A -> (Theta s Theta)(A^T)^T = conj(u) s(u A u^dag) u^T.
 
-    Its matrix is conj(W) M W with W = kron(conj u, u); Theta s Theta is
-    bar_map of it.  M.reshape(n, n, n, n) holds entry (a + n b, j + n k) at
-    [b, a, k, j], and each index takes one n x n factor of W: four batched
-    n x n products, O(n^5).  For the plain transpose this is exactly s.
+    Its matrix is conj(W) M W with W = kron(conj u, u), four batched n x n
+    products (superop._kron_sandwich); Theta s Theta is bar_map of it.  For
+    the plain transpose this is exactly s.
     """
     if s.n != th.n:
         raise DimensionMismatch(f"map on M_{s.n} vs reversing operation on M_{th.n}")
-    n, u = s.n, th.u
-    m = s.mat.reshape(n**3, n) @ u  # j
-    m = u.conj().T @ m.reshape(n * n, n, n)  # k
-    m = u @ m.reshape(n, n**3)  # b
-    m = u.conj() @ m.reshape(n, n, n * n)  # a
-    return SuperOperator(n, m.reshape(n * n, n * n))
+    u = th.u
+    return SuperOperator(s.n, _kron_sandwich(s.mat, s.n, u.conj(), u, u, u.conj()))

@@ -80,6 +80,16 @@ def _transpose_sides(m: np.ndarray, n: int, axes=(1, 0, 3, 2)) -> np.ndarray:
     return m.reshape(n, n, n, n).transpose(axes).reshape(n * n, n * n)
 
 
+def _kron_sandwich(m: np.ndarray, n: int, a, b, j, k) -> np.ndarray:
+    """kron(b, a) m kron(k, j) in O(n^5): each n x n factor acts on its own axis
+    of m.reshape(n, n, n, n) (row = b-axis, a-axis; column = k-axis, j-axis)."""
+    m = m.reshape(n**3, n) @ j
+    m = k.T @ m.reshape(n * n, n, n)
+    m = b @ m.reshape(n, n**3)
+    m = a @ m.reshape(n, n, n * n)
+    return m.reshape(n * n, n * n)
+
+
 def transpose_superop(n: int) -> SuperOperator:
     """The transpose map X -> X^T; its matrix is the commutation matrix."""
     return SuperOperator(n, _transpose_sides(np.eye(n * n, dtype=complex), n, (0, 1, 3, 2)))

@@ -20,8 +20,9 @@ Balance translates into mirror correlation identities:
 whose booleans must agree with the corresponding checks in balance.  Both
 are decided at once by balance's kernel on (A, C) -> <A tilde(conj(C))>,
 whose Gram matrix is the entangled one's diagonal; the map s in the
-antilinear mirror slot enters as conj(s.mat).  The expect_tilde pair loops
-are test oracles.
+antilinear mirror slot enters as conj(s.mat).  Those kernels live in
+balance, so that run_report(tfd=True) shares its work with them.  The
+expect_tilde pair loops are test oracles.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balance import MODE_CP, _pair_gram, _pair_residual, require_dynamics
-from .duals import ReversingOperation, bar_map, modular, rho_dual, theta_conjugate
+from .balance import MODE_CP, _db2_tfd, _pair_gram, _sqdb_tfd, require_dynamics
+from .duals import ReversingOperation, modular, rho_dual, theta_conjugate
 from .errors import DimensionMismatch
 from .linalg import DEFAULT_TOL, CheckResult, Tolerance, matrix_units
 from .states import DensityMatrix
@@ -108,17 +109,7 @@ def check_db2_tfd(
     """Standard balance in mirror form: <tau(A) tilde(B)> = <A tilde(tau'(B))>
     on all matrix-unit pairs, plus unitality of the state dual."""
     require_dynamics(tau, rho, tol, mode)
-    dual = rho_dual(tau, rho)
-    pair = _pair_residual(_pair_gram(rho), tau.mat, dual.mat.conj())
-    eye = np.eye(rho.n)
-    dual_unital = float(np.linalg.norm(dual.apply(eye) - eye))
-    residual = max(pair, dual_unital)
-    return CheckResult(
-        passed=bool(residual <= tol.eq_tol),
-        residual=residual,
-        detail={"pair_residual": pair, "dual_unital": dual_unital},
-        tol=tol,
-    )
+    return _db2_tfd(tau, _pair_gram(rho), rho_dual(tau, rho), tol)
 
 
 def check_sqdb_tfd(
@@ -131,11 +122,4 @@ def check_sqdb_tfd(
     """Square-root balance in mirror form:
     <tau(A) tilde(B)> = <A tilde(Theta tau Theta(B))> on matrix-unit pairs."""
     require_dynamics(tau, rho, tol, mode)
-    reversed_mat = bar_map(theta_conjugate(tau, th)).mat
-    pair = _pair_residual(_pair_gram(rho), tau.mat, reversed_mat.conj())
-    return CheckResult(
-        passed=bool(pair <= tol.eq_tol),
-        residual=pair,
-        detail={"pair_residual": pair},
-        tol=tol,
-    )
+    return _sqdb_tfd(tau, _pair_gram(rho), theta_conjugate(tau, th), tol)

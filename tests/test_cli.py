@@ -1,12 +1,16 @@
 """Tests for the JSON problem-file front end."""
 
+import collections
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import detbal.balance
+import detbal.thermofield
 from detbal import (
     InputNotDynamics,
     NotInvolutive,
@@ -18,7 +22,7 @@ from detbal import (
     schur_db2_channel,
     transpose_reversing,
 )
-from detbal.cli import generate_payload, main, parse_problem, run_checks
+from detbal.cli import _build_parser, generate_payload, main, parse_problem, run_checks
 
 QUANTUM_CHECKS = (
     "db2_definition",
@@ -275,6 +279,50 @@ def test_tfd_flag_adds_mirror_checks(tmp_path):
     assert rep["tfd_agrees"] is True
     assert rep["checks"]["sqdb_tfd"]["passed"] is True
     assert rep["checks"]["db2_tfd"]["passed"] is False
+
+
+def test_tfd_run_shares_the_reports_work(tmp_path, monkeypatch):
+    """Per power, one report: two CP tests (the channel's and its dual's),
+    one state dual and one Theta-conjugate, with the mirror checks included."""
+    parsed = parse_problem(_write(tmp_path, generate_payload("schur-db2", 3, 3, 0.75, 0.2, 4)))
+    calls = collections.Counter()
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("is_completely_positive", "rho_dual", "theta_conjugate"):
+        for module in (detbal.balance, detbal.thermofield):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    payload = run_checks(replace(parsed, powers=(1, 2)), tfd=True)
+    assert all(r["tfd_agrees"] for r in payload["reports"])
+    assert calls == {"is_completely_positive": 4, "rho_dual": 2, "theta_conjugate": 2}
+
+
+def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    """main builds its parser once per process; each call must print what it
+    prints as the first call of a fresh process."""
+    assert _build_parser() is _build_parser()
+    path = _gad_file(tmp_path)
+    runs = [
+        ["check", path, "--tfd", "--powers", "1,2", "--format", "json"],
+        ["check", path],
+        ["check", path, "--format", "text", "--tol", "1e-6"],
+    ]
+    outputs = []
+    for argv in runs:
+        code = main(argv)
+        outputs.append((code, capsys.readouterr().out))
+    assert "tfd_agrees" in outputs[0][1] and "tfd_agrees" not in outputs[1][1]
+    for argv, (code, out) in zip(runs, outputs):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "detbal.cli", *argv], capture_output=True, text=True
+        )
+        assert (code, out) == (fresh.returncode, fresh.stdout)
 
 
 def test_tol_flag_reaches_the_checkers(tmp_path, capsys):

@@ -11,18 +11,22 @@ same verdicts.  The dense Gram products the diagonal kernel replaced
 KMS identity has its own Gram-matrix form in thermofield.check_kms, checked
 the same way.
 
-The duals, the Theta-conjugate, the transpose map and the modular
-commutator are index permutations and row / column scalings of the
-column-stacking matrix.  Their reference is the dense product with the
+The duals, the transpose map and the modular commutator are index
+permutations and row / column scalings of the column-stacking matrix; the
+Theta-conjugate and the CLI's eigenbasis rotation of a matrix channel are
+batched n x n products.  Their reference is the dense product with the
 commutation matrix K (built here by its loop definition) and with Kronecker
-matrices of rho's powers: a permutation must agree exactly, a scaling or
-a reordered product to 1e-13 relative.
+matrices of rho's powers or of the rotation: a permutation must agree
+exactly, a scaling or a reordered product to 1e-13 relative.
+run_report(tfd=True) must reproduce the public mirror checks bit for bit.
 """
 
 import numpy as np
 import pytest
 
 from detbal.balance import (
+    MODE_CP,
+    MODE_POSITIVITY,
     _pair_residual,
     delta_commutator_residual,
     check_db2_definition,
@@ -32,6 +36,7 @@ from detbal.balance import (
     classical_phi_balance,
     run_report,
 )
+from detbal.cli import _to_eigenbasis
 from detbal.duals import (
     ReversingOperation,
     bar_map,
@@ -54,8 +59,16 @@ from detbal.generators import (
     schur_db2_channel,
 )
 from detbal.linalg import DEFAULT_TOL, matrix_units
-from detbal.states import expectation, omega_eval, omega_gram, purify
-from detbal.superop import SuperOperator, is_hermitian_map, transpose_superop, vec
+from detbal.states import expectation, make_density, omega_eval, omega_gram, purify
+from detbal.superop import (
+    SuperOperator,
+    is_completely_positive,
+    is_hermitian_map,
+    is_positive_map,
+    pi_rep,
+    transpose_superop,
+    vec,
+)
 from detbal.thermofield import check_db2_tfd, check_kms, check_sqdb_tfd, expect_tilde
 
 SPIN = np.array([[0, 1], [-1, 0]], dtype=complex)
@@ -350,6 +363,35 @@ def test_report_shares_one_state_dual_bit_exactly(make, n):
         assert getattr(report, name).detail == alone.detail
 
 
+def same_check(a, b):
+    return a.passed == b.passed and a.residual == b.residual and a.detail == b.detail
+
+
+@pytest.mark.parametrize("mode", [MODE_CP, MODE_POSITIVITY])
+@pytest.mark.parametrize("make,n,k", THETA_PARAMS)
+def test_report_mirror_checks_match_the_public_ones_bit_exactly(make, n, k, mode):
+    """run_report(tfd=True) runs the mirror kernels on its own dynamics
+    check, state dual and Theta-conjugate; the public mirror checks compute
+    their own.  Same numbers, and without tfd no mirror fields."""
+    tau, rho = make(n)
+    th = thetas(n)[k][1]
+    report = run_report(tau, rho, th, mode=mode, tfd=True)
+    db2, sqdb = check_db2_tfd(tau, rho, mode=mode), check_sqdb_tfd(tau, rho, th, mode=mode)
+    assert same_check(report.db2_tfd, db2)
+    assert same_check(report.sqdb_tfd, sqdb)
+    assert report.tfd_agrees == (
+        db2.passed == report.db2_entangled.passed
+        and sqdb.passed == report.sqdb_definition.passed
+    )
+    dynamics = is_completely_positive(tau) if mode == MODE_CP else is_positive_map(tau)
+    assert same_check(report.dynamics, dynamics)
+    plain = run_report(tau, rho, th, mode=mode)
+    assert plain.db2_tfd is None and plain.sqdb_tfd is None and plain.tfd_agrees is None
+    assert same_check(plain.dynamics, dynamics)
+    for name in ("db2_definition", "db2_entangled", "sqdb_definition", "sqdb_entangled"):
+        assert same_check(getattr(plain, name), getattr(report, name))
+
+
 @pytest.mark.parametrize(
     "chain",
     [metropolis_chain(n, seed=80 + n) for n in (2, 3, 4)] + [cycle_chain(n) for n in (3, 4, 5)],
@@ -481,6 +523,19 @@ def test_theta_conjugate_is_exact_for_the_transpose(n):
     rho = random_density(n, seed=190 + n)
     for s in (random_map(n, 190 + n), schur_db2_channel(rho, seed=190 + n)):
         assert np.array_equal(theta_conjugate(s, transpose_reversing(n)).mat, s.mat)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_eigenbasis_rotation_matches_pi_rep_products(n):
+    """A matrix channel M given in the basis of rho = v diag(d) v^dag is
+    pi_rep(v^dag, v^T) M pi_rep(v, conj v) in rho's eigenbasis."""
+    w = haar_unitary(n, 200 + n)
+    rho = make_density(w @ np.diag(random_density(n, seed=200 + n).diag) @ w.conj().T)
+    v = rho.basis
+    s = random_map(n, 210 + n)
+    tau, _ = _to_eigenbasis(rho, s, None, transpose_reversing(n))
+    want = pi_rep(v.conj().T, v.T).mat @ s.mat @ pi_rep(v, v.conj()).mat
+    assert scaled_close(tau.mat, want)
 
 
 @pytest.mark.parametrize("n,k", REVERSING_PARAMS)

@@ -54,7 +54,7 @@ from .duals import (
     ReversingOperation,
 )
 from .errors import DimensionMismatch, InputNotDynamics, NotStochastic
-from .linalg import DEFAULT_TOL, CheckResult, Tolerance
+from .linalg import DEFAULT_TOL, CheckResult, Tolerance, _verdict
 from .states import DensityMatrix
 from .superop import (
     SuperOperator,
@@ -138,72 +138,40 @@ def _db2_modular(tau, rho, tol) -> CheckResult:
     # <tau(E_i)> = <E_i> for every matrix unit: vec(rho) = tau^T vec(rho)
     r = vec(rho.matrix())
     inv = float(np.max(np.abs(r - tau.mat.T @ r)))
-    residual = max(comm, inv)
-    return CheckResult(
-        passed=bool(residual <= tol.eq_tol),
-        residual=residual,
-        detail={"modular_commutator": comm, "state_invariance": inv},
-        tol=tol,
-    )
+    return _verdict(tol, {"modular_commutator": comm, "state_invariance": inv})
 
 
 def _db2_entangled(tau, g, dual, tol) -> CheckResult:
     hat = bar_map(dual)
-    pair = _pair_residual(g, tau.mat, hat.mat)
-    hat_unital = is_unital(hat, tol).residual
-    residual = max(pair, hat_unital)
-    return CheckResult(
-        passed=bool(residual <= tol.eq_tol),
-        residual=residual,
-        detail={
-            "pair_residual": pair,
-            "hat_unital": hat_unital,
-            # distance of the transposed dual from the channel itself;
-            # diagnostic only, zero is not required for balance
-            "hat_vs_channel": float(np.linalg.norm(hat.mat - tau.mat)),
+    return _verdict(
+        tol,
+        {
+            "pair_residual": _pair_residual(g, tau.mat, hat.mat),
+            "hat_unital": is_unital(hat, tol).residual,
         },
-        tol=tol,
+        # distance of the transposed dual from the channel itself;
+        # diagnostic only, zero is not required for balance
+        info={"hat_vs_channel": float(np.linalg.norm(hat.mat - tau.mat))},
     )
 
 
 def _sqdb_definition(tau, rho, conj, tol) -> CheckResult:
     residual = float(np.linalg.norm(kms_dual(tau, rho).mat - bar_map(conj).mat))
-    return CheckResult(
-        passed=bool(residual <= tol.eq_tol),
-        residual=residual,
-        detail={"kms_vs_reversed": residual},
-        tol=tol,
-    )
-
-
-def _pair_check(g, left, right, tol) -> CheckResult:
-    pair = _pair_residual(g, left, right)
-    return CheckResult(
-        passed=bool(pair <= tol.eq_tol),
-        residual=pair,
-        detail={"pair_residual": pair},
-        tol=tol,
-    )
+    return _verdict(tol, {"kms_vs_reversed": residual})
 
 
 def _sqdb_entangled(tau, g, conj, tol) -> CheckResult:
-    return _pair_check(g, tau.mat, conj.mat, tol)
+    return _verdict(tol, {"pair_residual": _pair_residual(g, tau.mat, conj.mat)})
 
 
 def _db2_tfd(tau, g, dual, tol) -> CheckResult:
     pair = _pair_residual(g, tau.mat, dual.mat.conj())
-    dual_unital = is_unital(dual, tol).residual
-    residual = max(pair, dual_unital)
-    return CheckResult(
-        passed=bool(residual <= tol.eq_tol),
-        residual=residual,
-        detail={"pair_residual": pair, "dual_unital": dual_unital},
-        tol=tol,
-    )
+    return _verdict(tol, {"pair_residual": pair, "dual_unital": is_unital(dual, tol).residual})
 
 
 def _sqdb_tfd(tau, g, conj, tol) -> CheckResult:
-    return _pair_check(g, tau.mat, bar_map(conj).mat.conj(), tol)
+    pair = _pair_residual(g, tau.mat, bar_map(conj).mat.conj())
+    return _verdict(tol, {"pair_residual": pair})
 
 
 def check_db2_definition(
@@ -280,7 +248,7 @@ def check_implication_sqdb_db2(
     sq = _sqdb_definition(tau, rho, theta_conjugate(tau, th), tol)
     db2 = _db2_modular(tau, rho, tol)
     comm = db2.detail["modular_commutator"]
-    applicable = bool(sq.passed and comm <= tol.eq_tol)
+    applicable = sq.passed and _verdict(tol, {"commutator": comm}).passed
     if not applicable:
         return CheckResult(
             passed=True,
@@ -336,13 +304,7 @@ def make_chain(p, gamma) -> ClassicalChain:
 def classical_detailed_balance(c: ClassicalChain, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
     """Pairwise reversibility: p_j gamma_jk = p_k gamma_kj."""
     flow = c.p[:, None] * c.gamma
-    residual = float(np.max(np.abs(flow - flow.T)))
-    return CheckResult(
-        passed=bool(residual <= tol.eq_tol),
-        residual=residual,
-        detail={"pairwise": residual},
-        tol=tol,
-    )
+    return _verdict(tol, {"pairwise": float(np.max(np.abs(flow - flow.T)))})
 
 
 def classical_phi_balance(c: ClassicalChain, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
@@ -352,13 +314,7 @@ def classical_phi_balance(c: ClassicalChain, tol: Tolerance = DEFAULT_TOL) -> Ch
     reversibility says phi[(Gamma f) ox g] = phi[f ox (Gamma g)] for all f, g;
     the residual runs over all coordinate basis pairs.
     """
-    residual = _pair_residual(c.p, c.gamma, c.gamma)
-    return CheckResult(
-        passed=bool(residual <= tol.eq_tol),
-        residual=residual,
-        detail={"functional": residual},
-        tol=tol,
-    )
+    return _verdict(tol, {"functional": _pair_residual(c.p, c.gamma, c.gamma)})
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,13 +370,7 @@ def run_report(
     db2_ent = _db2_entangled(tau, g, dual, tol)
     sq_def = _sqdb_definition(tau, rho, conj, tol)
     sq_ent = _sqdb_entangled(tau, g, conj, tol)
-    comm = db2_mod.detail["modular_commutator"]
-    delta_commutes = CheckResult(
-        passed=bool(comm <= tol.eq_tol),
-        residual=comm,
-        detail={"modular_commutator": comm},
-        tol=tol,
-    )
+    delta_commutes = _verdict(tol, {"modular_commutator": db2_mod.detail["modular_commutator"]})
     consistency = (
         db2_def.passed == db2_mod.passed == db2_ent.passed
         and sq_def.passed == sq_ent.passed

@@ -48,15 +48,46 @@ DEFAULT_TOL = Tolerance()
 class CheckResult:
     """Verdict of one numerical check plus the residuals behind it.
 
-    residual is the largest of the named sub-residuals in detail; passed
-    records whether every sub-residual cleared its threshold (eq_tol for
-    identity residuals, psd_tol for eigenvalue negativity).
+    detail names the sub-residuals: identity residuals, which must clear
+    eq_tol, and negativities (*_negativity), which must clear psd_tol.
+    residual is the largest of them and passed records whether each cleared
+    its threshold.  Extreme eigenvalues (*_min_eigenvalue, *_max_eigenvalue)
+    and hat_vs_channel are diagnostics that decide nothing.  _verdict applies
+    this rule; check_implication_sqdb_db2 documents its own detail.
     """
 
     passed: bool
     residual: float
     detail: dict[str, float]
     tol: Tolerance
+
+
+def _verdict(
+    tol: Tolerance,
+    eq: dict[str, float],
+    psd: dict[str, float] | None = None,
+    info: dict[str, float] | None = None,
+) -> CheckResult:
+    """The verdict of every threshold check: the eq residuals must not exceed
+    tol.eq_tol, the psd negativities tol.psd_tol; info entries only join
+    detail.  residual is Python max over the eq, then the psd entries."""
+    residual = eq_max = max(eq.values())
+    passed = eq_max <= tol.eq_tol
+    detail = eq
+    if psd is not None:
+        residual = max(eq_max, *psd.values())
+        passed = passed and max(psd.values()) <= tol.psd_tol
+        detail = {**eq, **psd}
+    if info is not None:
+        detail = {**detail, **info}
+    return CheckResult(passed=bool(passed), residual=residual, detail=detail, tol=tol)
+
+
+def _negativity(lam_min, lam_max):
+    """max(0, -lam_min) / max(1, lam_max), elementwise: how far a spectrum
+    dips below zero relative to its top eigenvalue, floor 1; +0.0 (not -0.0)
+    when lam_min is zero."""
+    return np.maximum(-lam_min, 0.0) / np.maximum(1.0, lam_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +169,7 @@ def mat_power(m, z, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether a Hermitian matrix is PSD within tol.psd_tol (relative, floor 1)."""
     lam = np.linalg.eigvalsh(require_hermitian(m))
-    return bool(lam[0] >= -tol.psd_tol * max(1.0, float(lam[-1])))
+    return bool(_negativity(lam[0], lam[-1]) <= tol.psd_tol)
 
 
 @lru_cache(maxsize=None)

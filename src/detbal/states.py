@@ -27,6 +27,7 @@ from .linalg import (
     DEFAULT_TOL,
     CheckResult,
     Tolerance,
+    _verdict,
     as_matrix,
     hermitian_eig,
     matrix_units,
@@ -164,10 +165,4 @@ def marginals_check(p: Purification, tol: Tolerance = DEFAULT_TOL) -> CheckResul
         want = expectation(rho, e)
         first = max(first, abs(omega_eval(p, e, eye) - want))
         second = max(second, abs(omega_eval(p, eye, e) - want))
-    residual = max(first, second)
-    return CheckResult(
-        passed=bool(residual <= tol.eq_tol),
-        residual=residual,
-        detail={"first_marginal": first, "second_marginal": second},
-        tol=tol,
-    )
+    return _verdict(tol, {"first_marginal": first, "second_marginal": second})

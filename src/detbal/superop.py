@@ -18,12 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import (
-    DEFAULT_TOL,
-    CheckResult,
-    Tolerance,
-    as_matrix,
-)
+from .linalg import DEFAULT_TOL, CheckResult, Tolerance, _negativity, _verdict, as_matrix
 
 
 def vec(x) -> np.ndarray:
@@ -203,18 +198,11 @@ def is_completely_positive(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> Ch
     lam = _hermitian_spectrum(0.5 * (c + ch))
     lam_max = float(lam.max())
     lam_min = float(lam.min())
-    negativity = max(0.0, -lam_min) / max(1.0, lam_max)
-    passed = bool(herm <= tol.eq_tol and negativity <= tol.psd_tol)
-    return CheckResult(
-        passed=passed,
-        residual=max(herm, negativity),
-        detail={
-            "choi_hermiticity": herm,
-            "choi_negativity": negativity,
-            "choi_min_eigenvalue": lam_min,
-            "choi_max_eigenvalue": lam_max,
-        },
-        tol=tol,
+    return _verdict(
+        tol,
+        {"choi_hermiticity": herm},
+        psd={"choi_negativity": float(_negativity(lam_min, lam_max))},
+        info={"choi_min_eigenvalue": lam_min, "choi_max_eigenvalue": lam_max},
     )
 
 
@@ -247,25 +235,16 @@ def is_positive_map(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> CheckResu
     scale = np.maximum(1.0, np.linalg.norm(outs, axis=(1, 2)))
     worst_herm = float(np.max(np.linalg.norm(outs - adj, axis=(1, 2)) / scale))
     lam = np.linalg.eigvalsh(0.5 * (outs + adj))
-    worst_neg = float(np.max(np.maximum(0.0, -lam[:, 0]) / np.maximum(1.0, lam[:, -1])))
-    passed = bool(worst_herm <= tol.eq_tol and worst_neg <= tol.psd_tol)
-    return CheckResult(
-        passed=passed,
-        residual=max(worst_herm, worst_neg),
-        detail={"output_hermiticity": worst_herm, "output_negativity": worst_neg},
-        tol=tol,
+    worst_neg = float(np.max(_negativity(lam[:, 0], lam[:, -1])))
+    return _verdict(
+        tol, {"output_hermiticity": worst_herm}, psd={"output_negativity": worst_neg}
     )
 
 
 def is_unital(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
     """Unitality test: residual ||s(1) - 1||."""
     residual = float(np.linalg.norm(s.apply(np.eye(s.n)) - np.eye(s.n)))
-    return CheckResult(
-        passed=bool(residual <= tol.eq_tol),
-        residual=residual,
-        detail={"unital": residual},
-        tol=tol,
-    )
+    return _verdict(tol, {"unital": residual})
 
 
 def is_hermitian_map(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
@@ -276,10 +255,4 @@ def is_hermitian_map(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> CheckRes
     the largest column norm is the largest defect over the matrix units.
     """
     diff = s.mat - _transpose_sides(s.mat.conj(), s.n)
-    residual = float(np.max(np.linalg.norm(diff, axis=0)))
-    return CheckResult(
-        passed=bool(residual <= tol.eq_tol),
-        residual=residual,
-        detail={"hermitian_map": residual},
-        tol=tol,
-    )
+    return _verdict(tol, {"hermitian_map": float(np.max(np.linalg.norm(diff, axis=0)))})

@@ -34,7 +34,7 @@ import numpy as np
 from .balance import MODE_CP, _db2_tfd, _pair_gram, _sqdb_tfd, require_dynamics
 from .duals import ReversingOperation, modular, rho_dual, theta_conjugate
 from .errors import DimensionMismatch
-from .linalg import DEFAULT_TOL, CheckResult, Tolerance, matrix_units
+from .linalg import DEFAULT_TOL, CheckResult, Tolerance, _verdict, matrix_units
 from .states import DensityMatrix
 from .superop import SuperOperator, pi_rep, transpose_superop
 
@@ -65,27 +65,19 @@ def check_tilde_substitution(rho: DensityMatrix, tol: Tolerance = DEFAULT_TOL) -
         lhs = halfinv @ moved @ half
         rhs = e.conj().T @ half
         residual = max(residual, float(np.linalg.norm(lhs - rhs)))
-    return CheckResult(
-        passed=bool(residual <= tol.eq_tol),
-        residual=residual,
-        detail={"substitution": residual},
-        tol=tol,
-    )
+    return _verdict(tol, {"substitution": residual})
 
 
 def check_kms(rho: DensityMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
     """Verify <A Delta(B)> = <B A> on all matrix-unit pairs: max|H Delta - H^T|
     for H = kron(1, rho^T) K, the Gram matrix of (A, B) -> <A B> on the vec
-    basis (K the commutation matrix).  The pair loop is a test oracle."""
+    basis (K the commutation matrix).  kron(1, rho^T) = diag(d_j) at vec
+    index j + n k and Delta is diagonal, so H is a row scaling of K and
+    H Delta a column scaling of H.  The pair loop is a test oracle."""
     n = rho.n
-    h = np.kron(np.eye(n), rho.matrix().T) @ transpose_superop(n).mat
-    residual = float(np.max(np.abs(h @ modular(rho).delta.mat - h.T)))
-    return CheckResult(
-        passed=bool(residual <= tol.eq_tol),
-        residual=residual,
-        detail={"kms": residual},
-        tol=tol,
-    )
+    h = np.tile(rho.diag, n)[:, None] * transpose_superop(n).mat
+    residual = float(np.max(np.abs(h * modular(rho).delta.mat.diagonal() - h.T)))
+    return _verdict(tol, {"kms": residual})
 
 
 def expect_tilde(rho: DensityMatrix, a, b) -> complex:

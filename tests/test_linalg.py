@@ -10,6 +10,7 @@ from detbal.errors import DetbalError, DimensionMismatch, NotHermitian, NotInver
 from detbal.linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _verdict,
     hermitian_eig,
     hs_inner,
     hs_norm,
@@ -194,6 +195,39 @@ def test_is_psd():
     # scale-relative: tiny negativity next to a huge eigenvalue still passes
     assert is_psd(np.diag([1e6, -1e-4]))
     assert not is_psd(np.diag([1e6, -1e-2]), Tolerance(psd_tol=1e-9))
+
+
+SPLIT_TOL = Tolerance(eq_tol=1e-9, psd_tol=1e-6)
+ABOVE_EQ_TOL = float(np.nextafter(1e-9, 1))
+
+
+@pytest.mark.parametrize(
+    "tol, eq, psd, info, passed, residual",
+    [
+        pytest.param(DEFAULT_TOL, {"a": 1e-9}, None, None, True, 1e-9, id="at-eq-tol"),
+        pytest.param(
+            DEFAULT_TOL, {"a": ABOVE_EQ_TOL}, None, None, False, ABOVE_EQ_TOL, id="above-eq-tol"
+        ),
+        pytest.param(SPLIT_TOL, {"a": 0.0}, {"b": 1e-7}, None, True, 1e-7, id="psd-entry"),
+        pytest.param(SPLIT_TOL, {"a": 1e-7}, {"b": 0.0}, None, False, 1e-7, id="eq-entry"),
+        pytest.param(DEFAULT_TOL, {"a": 1e-10}, None, {"c": 1e3}, True, 1e-10, id="info-entry"),
+        pytest.param(
+            SPLIT_TOL, {"a": 1e-12, "b": 3e-10}, {"c": 2e-7}, {"d": 5.0}, True, 2e-7,
+            id="largest-is-psd",
+        ),
+        pytest.param(
+            SPLIT_TOL, {"a": 4e-10, "b": 3e-10}, {"c": 2e-11}, None, True, 4e-10,
+            id="largest-is-eq",
+        ),
+    ],
+)
+def test_verdict_rule(tol, eq, psd, info, passed, residual):
+    res = _verdict(tol, eq, psd, info)
+    assert res.passed is passed
+    assert res.residual == residual
+    # detail lists eq, then psd, then info entries, in the order given
+    assert list(res.detail.items()) == [*eq.items(), *(psd or {}).items(), *(info or {}).items()]
+    assert res.tol is tol
 
 
 def test_matrix_units_basis():

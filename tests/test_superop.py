@@ -1,5 +1,7 @@
 """Superoperator representation, Choi matrices and map predicates."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -273,6 +275,15 @@ def test_positive_map_probe():
     # a map with a non-PSD output on a projector fails
     bad = pi_rep(np.diag([1.0, -1.0]), np.eye(2))
     assert not is_positive_map(bad).passed
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_identity_negativities_are_positive_zero(n):
+    # the identity's Choi and output spectra touch zero; a -0.0 negativity
+    # would print as -0.0 in the JSON report
+    s = identity_superop(n)
+    assert math.copysign(1.0, is_positive_map(s).detail["output_negativity"]) == 1.0
+    assert math.copysign(1.0, is_completely_positive(s).detail["choi_negativity"]) == 1.0
 
 
 def test_is_unital():

@@ -103,7 +103,7 @@ def require_dynamics(
 def delta_commutator_residual(tau: SuperOperator, rho: DensityMatrix) -> float:
     """Frobenius norm of tau Delta - Delta tau on the superoperator level;
     Delta = diag(r), r = kron(1/d, d), so entry (i, j) is tau_ij (r_j - r_i)."""
-    r = np.kron(1.0 / rho.diag, rho.diag)
+    r = np.outer(1.0 / rho.diag, rho.diag).ravel()
     return float(np.linalg.norm(tau.mat * (r - r[:, None])))
 
 
@@ -164,9 +164,9 @@ def _sqdb_entangled(tau, g, conj, tol) -> CheckResult:
     return _verdict(tol, {"pair_residual": _pair_residual(g, tau.mat, conj.mat)})
 
 
-def _db2_tfd(tau, g, dual, tol) -> CheckResult:
+def _db2_tfd(tau, g, dual, dual_unital, tol) -> CheckResult:
     pair = _pair_residual(g, tau.mat, dual.mat.conj())
-    return _verdict(tol, {"pair_residual": pair, "dual_unital": is_unital(dual, tol).residual})
+    return _verdict(tol, {"pair_residual": pair, "dual_unital": dual_unital})
 
 
 def _sqdb_tfd(tau, g, conj, tol) -> CheckResult:
@@ -360,7 +360,7 @@ def run_report(
 ) -> BalanceReport:
     """Run every checker on one (channel, state, reversing operation) triple,
     with thermofield's mirror checks if tfd; all share one dynamics check,
-    state dual, Theta-conjugate and pair Gram."""
+    state dual (and its unitality residual), Theta-conjugate and pair Gram."""
     dynamics = require_dynamics(tau, rho, tol, mode)
     dual = rho_dual(tau, rho)
     conj = theta_conjugate(tau, th)
@@ -382,7 +382,8 @@ def run_report(
         )
     db2_tfd = sq_tfd = tfd_agrees = None
     if tfd:
-        db2_tfd, sq_tfd = _db2_tfd(tau, g, dual, tol), _sqdb_tfd(tau, g, conj, tol)
+        db2_tfd = _db2_tfd(tau, g, dual, db2_def.detail["dual_unital"], tol)
+        sq_tfd = _sqdb_tfd(tau, g, conj, tol)
         tfd_agrees = db2_tfd.passed == db2_ent.passed and sq_tfd.passed == sq_def.passed
     return BalanceReport(
         db2_definition=db2_def,

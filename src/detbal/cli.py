@@ -29,9 +29,15 @@ row-major nested arrays.  Superoperator matrices are only accepted with an
 explicit "convention": "column-stacking" tag, because a silently wrong
 vectorization convention is the most dangerous mistake in this domain.
 
+Each matrix is read with one numpy conversion, kept only when every entry
+is a finite [re, im] pair of JSON numbers; any other input goes through a
+per-entry loop whose error names the first entry at fault.  A flat rho
+names its first entry that is not a number.
+
 A non-diagonal rho is rotated to its eigenbasis and the channel and
 reversing operation are conjugated along, so checks always run in the basis
-the rest of the package assumes.
+the rest of the package assumes.  Kraus operators are rotated before their
+superoperator is built, once per file.
 
 Exit codes: 0 on success (and all requested assertions hold), 1 when an
 --assert is given and the balance property fails, 2 on any input error.
@@ -131,8 +137,29 @@ def _complex_entry(x, field: str) -> complex:
 
 
 def _parse_matrix(data, field: str) -> np.ndarray:
+    """Rows of [re, im] pairs to a complex matrix: one numpy conversion,
+    accepted when it has shape (rows, width, 2), every leaf is an int or
+    float (not a bool or string) and every entry is finite; .view(complex)
+    then holds complex(re, im) exactly.  Anything else goes through
+    _parse_matrix_entries, which names the first bad entry."""
     if not (isinstance(data, list) and data and all(isinstance(r, list) for r in data)):
         raise SchemaError(field, "expected a non-empty nested array of rows")
+    try:
+        arr = np.array(data, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if (
+        arr is not None
+        and arr.shape == (len(data), len(data[0]), 2)
+        and {type(x) for row in data for entry in row for x in entry} <= {int, float}
+        and np.isfinite(arr).all()
+    ):
+        return arr.view(complex)[..., 0]
+    return _parse_matrix_entries(data, field)
+
+
+def _parse_matrix_entries(data, field: str) -> np.ndarray:
+    """_parse_matrix one entry at a time, for data that are non-empty rows."""
     width = len(data[0])
     out = np.zeros((len(data), width), dtype=complex)
     for i, row in enumerate(data):
@@ -155,7 +182,10 @@ def _encode_matrix(m) -> list:
 
 
 def _parse_rho(data, tol: Tolerance) -> DensityMatrix:
-    if isinstance(data, list) and data and all(_is_number(v) for v in data):
+    if isinstance(data, list) and data and not any(isinstance(v, list) for v in data):
+        for i, v in enumerate(data):
+            if not _is_number(v):
+                raise SchemaError(f"rho[{i}]", "expected a number")
         mat = np.diag([_finite(v, "rho") for v in data]).astype(complex)
     else:
         mat = _parse_matrix(data, "rho")
@@ -199,7 +229,8 @@ def _parse_powers(data) -> tuple[int, ...]:
 
 
 def _parse_channel(obj, n: int, tol: Tolerance):
-    """Returns (superoperator, kraus_ops or None) in the user basis."""
+    """The channel in the user basis: a list of Kraus operators, or the
+    SuperOperator of a matrix channel."""
     if not isinstance(obj, dict):
         raise SchemaError("channel", "expected an object")
     kind = obj.get("kind")
@@ -218,7 +249,7 @@ def _parse_channel(obj, n: int, tol: Tolerance):
                     f"channel.data[{idx}]", f"expected a {n}x{n} matrix, got {v.shape}"
                 )
             ops.append(v)
-        return from_kraus(ops), ops
+        return ops
     if kind == "matrix":
         extra = set(obj) - {"kind", "data", "convention"}
         if extra:
@@ -244,7 +275,7 @@ def _parse_channel(obj, n: int, tol: Tolerance):
             raise InputNotDynamics(
                 f"matrix channel is not unital (residual {unital.residual:.3e})"
             )
-        return s, None
+        return s
     raise SchemaError("channel.kind", 'expected "kraus" or "matrix"')
 
 
@@ -268,19 +299,21 @@ def _parse_theta(obj, n: int) -> ReversingOperation:
     raise SchemaError("theta.kind", 'expected "transpose" or "unitary"')
 
 
-def _to_eigenbasis(rho, tau, kraus_ops, theta):
-    """Conjugate channel and reversing operation into rho's eigenbasis; a
-    matrix channel M becomes pi_rep(v^dag, v^T) M pi_rep(v, conj v)."""
+def _to_eigenbasis(rho, channel, theta):
+    """The channel (Kraus operators or a SuperOperator, as _parse_channel
+    returns it) as a SuperOperator in rho's eigenbasis, and the reversing
+    operation conjugated along: Kraus operators op become v^dag op v before
+    the one from_kraus; a matrix channel M becomes
+    pi_rep(v^dag, v^T) M pi_rep(v, conj v)."""
     v = rho.basis
     if np.array_equal(v, np.eye(rho.n)):
-        return tau, theta
-    if kraus_ops is not None:
-        tau = from_kraus([v.conj().T @ op @ v for op in kraus_ops])
-    else:
-        mat = _kron_sandwich(tau.mat, rho.n, v.conj().T, v.T, v, v.conj())
+        return (channel if isinstance(channel, SuperOperator) else from_kraus(channel)), theta
+    if isinstance(channel, SuperOperator):
+        mat = _kron_sandwich(channel.mat, rho.n, v.conj().T, v.T, v, v.conj())
         tau = SuperOperator(rho.n, mat)
-    u = v.conj().T @ theta.u @ v.conj()
-    return tau, make_reversing(u)
+    else:
+        tau = from_kraus([v.conj().T @ op @ v for op in channel])
+    return tau, make_reversing(v.conj().T @ theta.u @ v.conj())
 
 
 def parse_problem(path: str) -> ParsedProblem:
@@ -306,9 +339,9 @@ def parse_problem(path: str) -> ParsedProblem:
         tol = _parse_tol(raw.get("tol"))
         powers = _parse_powers(raw.get("time_powers"))
         rho = _parse_rho(raw["rho"], tol)
-        tau, kraus_ops = _parse_channel(raw["channel"], rho.n, tol)
+        channel = _parse_channel(raw["channel"], rho.n, tol)
         theta = _parse_theta(raw.get("theta"), rho.n)
-        tau, theta = _to_eigenbasis(rho, tau, kraus_ops, theta)
+        tau, theta = _to_eigenbasis(rho, channel, theta)
         return ParsedProblem(
             kind="quantum", tol=tol, powers=powers, rho=rho, tau=tau, theta=theta
         )

@@ -75,8 +75,10 @@ def rho_dual(s: SuperOperator, rho: DensityMatrix) -> SuperOperator:
     trace-of-rho-preserving iff s is unital.
     """
     _check_state(s, rho)
-    row = np.tile(rho.diag, rho.n)  # vec index j + n k -> d_j
-    return SuperOperator(s.n, (1.0 / row)[:, None] * trace_dual(s).mat * row)
+    n, d = s.n, rho.diag
+    # axes (k, j, k', j') of row j + n k, column j' + n k': rows / d_j, columns * d_j'
+    m = (1.0 / d)[:, None, None] * trace_dual(s).mat.reshape(n, n, n, n) * d
+    return SuperOperator(n, m.reshape(n * n, n * n))
 
 
 def kms_dual(s: SuperOperator, rho: DensityMatrix) -> SuperOperator:
@@ -87,7 +89,7 @@ def kms_dual(s: SuperOperator, rho: DensityMatrix) -> SuperOperator:
     with powers of the diagonal rho are row and column scalings: O(n^4).
     """
     _check_state(s, rho)
-    half = np.sqrt(np.kron(rho.diag, rho.diag))  # vec index j + n k -> (d_j d_k)^(1/2)
+    half = np.sqrt(np.outer(rho.diag, rho.diag).ravel())  # vec index j + n k -> (d_j d_k)^(1/2)
     return SuperOperator(s.n, trace_dual(s).mat / half[:, None] * half)
 
 
@@ -113,7 +115,7 @@ class ModularFamily:
 def modular(rho: DensityMatrix) -> ModularFamily:
     """Build the modular map of rho from its eigenvalue ratios."""
     d = rho.diag
-    ratios = np.kron(1.0 / d, d)  # vec index (col k, row j) -> rho_j / rho_k
+    ratios = np.outer(1.0 / d, d).ravel()  # vec index (col k, row j) -> rho_j / rho_k
     return ModularFamily(
         rho=rho,
         delta=SuperOperator(rho.n, np.diag(ratios).astype(complex)),

@@ -30,7 +30,6 @@ from .linalg import (
     _verdict,
     as_matrix,
     hermitian_eig,
-    matrix_units,
 )
 
 _DEGENERACY_GAP = 1e-8
@@ -155,14 +154,13 @@ def marginals_check(p: Purification, tol: Tolerance = DEFAULT_TOL) -> CheckResul
 
     Sub-residuals are maxima over all matrix units.  The first marginal
     holds for every admissible w; the second is the signature of w =
-    identity (or of a maximally mixed rho).
+    identity (or of a maximally mixed rho).  On E_jk the first marginal is
+    tr(r^dag E_jk r) = (r r^dag)_kj, the second tr(r^dag r E_kj) =
+    (r^dag r)_jk and tr(rho E_jk) = d_j delta_jk, so each is one n x n
+    product; the per-unit loop is a test oracle.
     """
-    rho = p.rho
-    eye = np.eye(rho.n, dtype=complex)
-    first = 0.0
-    second = 0.0
-    for _, _, e in matrix_units(rho.n):
-        want = expectation(rho, e)
-        first = max(first, abs(omega_eval(p, e, eye) - want))
-        second = max(second, abs(omega_eval(p, eye, e) - want))
+    r = p.r
+    want = p.rho.matrix()
+    first = float(np.max(np.abs(r.conj() @ r.T - want)))
+    second = float(np.max(np.abs(r.conj().T @ r - want)))
     return _verdict(tol, {"first_marginal": first, "second_marginal": second})

@@ -139,14 +139,16 @@ def make_kraus(ops, unital: bool = False) -> KrausChannel:
 def from_kraus(k) -> SuperOperator:
     """Superoperator of X -> sum_j V_j X V_j^dag.
 
-    Accepts a KrausChannel or a plain sequence of square matrices.
+    Accepts a KrausChannel or a plain sequence of square matrices.  Each
+    term kron(conj V_j, V_j) is one broadcast product, entry (a n + b, c n + d)
+    = conj(V_j)[a, c] V_j[b, d]: the same products np.kron forms, bit for bit.
     """
     if not isinstance(k, KrausChannel):
         k = make_kraus(k)
     n = k.n
     mat = np.zeros((n * n, n * n), dtype=complex)
     for v in k.ops:
-        mat += np.kron(v.conj(), v)
+        mat += (v.conj()[:, None, :, None] * v[None, :, None, :]).reshape(n * n, n * n)
     return SuperOperator(n, mat)
 
 
@@ -242,9 +244,16 @@ def is_positive_map(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> CheckResu
 
 
 def is_unital(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
-    """Unitality test: residual ||s(1) - 1||."""
-    residual = float(np.linalg.norm(s.apply(np.eye(s.n)) - np.eye(s.n)))
-    return _verdict(tol, {"unital": residual})
+    """Unitality test: residual ||s(1) - 1||.
+
+    s(1) = sum_j s(E_jj), and column j + n j of s.mat is vec(s(E_jj)), so
+    vec(s(1)) is the sum of the n diagonal-unit columns; 1 sits at the same
+    positions j + n j of the result.  No product with vec(1) is formed.
+    """
+    n = s.n
+    out = s.mat[:, :: n + 1].sum(axis=1, dtype=complex)
+    out[:: n + 1] -= 1.0
+    return _verdict(tol, {"unital": float(np.linalg.norm(out))})
 
 
 def is_hermitian_map(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> CheckResult:

@@ -22,7 +22,16 @@ from detbal import (
     schur_db2_channel,
     transpose_reversing,
 )
-from detbal.cli import _build_parser, generate_payload, main, parse_problem, run_checks
+import detbal.cli
+from detbal.cli import (
+    _build_parser,
+    _parse_matrix,
+    _parse_matrix_entries,
+    generate_payload,
+    main,
+    parse_problem,
+    run_checks,
+)
 
 QUANTUM_CHECKS = (
     "db2_definition",
@@ -188,9 +197,10 @@ def test_unitary_theta_rejects_non_involutive(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_nondiagonal_rho_rotates_channel_along(tmp_path):
+def test_nondiagonal_rho_rotates_channel_along(tmp_path, monkeypatch):
     # Express a known balanced pair in a scrambled basis; parsing must undo
-    # the scrambling well enough that the verdicts survive.
+    # the scrambling well enough that the verdicts survive, and builds the
+    # superoperator once, from the rotated Kraus operators.
     rho = random_density(2, seed=14)
     tau_ops = []
     from detbal.generators import schur_kraus, schur_multiplier_matrix
@@ -204,7 +214,11 @@ def test_nondiagonal_rho_rotates_channel_along(tmp_path):
         "rho": _enc(rho_user),
         "channel": {"kind": "kraus", "data": [_enc(op) for op in tau_ops]},
     }
+    built = []
+    real = detbal.cli.from_kraus
+    monkeypatch.setattr(detbal.cli, "from_kraus", lambda k: built.append(k) or real(k))
     parsed = parse_problem(_write(tmp_path, payload))
+    assert len(built) == 1
     assert np.allclose(parsed.rho.diag, rho.diag, atol=1e-12)
     report = run_checks(parsed)
     rep = report["reports"][0]
@@ -294,13 +308,20 @@ def test_tfd_run_shares_the_reports_work(tmp_path, monkeypatch):
 
         return wrapper
 
-    for name in ("is_completely_positive", "rho_dual", "theta_conjugate"):
+    for name in ("is_completely_positive", "is_unital", "rho_dual", "theta_conjugate"):
         for module in (detbal.balance, detbal.thermofield):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     payload = run_checks(replace(parsed, powers=(1, 2)), tfd=True)
     assert all(r["tfd_agrees"] for r in payload["reports"])
-    assert calls == {"is_completely_positive": 4, "rho_dual": 2, "theta_conjugate": 2}
+    # unitality of the channel, its dual and the transposed dual; db2_tfd
+    # reuses the dual's residual
+    assert calls == {
+        "is_completely_positive": 4,
+        "is_unital": 6,
+        "rho_dual": 2,
+        "theta_conjugate": 2,
+    }
 
 
 def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
@@ -507,6 +528,104 @@ def test_matrix_entries_must_be_pairs(tmp_path):
     }
     with pytest.raises(SchemaError):
         parse_problem(_write(tmp_path, payload))
+
+
+@pytest.mark.parametrize("entry", [True, "0.5", None], ids=["bool", "string", "null"])
+def test_flat_rho_names_the_entry_that_is_not_a_number(tmp_path, capsys, entry):
+    payload = generate_payload("gad-sqdb", None, 3, 0.75, 0.2, 0)
+    payload["rho"] = [0.5, entry]
+    assert main(["check", _write(tmp_path, payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rho[1]: expected a number\n"
+
+
+def _random_entries(rng, rows, width):
+    """Rows of [re, im] pairs: floats over many magnitudes, signed zeros and
+    integers, some beyond 2**53 and 2**64."""
+    pool = [0.0, -0.0, 0, 1, -7, 2**53 + 1, -(2**64) - 3, 10**300, 5e-324, -1.5e300]
+    out = []
+    for _ in range(rows):
+        row = []
+        for _ in range(width):
+            pair = []
+            for _ in range(2):
+                if rng.random() < 0.3:
+                    pair.append(pool[rng.integers(len(pool))])
+                else:
+                    pair.append(float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300)))
+            row.append(pair)
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("rows,width", [(1, 1), (2, 2), (3, 5), (16, 16)])
+def test_fast_matrix_parse_is_bit_equal_to_the_entry_loop(rows, width):
+    rng = np.random.default_rng(rows * 100 + width)
+    for _ in range(5):
+        data = _random_entries(rng, rows, width)
+        fast = _parse_matrix(data, "m")
+        slow = _parse_matrix_entries(data, "m")
+        assert fast.dtype == slow.dtype and fast.shape == slow.shape
+        assert fast.tobytes() == slow.tobytes()
+
+
+def test_fast_matrix_parse_skips_the_entry_loop_on_good_data(monkeypatch):
+    def refuse(data, field):
+        raise AssertionError("per-entry loop reached")
+
+    monkeypatch.setattr(detbal.cli, "_parse_matrix_entries", refuse)
+    data = _enc(random_unitary(4, seed=3))
+    data[0][0] = [1, -0.0]
+    assert _parse_matrix(data, "m")[0, 0] == complex(1.0, -0.0)
+
+
+def _malformed(kind):
+    data = [[[1.0, 0.0], [0.5, -0.5]], [[0, 2], [-0.0, 1e-300]]]
+    if kind == "bool":
+        data[1][0] = [True, 0.0]
+    elif kind == "bool-last":
+        data[1][1] = [0.0, False]
+    elif kind == "string":
+        data[0][1] = ["0.5", 0.0]
+    elif kind == "null":
+        data[1][1] = [None, 0.0]
+    elif kind == "short":
+        data[0][0] = [1.0]
+    elif kind == "long":
+        data[0][0] = [1.0, 0.0, 0.0]
+    elif kind == "ragged":
+        data[1] = data[1][:1]
+    elif kind == "ragged-pair-rows":
+        data.append([[0.0, 0.0]])
+    elif kind in ("NaN", "Infinity", "1e400"):
+        data[1][1] = [0.0, json.loads(kind)]
+    elif kind == "huge-int":
+        data[0][1] = [10**400, 0]
+    elif kind == "too-deep":
+        data = [[[[1.0, 0.0], [0.0, 0.0]] for _ in range(2)] for _ in range(2)]
+    elif kind == "too-shallow":
+        data = [[1.0, 0.0], [0.0, 1.0]]
+    elif kind == "object":
+        data[0][0] = {"re": 1.0, "im": 0.0}
+    return data
+
+
+MALFORMED = [
+    "bool", "bool-last", "string", "null", "short", "long", "ragged", "ragged-pair-rows",
+    "NaN", "Infinity", "1e400", "huge-int", "too-deep", "too-shallow", "object",
+]
+
+
+@pytest.mark.parametrize("kind", MALFORMED)
+def test_fast_matrix_parse_reports_the_entry_loops_error(kind):
+    data = _malformed(kind)
+    with pytest.raises(SchemaError) as new:
+        _parse_matrix(data, "m")
+    with pytest.raises(SchemaError) as old:
+        _parse_matrix_entries(data, "m")
+    assert (new.value.field, new.value.reason) == (old.value.field, old.value.reason)
+    assert new.value.field.startswith("m")
 
 
 def test_module_runs_as_script(tmp_path):

@@ -19,6 +19,12 @@ commutation matrix K (built here by its loop definition) and with Kronecker
 matrices of rho's powers or of the rotation: a permutation must agree
 exactly, a scaling or a reordered product to 1e-13 relative.
 run_report(tfd=True) must reproduce the public mirror checks bit for bit.
+
+The remaining per-unit loops are oracles too: thermofield's substitution
+identity (bit for bit) and the two marginals of the purified state.  The
+fixed-cost forms on the CLI path have their np.kron / apply references:
+from_kraus is bit-equal to a sum of np.kron terms, and is_unital's column
+sum matches ||s(1) - 1|| through apply to 1e-13 relative.
 """
 
 import numpy as np
@@ -59,17 +65,33 @@ from detbal.generators import (
     schur_db2_channel,
 )
 from detbal.linalg import DEFAULT_TOL, matrix_units
-from detbal.states import expectation, make_density, omega_eval, omega_gram, purify
+from detbal.states import (
+    expectation,
+    make_density,
+    marginals_check,
+    omega_eval,
+    omega_gram,
+    purify,
+)
 from detbal.superop import (
     SuperOperator,
+    from_kraus,
     is_completely_positive,
     is_hermitian_map,
     is_positive_map,
+    is_unital,
     pi_rep,
     transpose_superop,
     vec,
 )
-from detbal.thermofield import check_db2_tfd, check_kms, check_sqdb_tfd, expect_tilde
+from detbal.thermofield import (
+    check_db2_tfd,
+    check_kms,
+    check_sqdb_tfd,
+    check_tilde_substitution,
+    expect_tilde,
+    tilde,
+)
 
 SPIN = np.array([[0, 1], [-1, 0]], dtype=complex)
 DEGENERATE_SPECTRA = {2: (0.5, 0.5), 3: (0.5, 0.25, 0.25), 4: (0.4, 0.2, 0.2, 0.2)}
@@ -156,6 +178,30 @@ def kms_oracle(rho):
             rhs = np.trace(rm @ b @ a)
             residual = max(residual, abs(complex(lhs) - complex(rhs)))
     return residual
+
+
+def tilde_substitution_oracle(rho):
+    """|Delta^(-1/2)(tilde(e) rho^(1/2)) - e^dag rho^(1/2)| unit by unit,
+    through the n^2 x n^2 mirror superoperator of each unit e."""
+    half = rho.power(0.5)
+    halfinv = rho.power(-0.5)
+    residual = 0.0
+    for _, _, e in matrix_units(rho.n):
+        lhs = halfinv @ tilde(e).rep.apply(half) @ half
+        residual = max(residual, float(np.linalg.norm(lhs - e.conj().T @ half)))
+    return residual
+
+
+def marginals_oracle(p):
+    """Largest gap of each marginal of omega from tr(rho .) over matrix units."""
+    rho = p.rho
+    eye = np.eye(rho.n, dtype=complex)
+    first = second = 0.0
+    for _, _, e in matrix_units(rho.n):
+        want = expectation(rho, e)
+        first = max(first, abs(omega_eval(p, e, eye) - want))
+        second = max(second, abs(omega_eval(p, eye, e) - want))
+    return first, second
 
 
 def commutation_matrix(n):
@@ -413,6 +459,28 @@ def test_kms_matches_loop_oracle(n):
     assert res.passed == (oracle <= DEFAULT_TOL.eq_tol)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_tilde_substitution_matches_loop_oracle_bit_for_bit(n):
+    for seed in range(3):
+        rho = random_density(n, seed=60 + 10 * n + seed)
+        assert check_tilde_substitution(rho).residual == tilde_substitution_oracle(rho)
+    rho = make_density(np.diag(DEGENERATE_SPECTRA[n]))
+    assert check_tilde_substitution(rho).residual == tilde_substitution_oracle(rho)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("generic_w", [False, True])
+def test_marginals_check_matches_loop_oracle(n, generic_w):
+    rho = random_density(n, seed=70 + n)
+    p = purify(rho, haar_unitary(n, 75 + n) if generic_w else None)
+    res = marginals_check(p)
+    first, second = marginals_oracle(p)
+    assert res.detail["first_marginal"] == pytest.approx(first, rel=1e-13, abs=1e-15)
+    assert res.detail["second_marginal"] == pytest.approx(second, rel=1e-13, abs=1e-15)
+    assert res.passed == (max(first, second) <= DEFAULT_TOL.eq_tol)
+    assert res.passed is not generic_w
+
+
 # ------------------------------------------- transforms against dense products
 
 
@@ -533,7 +601,7 @@ def test_eigenbasis_rotation_matches_pi_rep_products(n):
     rho = make_density(w @ np.diag(random_density(n, seed=200 + n).diag) @ w.conj().T)
     v = rho.basis
     s = random_map(n, 210 + n)
-    tau, _ = _to_eigenbasis(rho, s, None, transpose_reversing(n))
+    tau, _ = _to_eigenbasis(rho, s, transpose_reversing(n))
     want = pi_rep(v.conj().T, v.T).mat @ s.mat @ pi_rep(v, v.conj()).mat
     assert scaled_close(tau.mat, want)
 
@@ -546,3 +614,26 @@ def test_theta_tau_theta_matches_commutation_products(n, k):
     s = random_map(n, 180 + n)
     tm = reversing_product(th, commutation_matrix(n))
     assert scaled_close(bar_map(theta_conjugate(s, th)).mat, tm @ s.mat @ tm)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_from_kraus_is_bit_equal_to_the_kron_sum(n):
+    rng = np.random.default_rng(220 + n)
+    ops = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(3)]
+    want = np.zeros((n * n, n * n), dtype=complex)
+    for v in ops:
+        want += np.kron(v.conj(), v)
+    assert np.array_equal(from_kraus(ops).mat, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_is_unital_matches_the_applied_identity(n):
+    s = random_map(n, 230 + n)
+    want = float(np.linalg.norm(s.apply(np.eye(n)) - np.eye(n)))
+    res = is_unital(s)
+    assert abs(res.residual - want) <= 1e-13 * want
+    assert not res.passed
+    rho = random_density(n, seed=230 + n)
+    unital = schur_db2_channel(rho, seed=230 + n)
+    want = float(np.linalg.norm(unital.apply(np.eye(n)) - np.eye(n)))
+    assert is_unital(unital).residual == pytest.approx(want, abs=1e-15)

@@ -29,10 +29,13 @@ row-major nested arrays.  Superoperator matrices are only accepted with an
 explicit "convention": "column-stacking" tag, because a silently wrong
 vectorization convention is the most dangerous mistake in this domain.
 
-Each matrix is read with one numpy conversion, kept only when every entry
-is a finite [re, im] pair of JSON numbers; any other input goes through a
-per-entry loop whose error names the first entry at fault.  A flat rho
-names its first entry that is not a number.
+Every object in a file obeys one key rule: its keys come from a known set
+and some of them are required.  Each matrix is read with one numpy
+conversion, kept only when every entry is a finite [re, im] pair of JSON
+numbers; otherwise a walk over the entries names the first one at fault.  A
+flat rho names its first entry that is not a number.  Each value read from
+the file is checked once, here; values derived from checked ones (the
+eigenbasis rotation, each classical time power) are built, not re-checked.
 
 A non-diagonal rho is rotated to its eigenbasis and the channel and
 reversing operation are conjugated along, so checks always run in the basis
@@ -52,6 +55,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from typing import NoReturn
 
 import numpy as np
 
@@ -78,12 +82,20 @@ from .generators import (
 )
 from .linalg import DEFAULT_TOL, CheckResult, Tolerance
 from .states import DensityMatrix, make_density
-from .superop import SuperOperator, _kron_sandwich, from_kraus, is_hermitian_map, is_unital
+from .superop import (
+    KrausChannel,
+    SuperOperator,
+    _kron_sandwich,
+    from_kraus,
+    is_hermitian_map,
+    is_unital,
+)
 
 CONVENTION = "column-stacking"
 
 _QUANTUM_KEYS = {"kind", "rho", "channel", "theta", "time_powers", "tol"}
 _CLASSICAL_KEYS = {"kind", "p", "gamma", "time_powers", "tol"}
+_TOL_KEYS = {"eq_tol", "psd_tol", "inv_tol"}
 _QUANTUM_CHECKS = (
     "db2_definition",
     "db2_modular",
@@ -111,7 +123,8 @@ class ParsedProblem:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A JSON number: json.load reads int or float, and a bool is neither type."""
+    return type(x) in (int, float)
 
 
 def _float(x, field: str) -> float:
@@ -130,44 +143,57 @@ def _finite(x, field: str) -> float:
     return v
 
 
-def _complex_entry(x, field: str) -> complex:
-    if not (isinstance(x, list) and len(x) == 2 and all(_is_number(v) for v in x)):
-        raise SchemaError(field, "complex entries must be [re, im] pairs of numbers")
-    return complex(_finite(x[0], field), _finite(x[1], field))
+def _check_object(obj, field: str, keys: set, required: tuple = ()) -> None:
+    """The key rule of every problem-file object: obj is a JSON object whose
+    keys come from keys and include required.  A key is named field.key, or
+    alone when field is "file" (the top level)."""
+    if not isinstance(obj, dict):
+        raise SchemaError(field, "expected an object")
+    prefix = "" if field == "file" else f"{field}."
+    unknown = sorted(set(obj) - keys)
+    if unknown:
+        raise SchemaError(prefix + unknown[0], "unknown field")
+    for key in required:
+        if key not in obj:
+            raise SchemaError(prefix + key, "missing")
 
 
 def _parse_matrix(data, field: str) -> np.ndarray:
     """Rows of [re, im] pairs to a complex matrix: one numpy conversion,
-    accepted when it has shape (rows, width, 2), every leaf is an int or
-    float (not a bool or string) and every entry is finite; .view(complex)
-    then holds complex(re, im) exactly.  Anything else goes through
-    _parse_matrix_entries, which names the first bad entry."""
+    accepted when it has shape (rows, width, 2), or (rows, 0) when every row
+    is empty, every leaf is a JSON number and every entry is finite;
+    .view(complex) then holds complex(re, im) exactly.  Any other data is
+    rejected by _matrix_fault, which names the first bad entry."""
     if not (isinstance(data, list) and data and all(isinstance(r, list) for r in data)):
         raise SchemaError(field, "expected a non-empty nested array of rows")
+    rows, width = len(data), len(data[0])
     try:
         arr = np.array(data, dtype=float)
     except (TypeError, ValueError, OverflowError):
-        arr = None
+        _matrix_fault(data, field)
     if (
-        arr is not None
-        and arr.shape == (len(data), len(data[0]), 2)
+        arr.shape in ((rows, width, 2), (rows, 0))
         and {type(x) for row in data for entry in row for x in entry} <= {int, float}
         and np.isfinite(arr).all()
     ):
-        return arr.view(complex)[..., 0]
-    return _parse_matrix_entries(data, field)
+        return arr.reshape(rows, width, 2).view(complex)[..., 0]
+    _matrix_fault(data, field)
 
 
-def _parse_matrix_entries(data, field: str) -> np.ndarray:
-    """_parse_matrix one entry at a time, for data that are non-empty rows."""
+def _matrix_fault(data, field: str) -> NoReturn:
+    """Raise the error of the first entry, in row-major order, that keeps the
+    non-empty rows data from being a matrix of finite [re, im] pairs."""
     width = len(data[0])
-    out = np.zeros((len(data), width), dtype=complex)
     for i, row in enumerate(data):
         if len(row) != width:
             raise SchemaError(field, f"row {i} has length {len(row)}, expected {width}")
         for j, x in enumerate(row):
-            out[i, j] = _complex_entry(x, f"{field}[{i}][{j}]")
-    return out
+            at = f"{field}[{i}][{j}]"
+            if not (isinstance(x, list) and len(x) == 2 and all(_is_number(v) for v in x)):
+                raise SchemaError(at, "complex entries must be [re, im] pairs of numbers")
+            _finite(x[0], at)
+            _finite(x[1], at)
+    raise AssertionError(f"{field}: _parse_matrix rejected a well-formed matrix")
 
 
 def _parse_real_vector(data, field: str) -> np.ndarray:
@@ -198,21 +224,11 @@ def _parse_rho(data, tol: Tolerance) -> DensityMatrix:
 def _parse_tol(data) -> Tolerance:
     if data is None:
         return DEFAULT_TOL
-    if not isinstance(data, dict):
-        raise SchemaError("tol", "expected an object")
-    allowed = {"eq_tol", "psd_tol", "inv_tol"}
-    values = {}
+    _check_object(data, "tol", _TOL_KEYS)
     for key, val in data.items():
-        if key not in allowed:
-            raise SchemaError(f"tol.{key}", "unknown tolerance field")
         if not _is_number(val) or not math.isfinite(_float(val, f"tol.{key}")) or val <= 0:
             raise SchemaError(f"tol.{key}", "must be a finite positive number")
-        values[key] = float(val)
-    return Tolerance(
-        eq_tol=values.get("eq_tol", DEFAULT_TOL.eq_tol),
-        psd_tol=values.get("psd_tol", DEFAULT_TOL.psd_tol),
-        inv_tol=values.get("inv_tol", DEFAULT_TOL.inv_tol),
-    )
+    return replace(DEFAULT_TOL, **{key: float(val) for key, val in data.items()})
 
 
 def _parse_powers(data) -> tuple[int, ...]:
@@ -228,16 +244,13 @@ def _parse_powers(data) -> tuple[int, ...]:
     return tuple(data)
 
 
-def _parse_channel(obj, n: int, tol: Tolerance):
-    """The channel in the user basis: a list of Kraus operators, or the
-    SuperOperator of a matrix channel."""
-    if not isinstance(obj, dict):
-        raise SchemaError("channel", "expected an object")
-    kind = obj.get("kind")
+def _parse_channel(obj, n: int, tol: Tolerance) -> KrausChannel | SuperOperator:
+    """The channel in the user basis: the KrausChannel of a kraus channel, or
+    the SuperOperator of a matrix channel."""
+    # a non-object takes the first branch, whose key rule rejects it
+    kind = obj.get("kind") if isinstance(obj, dict) else "kraus"
     if kind == "kraus":
-        extra = set(obj) - {"kind", "data"}
-        if extra:
-            raise SchemaError(f"channel.{sorted(extra)[0]}", "unknown field")
+        _check_object(obj, "channel", {"kind", "data"})
         data = obj.get("data")
         if not (isinstance(data, list) and data):
             raise SchemaError("channel.data", "expected a non-empty array of matrices")
@@ -249,11 +262,9 @@ def _parse_channel(obj, n: int, tol: Tolerance):
                     f"channel.data[{idx}]", f"expected a {n}x{n} matrix, got {v.shape}"
                 )
             ops.append(v)
-        return ops
+        return KrausChannel(tuple(ops))
     if kind == "matrix":
-        extra = set(obj) - {"kind", "data", "convention"}
-        if extra:
-            raise SchemaError(f"channel.{sorted(extra)[0]}", "unknown field")
+        _check_object(obj, "channel", {"kind", "data", "convention"})
         if obj.get("convention") != CONVENTION:
             raise SchemaError(
                 "channel.convention",
@@ -282,16 +293,13 @@ def _parse_channel(obj, n: int, tol: Tolerance):
 def _parse_theta(obj, n: int) -> ReversingOperation:
     if obj is None:
         return transpose_reversing(n)
-    if not isinstance(obj, dict):
-        raise SchemaError("theta", "expected an object")
-    kind = obj.get("kind")
+    # a non-object takes the first branch, whose key rule rejects it
+    kind = obj.get("kind") if isinstance(obj, dict) else "transpose"
     if kind == "transpose":
-        if set(obj) - {"kind"}:
-            raise SchemaError("theta", 'transpose reversing takes no "u"')
+        _check_object(obj, "theta", {"kind"})
         return transpose_reversing(n)
     if kind == "unitary":
-        if set(obj) - {"kind", "u"}:
-            raise SchemaError("theta", 'unitary reversing takes exactly "kind" and "u"')
+        _check_object(obj, "theta", {"kind", "u"})
         u = _parse_matrix(obj.get("u"), "theta.u")
         if u.shape != (n, n):
             raise SchemaError("theta.u", f"expected a {n}x{n} matrix, got {u.shape}")
@@ -300,11 +308,12 @@ def _parse_theta(obj, n: int) -> ReversingOperation:
 
 
 def _to_eigenbasis(rho, channel, theta):
-    """The channel (Kraus operators or a SuperOperator, as _parse_channel
-    returns it) as a SuperOperator in rho's eigenbasis, and the reversing
-    operation conjugated along: Kraus operators op become v^dag op v before
-    the one from_kraus; a matrix channel M becomes
-    pi_rep(v^dag, v^T) M pi_rep(v, conj v)."""
+    """The channel (as _parse_channel returns it) as a SuperOperator in rho's
+    eigenbasis, and the reversing operation conjugated along: Kraus operators
+    op become v^dag op v before the one from_kraus; a matrix channel M becomes
+    pi_rep(v^dag, v^T) M pi_rep(v, conj v).  v is eigh's unitary basis, so
+    the rotated operators keep their shape and the rotated u = v^dag u conj(v)
+    stays unitary with u conj(u) a phase: both are built, not re-validated."""
     v = rho.basis
     if np.array_equal(v, np.eye(rho.n)):
         return (channel if isinstance(channel, SuperOperator) else from_kraus(channel)), theta
@@ -312,8 +321,8 @@ def _to_eigenbasis(rho, channel, theta):
         mat = _kron_sandwich(channel.mat, rho.n, v.conj().T, v.T, v, v.conj())
         tau = SuperOperator(rho.n, mat)
     else:
-        tau = from_kraus([v.conj().T @ op @ v for op in channel])
-    return tau, make_reversing(v.conj().T @ theta.u @ v.conj())
+        tau = from_kraus(KrausChannel(tuple(v.conj().T @ op @ v for op in channel.ops)))
+    return tau, ReversingOperation(u=v.conj().T @ theta.u @ v.conj())
 
 
 def parse_problem(path: str) -> ParsedProblem:
@@ -321,21 +330,14 @@ def parse_problem(path: str) -> ParsedProblem:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError("file", str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise SchemaError("file", f"invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise SchemaError("file", "top level must be an object")
-    kind = raw.get("kind", "quantum")
+    # a non-object takes the quantum branch, whose key rule rejects it
+    kind = raw.get("kind", "quantum") if isinstance(raw, dict) else "quantum"
     if kind == "quantum":
-        extra = sorted(set(raw) - _QUANTUM_KEYS)
-        if extra:
-            raise SchemaError(extra[0], "unknown field")
-        if "rho" not in raw:
-            raise SchemaError("rho", "missing")
-        if "channel" not in raw:
-            raise SchemaError("channel", "missing")
+        _check_object(raw, "file", _QUANTUM_KEYS, ("rho", "channel"))
         tol = _parse_tol(raw.get("tol"))
         powers = _parse_powers(raw.get("time_powers"))
         rho = _parse_rho(raw["rho"], tol)
@@ -346,11 +348,7 @@ def parse_problem(path: str) -> ParsedProblem:
             kind="quantum", tol=tol, powers=powers, rho=rho, tau=tau, theta=theta
         )
     if kind == "classical":
-        extra = sorted(set(raw) - _CLASSICAL_KEYS)
-        if extra:
-            raise SchemaError(extra[0], "unknown field")
-        if "p" not in raw or "gamma" not in raw:
-            raise SchemaError("p" if "p" not in raw else "gamma", "missing")
+        _check_object(raw, "file", _CLASSICAL_KEYS, ("p", "gamma"))
         tol = _parse_tol(raw.get("tol"))
         powers = _parse_powers(raw.get("time_powers"))
         p = _parse_real_vector(raw["p"], "p")
@@ -420,8 +418,10 @@ def run_checks(
         if tfd:
             raise SchemaError("--tfd", "only applies to quantum problem files")
         for k in parsed.powers:
+            # p and gamma passed make_chain at parse; the row sums of gamma^k
+            # drift from 1 by rounding alone, more with every power
             gamma_k = np.linalg.matrix_power(parsed.chain.gamma, k)
-            chain_k = make_chain(parsed.chain.p, gamma_k)
+            chain_k = ClassicalChain(parsed.chain.p, gamma_k)
             pairwise = classical_detailed_balance(chain_k, parsed.tol)
             functional = classical_phi_balance(chain_k, parsed.tol)
             reports.append(
@@ -541,49 +541,33 @@ def generate_payload(
     family: str, n: int | None, k: int, p: float, s: float, seed: int
 ) -> dict:
     """Build the problem-file payload for one controlled family."""
-    if family == "schur-db2":
-        n = 2 if n is None else n
-        rho = random_density(n, seed=seed)
-        ops = schur_kraus(schur_multiplier_matrix(n, seed)).ops
+    if family in ("metropolis", "cycle"):
+        n = 3 if n is None else n
+        chain = metropolis_chain(n, seed) if family == "metropolis" else cycle_chain(n)
         return {
-            "kind": "quantum",
-            "rho": [float(x) for x in rho.diag],
-            "channel": {"kind": "kraus", "data": [_encode_matrix(v) for v in ops]},
-            "theta": {"kind": "transpose"},
+            "kind": "classical",
+            "p": [float(x) for x in chain.p],
+            "gamma": [[float(x) for x in row] for row in chain.gamma],
             "time_powers": [1],
         }
     if family == "gad-sqdb":
-        ops = gad_kraus(p, s).ops
-        return {
-            "kind": "quantum",
-            "rho": [p, 1.0 - p],
-            "channel": {"kind": "kraus", "data": [_encode_matrix(v) for v in ops]},
-            "theta": {"kind": "transpose"},
-            "time_powers": [1],
-        }
-    if family == "random-unital":
+        if n not in (None, 2):
+            raise SchemaError("--n", f"gad-sqdb is a qubit family, n must be 2, got {n}")
+        diag, ops = [p, 1.0 - p], gad_kraus(p, s).ops
+    elif family in ("schur-db2", "random-unital"):
         n = 2 if n is None else n
-        rho = random_density(n, seed=seed)
-        ops = random_unital_kraus(n, k, seed).ops
-        return {
-            "kind": "quantum",
-            "rho": [float(x) for x in rho.diag],
-            "channel": {"kind": "kraus", "data": [_encode_matrix(v) for v in ops]},
-            "theta": {"kind": "transpose"},
-            "time_powers": [1],
-        }
-    if family == "metropolis":
-        n = 3 if n is None else n
-        chain = metropolis_chain(n, seed)
-    elif family == "cycle":
-        n = 3 if n is None else n
-        chain = cycle_chain(n)
+        diag = [float(x) for x in random_density(n, seed=seed).diag]
+        if family == "schur-db2":
+            ops = schur_kraus(schur_multiplier_matrix(n, seed)).ops
+        else:
+            ops = random_unital_kraus(n, k, seed).ops
     else:
         raise SchemaError("family", f"unknown family {family!r}")
     return {
-        "kind": "classical",
-        "p": [float(x) for x in chain.p],
-        "gamma": [[float(x) for x in row] for row in chain.gamma],
+        "kind": "quantum",
+        "rho": diag,
+        "channel": {"kind": "kraus", "data": [_encode_matrix(v) for v in ops]},
+        "theta": {"kind": "transpose"},
         "time_powers": [1],
     }
 
@@ -593,9 +577,12 @@ def _cmd_generate(args) -> int:
     text = _render_json(payload)
     if args.out is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise SchemaError("--out", str(exc)) from exc
     return 0
 
 

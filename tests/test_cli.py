@@ -15,6 +15,7 @@ from detbal import (
     InputNotDynamics,
     NotInvolutive,
     SchemaError,
+    Tolerance,
     gad_sqdb_channel,
     random_density,
     random_unitary,
@@ -25,8 +26,10 @@ from detbal import (
 import detbal.cli
 from detbal.cli import (
     _build_parser,
+    _finite,
+    _is_number,
     _parse_matrix,
-    _parse_matrix_entries,
+    _verdict,
     generate_payload,
     main,
     parse_problem,
@@ -520,6 +523,171 @@ def test_unknown_and_missing_fields(tmp_path):
     assert err.value.field == "channel"
 
 
+EYE2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+EYE4 = [[[1.0 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+
+# (id, changes to a qubit problem file, or to a two-state chain when "p" is
+# among them, with None dropping a key; and the one error line the file must
+# produce).  A list is the whole file.
+MALFORMED_FILES = [
+    ("top-level-list", [1, 2], "file: expected an object"),
+    ("kind", {"kind": "other"}, 'kind: expected "quantum" or "classical"'),
+    ("unknown-sorted", {"zzz": 1, "aaa": 2}, "aaa: unknown field"),
+    ("classical-unknown", {"p": [0.5, 0.5], "extra": 1}, "extra: unknown field"),
+    ("classical-missing", {"p": [0.5, 0.5], "gamma": None}, "gamma: missing"),
+    ("tol-list", {"tol": [1e-9]}, "tol: expected an object"),
+    ("tol-unknown-sorted", {"tol": {"zeta": 1, "alpha": 2}}, "tol.alpha: unknown field"),
+    ("channel-list", {"channel": [EYE2]}, "channel: expected an object"),
+    ("channel-kind", {"channel": {"kind": "other"}}, 'channel.kind: expected "kraus" or "matrix"'),
+    (
+        "kraus-unknown",
+        {"channel": {"kind": "kraus", "data": [EYE2], "convention": "column-stacking"}},
+        "channel.convention: unknown field",
+    ),
+    (
+        "matrix-unknown",
+        {"channel": {"kind": "matrix", "convention": "column-stacking", "data": EYE4, "x": 1}},
+        "channel.x: unknown field",
+    ),
+    (
+        "kraus-empty",
+        {"channel": {"kind": "kraus", "data": []}},
+        "channel.data: expected a non-empty array of matrices",
+    ),
+    (
+        "kraus-shape",
+        {"channel": {"kind": "kraus", "data": [EYE4]}},
+        "channel.data[0]: expected a 2x2 matrix, got (4, 4)",
+    ),
+    (
+        "matrix-shape",
+        {"channel": {"kind": "matrix", "convention": "column-stacking", "data": EYE2}},
+        "channel.data: expected a 4x4 matrix, got (2, 2)",
+    ),
+    ("theta-list", {"theta": [EYE2]}, "theta: expected an object"),
+    ("theta-kind", {"theta": {"kind": "other"}}, 'theta.kind: expected "transpose" or "unitary"'),
+    ("theta-transpose-u", {"theta": {"kind": "transpose", "u": EYE2}}, "theta.u: unknown field"),
+    (
+        "theta-unitary-extra",
+        {"theta": {"kind": "unitary", "u": EYE2, "extra": 1}},
+        "theta.extra: unknown field",
+    ),
+    (
+        "theta-u-shape",
+        {"theta": {"kind": "unitary", "u": EYE4}},
+        "theta.u: expected a 2x2 matrix, got (4, 4)",
+    ),
+    ("gamma-not-rows", {"p": [0.5, 0.5], "gamma": [1, 0]}, "gamma: expected a nested array of rows"),
+    (
+        "gamma-row",
+        {"p": [0.5, 0.5], "gamma": [[1.0, 0.0], [0.0, "x"]]},
+        "gamma[1]: expected a non-empty array of numbers",
+    ),
+    (
+        "gamma-shape",
+        {"p": [0.5, 0.5], "gamma": [[1.0]]},
+        "gamma: chain shapes p (2,), gamma (1, 1)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "changes,line", [case[1:] for case in MALFORMED_FILES], ids=[case[0] for case in MALFORMED_FILES]
+)
+def test_malformed_files_name_the_field_at_fault(tmp_path, capsys, changes, line):
+    if isinstance(changes, dict):
+        if "p" in changes:
+            payload = {"kind": "classical", "p": [0.5, 0.5], "gamma": [[1.0, 0.0], [0.0, 1.0]]}
+        else:
+            payload = generate_payload("gad-sqdb", None, 3, 0.75, 0.2, 0)
+        payload.update(changes)
+        payload = {k: v for k, v in payload.items() if v is not None}
+    else:
+        payload = changes
+    assert main(["check", _write(tmp_path, payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {line}\n"
+
+
+def test_file_tolerances_reach_the_checkers(tmp_path, capsys, monkeypatch):
+    # eq_tol = 10 flips the modular check on the gad instance, as --tol 10 does
+    payload = generate_payload("gad-sqdb", None, 3, 0.75, 0.2, 0)
+    payload["tol"] = {"eq_tol": 10.0, "psd_tol": 1e-8, "inv_tol": 1e-10}
+    seen = []
+    real = detbal.cli.run_report
+    monkeypatch.setattr(
+        detbal.cli, "run_report", lambda *args: seen.append(args[3]) or real(*args)
+    )
+    assert main(["check", _write(tmp_path, payload), "--format", "json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["reports"][0]["checks"]
+    assert checks["db2_modular"]["passed"] is True
+    assert seen == [Tolerance(eq_tol=10.0, psd_tol=1e-8, inv_tol=1e-10)]
+
+
+def test_text_output_with_mirror_checks(tmp_path, capsys):
+    assert main(["check", _gad_file(tmp_path), "--tfd"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "problem: quantum, n=2, degenerate_rho=False, mode=cp"
+    names = [line.split()[0] for line in lines[2:-1]]
+    assert names == [*QUANTUM_CHECKS, "db2_tfd", "sqdb_tfd"]
+    assert lines[-1] == "  db2: no  sqdb: yes  consistency: ok  tfd_agrees: yes"
+
+
+def test_verdicts_are_colored_on_a_terminal(tmp_path, capsys, monkeypatch):
+    assert _verdict(True, True) == "\x1b[32mpass\x1b[0m"
+    assert _verdict(False, True, "yes", "no") == "\x1b[31mno\x1b[0m"
+    path = _gad_file(tmp_path)
+    monkeypatch.delenv("NO_COLOR", raising=False)
+    monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+    assert main(["check", path, "--assert", "sqdb"]) == 0
+    out = capsys.readouterr().out
+    assert "  sqdb: \x1b[32myes\x1b[0m" in out
+    assert out.endswith("assert sqdb: \x1b[32mok\x1b[0m\n")
+    monkeypatch.setenv("NO_COLOR", "1")
+    assert main(["check", path]) == 0
+    assert "\x1b[" not in capsys.readouterr().out
+
+
+def test_non_utf8_file_is_reported_under_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'\xff{"kind": "quantum"}')
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: file: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_large_classical_powers_are_not_rebuilt_through_make_chain(tmp_path, capsys):
+    # the row sums of gamma^k drift past make_chain's 1e-12 at k = 10^5
+    path = tmp_path / "chain.json"
+    assert main(["generate", "metropolis", "--n", "4", "--seed", "3", "--out", str(path)]) == 0
+    assert main(["check", str(path), "--powers", "100000,1000000"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("balanced: yes") == 2
+
+
+def test_generate_gad_sqdb_is_a_qubit_family(capsys):
+    for n in (1, 3, 5):
+        assert main(["generate", "gad-sqdb", "--n", str(n)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --n: gad-sqdb is a qubit family, n must be 2, got {n}\n"
+    assert main(["generate", "gad-sqdb", "--n", "2"]) == 0
+    two = capsys.readouterr().out
+    assert main(["generate", "gad-sqdb"]) == 0
+    assert capsys.readouterr().out == two
+
+
+def test_generate_into_a_missing_directory_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "x.json"
+    assert main(["generate", "cycle", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --out: ")
+    assert not out.exists()
+
+
 def test_matrix_entries_must_be_pairs(tmp_path):
     payload = {
         "kind": "quantum",
@@ -538,6 +706,24 @@ def test_flat_rho_names_the_entry_that_is_not_a_number(tmp_path, capsys, entry):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: rho[1]: expected a number\n"
+
+
+def _complex_entry(x, field):
+    if not (isinstance(x, list) and len(x) == 2 and all(_is_number(v) for v in x)):
+        raise SchemaError(field, "complex entries must be [re, im] pairs of numbers")
+    return complex(_finite(x[0], field), _finite(x[1], field))
+
+
+def _parse_matrix_entries(data, field):
+    """The per-entry oracle of _parse_matrix, for data that are non-empty rows."""
+    width = len(data[0])
+    out = np.zeros((len(data), width), dtype=complex)
+    for i, row in enumerate(data):
+        if len(row) != width:
+            raise SchemaError(field, f"row {i} has length {len(row)}, expected {width}")
+        for j, x in enumerate(row):
+            out[i, j] = _complex_entry(x, f"{field}[{i}][{j}]")
+    return out
 
 
 def _random_entries(rng, rows, width):
@@ -574,7 +760,7 @@ def test_fast_matrix_parse_skips_the_entry_loop_on_good_data(monkeypatch):
     def refuse(data, field):
         raise AssertionError("per-entry loop reached")
 
-    monkeypatch.setattr(detbal.cli, "_parse_matrix_entries", refuse)
+    monkeypatch.setattr(detbal.cli, "_matrix_fault", refuse)
     data = _enc(random_unitary(4, seed=3))
     data[0][0] = [1, -0.0]
     assert _parse_matrix(data, "m")[0, 0] == complex(1.0, -0.0)

@@ -21,13 +21,20 @@ Theta: the kms dual of tau equals Theta tau Theta.  Two characterizations:
   entangled    omega[A ox tau^Theta(B)] = omega[tau(A) ox B] over all
                matrix unit pairs
 
+Both notions also have a mirror (thermofield) form, stated with the mirror
+correlation <A tilde(B)> = tr(rho^(1/2) A rho^(1/2) B^dag) (see thermofield):
+
+  db2_tfd      <tau(A) tilde(B)> = <A tilde(tau'(B))> for all A, B, and
+               tau'(1) = 1
+  sqdb_tfd     <tau(A) tilde(B)> = <A tilde(Theta tau Theta(B))> for all A, B
+
 Every pair identity is decided at once: a bilinear form with Gram matrix G
 on the vec basis, F(A, B) = vec(A)^T G vec(B), has F(E_i, R(E_j)) =
 F(L(E_i), E_j) on all matrix-unit pairs iff G R = L^T G.  G = diag(g) with
 g = kron(d^(1/2), d^(1/2)) for rho = diag(d) (entangled, mirror) or p, so
 _pair_residual is max|g_i R_ij - L_ji g_j|, O(n^4); the pair loops and dense
-Gram products are test oracles.  thermofield's mirror kernels live here too:
-run_report(tfd=True) runs them on its own dual, Theta-conjugate and g.
+Gram products are test oracles.  A map s in the antilinear mirror slot
+enters as conj(s.mat).
 
 The two notions agree on channels commuting with the modular map; sqdb
 does not require that commutation.  check_implication_sqdb_db2 probes the
@@ -231,6 +238,32 @@ def check_sqdb_entangled(
     return _sqdb_entangled(tau, _pair_gram(rho), theta_conjugate(tau, th), tol)
 
 
+def check_db2_tfd(
+    tau: SuperOperator,
+    rho: DensityMatrix,
+    tol: Tolerance = DEFAULT_TOL,
+    mode: str = MODE_CP,
+) -> CheckResult:
+    """Standard balance in mirror form: <tau(A) tilde(B)> = <A tilde(tau'(B))>
+    on all matrix-unit pairs, plus unitality of the state dual."""
+    require_dynamics(tau, rho, tol, mode)
+    dual = rho_dual(tau, rho)
+    return _db2_tfd(tau, _pair_gram(rho), dual, is_unital(dual, tol).residual, tol)
+
+
+def check_sqdb_tfd(
+    tau: SuperOperator,
+    rho: DensityMatrix,
+    th: ReversingOperation,
+    tol: Tolerance = DEFAULT_TOL,
+    mode: str = MODE_CP,
+) -> CheckResult:
+    """Square-root balance in mirror form:
+    <tau(A) tilde(B)> = <A tilde(Theta tau Theta(B))> on matrix-unit pairs."""
+    require_dynamics(tau, rho, tol, mode)
+    return _sqdb_tfd(tau, _pair_gram(rho), theta_conjugate(tau, th), tol)
+
+
 def check_implication_sqdb_db2(
     tau: SuperOperator,
     rho: DensityMatrix,
@@ -359,7 +392,7 @@ def run_report(
     tfd: bool = False,
 ) -> BalanceReport:
     """Run every checker on one (channel, state, reversing operation) triple,
-    with thermofield's mirror checks if tfd; all share one dynamics check,
+    with the mirror checks if tfd; all share one dynamics check,
     state dual (and its unitality residual), Theta-conjugate and pair Gram."""
     dynamics = require_dynamics(tau, rho, tol, mode)
     dual = rho_dual(tau, rho)

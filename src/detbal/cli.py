@@ -303,7 +303,10 @@ def _parse_theta(obj, n: int) -> ReversingOperation:
         u = _parse_matrix(obj.get("u"), "theta.u")
         if u.shape != (n, n):
             raise SchemaError("theta.u", f"expected a {n}x{n} matrix, got {u.shape}")
-        return make_reversing(u)
+        try:
+            return make_reversing(u)
+        except DetbalError as exc:
+            raise SchemaError("theta.u", str(exc)) from exc
     raise SchemaError("theta.kind", 'expected "transpose" or "unitary"')
 
 
@@ -356,6 +359,10 @@ def parse_problem(path: str) -> ParsedProblem:
         if not (isinstance(gamma, list) and all(isinstance(r, list) for r in gamma)):
             raise SchemaError("gamma", "expected a nested array of rows")
         rows = [_parse_real_vector(r, f"gamma[{i}]") for i, r in enumerate(gamma)]
+        width = len(rows[0]) if rows else 0
+        for i, row in enumerate(rows):
+            if len(row) != width:
+                raise SchemaError("gamma", f"row {i} has length {len(row)}, expected {width}")
         try:
             chain = make_chain(p, np.asarray(rows))
         except NotStochastic as exc:
@@ -510,14 +517,7 @@ def _cmd_check(args) -> int:
     if args.tol is not None:
         if not math.isfinite(args.tol) or args.tol <= 0:
             raise SchemaError("--tol", "must be a finite positive number")
-        parsed = replace(
-            parsed,
-            tol=Tolerance(
-                eq_tol=args.tol,
-                psd_tol=parsed.tol.psd_tol,
-                inv_tol=parsed.tol.inv_tol,
-            ),
-        )
+        parsed = replace(parsed, tol=replace(parsed.tol, eq_tol=args.tol))
     if args.powers is not None:
         try:
             powers = tuple(int(tok) for tok in args.powers.split(","))

@@ -1,28 +1,21 @@
-"""Thermofield double view: mirror operators and balance via the cyclic vector.
+"""Thermofield double view: mirror operators of the cyclic vector.
 
 The cyclic vector of the purified state is rho^(1/2) itself, viewed as a
 Hilbert-Schmidt vector.  Left multiplication represents the algebra; the
 mirror ("tilde") copy of an operator a acts by right multiplication with
 a^dag, i.e. tilde(a): X -> X a^dag, which commutes with every left
-multiplication.  Two structural identities make this picture work:
+multiplication.  This module holds the mirror operator (tilde,
+TildeOperator), the mirror correlation expect_tilde, and the two
+structural identities that make the picture work:
 
   substitution  Delta^(-1/2)(tilde(a) rho^(1/2)) = a^dag rho^(1/2)
   kms           <A Delta(B)> = <B A>  with <X> = tr(rho X)
 
-and mirror correlations reproduce the purified two-copy functional:
+Mirror correlations reproduce the purified two-copy functional:
 <A tilde(B)> = tr(rho^(1/2) A rho^(1/2) B^dag) = omega(A ox conj(B)).
-
-Balance translates into mirror correlation identities:
-
-  db2   <tau(A) tilde(B)> = <A tilde(tau'(B))> for all A, B, and tau'(1) = 1
-  sqdb  <tau(A) tilde(B)> = <A tilde(Theta tau Theta (B))> for all A, B
-
-whose booleans must agree with the corresponding checks in balance.  Both
-are decided at once by balance's kernel on (A, C) -> <A tilde(conj(C))>,
-whose Gram matrix is the entangled one's diagonal; the map s in the
-antilinear mirror slot enters as conj(s.mat).  Those kernels live in
-balance, so that run_report(tfd=True) shares its work with them.  The
-expect_tilde pair loops are test oracles.
+The balance checks in mirror form, check_db2_tfd and check_sqdb_tfd, are
+in balance with the other characterizations; the expect_tilde pair loops
+are their test oracles.
 """
 
 from __future__ import annotations
@@ -31,12 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balance import MODE_CP, _db2_tfd, _pair_gram, _sqdb_tfd, require_dynamics
-from .duals import ReversingOperation, modular, rho_dual, theta_conjugate
+from .duals import modular
 from .errors import DimensionMismatch
 from .linalg import DEFAULT_TOL, CheckResult, Tolerance, _verdict
 from .states import DensityMatrix
-from .superop import SuperOperator, is_unital, pi_rep, transpose_superop
+from .superop import SuperOperator, pi_rep, transpose_superop
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,29 +82,3 @@ def expect_tilde(rho: DensityMatrix, a, b) -> complex:
     b = np.asarray(b, dtype=complex)
     half = rho.power(0.5)
     return complex(np.trace(half @ a @ half @ b.conj().T))
-
-
-def check_db2_tfd(
-    tau: SuperOperator,
-    rho: DensityMatrix,
-    tol: Tolerance = DEFAULT_TOL,
-    mode: str = MODE_CP,
-) -> CheckResult:
-    """Standard balance in mirror form: <tau(A) tilde(B)> = <A tilde(tau'(B))>
-    on all matrix-unit pairs, plus unitality of the state dual."""
-    require_dynamics(tau, rho, tol, mode)
-    dual = rho_dual(tau, rho)
-    return _db2_tfd(tau, _pair_gram(rho), dual, is_unital(dual, tol).residual, tol)
-
-
-def check_sqdb_tfd(
-    tau: SuperOperator,
-    rho: DensityMatrix,
-    th: ReversingOperation,
-    tol: Tolerance = DEFAULT_TOL,
-    mode: str = MODE_CP,
-) -> CheckResult:
-    """Square-root balance in mirror form:
-    <tau(A) tilde(B)> = <A tilde(Theta tau Theta(B))> on matrix-unit pairs."""
-    require_dynamics(tau, rho, tol, mode)
-    return _sqdb_tfd(tau, _pair_gram(rho), theta_conjugate(tau, th), tol)

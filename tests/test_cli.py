@@ -194,8 +194,10 @@ def test_unitary_theta_rejects_non_involutive(tmp_path, capsys):
         "channel": {"kind": "kraus", "data": [_enc(np.eye(2))]},
         "theta": {"kind": "unitary", "u": _enc(rot)},
     }
-    with pytest.raises(NotInvolutive):
+    with pytest.raises(SchemaError) as err:
         parse_problem(_write(tmp_path, payload))
+    assert err.value.field == "theta.u"
+    assert isinstance(err.value.__cause__, NotInvolutive)
     assert main(["check", _write(tmp_path, payload, "again.json")]) == 2
     capsys.readouterr()
 
@@ -577,12 +579,23 @@ MALFORMED_FILES = [
         {"theta": {"kind": "unitary", "u": EYE4}},
         "theta.u: expected a 2x2 matrix, got (4, 4)",
     ),
+    (
+        "theta-u-not-unitary",
+        {"theta": {"kind": "unitary", "u": [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}},
+        "theta.u: u is not unitary (residual 3.000e+00)",
+    ),
     ("gamma-not-rows", {"p": [0.5, 0.5], "gamma": [1, 0]}, "gamma: expected a nested array of rows"),
     (
         "gamma-row",
         {"p": [0.5, 0.5], "gamma": [[1.0, 0.0], [0.0, "x"]]},
         "gamma[1]: expected a non-empty array of numbers",
     ),
+    (
+        "gamma-ragged",
+        {"p": [0.5, 0.5], "gamma": [[0.5, 0.5], [1.0]]},
+        "gamma: row 1 has length 1, expected 2",
+    ),
+    ("gamma-empty", {"p": [0.5, 0.5], "gamma": []}, "gamma: chain shapes p (2,), gamma (0,)"),
     (
         "gamma-shape",
         {"p": [0.5, 0.5], "gamma": [[1.0]]},

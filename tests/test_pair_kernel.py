@@ -38,7 +38,9 @@ from detbal.balance import (
     check_db2_definition,
     check_db2_entangled,
     check_db2_modular,
+    check_db2_tfd,
     check_sqdb_entangled,
+    check_sqdb_tfd,
     classical_phi_balance,
     run_report,
 )
@@ -85,9 +87,7 @@ from detbal.superop import (
     vec,
 )
 from detbal.thermofield import (
-    check_db2_tfd,
     check_kms,
-    check_sqdb_tfd,
     check_tilde_substitution,
     expect_tilde,
     tilde,

@@ -18,8 +18,11 @@ for s with matrix M, K the commutation matrix and rho = diag(d):
   s^(1/2)(A) = rho^(-1/2) s^#(rho^(1/2) A rho^(1/2)) rho^(-1/2)
                K M^T K, rows / (d_j d_k)^(1/2), columns * (d_j d_k)^(1/2)
 where row or column j + n k belongs to the unit E_jk.  Products with K are
-index permutations (superop._transpose_sides), so no dual costs a matrix
-product; the Theta-conjugate conj(W) M W, W = kron(conj u, u), is O(n^5).
+index permutations, so no dual costs a matrix product: K M^T K is read as a
+view of M (superop._realign) and scaled into the one array the dual
+returns, and the input is never written.  The Theta-conjugate conj(W) M W,
+W = kron(conj u, u), is O(n^5), and for the plain transpose (u = 1) it is
+s itself, returned as is.
 
 The kms dual preserves complete positivity and is an involution; the state
 dual agrees with it exactly when s commutes with the modular map
@@ -37,7 +40,7 @@ import numpy as np
 from .errors import DimensionMismatch, NonUnitary, NotInvolutive
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix
 from .states import DensityMatrix
-from .superop import SuperOperator, _kron_sandwich, _transpose_sides, pi_rep
+from .superop import SuperOperator, _kron_sandwich, _realign, _transpose_sides, pi_rep
 
 
 def hs_adjoint(s: SuperOperator) -> SuperOperator:
@@ -58,7 +61,13 @@ def trace_dual(s: SuperOperator) -> SuperOperator:
     hs_adjoint(s).  Kraus maps dualize to their Kraus-adjoint families, so
     unital maps have trace-preserving duals and conversely.
     """
-    return SuperOperator(s.n, _transpose_sides(s.mat.T, s.n))
+    return SuperOperator(s.n, _trace_dual_view(s).reshape(s.n**2, s.n**2))
+
+
+def _trace_dual_view(s: SuperOperator) -> np.ndarray:
+    """K M^T K as a view of M: reversing the four realigned axes transposes
+    M and swaps the two factors of each side."""
+    return _realign(s.mat, s.n, (3, 2, 1, 0))
 
 
 def _check_state(s: SuperOperator, rho: DensityMatrix) -> None:
@@ -77,7 +86,8 @@ def rho_dual(s: SuperOperator, rho: DensityMatrix) -> SuperOperator:
     _check_state(s, rho)
     n, d = s.n, rho.diag
     # axes (k, j, k', j') of row j + n k, column j' + n k': rows / d_j, columns * d_j'
-    m = (1.0 / d)[:, None, None] * trace_dual(s).mat.reshape(n, n, n, n) * d
+    m = np.multiply((1.0 / d)[:, None, None], _trace_dual_view(s), order="C")
+    m *= d
     return SuperOperator(n, m.reshape(n * n, n * n))
 
 
@@ -89,8 +99,11 @@ def kms_dual(s: SuperOperator, rho: DensityMatrix) -> SuperOperator:
     with powers of the diagonal rho are row and column scalings: O(n^4).
     """
     _check_state(s, rho)
-    half = np.sqrt(np.outer(rho.diag, rho.diag).ravel())  # vec index j + n k -> (d_j d_k)^(1/2)
-    return SuperOperator(s.n, trace_dual(s).mat / half[:, None] * half)
+    n = s.n
+    half = np.sqrt(np.outer(rho.diag, rho.diag))  # [k, j] -> (d_j d_k)^(1/2), vec index j + n k
+    m = np.divide(_trace_dual_view(s), half[:, :, None, None], order="C")
+    m *= half
+    return SuperOperator(n, m.reshape(n * n, n * n))
 
 
 def hat_map(s: SuperOperator, rho: DensityMatrix) -> SuperOperator:
@@ -168,16 +181,18 @@ def make_reversing(u, tol: Tolerance = DEFAULT_TOL) -> ReversingOperation:
     (NotInvolutive otherwise).  Anti-multiplicativity and compatibility
     with the adjoint hold for every unitary u and are not re-checked.  The
     spin reversal u = [[0, 1], [-1, 0]] (w = -1) passes; a real rotation
-    by an angle other than a multiple of pi/2 fails.
+    by an angle other than a multiple of pi/2 fails.  Both comparisons fail
+    closed: a NaN residual, as from entries whose products overflow, is
+    rejected.
     """
     u = as_matrix(u)
     n = u.shape[0]
     ures = float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
-    if ures > 1e-12 * n:
+    if not ures <= 1e-12 * n:
         raise NonUnitary(f"u is not unitary (residual {ures:.3e})")
     w = u @ u.conj()
     invol = float(np.linalg.norm(w - (np.trace(w) / n) * np.eye(n)))
-    if invol > tol.eq_tol:
+    if not invol <= tol.eq_tol:
         raise NotInvolutive(
             f"u conj(u) differs from a phase times the identity by {invol:.3e}; "
             "the operation does not square to the identity"
@@ -195,9 +210,11 @@ def theta_conjugate(s: SuperOperator, th: ReversingOperation) -> SuperOperator:
 
     Its matrix is conj(W) M W with W = kron(conj u, u), four batched n x n
     products (superop._kron_sandwich); Theta s Theta is bar_map of it.  For
-    the plain transpose this is exactly s.
+    the plain transpose (u = 1) the map is s, and s itself is returned.
     """
     if s.n != th.n:
         raise DimensionMismatch(f"map on M_{s.n} vs reversing operation on M_{th.n}")
     u = th.u
+    if np.array_equal(u, np.eye(s.n)):
+        return s
     return SuperOperator(s.n, _kron_sandwich(s.mat, s.n, u.conj(), u, u, u.conj()))

@@ -85,20 +85,21 @@ def make_density(m, tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
 
     Requires Hermiticity, unit trace to 1e-12, positive semidefiniteness
     within tol.psd_tol, and all eigenvalues above tol.inv_tol (the whole
-    toolkit assumes invertible states).
+    toolkit assumes invertible states).  Every comparison fails closed: a
+    NaN residual is rejected.
     """
     m = as_matrix(m)
     herm = float(np.linalg.norm(m - m.conj().T))
-    if herm > 1e-12 * max(1.0, float(np.linalg.norm(m))):
+    if not herm <= 1e-12 * max(1.0, float(np.linalg.norm(m))):
         raise NotDensity(f"not Hermitian (residual {herm:.3e})")
     tr = complex(np.trace(m))
-    if abs(tr - 1.0) > 1e-12:
+    if not abs(tr - 1.0) <= 1e-12:
         raise NotDensity(f"trace must be 1, got {tr.real:.12g}")
     eig = hermitian_eig(m)
     lam = eig.eigenvalues
-    if lam[-1] < -tol.psd_tol:
+    if not lam[-1] >= -tol.psd_tol:
         raise NotDensity(f"negative eigenvalue {lam[-1]:.3e}")
-    if lam[-1] <= tol.inv_tol:
+    if not lam[-1] > tol.inv_tol:
         raise NotInvertible(
             f"density matrix must be invertible (min eigenvalue {lam[-1]:.3e})"
         )
@@ -124,7 +125,7 @@ def purify(rho: DensityMatrix, w=None) -> Purification:
     if w.shape[0] != rho.n:
         raise NonUnitary(f"w has dimension {w.shape[0]}, state has {rho.n}")
     res = float(np.linalg.norm(w.conj().T @ w - np.eye(rho.n)))
-    if res > 1e-12 * rho.n:
+    if not res <= 1e-12 * rho.n:
         raise NonUnitary(f"w is not unitary (residual {res:.3e})")
     return Purification(rho=rho, r=rho.power(0.5) @ w, w=w)
 

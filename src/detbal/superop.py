@@ -8,6 +8,8 @@ SuperOperator uses this convention; mixing it with row-stacking data will
 silently transpose factors, which is why the JSON interchange format tags
 superoperator matrices with an explicit "convention" field.  The CP test
 solves only the coupled rows of the Choi matrix; the rest are 1x1 blocks.
+It reads the Choi matrix and its transpose as views of the map's matrix
+and keeps one n^2 x n^2 buffer; no function here writes into its input.
 """
 
 from __future__ import annotations
@@ -68,11 +70,17 @@ def identity_superop(n: int) -> SuperOperator:
     return SuperOperator(n, np.eye(n * n, dtype=complex))
 
 
+def _realign(m: np.ndarray, n: int, axes) -> np.ndarray:
+    """m.reshape(n, n, n, n).transpose(axes), a view of m: entry
+    (a + n b, j + n k) of m sits at [b, a, k, j] of the reshape."""
+    return m.reshape(n, n, n, n).transpose(axes)
+
+
 def _transpose_sides(m: np.ndarray, n: int, axes=(1, 0, 3, 2)) -> np.ndarray:
-    """K m K for the commutation matrix K, vec(X^T) = K vec(X): entry
-    (a + n b, j + n k) sits at [b, a, k, j] of m.reshape(n, n, n, n), so
-    swapping axes 0, 1 transposes the output and 2, 3 the input (m K)."""
-    return m.reshape(n, n, n, n).transpose(axes).reshape(n * n, n * n)
+    """K m K for the commutation matrix K, vec(X^T) = K vec(X): swapping
+    axes 0, 1 of the realignment transposes the output and 2, 3 the input
+    (m K).  A copy; the kernels read _realign's view instead."""
+    return _realign(m, n, axes).reshape(n * n, n * n)
 
 
 def _kron_sandwich(m: np.ndarray, n: int, a, b, j, k) -> np.ndarray:
@@ -121,7 +129,7 @@ class KrausChannel:
             n = shape[0]
             acc = sum(v @ v.conj().T for v in self.ops)
             res = float(np.linalg.norm(acc - np.eye(n)))
-            if res > DEFAULT_TOL.eq_tol:
+            if not res <= DEFAULT_TOL.eq_tol:
                 raise DimensionMismatch(
                     f"Kraus family flagged unital misses sum V V^dag = 1 by {res:.3e}"
                 )
@@ -152,6 +160,10 @@ def from_kraus(k) -> SuperOperator:
     return SuperOperator(n, mat)
 
 
+# axes of the realignment that reads s.mat as its Choi matrix (see choi)
+_CHOI_AXES = (3, 1, 2, 0)
+
+
 @dataclass(frozen=True, eq=False)
 class ChoiMatrix:
     """Choi matrix sum_jk E_jk ox s(E_jk) of a superoperator on M_n."""
@@ -171,19 +183,22 @@ def choi(s: SuperOperator) -> ChoiMatrix:
     s(E_jk)[a, b], which C holds at (j n + a, k n + b).
     """
     n = s.n
-    c = s.mat.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n * n, n * n)
-    return ChoiMatrix(n, c)
+    return ChoiMatrix(n, _realign(s.mat, n, _CHOI_AXES).reshape(n * n, n * n))
 
 
 def _hermitian_spectrum(h: np.ndarray) -> np.ndarray:
     """Eigenvalues of the Hermitian h, unordered: a row with no nonzero
-    off-diagonal entry (exact test) keeps its diagonal entry unsolved."""
+    off-diagonal entry (exact test) keeps its diagonal entry unsolved.
+    With every row coupled, h itself goes to the solver; otherwise one
+    copy of the coupled block does."""
     lam = h.diagonal().real.copy()
     off = h != 0
     np.fill_diagonal(off, False)
-    coupled = off.any(axis=1)
-    if coupled.any():
-        lam[coupled] = np.linalg.eigvalsh(h[coupled][:, coupled])
+    coupled = np.flatnonzero(off.any(axis=1))
+    if len(coupled) == len(h):
+        return np.linalg.eigvalsh(h)
+    if len(coupled):
+        lam[coupled] = np.linalg.eigvalsh(h[coupled[:, None], coupled])
     return lam
 
 
@@ -193,11 +208,23 @@ def is_completely_positive(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> Ch
     Eigenvalue negativity is measured relative to the largest Choi
     eigenvalue with a floor of 1, so scaling a channel does not move the
     verdict.  detail reports the extreme Choi eigenvalues.
+
+    The Choi matrix C and its transpose are read as views of s.mat, and one
+    buffer holds in turn C, C - C^dag (for the Hermiticity residual) and
+    the Hermitian part (C + C^dag) / 2 that the solver sees.
     """
-    c = choi(s).mat
-    ch = c.conj().T.copy()  # contiguous: sums with a transposed view are slow
-    herm = float(np.linalg.norm(c - ch)) / max(1.0, float(np.linalg.norm(c)))
-    lam = _hermitian_spectrum(0.5 * (c + ch))
+    n = s.n
+    c = _realign(s.mat, n, _CHOI_AXES)
+    ct = c.transpose(2, 3, 0, 1)
+    h = c.astype(np.result_type(s.mat, 0.5), order="C")
+    scale = max(1.0, float(np.linalg.norm(h)))
+    np.conjugate(ct, out=h)
+    np.subtract(c, h, out=h)
+    herm = float(np.linalg.norm(h)) / scale
+    np.conjugate(ct, out=h)
+    h += c
+    h *= 0.5
+    lam = _hermitian_spectrum(h.reshape(n * n, n * n))
     lam_max = float(lam.max())
     lam_min = float(lam.min())
     return _verdict(
@@ -250,10 +277,15 @@ def is_unital(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
     vec(s(1)) is the sum of the n diagonal-unit columns; 1 sits at the same
     positions j + n j of the result.  No product with vec(1) is formed.
     """
+    return _verdict(tol, {"unital": float(np.linalg.norm(_unital_defect(s)))})
+
+
+def _unital_defect(s: SuperOperator) -> np.ndarray:
+    """vec(s(1)) - vec(1), from the diagonal-unit columns of s.mat."""
     n = s.n
     out = s.mat[:, :: n + 1].sum(axis=1, dtype=complex)
     out[:: n + 1] -= 1.0
-    return _verdict(tol, {"unital": float(np.linalg.norm(out))})
+    return out
 
 
 def is_hermitian_map(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> CheckResult:

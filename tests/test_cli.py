@@ -313,17 +313,19 @@ def test_tfd_run_shares_the_reports_work(tmp_path, monkeypatch):
 
         return wrapper
 
-    for name in ("is_completely_positive", "is_unital", "rho_dual", "theta_conjugate"):
+    names = ("is_completely_positive", "is_unital", "_unital_defect", "rho_dual", "theta_conjugate")
+    for name in names:
         for module in (detbal.balance, detbal.thermofield):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     payload = run_checks(replace(parsed, powers=(1, 2)), tfd=True)
     assert all(r["tfd_agrees"] for r in payload["reports"])
-    # unitality of the channel, its dual and the transposed dual; db2_tfd
-    # reuses the dual's residual
+    # unitality of the channel and its dual; the transposed dual's reads the
+    # dual's unital defect, and db2_tfd reuses the dual's residual
     assert calls == {
         "is_completely_positive": 4,
-        "is_unital": 6,
+        "is_unital": 4,
+        "_unital_defect": 2,
         "rho_dual": 2,
         "theta_conjugate": 2,
     }
@@ -527,6 +529,9 @@ def test_unknown_and_missing_fields(tmp_path):
 
 EYE2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 EYE4 = [[[1.0 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+EYE3 = [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]
+# diag(1e308, 1, 1): u^dag u overflows, so the unitarity residual is nan
+HUGE_U3 = [[[1e308 if i == j == 0 else float(i == j), 0.0] for j in range(3)] for i in range(3)]
 
 # (id, changes to a qubit problem file, or to a two-state chain when "p" is
 # among them, with None dropping a key; and the one error line the file must
@@ -584,6 +589,17 @@ MALFORMED_FILES = [
         {"theta": {"kind": "unitary", "u": [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}},
         "theta.u: u is not unitary (residual 3.000e+00)",
     ),
+    (
+        "theta-u-overflow",
+        {
+            "rho": [0.5, 0.3, 0.2],
+            "channel": {"kind": "kraus", "data": [EYE3]},
+            "theta": {"kind": "unitary", "u": HUGE_U3},
+        },
+        "theta.u: u is not unitary (residual nan)",
+        # numpy's overflow warnings print ahead of the error line
+        pytest.mark.filterwarnings("ignore::RuntimeWarning"),
+    ),
     ("gamma-not-rows", {"p": [0.5, 0.5], "gamma": [1, 0]}, "gamma: expected a nested array of rows"),
     (
         "gamma-row",
@@ -605,7 +621,8 @@ MALFORMED_FILES = [
 
 
 @pytest.mark.parametrize(
-    "changes,line", [case[1:] for case in MALFORMED_FILES], ids=[case[0] for case in MALFORMED_FILES]
+    "changes,line",
+    [pytest.param(*case[1:3], id=case[0], marks=case[3:]) for case in MALFORMED_FILES],
 )
 def test_malformed_files_name_the_field_at_fault(tmp_path, capsys, changes, line):
     if isinstance(changes, dict):

@@ -77,6 +77,7 @@ from detbal.states import (
 )
 from detbal.superop import (
     SuperOperator,
+    _kron_sandwich,
     from_kraus,
     is_completely_positive,
     is_hermitian_map,
@@ -296,6 +297,28 @@ def test_pair_residual_is_the_bilinear_pair_maximum():
         for j in range(m)
     )
     assert close(_pair_residual(g, left, right), want)
+
+
+@pytest.mark.parametrize("n", [2, 10, 12])
+def test_pair_residual_blocks_match_the_one_shot_expression(n):
+    """The kernel runs over row blocks (several at n >= 10) and reads a
+    realigned right operand as a view.  The one-shot expression over full
+    copies is its reference, bit for bit, since a maximum is exact; with
+    conj the conjugate is taken after the real scaling, which moves at most
+    the sign of a zero.  A NaN anywhere, in the last block too, is the result."""
+    rng = np.random.default_rng(210 + n)
+    size = n * n
+    left, right = (
+        rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)) for _ in range(2)
+    )
+    g = rng.uniform(0.1, 1.0, size)
+    bar = right.reshape(n, n, n, n).transpose(1, 0, 3, 2)
+    for view, copy in ((right, right), (bar, bar.reshape(size, size))):
+        for conj in (False, True):
+            want = np.max(np.abs(g[:, None] * (copy.conj() if conj else copy) - left.T * g))
+            assert _pair_residual(g, left, view, conj=conj) == want
+    right[-1, -1] = np.nan
+    assert np.isnan(_pair_residual(g, left, right))
 
 
 def dense_pair_residual(gram, left, right):
@@ -579,18 +602,26 @@ def test_delta_commutator_matches_modular_products(n):
 
 @pytest.mark.parametrize("n,k", REVERSING_PARAMS)
 def test_theta_conjugate_matches_commutation_products(n, k):
+    """Every u other than 1 (Haar, a twin's v v^T, the spin reversal) goes
+    through the batched sandwich, not the transpose shortcut."""
     th = reversings(n)[k][1]
     kk = commutation_matrix(n)
     s = random_map(n, 180 + n)
     tm = reversing_product(th, kk)
-    assert scaled_close(theta_conjugate(s, th).mat, kk @ tm @ s.mat @ tm @ kk)
+    out = theta_conjugate(s, th)
+    assert out is not s
+    assert scaled_close(out.mat, kk @ tm @ s.mat @ tm @ kk)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 12])
-def test_theta_conjugate_is_exact_for_the_transpose(n):
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_theta_conjugate_returns_the_map_for_the_transpose(n):
+    """For u = 1 the sandwich conj(W) M W reproduces M bit for bit, so
+    theta_conjugate may return the map itself without computing it."""
     rho = random_density(n, seed=190 + n)
+    eye = np.eye(n, dtype=complex)
     for s in (random_map(n, 190 + n), schur_db2_channel(rho, seed=190 + n)):
-        assert np.array_equal(theta_conjugate(s, transpose_reversing(n)).mat, s.mat)
+        assert theta_conjugate(s, transpose_reversing(n)) is s
+        assert np.array_equal(_kron_sandwich(s.mat, n, eye, eye, eye, eye), s.mat)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -166,9 +166,10 @@ def _pair_gram(rho: DensityMatrix) -> np.ndarray:
     return np.outer(half, half).ravel()
 
 
-def _db2_definition(dual, tol, mode) -> CheckResult:
+def _db2_definition(dual, defect, tol, mode) -> CheckResult:
+    # defect = _unital_defect(dual), so un is is_unital(dual, tol)
     cp = _cp_check(dual, tol, mode)
-    un = is_unital(dual, tol)
+    un = _verdict(tol, {"unital": float(np.linalg.norm(defect))})
     detail = {f"dual_{k}": v for k, v in cp.detail.items()}
     detail["dual_unital"] = un.residual
     return CheckResult(
@@ -187,12 +188,13 @@ def _db2_modular(tau, rho, tol) -> CheckResult:
     return _verdict(tol, {"modular_commutator": comm, "state_invariance": inv})
 
 
-def _db2_entangled(tau, g, dual, tol) -> CheckResult:
+def _db2_entangled(tau, g, dual, defect, tol) -> CheckResult:
     # hat = bar_map(dual), read as a view; hat(1) = dual(1)^T, whose vec is
-    # dual's unital defect with its index pairs swapped
+    # dual's unital defect (defect = _unital_defect(dual)) with its index
+    # pairs swapped
     n = tau.n
     hat = _realign(dual.mat, n, _BAR_AXES)
-    hat_unital = float(np.linalg.norm(_unital_defect(dual).reshape(n, n).T.ravel()))
+    hat_unital = float(np.linalg.norm(defect.reshape(n, n).T.ravel()))
     # distance of the transposed dual from the channel itself;
     # diagnostic only, zero is not required for balance
     hat_vs_channel = np.subtract(hat, tau.mat.reshape(hat.shape), order="C")
@@ -232,7 +234,8 @@ def check_db2_definition(
 ) -> CheckResult:
     """Standard balance by its definition: the state dual is CP and unital."""
     require_dynamics(tau, rho, tol, mode)
-    return _db2_definition(rho_dual(tau, rho), tol, mode)
+    dual = rho_dual(tau, rho)
+    return _db2_definition(dual, _unital_defect(dual), tol, mode)
 
 
 def check_db2_modular(
@@ -254,7 +257,8 @@ def check_db2_entangled(
 ) -> CheckResult:
     """Standard balance via the purified two-copy functional."""
     require_dynamics(tau, rho, tol, mode)
-    return _db2_entangled(tau, _pair_gram(rho), rho_dual(tau, rho), tol)
+    dual = rho_dual(tau, rho)
+    return _db2_entangled(tau, _pair_gram(rho), dual, _unital_defect(dual), tol)
 
 
 def check_sqdb_definition(
@@ -436,15 +440,17 @@ def run_report(
     tfd: bool = False,
 ) -> BalanceReport:
     """Run every checker on one (channel, state, reversing operation) triple,
-    with the mirror checks if tfd; all share one dynamics check,
-    state dual (and its unitality residual), Theta-conjugate and pair Gram."""
+    with the mirror checks if tfd; all share one dynamics check, state dual
+    (and its unital defect and unitality residual), Theta-conjugate and
+    pair Gram."""
     dynamics = require_dynamics(tau, rho, tol, mode)
     dual = rho_dual(tau, rho)
+    defect = _unital_defect(dual)
     conj = theta_conjugate(tau, th)
     g = _pair_gram(rho)
-    db2_def = _db2_definition(dual, tol, mode)
+    db2_def = _db2_definition(dual, defect, tol, mode)
     db2_mod = _db2_modular(tau, rho, tol)
-    db2_ent = _db2_entangled(tau, g, dual, tol)
+    db2_ent = _db2_entangled(tau, g, dual, defect, tol)
     sq_def = _sqdb_definition(tau, rho, conj, tol)
     sq_ent = _sqdb_entangled(tau, g, conj, tol)
     delta_commutes = _verdict(tol, {"modular_commutator": db2_mod.detail["modular_commutator"]})

@@ -13,6 +13,7 @@ argument: hs_inner(a, b) = tr(a^dag b).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -70,7 +71,10 @@ def _verdict(
 ) -> CheckResult:
     """The verdict of every threshold check: the eq residuals must not exceed
     tol.eq_tol, the psd negativities tol.psd_tol; info entries only join
-    detail.  residual is Python max over the eq, then the psd entries."""
+    detail.  residual is Python max over the eq, then the psd entries.  A
+    NaN among them fails the check with residual NaN, wherever it stands
+    (Python max drops a NaN that does not come first); their sum is NaN
+    then, and for nonnegative residuals only then."""
     residual = eq_max = max(eq.values())
     passed = eq_max <= tol.eq_tol
     detail = eq
@@ -78,6 +82,8 @@ def _verdict(
         residual = max(eq_max, *psd.values())
         passed = passed and max(psd.values()) <= tol.psd_tol
         detail = {**eq, **psd}
+    if math.isnan(sum(detail.values())):
+        residual, passed = math.nan, False
     if info is not None:
         detail = {**detail, **info}
     return CheckResult(passed=bool(passed), residual=residual, detail=detail, tol=tol)
@@ -143,7 +149,11 @@ def hermitian_eig(m) -> EigenDecomposition:
     stable, so tied eigenvalues keep LAPACK's order, and the basis inside a
     degenerate eigenspace is LAPACK's, fixed for one numpy/LAPACK build.
     """
-    a = require_hermitian(m)
+    return _eig_descending(require_hermitian(m))
+
+
+def _eig_descending(a: np.ndarray) -> EigenDecomposition:
+    """hermitian_eig's solve of an already validated complex matrix a."""
     lam, v = np.linalg.eigh(0.5 * (a + a.conj().T))
     order = np.argsort(-lam, kind="stable")
     return EigenDecomposition(lam[order], v[:, order])

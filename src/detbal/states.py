@@ -27,9 +27,9 @@ from .linalg import (
     DEFAULT_TOL,
     CheckResult,
     Tolerance,
+    _eig_descending,
     _verdict,
     as_matrix,
-    hermitian_eig,
 )
 
 _DEGENERACY_GAP = 1e-8
@@ -86,7 +86,8 @@ def make_density(m, tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
     Requires Hermiticity, unit trace to 1e-12, positive semidefiniteness
     within tol.psd_tol, and all eigenvalues above tol.inv_tol (the whole
     toolkit assumes invertible states).  Every comparison fails closed: a
-    NaN residual is rejected.
+    NaN residual is rejected.  The matrix is copied and checked here once;
+    the solve is hermitian_eig's, without its second copy and check.
     """
     m = as_matrix(m)
     herm = float(np.linalg.norm(m - m.conj().T))
@@ -95,7 +96,7 @@ def make_density(m, tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
     tr = complex(np.trace(m))
     if not abs(tr - 1.0) <= 1e-12:
         raise NotDensity(f"trace must be 1, got {tr.real:.12g}")
-    eig = hermitian_eig(m)
+    eig = _eig_descending(m)
     lam = eig.eigenvalues
     if not lam[-1] >= -tol.psd_tol:
         raise NotDensity(f"negative eigenvalue {lam[-1]:.3e}")

@@ -20,7 +20,7 @@ from detbal.balance import (
     make_chain,
     run_report,
 )
-from detbal.duals import make_reversing, transpose_reversing
+from detbal.duals import make_reversing, rho_dual, transpose_reversing
 from detbal.errors import (
     DimensionMismatch,
     InputNotDynamics,
@@ -36,7 +36,7 @@ from detbal.generators import (
 )
 from detbal.linalg import DEFAULT_TOL, matrix_unit
 from detbal.states import make_density
-from detbal.superop import SuperOperator, from_kraus, identity_superop, vec
+from detbal.superop import SuperOperator, from_kraus, identity_superop, is_unital, vec
 
 COMMUTATOR_E01 = 0.9237604307034012  # sqrt(0.12) * (3 - 1/3) for p=3/4, s=1/5
 
@@ -105,6 +105,20 @@ def test_rotating_unitary_conjugation_fails_db2():
     e = check_db2_entangled(tau, rho)
     assert not (d.passed or m.passed or e.passed)
     assert d.detail["dual_unital"] > 1e-3
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_report_unitality_residuals_match_the_single_checks(n):
+    """run_report forms the state dual's unital defect once; both residuals
+    read from it are the bits that is_unital and check_db2_entangled give."""
+    rho = make_density(np.diag(np.arange(1.0, n + 1) / (n * (n + 1) / 2)))
+    tau = from_kraus([haar_unitary(n, 20 + n)])  # moves rho: nonzero defects
+    rep = run_report(tau, rho, transpose_reversing(n))
+    dual = rho_dual(tau, rho)
+    assert rep.db2_definition.detail["dual_unital"] == is_unital(dual).residual > 1e-3
+    alone = check_db2_entangled(tau, rho).detail["hat_unital"]
+    assert rep.db2_entangled.detail["hat_unital"] == alone > 1e-3
+    assert check_db2_definition(tau, rho).detail == rep.db2_definition.detail
 
 
 def test_gad_channel_sqdb_but_not_db2():

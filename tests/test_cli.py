@@ -320,11 +320,12 @@ def test_tfd_run_shares_the_reports_work(tmp_path, monkeypatch):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     payload = run_checks(replace(parsed, powers=(1, 2)), tfd=True)
     assert all(r["tfd_agrees"] for r in payload["reports"])
-    # unitality of the channel and its dual; the transposed dual's reads the
-    # dual's unital defect, and db2_tfd reuses the dual's residual
+    # unitality of the channel; the dual's unital defect is formed once and
+    # read by db2_definition and the transposed dual's check, and db2_tfd
+    # reuses the dual's residual
     assert calls == {
         "is_completely_positive": 4,
-        "is_unital": 4,
+        "is_unital": 2,
         "_unital_defect": 2,
         "rho_dual": 2,
         "theta_conjugate": 2,

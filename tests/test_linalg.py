@@ -199,6 +199,7 @@ def test_is_psd():
 
 SPLIT_TOL = Tolerance(eq_tol=1e-9, psd_tol=1e-6)
 ABOVE_EQ_TOL = float(np.nextafter(1e-9, 1))
+NAN = float("nan")
 
 
 @pytest.mark.parametrize(
@@ -219,12 +220,21 @@ ABOVE_EQ_TOL = float(np.nextafter(1e-9, 1))
             SPLIT_TOL, {"a": 4e-10, "b": 3e-10}, {"c": 2e-11}, None, True, 4e-10,
             id="largest-is-eq",
         ),
+        # a NaN residual fails closed wherever it stands; Python max alone
+        # would drop it behind a number
+        pytest.param(DEFAULT_TOL, {"a": NAN, "b": 0.0}, None, None, False, NAN, id="nan-eq-first"),
+        pytest.param(DEFAULT_TOL, {"a": 0.0, "b": NAN}, None, None, False, NAN, id="nan-eq-second"),
+        pytest.param(DEFAULT_TOL, {"a": 0.0}, {"b": NAN, "c": 0.0}, None, False, NAN, id="nan-psd-first"),
+        pytest.param(DEFAULT_TOL, {"a": 0.0}, {"b": 0.0, "c": NAN}, None, False, NAN, id="nan-psd-second"),
+        pytest.param(DEFAULT_TOL, {"a": NAN}, {"b": 0.0}, None, False, NAN, id="nan-eq-before-psd"),
+        # an info entry decides nothing, NaN or not
+        pytest.param(DEFAULT_TOL, {"a": 0.0}, None, {"c": NAN}, True, 0.0, id="nan-info"),
     ],
 )
 def test_verdict_rule(tol, eq, psd, info, passed, residual):
     res = _verdict(tol, eq, psd, info)
     assert res.passed is passed
-    assert res.residual == residual
+    assert res.residual == residual or (math.isnan(res.residual) and math.isnan(residual))
     # detail lists eq, then psd, then info entries, in the order given
     assert list(res.detail.items()) == [*eq.items(), *(psd or {}).items(), *(info or {}).items()]
     assert res.tol is tol

@@ -5,13 +5,21 @@ import math
 import numpy as np
 import pytest
 
+from detbal import superop
+from detbal.duals import rho_dual
 from detbal.errors import DimensionMismatch
-from detbal.generators import degenerate_db2_channel, random_density, schur_db2_channel
-from detbal.linalg import DEFAULT_TOL, hermitian_eig, matrix_unit, matrix_units
+from detbal.generators import (
+    degenerate_db2_channel,
+    gad_sqdb_channel,
+    random_density,
+    random_unital_channel,
+    schur_db2_channel,
+    symmetrized_sqdb_channel,
+)
+from detbal.linalg import DEFAULT_TOL, _negativity, hermitian_eig, matrix_unit, matrix_units
 from detbal.superop import (
     KrausChannel,
     SuperOperator,
-    _hermitian_spectrum,
     choi,
     from_kraus,
     identity_superop,
@@ -195,6 +203,20 @@ def isolate(h, rows, diag):
     return h
 
 
+def from_choi(c):
+    """The map whose Choi matrix is c; choi's index realignment is its own
+    inverse."""
+    n = math.isqrt(len(c))
+    return SuperOperator(n, c.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n * n, n * n))
+
+
+def padded(h, n):
+    """h in the top left corner of an n^2 x n^2 zero matrix."""
+    c = np.zeros((n * n, n * n), dtype=complex)
+    c[: len(h), : len(h)] = h
+    return c
+
+
 def spectrum_cases():
     rng = np.random.default_rng(12)
     full = random_hermitian(9, rng)
@@ -208,22 +230,33 @@ def spectrum_cases():
     }
 
 
+# the cases as they stand (n = 3 and 1, dense passes) and padded to n = 7,
+# where few enough entries are stored for the gathered route
+@pytest.mark.parametrize("pad", [None, 7])
 @pytest.mark.parametrize("name", list(spectrum_cases()))
-def test_hermitian_spectrum_matches_full_solve(name):
+def test_cp_spectrum_matches_full_solve_of_its_choi_matrix(name, pad):
     h = spectrum_cases()[name]
-    lam = _hermitian_spectrum(h)
-    full = np.linalg.eigvalsh(h)
-    assert lam.shape == full.shape
-    assert np.max(np.abs(np.sort(lam) - full)) <= 1e-13 * max(1.0, np.max(np.abs(full)))
-    if name == "none-isolated":
-        assert np.array_equal(lam, full)  # one full solve, nothing split off
+    c = h if pad is None else padded(h, pad)
+    res = is_completely_positive(from_choi(c))
+    full = np.linalg.eigvalsh(c)
+    scale = max(1.0, np.max(np.abs(full)))
+    assert abs(res.detail["choi_min_eigenvalue"] - full[0]) <= 1e-13 * scale
+    assert abs(res.detail["choi_max_eigenvalue"] - full[-1]) <= 1e-13 * scale
+    if name == "none-isolated" and pad is None:
+        # one full solve, nothing split off
+        assert res.detail["choi_min_eigenvalue"] == full[0]
+        assert res.detail["choi_max_eigenvalue"] == full[-1]
 
 
-def test_hermitian_spectrum_keeps_isolated_entries_exactly():
-    h = spectrum_cases()["isolated-diagonal"]
-    lam = _hermitian_spectrum(h)
-    for x in (2.5, -0.75, 0.0, 1e-3):
-        assert x in lam
+@pytest.mark.parametrize("pad", [None, 7])
+def test_cp_keeps_isolated_choi_entries_exactly(pad):
+    """Scaled down, the coupled block's spectrum lies inside [-0.75, 2.5], so
+    the two isolated diagonal entries are the extremes, bit for bit."""
+    h = isolate(1e-3 * random_hermitian(9, np.random.default_rng(12)), [0, 3, 5, 6],
+                [2.5, -0.75, 0.0, 1e-3])
+    res = is_completely_positive(from_choi(h if pad is None else padded(h, pad)))
+    assert res.detail["choi_max_eigenvalue"] == 2.5
+    assert res.detail["choi_min_eigenvalue"] == -0.75
 
 
 def test_cp_rejects_an_isolated_negative_choi_eigenvalue():
@@ -240,6 +273,140 @@ def test_cp_rejects_an_isolated_negative_choi_eigenvalue():
     assert not res.passed
     assert res.detail["choi_min_eigenvalue"] == -0.1
     assert res.detail["choi_max_eigenvalue"] == pytest.approx(n, rel=1e-14)
+
+
+def dense_cp_oracle(s):
+    """(Hermiticity residual, min and max Choi eigenvalue) by the dense form:
+    the whole Choi matrix C, its Hermitian part conj(C^T) + C halved, and
+    the rows with a nonzero off-diagonal entry solved as one block."""
+    c = choi(s).mat
+    herm = float(np.linalg.norm(c - c.conj().T)) / max(1.0, float(np.linalg.norm(c)))
+    h = c.conj().T + c
+    h *= 0.5
+    lam = h.diagonal().real.copy()
+    off = h != 0
+    np.fill_diagonal(off, False)
+    coupled = np.flatnonzero(off.any(axis=1))
+    if len(coupled) == len(h):
+        lam = np.linalg.eigvalsh(h)
+    elif len(coupled):
+        lam[coupled] = np.linalg.eigvalsh(h[coupled[:, None], coupled])
+    return herm, float(lam.min()), float(lam.max())
+
+
+def off_pair_map(n, seed, cancel):
+    """Diagonal Choi matrix plus C_pq = z and, with cancel, C_qp = -conj(z):
+    the pair is stored but cancels in the Hermitian part, so no row couples.
+    Without it C_qp is not stored, and rows p and q couple through it."""
+    rng = np.random.default_rng(seed)
+    c = np.diag(rng.uniform(0.1, 1.0, n * n)).astype(complex)
+    if n > 1:
+        z = complex(rng.standard_normal(), rng.standard_normal())
+        c[0, -1], c[-1, 0] = z, -z.conjugate() if cancel else 0.0
+    return from_choi(c)
+
+
+def ring_map(n, seed):
+    """Choi matrix coupling row p to p + 1 (cyclically): every row couples
+    while only about 3 n^2 entries are stored."""
+    rng = np.random.default_rng(seed)
+    big = n * n
+    c = np.diag(rng.uniform(1.0, 2.0, big)).astype(complex)
+    if big > 1:
+        z = rng.standard_normal(big) + 1j * rng.standard_normal(big)
+        nxt = (np.arange(big) + 1) % big
+        c[np.arange(big), nxt] += z
+        c[nxt, np.arange(big)] += z.conj()
+    return from_choi(c)
+
+
+def route_pool(n):
+    """Named maps on M_n with their state duals, for the route oracle."""
+    rho = random_density(n, seed=200 + n)
+    maps = {
+        "schur-db2": schur_db2_channel(rho, seed=200 + n),
+        "random-unital": random_unital_channel(n, 3, 200 + n),
+        "transpose": transpose_superop(n),
+        "zero": SuperOperator(n, np.zeros((n * n, n * n), dtype=complex)),
+    }
+    states = dict.fromkeys(maps, rho)
+    if n >= 2:
+        spectrum = np.repeat(np.arange(n, 0, -1.0), 2)[:n]  # equal pairs
+        maps["degenerate-db2"], states["degenerate-db2"] = degenerate_db2_channel(
+            210 + n, spectrum=spectrum / spectrum.sum()
+        )
+    if n == 2:
+        maps["gad"], states["gad"] = gad_sqdb_channel(0.75, 0.2)
+        maps["symmetrized-sqdb"], states["symmetrized-sqdb"] = symmetrized_sqdb_channel(0.7, 0.3)
+    for name in list(maps):
+        maps[name + "-dual"] = rho_dual(maps[name], states[name])
+    diag = np.random.default_rng(220 + n).uniform(-0.1, 1.0, n * n)
+    maps["diagonal-choi"] = from_choi(np.diag(diag).astype(complex))
+    maps["cancelling-pair"] = off_pair_map(n, 230 + n, cancel=True)
+    maps["lone-entry"] = off_pair_map(n, 235 + n, cancel=False)
+    maps["ring"] = ring_map(n, 240 + n)
+    return maps
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+@pytest.fixture(params=["default", "gather-all"])
+def route(request, monkeypatch):
+    """The route constants as shipped, or with the size floor and the stored
+    entry bound lifted so that every map is gathered unless all rows couple."""
+    if request.param == "gather-all":
+        monkeypatch.setattr(superop, "_GATHER_MIN_N", 1)
+        monkeypatch.setattr(superop, "_GATHER_SHARE", 1)
+    return request.param
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_cp_routes_match_the_dense_oracle(n, route):
+    for name, s in route_pool(n).items():
+        res = is_completely_positive(s)
+        herm, lam_min, lam_max = dense_cp_oracle(s)
+        neg = float(_negativity(lam_min, lam_max))
+        assert bits(res.detail["choi_min_eigenvalue"]) == bits(lam_min), name
+        assert bits(res.detail["choi_max_eigenvalue"]) == bits(lam_max), name
+        assert bits(res.detail["choi_negativity"]) == bits(neg), name
+        assert abs(res.detail["choi_hermiticity"] - herm) <= 1e-15, name
+        want = herm <= DEFAULT_TOL.eq_tol and neg <= DEFAULT_TOL.psd_tol
+        assert res.passed == want, name
+
+
+def test_cp_route_choice():
+    """Which maps the oracle test sends down the gathered route at n = 7."""
+    maps = route_pool(7)
+    gathered = {name for name, s in maps.items() if superop._gathered_choi(s.mat, 7) is not None}
+    assert gathered == {
+        "schur-db2", "schur-db2-dual", "degenerate-db2", "degenerate-db2-dual",
+        "transpose", "transpose-dual", "zero", "zero-dual",
+        "diagonal-choi", "cancelling-pair", "lone-entry",
+    }
+    # below the size floor every map takes the dense passes
+    assert all(superop._gathered_choi(s.mat, 6) is None for s in route_pool(6).values())
+
+
+@pytest.mark.parametrize("name", ["schur-db2", "random-unital", "ring"])
+@pytest.mark.parametrize("n", [3, 7])
+def test_cp_never_passes_a_nan_entry(n, name, route):
+    c = choi(route_pool(n)[name]).mat
+    # a diagonal entry, a stored off-diagonal one, one stored nowhere
+    stored = np.argwhere((c != 0) & ~np.eye(len(c), dtype=bool))
+    empty = np.argwhere(c == 0)
+    spots = [(0, 0), tuple(stored[0]), *map(tuple, empty[:1])]
+    for spot in spots:
+        for nan in (complex(np.nan, 0.0), complex(0.0, np.nan)):
+            bad = c.copy()
+            bad[spot] = nan
+            try:
+                res = is_completely_positive(from_choi(bad))
+            except np.linalg.LinAlgError:
+                continue
+            assert not res.passed
+            assert math.isnan(res.residual)
 
 
 def choi_spectrum_pool(n):

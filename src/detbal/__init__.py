@@ -34,7 +34,6 @@ from .balance import (
     run_report,
 )
 from .duals import (
-    ModularFamily,
     ReversingOperation,
     bar_map,
     hat_map,
@@ -78,7 +77,6 @@ from .generators import (
 from .linalg import (
     DEFAULT_TOL,
     CheckResult,
-    EigenDecomposition,
     Tolerance,
     as_matrix,
     hermitian_eig,
@@ -92,7 +90,6 @@ from .linalg import (
 )
 from .states import (
     DensityMatrix,
-    DiagonalCorrelatedState,
     Purification,
     expectation,
     make_density,
@@ -119,7 +116,6 @@ from .superop import (
     vec,
 )
 from .thermofield import (
-    TildeOperator,
     check_kms,
     check_tilde_substitution,
     expect_tilde,

@@ -48,12 +48,12 @@ positivity probe for callers who want plain positive dynamics.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .duals import (
+    _modular_ratios,
     kms_dual,
     rho_dual,
     theta_conjugate,
@@ -71,8 +71,6 @@ from .superop import (
     is_unital,
     vec,
 )
-
-logger = logging.getLogger(__name__)
 
 MODE_CP = "cp"
 MODE_POSITIVITY = "positivity"
@@ -116,7 +114,7 @@ def require_dynamics(
 def delta_commutator_residual(tau: SuperOperator, rho: DensityMatrix) -> float:
     """Frobenius norm of tau Delta - Delta tau on the superoperator level;
     Delta = diag(r), r = kron(1/d, d), so entry (i, j) is tau_ij (r_j - r_i)."""
-    r = np.outer(1.0 / rho.diag, rho.diag).ravel()
+    r = _modular_ratios(rho)
     out = np.subtract(r, r[:, None], dtype=complex)
     out *= tau.mat
     return float(np.linalg.norm(out))
@@ -336,10 +334,6 @@ def check_implication_sqdb_db2(
             detail={"applicable": 0.0, "sqdb_residual": sq.residual, "commutator": comm},
             tol=tol,
         )
-    if not db2.passed:
-        logger.warning(
-            "sqdb + modular commutation without db2: residual %.3e", db2.residual
-        )
     return CheckResult(
         passed=db2.passed,
         residual=db2.residual,
@@ -458,11 +452,6 @@ def run_report(
         db2_def.passed == db2_mod.passed == db2_ent.passed
         and sq_def.passed == sq_ent.passed
     )
-    if not consistency:
-        logger.warning(
-            "characterizations disagree: db2 %s/%s/%s sqdb %s/%s",
-            db2_def.passed, db2_mod.passed, db2_ent.passed, sq_def.passed, sq_ent.passed,
-        )
     db2_tfd = sq_tfd = tfd_agrees = None
     if tfd:
         db2_tfd = _db2_tfd(tau, g, dual, db2_def.detail["dual_unital"], tol)

@@ -1,4 +1,4 @@
-"""Dual maps of a channel relative to a faithful state, and the modular family.
+"""Dual maps of a channel relative to a faithful state, and the modular maps.
 
 Fix an invertible density matrix rho (diagonal, per states.make_density)
 and write <A> = tr(rho A).  For a linear map s on M_n this module builds:
@@ -26,9 +26,10 @@ s itself, returned as is.
 
 The kms dual preserves complete positivity and is an involution; the state
 dual agrees with it exactly when s commutes with the modular map
-Delta(A) = rho A rho^(-1).  The one-parameter family Delta^(-iz)(A) =
-rho^(-iz) A rho^(iz) extends Delta: z = i gives Delta itself, real z gives
-the modular unitary group.
+Delta(A) = rho A rho^(-1), which modular returns as a SuperOperator.  The
+one-parameter family Delta^(-iz)(A) = rho^(-iz) A rho^(iz) of modular_power
+extends Delta: z = i gives Delta itself, z = i/2 its square root, real z the
+modular unitary group.
 """
 
 from __future__ import annotations
@@ -111,29 +112,20 @@ def hat_map(s: SuperOperator, rho: DensityMatrix) -> SuperOperator:
     return bar_map(rho_dual(s, rho))
 
 
-@dataclass(frozen=True, eq=False)
-class ModularFamily:
-    """The modular map of rho and its square root, as superoperators.
+def _modular_ratios(rho: DensityMatrix) -> np.ndarray:
+    """Diagonal of the modular map in the matrix-unit basis: rho_j / rho_k
+    at vec index j + n k."""
+    return np.outer(1.0 / rho.diag, rho.diag).ravel()
 
-    delta is A -> rho A rho^(-1): positive definite and self-adjoint for
-    the Hilbert-Schmidt inner product, diagonal in the matrix-unit basis
-    with entries rho_j / rho_k.
+
+def modular(rho: DensityMatrix) -> SuperOperator:
+    """The modular map Delta(A) = rho A rho^(-1) of rho.
+
+    Positive definite and self-adjoint for the Hilbert-Schmidt inner
+    product, diagonal in the matrix-unit basis with entries rho_j / rho_k.
+    Its square root is modular_power(rho, 0.5j).
     """
-
-    rho: DensityMatrix
-    delta: SuperOperator
-    delta_half: SuperOperator
-
-
-def modular(rho: DensityMatrix) -> ModularFamily:
-    """Build the modular map of rho from its eigenvalue ratios."""
-    d = rho.diag
-    ratios = np.outer(1.0 / d, d).ravel()  # vec index (col k, row j) -> rho_j / rho_k
-    return ModularFamily(
-        rho=rho,
-        delta=SuperOperator(rho.n, np.diag(ratios).astype(complex)),
-        delta_half=SuperOperator(rho.n, np.diag(np.sqrt(ratios)).astype(complex)),
-    )
+    return SuperOperator(rho.n, np.diag(_modular_ratios(rho)).astype(complex))
 
 
 def modular_power(rho: DensityMatrix, z) -> SuperOperator:

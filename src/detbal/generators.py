@@ -84,14 +84,14 @@ def schur_kraus(h) -> KrausChannel:
     operators diag(sqrt(lam_m) w_m); eigenvalues at numerical zero are
     dropped.  Unital exactly when diag(h) = 1.
     """
-    eig = hermitian_eig(h)
+    lams, ws = hermitian_eig(h)
     ops = []
-    scale = max(1.0, float(eig.eigenvalues[0]))
-    for lam, w in zip(eig.eigenvalues, eig.eigenvectors.T):
+    scale = max(1.0, float(lams[0]))
+    for lam, w in zip(lams, ws.T):
         if lam <= 1e-14 * scale:
             continue
         ops.append(np.diag(math.sqrt(lam) * w))
-    return make_kraus(ops, unital=bool(np.allclose(np.diag(h), 1.0, atol=1e-12)))
+    return make_kraus(ops)
 
 
 def schur_db2_channel(rho: DensityMatrix, seed: int) -> SuperOperator:
@@ -132,7 +132,7 @@ def gad_kraus(p: float, s: float) -> KrausChannel:
     fixed_res = np.linalg.norm(v1.conj().T @ rho @ v1 + v2.conj().T @ rho @ v2 - rho)
     if max(float(unital_res), float(fixed_res)) > 1e-12:
         raise DetbalError("construction identities violated")
-    return make_kraus([v1, v2], unital=True)
+    return make_kraus([v1, v2])
 
 
 def gad_sqdb_channel(p: float, s: float) -> tuple[SuperOperator, DensityMatrix]:
@@ -156,7 +156,7 @@ def random_unital_kraus(n: int, k: int, seed: int) -> KrausChannel:
         lam = np.linalg.eigvalsh(m)
         if lam[0] > 1e-8 * lam[-1]:
             root = mat_power(m, -0.5)
-            return make_kraus([root @ v for v in vs], unital=True)
+            return make_kraus([root @ v for v in vs])
     raise DetbalError("could not draw a nonsingular Kraus normalization")
 
 

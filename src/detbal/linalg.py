@@ -2,10 +2,12 @@
 
 All downstream modules work with n x n complex matrices at desk scale
 (n <= 16 or so).  Eigenproblems go to numpy's LAPACK driver (eigh and
-eigvalsh), which is deterministic for a fixed numpy/LAPACK build: identical
-input bits give identical output bits on one build, though another build
-may differ in the last digits or pick another basis inside a degenerate
-eigenspace.  Every function here is pure: inputs are never modified.
+eigvalsh); hermitian_eig returns eigh's (eigenvalues, eigenvectors) pair,
+sorted descending.  The driver is deterministic for a fixed numpy/LAPACK
+build: identical input bits give identical output bits on one build, though
+another build may differ in the last digits or pick another basis inside a
+degenerate eigenspace.  Every function here is pure: inputs are never
+modified.
 
 The Hilbert-Schmidt inner product is conjugate-linear in the first
 argument: hs_inner(a, b) = tr(a^dag b).
@@ -96,14 +98,6 @@ def _negativity(lam_min, lam_max):
     return np.maximum(-lam_min, 0.0) / np.maximum(1.0, lam_max)
 
 
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
-    """Eigenvalues in descending order with matching eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def as_matrix(x) -> np.ndarray:
     """Coerce input to a square, finite, complex ndarray copy."""
     m = np.array(x, dtype=complex)
@@ -141,22 +135,24 @@ def require_hermitian(m: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
     return m
 
 
-def hermitian_eig(m) -> EigenDecomposition:
+def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a Hermitian matrix with LAPACK (numpy.linalg.eigh).
 
-    The input is validated by require_hermitian and symmetrized before the
-    solve.  Eigenvalues come back sorted in descending order.  The sort is
-    stable, so tied eigenvalues keep LAPACK's order, and the basis inside a
-    degenerate eigenspace is LAPACK's, fixed for one numpy/LAPACK build.
+    Returns (eigenvalues, eigenvectors) like eigh, with the eigenvalues in
+    descending order and the eigenvectors as matching columns.  The input
+    is validated by require_hermitian and symmetrized before the solve.
+    The sort is stable, so tied eigenvalues keep LAPACK's order, and the
+    basis inside a degenerate eigenspace is LAPACK's, fixed for one
+    numpy/LAPACK build.
     """
     return _eig_descending(require_hermitian(m))
 
 
-def _eig_descending(a: np.ndarray) -> EigenDecomposition:
+def _eig_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """hermitian_eig's solve of an already validated complex matrix a."""
     lam, v = np.linalg.eigh(0.5 * (a + a.conj().T))
     order = np.argsort(-lam, kind="stable")
-    return EigenDecomposition(lam[order], v[:, order])
+    return lam[order], v[:, order]
 
 
 def mat_power(m, z, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -165,14 +161,12 @@ def mat_power(m, z, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     z may be complex; eigenvalues are exponentiated as exp(z * log(lam)).
     Raises NotInvertible when an eigenvalue does not exceed tol.inv_tol.
     """
-    eig = hermitian_eig(m)
-    lam = eig.eigenvalues
+    lam, u = hermitian_eig(m)
     if float(np.min(lam)) <= tol.inv_tol:
         raise NotInvertible(
             f"matrix power needs strictly positive spectrum (min eigenvalue {np.min(lam):.3e})"
         )
     powered = np.exp(np.asarray(z, dtype=complex) * np.log(lam.astype(complex)))
-    u = eig.eigenvectors
     return u @ np.diag(powered) @ u.conj().T
 
 

@@ -11,9 +11,9 @@ with r = rho^(1/2) w (w unitary) is the state of a canonical purification
 of rho, written as a functional on two commuting copies of the matrix
 algebra.  Its first marginal is always A -> tr(rho A); the second marginal
 matches only for w = identity, which is the default.  The classically
-correlated counterpart sum_j rho_j a_jj b_jj shares both marginals but has
-no off-diagonal correlations; the gap between the two is what the balance
-checks in this package exploit.
+correlated counterpart theta_eval, sum_j rho_j a_jj b_jj, shares both
+marginals but has no off-diagonal correlations; the gap between the two is
+what the balance checks in this package exploit.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonUnitary, NotDensity, NotInvertible
+from .errors import DimensionMismatch, NonUnitary, NotDensity, NotInvertible
 from .linalg import (
     DEFAULT_TOL,
     CheckResult,
@@ -73,13 +73,6 @@ class Purification:
     w: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class DiagonalCorrelatedState:
-    """Classically correlated two-copy state built from rho's spectrum."""
-
-    rho: DensityMatrix
-
-
 def make_density(m, tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
     """Validate and eigendecompose a density matrix.
 
@@ -96,8 +89,7 @@ def make_density(m, tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
     tr = complex(np.trace(m))
     if not abs(tr - 1.0) <= 1e-12:
         raise NotDensity(f"trace must be 1, got {tr.real:.12g}")
-    eig = _eig_descending(m)
-    lam = eig.eigenvalues
+    lam, basis = _eig_descending(m)
     if not lam[-1] >= -tol.psd_tol:
         raise NotDensity(f"negative eigenvalue {lam[-1]:.3e}")
     if not lam[-1] > tol.inv_tol:
@@ -105,13 +97,20 @@ def make_density(m, tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
             f"density matrix must be invertible (min eigenvalue {lam[-1]:.3e})"
         )
     degenerate = bool(np.min(-np.diff(lam)) < _DEGENERACY_GAP) if len(lam) > 1 else False
-    return DensityMatrix(n=m.shape[0], diag=lam, basis=eig.eigenvectors, degenerate=degenerate)
+    return DensityMatrix(n=m.shape[0], diag=lam, basis=basis, degenerate=degenerate)
+
+
+def _observable(rho: DensityMatrix, a) -> np.ndarray:
+    """a as a complex array, which must be n x n for rho on dimension n."""
+    a = np.asarray(a, dtype=complex)
+    if a.shape != (rho.n, rho.n):
+        raise DimensionMismatch(f"expected a {rho.n}x{rho.n} observable, got shape {a.shape}")
+    return a
 
 
 def expectation(rho: DensityMatrix, a) -> complex:
     """tr(rho a) with the observable a expressed in rho's eigenbasis."""
-    a = np.asarray(a, dtype=complex)
-    return complex(np.sum(rho.diag * np.diag(a)))
+    return complex(np.sum(rho.diag * np.diag(_observable(rho, a))))
 
 
 def purify(rho: DensityMatrix, w=None) -> Purification:
@@ -144,11 +143,12 @@ def omega_gram(p: Purification) -> np.ndarray:
     return np.kron(p.r, p.r.conj())
 
 
-def theta_eval(s: DiagonalCorrelatedState, a, b) -> complex:
-    """Classically correlated expectation sum_j rho_j a_jj b_jj."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    return complex(np.sum(s.rho.diag * np.diag(a) * np.diag(b)))
+def theta_eval(rho: DensityMatrix, a, b) -> complex:
+    """Classically correlated two-copy expectation sum_j rho_j a_jj b_jj,
+    with both observables expressed in rho's eigenbasis."""
+    a = _observable(rho, a)
+    b = _observable(rho, b)
+    return complex(np.sum(rho.diag * np.diag(a) * np.diag(b)))
 
 
 def marginals_check(p: Purification, tol: Tolerance = DEFAULT_TOL) -> CheckResult:

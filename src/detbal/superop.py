@@ -117,10 +117,9 @@ def pi_rep(a, b) -> SuperOperator:
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """A finite Kraus family; unital=True asserts sum_j V_j V_j^dag = 1."""
+    """A finite Kraus family of square operators of one shape."""
 
     ops: tuple
-    unital: bool = False
 
     def __post_init__(self):
         if len(self.ops) == 0:
@@ -129,23 +128,15 @@ class KrausChannel:
         for v in self.ops:
             if v.shape != shape or v.ndim != 2 or v.shape[0] != v.shape[1]:
                 raise DimensionMismatch("Kraus operators must share one square shape")
-        if self.unital:
-            n = shape[0]
-            acc = sum(v @ v.conj().T for v in self.ops)
-            res = float(np.linalg.norm(acc - np.eye(n)))
-            if not res <= DEFAULT_TOL.eq_tol:
-                raise DimensionMismatch(
-                    f"Kraus family flagged unital misses sum V V^dag = 1 by {res:.3e}"
-                )
 
     @property
     def n(self) -> int:
         return self.ops[0].shape[0]
 
 
-def make_kraus(ops, unital: bool = False) -> KrausChannel:
+def make_kraus(ops) -> KrausChannel:
     """Validate a sequence of arrays into a KrausChannel."""
-    return KrausChannel(tuple(as_matrix(v) for v in ops), unital=unital)
+    return KrausChannel(tuple(as_matrix(v) for v in ops))
 
 
 def from_kraus(k) -> SuperOperator:

@@ -4,8 +4,8 @@ The cyclic vector of the purified state is rho^(1/2) itself, viewed as a
 Hilbert-Schmidt vector.  Left multiplication represents the algebra; the
 mirror ("tilde") copy of an operator a acts by right multiplication with
 a^dag, i.e. tilde(a): X -> X a^dag, which commutes with every left
-multiplication.  This module holds the mirror operator (tilde,
-TildeOperator), the mirror correlation expect_tilde, and the two
+multiplication.  This module holds the mirror operator (tilde, returned as
+a SuperOperator), the mirror correlation expect_tilde, and the two
 structural identities that make the picture work:
 
   substitution  Delta^(-1/2)(tilde(a) rho^(1/2)) = a^dag rho^(1/2)
@@ -20,31 +20,19 @@ are their test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .duals import modular
-from .errors import DimensionMismatch
-from .linalg import DEFAULT_TOL, CheckResult, Tolerance, _verdict
+from .duals import _modular_ratios
+from .linalg import DEFAULT_TOL, CheckResult, Tolerance, _verdict, as_matrix
 from .states import DensityMatrix
 from .superop import SuperOperator, pi_rep, transpose_superop
 
 
-@dataclass(frozen=True, eq=False)
-class TildeOperator:
-    """Mirror copy of an operator: right multiplication by its adjoint."""
-
-    source: np.ndarray
-    rep: SuperOperator
-
-
-def tilde(a) -> TildeOperator:
-    """Build the mirror operator of a: X -> X a^dag."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    return TildeOperator(source=a.copy(), rep=pi_rep(np.eye(a.shape[0]), a.conj()))
+def tilde(a) -> SuperOperator:
+    """The mirror operator of a: X -> X a^dag, pi_rep(1, conj(a)).  A
+    non-square a raises DimensionMismatch."""
+    a = as_matrix(a)
+    return pi_rep(np.eye(a.shape[0]), a.conj())
 
 
 def check_tilde_substitution(rho: DensityMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
@@ -68,7 +56,7 @@ def check_kms(rho: DensityMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
     H Delta a column scaling of H.  The pair loop is a test oracle."""
     n = rho.n
     h = np.tile(rho.diag, n)[:, None] * transpose_superop(n).mat
-    residual = float(np.max(np.abs(h * modular(rho).delta.mat.diagonal() - h.T)))
+    residual = float(np.max(np.abs(h * _modular_ratios(rho) - h.T)))
     return _verdict(tol, {"kms": residual})
 
 

@@ -14,7 +14,6 @@ import pytest
 from detbal import (
     BalanceReport,
     DensityMatrix,
-    DiagonalCorrelatedState,
     ReversingOperation,
     SuperOperator,
     check_db2_tfd,
@@ -199,7 +198,7 @@ def test_criterion_02_positive_controls(pool):
 
 def test_criterion_03_sqdb_without_commutation():
     tau, rho = gad_sqdb_channel(0.75, 0.2)
-    delta = modular(rho).delta
+    delta = modular(rho)
     comm = tau.mat @ delta.mat - delta.mat @ tau.mat
     e01 = np.array([[0, 1], [0, 0]], dtype=complex)
     norm_on_e01 = float(np.linalg.norm(unvec(comm @ vec(e01), 2)))
@@ -255,7 +254,7 @@ def test_criterion_05_omega_state():
     rho34 = states[0]
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     contrast = omega_eval(purify(rho34), sx, sx.T)
-    uncorrelated = theta_eval(DiagonalCorrelatedState(rho34), sx, sx)
+    uncorrelated = theta_eval(rho34, sx, sx)
     ok = (
         worst_norm <= 1e-12
         and worst_marginal <= 1e-12
@@ -275,7 +274,7 @@ def test_criterion_06_modular_machinery(pool):
     rho34 = make_density(np.diag([0.75, 0.25]))
     delta_err = float(
         np.linalg.norm(
-            modular(rho34).delta.mat - np.diag([1.0, 1.0 / 3.0, 3.0, 1.0])
+            modular(rho34).mat - np.diag([1.0, 1.0 / 3.0, 3.0, 1.0])
         )
     )
     hermitian_pairs = 0

@@ -137,7 +137,7 @@ def test_gad_commutator_frozen_value():
     tau, rho = gad_sqdb_channel(0.75, 0.2)
     from detbal.duals import modular
 
-    delta = modular(rho).delta
+    delta = modular(rho)
     e01 = matrix_unit(2, 0, 1)
     gap = tau.apply(delta.apply(e01)) - delta.apply(tau.apply(e01))
     assert np.linalg.norm(gap) == pytest.approx(COMMUTATOR_E01, abs=1e-12)

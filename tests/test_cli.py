@@ -598,8 +598,13 @@ MALFORMED_FILES = [
             "theta": {"kind": "unitary", "u": HUGE_U3},
         },
         "theta.u: u is not unitary (residual nan)",
-        # numpy's overflow warnings print ahead of the error line
-        pytest.mark.filterwarnings("ignore::RuntimeWarning"),
+    ),
+    # the trace and the norm overflow; no RuntimeWarning may reach stderr
+    ("rho-overflow", {"rho": [1e308, 1e308]}, "rho: trace must be 1, got inf"),
+    (
+        "gamma-overflow",
+        {"p": [0.5, 0.5], "gamma": [[1e308, 1e308], [0.0, 1.0]]},
+        "gamma: gamma rows must sum to 1 (worst inf)",
     ),
     ("gamma-not-rows", {"p": [0.5, 0.5], "gamma": [1, 0]}, "gamma: expected a nested array of rows"),
     (

@@ -19,6 +19,7 @@ from detbal.duals import (
     transpose_reversing,
 )
 from detbal.errors import NonUnitary, NotInvolutive
+from detbal.generators import random_density
 from detbal.linalg import DEFAULT_TOL, hs_inner, matrix_unit, matrix_units
 from detbal.states import expectation, make_density
 from detbal.superop import (
@@ -175,7 +176,7 @@ def test_kms_dual_preserves_complete_positivity():
 
 def test_kms_equals_rho_dual_iff_modular_commutation():
     rho = rho_34()
-    delta = modular(rho).delta
+    delta = modular(rho)
     # commuting example: entrywise multiplier
     s = schur_channel(2, 14)
     assert np.linalg.norm(s.mat @ delta.mat - delta.mat @ s.mat) <= 1e-12
@@ -202,32 +203,42 @@ def test_bar_map_preserves_cp():
 
 
 def test_modular_matrix_values():
-    fam = modular(rho_34())
-    assert np.allclose(fam.delta.mat, np.diag([1.0, 1.0 / 3.0, 3.0, 1.0]), atol=1e-15)
+    rho = rho_34()
+    delta = modular(rho)
+    assert np.allclose(delta.mat, np.diag([1.0, 1.0 / 3.0, 3.0, 1.0]), atol=1e-15)
     e01 = matrix_unit(2, 0, 1)
-    assert np.allclose(fam.delta.apply(e01), 3.0 * e01, atol=1e-14)
-    assert np.allclose(fam.delta_half.apply(e01), math.sqrt(3.0) * e01, atol=1e-14)
+    assert np.allclose(delta.apply(e01), 3.0 * e01, atol=1e-14)
+    # the square root of Delta is the modular family at z = i/2
+    assert np.allclose(modular_power(rho, 0.5j).apply(e01), math.sqrt(3.0) * e01, atol=1e-14)
     # self-adjoint and positive for the HS inner product
-    assert np.allclose(fam.delta.mat, fam.delta.mat.conj().T, atol=0)
-    assert np.min(np.real(np.diag(fam.delta.mat))) > 0.0
+    assert np.allclose(delta.mat, delta.mat.conj().T, atol=0)
+    assert np.min(np.real(np.diag(delta.mat))) > 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_modular_is_the_diagonal_of_its_ratios(n):
+    # Delta = diag(rho_j / rho_k) at vec index j + n k, bit for bit
+    rho = random_density(n, seed=40 + n)
+    d = rho.diag
+    assert np.array_equal(modular(rho).mat, np.diag(np.outer(1.0 / d, d).ravel()))
 
 
 def test_modular_action_is_sandwich():
     rho = make_density(np.diag([0.5, 0.3, 0.2]))
-    fam = modular(rho)
+    delta = modular(rho)
     rm, rinv = rho.matrix(), rho.power(-1)
     for _, _, e in matrix_units(3):
-        assert np.allclose(fam.delta.apply(e), rm @ e @ rinv, atol=1e-13)
+        assert np.allclose(delta.apply(e), rm @ e @ rinv, atol=1e-13)
 
 
 def test_modular_power_conventions():
     rho = rho_34()
-    fam = modular(rho)
+    delta = modular(rho)
     assert np.allclose(modular_power(rho, 0.0).mat, np.eye(4), atol=1e-15)
     # z = i recovers the modular map, z = -i its inverse
-    assert np.allclose(modular_power(rho, 1j).mat, fam.delta.mat, atol=1e-13)
+    assert np.allclose(modular_power(rho, 1j).mat, delta.mat, atol=1e-13)
     assert np.allclose(
-        modular_power(rho, -1j).mat @ fam.delta.mat, np.eye(4), atol=1e-13
+        modular_power(rho, -1j).mat @ delta.mat, np.eye(4), atol=1e-13
     )
     # real z: unitary, with group law
     for z in (0.5, 1.0, -2.0):
@@ -265,7 +276,7 @@ def test_hermitian_pair_closed_form_for_state_dual():
 
 def test_hermitian_pair_implies_modular_commutation():
     rho = rho_34()
-    delta = modular(rho).delta
+    delta = modular(rho)
     for seed in (20, 21, 22):
         s = schur_channel(2, seed)
         dual = rho_dual(s, rho)
@@ -276,7 +287,7 @@ def test_hermitian_pair_implies_modular_commutation():
 def test_commutation_extends_to_the_whole_modular_group():
     # s Delta = Delta s lifts to s(rho^-iz A rho^iz) = rho^-iz s(A) rho^iz
     rho = rho_34()
-    delta = modular(rho).delta
+    delta = modular(rho)
     s = schur_channel(2, 23)
     assert np.linalg.norm(s.mat @ delta.mat - delta.mat @ s.mat) <= 1e-12
     for z in (-1.0, -0.5, 0.5, 1.0):

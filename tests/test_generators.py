@@ -147,7 +147,6 @@ def test_random_unital_kraus_exactly_unital():
         ch = random_unital_kraus(n, k, seed)
         acc = sum(v @ v.conj().T for v in ch.ops)
         assert np.linalg.norm(acc - np.eye(n)) <= 1e-12
-        assert ch.unital
 
 
 def test_random_unital_single_operator_is_unitary():

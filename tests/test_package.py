@@ -1,5 +1,9 @@
 """The public surface: __all__ is the set of names the package imports."""
 
+import os
+import pathlib
+import subprocess
+import sys
 import types
 
 import detbal
@@ -25,3 +29,17 @@ def test_mirror_checks_are_defined_in_balance():
         func = getattr(detbal, name)
         assert func is getattr(detbal.balance, name)
         assert func.__module__ == "detbal.balance"
+
+
+def test_cli_import_leaves_logging_out():
+    # a fresh interpreter: start-up is most of a CLI call, and logging alone
+    # cost about 10 ms of it
+    src = str(pathlib.Path(detbal.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, detbal.cli; print('logging' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert run.stdout == "False\n"

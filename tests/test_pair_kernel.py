@@ -188,7 +188,7 @@ def tilde_substitution_oracle(rho):
     halfinv = rho.power(-0.5)
     residual = 0.0
     for _, _, e in matrix_units(rho.n):
-        lhs = halfinv @ tilde(e).rep.apply(half) @ half
+        lhs = halfinv @ tilde(e).apply(half) @ half
         residual = max(residual, float(np.linalg.norm(lhs - e.conj().T @ half)))
     return residual
 
@@ -482,6 +482,17 @@ def test_kms_matches_loop_oracle(n):
     assert res.passed == (oracle <= DEFAULT_TOL.eq_tol)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_kms_matches_dense_diagonal_form_bit_for_bit(n):
+    # the residual as it was computed through the dense n^2 x n^2 modular
+    # matrix np.diag(ratios), of which only the diagonal was read
+    rho = random_density(n, seed=190 + n)
+    h = np.tile(rho.diag, n)[:, None] * transpose_superop(n).mat
+    delta = np.diag(np.outer(1.0 / rho.diag, rho.diag).ravel()).astype(complex)
+    dense = float(np.max(np.abs(h * delta.diagonal() - h.T)))
+    assert check_kms(rho).residual == dense
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_tilde_substitution_matches_loop_oracle_bit_for_bit(n):
     for seed in range(3):
@@ -595,7 +606,7 @@ def test_kms_dual_matches_kronecker_products(n):
 def test_delta_commutator_matches_modular_products(n):
     s = random_map(n, 170 + n)
     rho = random_density(n, seed=170 + n)
-    d = modular(rho).delta.mat
+    d = modular(rho).mat
     want = np.linalg.norm(s.mat @ d - d @ s.mat)
     assert abs(delta_commutator_residual(s, rho) - want) <= 1e-13 * want
 

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from detbal.errors import NonUnitary, NotDensity, NotInvertible
+from detbal.errors import DimensionMismatch, NonUnitary, NotDensity, NotInvertible
 from detbal.linalg import matrix_unit
 from detbal.states import (
-    DiagonalCorrelatedState,
     expectation,
     make_density,
     marginals_check,
@@ -134,9 +133,8 @@ def test_omega_entangled_vs_classical_contrast():
     # on sigma_x pairs the entangled state gives 2 sqrt(p q), the classical one 0
     rho = rho_34()
     p = purify(rho)
-    s = DiagonalCorrelatedState(rho)
     assert omega_eval(p, SX, SX.T) == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-10)
-    assert theta_eval(s, SX, SX) == pytest.approx(0.0, abs=1e-15)
+    assert theta_eval(rho, SX, SX) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_omega_positive_on_mirror_pairs():
@@ -156,16 +154,27 @@ def test_omega_positive_on_mirror_pairs():
 
 def test_theta_marginals_and_normalization():
     rho = rho_34()
-    s = DiagonalCorrelatedState(rho)
     eye = np.eye(2)
-    assert theta_eval(s, eye, eye) == pytest.approx(1.0)
+    assert theta_eval(rho, eye, eye) == pytest.approx(1.0)
     rng = np.random.default_rng(5)
     for _ in range(10):
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        assert theta_eval(s, a, eye) == pytest.approx(expectation(rho, a), abs=1e-14)
-        assert theta_eval(s, eye, a) == pytest.approx(expectation(rho, a), abs=1e-14)
+        assert theta_eval(rho, a, eye) == pytest.approx(expectation(rho, a), abs=1e-14)
+        assert theta_eval(rho, eye, a) == pytest.approx(expectation(rho, a), abs=1e-14)
         h = 0.5 * (a + a.conj().T)
-        assert theta_eval(s, h, h).real >= -1e-14
+        assert theta_eval(rho, h, h).real >= -1e-14
+
+
+@pytest.mark.parametrize("bad", [np.ones(2), np.eye(3), np.ones((2, 3))], ids=["1d", "n3", "2x3"])
+def test_observables_must_be_n_by_n(bad):
+    # np.diag of a 1-D array builds a matrix instead of reading a diagonal
+    rho = rho_34()
+    with pytest.raises(DimensionMismatch):
+        expectation(rho, bad)
+    with pytest.raises(DimensionMismatch):
+        theta_eval(rho, bad, np.eye(2))
+    with pytest.raises(DimensionMismatch):
+        theta_eval(rho, np.eye(2), bad)
 
 
 def test_marginals_check_default_w_passes():

@@ -42,7 +42,7 @@ def test_tilde_acts_by_right_multiplication_with_adjoint():
     for n in (2, 3, 4):
         a = _random_matrix(rng, n)
         x = _random_matrix(rng, n)
-        assert np.allclose(tilde(a).rep.apply(x), x @ a.conj().T, atol=1e-12)
+        assert np.allclose(tilde(a).apply(x), x @ a.conj().T, atol=1e-12)
 
 
 def test_tilde_commutes_with_left_multiplication():
@@ -52,7 +52,7 @@ def test_tilde_commutes_with_left_multiplication():
         a = _random_matrix(rng, n)
         b = _random_matrix(rng, n)
         left = pi_rep(a, np.eye(n))
-        right = tilde(b).rep
+        right = tilde(b)
         assert np.allclose(
             left.compose(right).mat, right.compose(left).mat, atol=1e-12
         )
@@ -62,7 +62,14 @@ def test_tilde_is_antilinear_in_its_argument():
     rng = _rng(13)
     a = _random_matrix(rng, 3)
     z = 0.7 - 1.9j
-    assert np.allclose(tilde(z * a).rep.mat, np.conj(z) * tilde(a).rep.mat, atol=1e-12)
+    assert np.allclose(tilde(z * a).mat, np.conj(z) * tilde(a).mat, atol=1e-12)
+
+
+def test_tilde_is_the_right_factor_of_the_product_representation():
+    rng = _rng(14)
+    for n in (2, 3, 4):
+        a = _random_matrix(rng, n)
+        assert np.array_equal(tilde(a).mat, pi_rep(np.eye(n), a.conj()).mat)
 
 
 def test_tilde_rejects_nonsquare():
@@ -85,7 +92,7 @@ def test_tilde_substitution_hand_case():
     rho = make_density(np.diag([0.75, 0.25]))
     half = rho.power(0.5)
     e01 = np.array([[0, 1], [0, 0]], dtype=complex)
-    moved = tilde(e01).rep.apply(half)
+    moved = tilde(e01).apply(half)
     lhs = rho.power(-0.5) @ moved @ half
     assert np.allclose(lhs, e01.conj().T @ half, atol=1e-14)
     assert np.allclose(lhs, (np.sqrt(3) / 2) * e01.conj().T, atol=1e-14)
@@ -121,7 +128,7 @@ def test_expect_tilde_matches_representation_route():
         for _ in range(20):
             a = _random_matrix(rng, n)
             b = _random_matrix(rng, n)
-            via_rep = hs_inner(half, a @ tilde(b).rep.apply(half))
+            via_rep = hs_inner(half, a @ tilde(b).apply(half))
             assert abs(expect_tilde(rho, a, b) - via_rep) <= 1e-12
 
 

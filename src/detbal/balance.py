@@ -36,6 +36,14 @@ _pair_residual is max|g_i R_ij - L_ji g_j|, O(n^4); the pair loops and dense
 Gram products are test oracles.  A map s in the antilinear mirror slot
 enters as conj(s.mat).
 
+Each public check finds where tau stores entries once (superop._stored).
+When it stores few, every kernel runs over those entries instead of all
+n^4: the duals, the transpose conjugate and the Choi matrix are
+realignments of tau, so their stored entries are tau's with the indices
+permuted.  A pair maximum runs over the stored entries of R and the
+transposed ones of L, a norm over the union of its operands' stored
+entries.
+
 The two notions agree on channels commuting with the modular map; sqdb
 does not require that commutation.  check_implication_sqdb_db2 probes the
 one-way implication (sqdb + commutation => db2) empirically.
@@ -48,14 +56,16 @@ positivity probe for callers who want plain positive dynamics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .duals import (
+    _DUAL_AXES,
+    _kms_dual_entries,
     _modular_ratios,
-    kms_dual,
-    rho_dual,
+    _rho_dual,
     theta_conjugate,
     ReversingOperation,
 )
@@ -64,9 +74,14 @@ from .linalg import DEFAULT_TOL, CheckResult, Tolerance, _verdict
 from .states import DensityMatrix
 from .superop import (
     SuperOperator,
+    _complete_positivity,
+    _factor,
+    _permute,
+    _read,
     _realign,
+    _stored,
+    _union,
     _unital_defect,
-    is_completely_positive,
     is_positive_map,
     is_unital,
     vec,
@@ -79,11 +94,14 @@ MODE_POSITIVITY = "positivity"
 _PAIR_BLOCK = 4096
 # axes of the realignment that reads a matrix as its transpose conjugate (bar_map)
 _BAR_AXES = (1, 0, 3, 2)
+# and of the one that reads it as its transpose
+_TRANSPOSE_AXES = (2, 3, 0, 1)
 
 
-def _cp_check(s: SuperOperator, tol: Tolerance, mode: str) -> CheckResult:
+def _cp_check(s: SuperOperator, tol: Tolerance, mode: str, at) -> CheckResult:
+    # at: where s.mat stores entries (superop._stored), found by the caller
     if mode == MODE_CP:
-        return is_completely_positive(s, tol)
+        return _complete_positivity(s, tol, at)
     if mode == MODE_POSITIVITY:
         return is_positive_map(s, tol)
     raise ValueError(f"unknown mode {mode!r}")
@@ -97,9 +115,13 @@ def require_dynamics(
 ) -> CheckResult:
     """Raise InputNotDynamics unless tau is a (completely) positive unital map;
     return its complete positivity (positivity in MODE_POSITIVITY) check."""
+    return _require_dynamics(tau, rho, tol, mode, _stored(tau.mat, tau.n))
+
+
+def _require_dynamics(tau, rho, tol, mode, at) -> CheckResult:
     if tau.n != rho.n:
         raise DimensionMismatch(f"channel on M_{tau.n} vs state of dimension {rho.n}")
-    cp = _cp_check(tau, tol, mode)
+    cp = _cp_check(tau, tol, mode, at)
     if not cp.passed:
         raise InputNotDynamics(
             f"channel is not {'completely positive' if mode == MODE_CP else 'positive'}"
@@ -114,14 +136,24 @@ def require_dynamics(
 def delta_commutator_residual(tau: SuperOperator, rho: DensityMatrix) -> float:
     """Frobenius norm of tau Delta - Delta tau on the superoperator level;
     Delta = diag(r), r = kron(1/d, d), so entry (i, j) is tau_ij (r_j - r_i)."""
+    return _delta_commutator(tau, rho, _stored(tau.mat, tau.n))
+
+
+def _delta_commutator(tau, rho, at) -> float:
+    # at: where tau stores entries, or None for all of them
     r = _modular_ratios(rho)
-    out = np.subtract(r, r[:, None], dtype=complex)
-    out *= tau.mat
+    if at is None:
+        rows, cols, entries = r[:, None], r, tau.mat
+    else:
+        r = r.reshape(tau.n, tau.n)
+        rows, cols, entries = r[at[0], at[1]], r[at[2], at[3]], tau.mat.reshape((tau.n,) * 4)[at]
+    out = np.subtract(cols, rows, dtype=complex)
+    out *= entries
     return float(np.linalg.norm(out))
 
 
 def _pair_residual(
-    g: np.ndarray, left: np.ndarray, right: np.ndarray, conj: bool = False
+    g: np.ndarray, left: np.ndarray, right: np.ndarray, conj: bool = False, at=None, left_at=None
 ) -> float:
     """Largest |F(e_i, right e_j) - F(left e_i, e_j)| over basis pairs, for
     F(x, y) = x^T diag(g) y: max|g_i right_ij - left_ji g_j|, O(n^4).
@@ -130,7 +162,23 @@ def _pair_residual(
     a matrix as a view (its rows in C order), so it is never copied.  With
     conj (real g) conj(right) is compared: a map in the antilinear mirror
     slot.  A matrix of more than _PAIR_BLOCK entries is taken in row blocks
-    of at most that many, so the pass makes no n^2 x n^2 temporary."""
+    of at most that many, so the pass makes no n^2 x n^2 temporary.
+
+    Given where right (in its (n, n, n, n) layout) and left store entries,
+    at and left_at (superop._stored), every other term is zero: the maximum
+    runs over the pairs at and over left_at transposed, each read in one
+    gather, and the two partial maxima are joined by np.maximum, which keeps
+    a NaN."""
+    if at is not None and left_at is not None:
+        n = math.isqrt(len(g))
+        g2 = g.reshape(n, n)
+        right = right.reshape((n,) * 4)
+        left_t = _realign(left, n, _TRANSPOSE_AXES)
+        worst = 0.0
+        for x in (at, _permute(left_at, _TRANSPOSE_AXES)):
+            rows, cols = _factor(g2, x, (0, 1)), _factor(g2, x, (2, 3))
+            worst = np.maximum(worst, _pair_block(rows, right[x], left_t[x], cols, conj))
+        return float(worst)
     h = right.ndim // 2
     rows = g.reshape(right.shape[:h] + (1,) * h)
     step = max(1, _PAIR_BLOCK * len(right) // right.size)
@@ -148,13 +196,14 @@ def _pair_residual(
 
 def _pair_block(rows, right, left_t, g, conj):
     """max|rows right - left_t g| over one block of rows (conj(rows right)
-    with conj); a NaN entry makes the result NaN."""
+    with conj), or over gathered entries; a NaN entry makes the result NaN,
+    and no entry at all gives 0."""
     blk = np.multiply(rows, right, order="C")
     if conj:
         np.conjugate(blk, out=blk)
     flat = blk.reshape(left_t.shape)
     flat -= left_t * g
-    return np.abs(flat).max()
+    return np.abs(flat).max(initial=0.0)
 
 
 def _pair_gram(rho: DensityMatrix) -> np.ndarray:
@@ -164,64 +213,83 @@ def _pair_gram(rho: DensityMatrix) -> np.ndarray:
     return np.outer(half, half).ravel()
 
 
-def _db2_definition(dual, defect, tol, mode) -> CheckResult:
+def _db2_definition(dual, dual_at, defect, tol, mode) -> CheckResult:
     # defect = _unital_defect(dual), so un is is_unital(dual, tol)
-    cp = _cp_check(dual, tol, mode)
+    cp = _cp_check(dual, tol, mode, dual_at)
     un = _verdict(tol, {"unital": float(np.linalg.norm(defect))})
     detail = {f"dual_{k}": v for k, v in cp.detail.items()}
     detail["dual_unital"] = un.residual
+    # Python max alone would drop a NaN that does not come first
+    residual = max(cp.residual, un.residual)
     return CheckResult(
         passed=bool(cp.passed and un.passed),
-        residual=max(cp.residual, un.residual),
+        residual=math.nan if math.isnan(cp.residual + un.residual) else residual,
         detail=detail,
         tol=tol,
     )
 
 
-def _db2_modular(tau, rho, tol) -> CheckResult:
-    comm = delta_commutator_residual(tau, rho)
+def _db2_modular(tau, rho, at, tol) -> CheckResult:
+    comm = _delta_commutator(tau, rho, at)
     # <tau(E_i)> = <E_i> for every matrix unit: vec(rho) = tau^T vec(rho)
     r = vec(rho.matrix())
     inv = float(np.max(np.abs(r - tau.mat.T @ r)))
     return _verdict(tol, {"modular_commutator": comm, "state_invariance": inv})
 
 
-def _db2_entangled(tau, g, dual, defect, tol) -> CheckResult:
+def _db2_entangled(tau, at, g, dual, dual_at, defect, tol) -> CheckResult:
     # hat = bar_map(dual), read as a view; hat(1) = dual(1)^T, whose vec is
     # dual's unital defect (defect = _unital_defect(dual)) with its index
     # pairs swapped
     n = tau.n
     hat = _realign(dual.mat, n, _BAR_AXES)
+    hat_at = _permute(dual_at, _BAR_AXES)
     hat_unital = float(np.linalg.norm(defect.reshape(n, n).T.ravel()))
-    # distance of the transposed dual from the channel itself;
-    # diagnostic only, zero is not required for balance
-    hat_vs_channel = np.subtract(hat, tau.mat.reshape(hat.shape), order="C")
+    # distance of the transposed dual from the channel itself, over the
+    # stored entries of either; diagnostic only, zero is not required for
+    # balance
+    both = _union(hat_at, at, n)
+    tau4 = tau.mat.reshape(hat.shape)
+    hat_vs_channel = np.subtract(_read(hat, both), _read(tau4, both), order="C")
     hat_vs_channel = float(np.linalg.norm(hat_vs_channel))
     return _verdict(
         tol,
-        {"pair_residual": _pair_residual(g, tau.mat, hat), "hat_unital": hat_unital},
+        {"pair_residual": _pair_residual(g, tau.mat, hat, at=hat_at, left_at=at),
+         "hat_unital": hat_unital},
         info={"hat_vs_channel": hat_vs_channel},
     )
 
 
-def _sqdb_definition(tau, rho, conj, tol) -> CheckResult:
-    diff = kms_dual(tau, rho).mat.reshape((tau.n,) * 4)
-    diff -= _realign(conj.mat, tau.n, _BAR_AXES)
+def _sqdb_definition(tau, rho, at, conj, conj_at, tol) -> CheckResult:
+    # kms_dual(tau) against bar_map(conj), over the stored entries of either
+    n = tau.n
+    bar = _realign(conj.mat, n, _BAR_AXES)
+    both = _union(_permute(at, _DUAL_AXES), _permute(conj_at, _BAR_AXES), n)
+    diff = _kms_dual_entries(tau, rho, both)
+    diff -= _read(bar, both)
     return _verdict(tol, {"kms_vs_reversed": float(np.linalg.norm(diff))})
 
 
-def _sqdb_entangled(tau, g, conj, tol) -> CheckResult:
-    return _verdict(tol, {"pair_residual": _pair_residual(g, tau.mat, conj.mat)})
+def _sqdb_entangled(tau, at, g, conj, conj_at, tol) -> CheckResult:
+    pair = _pair_residual(g, tau.mat, conj.mat, at=conj_at, left_at=at)
+    return _verdict(tol, {"pair_residual": pair})
 
 
-def _db2_tfd(tau, g, dual, dual_unital, tol) -> CheckResult:
-    pair = _pair_residual(g, tau.mat, dual.mat, conj=True)
+def _db2_tfd(tau, at, g, dual, dual_at, dual_unital, tol) -> CheckResult:
+    pair = _pair_residual(g, tau.mat, dual.mat, conj=True, at=dual_at, left_at=at)
     return _verdict(tol, {"pair_residual": pair, "dual_unital": dual_unital})
 
 
-def _sqdb_tfd(tau, g, conj, tol) -> CheckResult:
-    pair = _pair_residual(g, tau.mat, _realign(conj.mat, tau.n, _BAR_AXES), conj=True)
+def _sqdb_tfd(tau, at, g, conj, conj_at, tol) -> CheckResult:
+    bar = _realign(conj.mat, tau.n, _BAR_AXES)
+    pair = _pair_residual(g, tau.mat, bar, conj=True, at=_permute(conj_at, _BAR_AXES), left_at=at)
     return _verdict(tol, {"pair_residual": pair})
+
+
+def _conj_positions(tau, at, conj):
+    """Stored positions of the Theta-conjugate: tau's when it is tau, none
+    when tau takes the dense passes, else one comparison pass of its own."""
+    return at if conj is tau or at is None else _stored(conj.mat, tau.n)
 
 
 def check_db2_definition(
@@ -231,9 +299,10 @@ def check_db2_definition(
     mode: str = MODE_CP,
 ) -> CheckResult:
     """Standard balance by its definition: the state dual is CP and unital."""
-    require_dynamics(tau, rho, tol, mode)
-    dual = rho_dual(tau, rho)
-    return _db2_definition(dual, _unital_defect(dual), tol, mode)
+    at = _stored(tau.mat, tau.n)
+    _require_dynamics(tau, rho, tol, mode, at)
+    dual, dual_at = _rho_dual(tau, rho, at)
+    return _db2_definition(dual, dual_at, _unital_defect(dual), tol, mode)
 
 
 def check_db2_modular(
@@ -243,8 +312,9 @@ def check_db2_modular(
     mode: str = MODE_CP,
 ) -> CheckResult:
     """Standard balance via modular commutation plus state invariance."""
-    require_dynamics(tau, rho, tol, mode)
-    return _db2_modular(tau, rho, tol)
+    at = _stored(tau.mat, tau.n)
+    _require_dynamics(tau, rho, tol, mode, at)
+    return _db2_modular(tau, rho, at, tol)
 
 
 def check_db2_entangled(
@@ -254,9 +324,10 @@ def check_db2_entangled(
     mode: str = MODE_CP,
 ) -> CheckResult:
     """Standard balance via the purified two-copy functional."""
-    require_dynamics(tau, rho, tol, mode)
-    dual = rho_dual(tau, rho)
-    return _db2_entangled(tau, _pair_gram(rho), dual, _unital_defect(dual), tol)
+    at = _stored(tau.mat, tau.n)
+    _require_dynamics(tau, rho, tol, mode, at)
+    dual, dual_at = _rho_dual(tau, rho, at)
+    return _db2_entangled(tau, at, _pair_gram(rho), dual, dual_at, _unital_defect(dual), tol)
 
 
 def check_sqdb_definition(
@@ -267,8 +338,10 @@ def check_sqdb_definition(
     mode: str = MODE_CP,
 ) -> CheckResult:
     """Square-root balance by its definition: kms dual equals Theta tau Theta."""
-    require_dynamics(tau, rho, tol, mode)
-    return _sqdb_definition(tau, rho, theta_conjugate(tau, th), tol)
+    at = _stored(tau.mat, tau.n)
+    _require_dynamics(tau, rho, tol, mode, at)
+    conj = theta_conjugate(tau, th)
+    return _sqdb_definition(tau, rho, at, conj, _conj_positions(tau, at, conj), tol)
 
 
 def check_sqdb_entangled(
@@ -279,8 +352,10 @@ def check_sqdb_entangled(
     mode: str = MODE_CP,
 ) -> CheckResult:
     """Square-root balance via the purified two-copy functional."""
-    require_dynamics(tau, rho, tol, mode)
-    return _sqdb_entangled(tau, _pair_gram(rho), theta_conjugate(tau, th), tol)
+    at = _stored(tau.mat, tau.n)
+    _require_dynamics(tau, rho, tol, mode, at)
+    conj = theta_conjugate(tau, th)
+    return _sqdb_entangled(tau, at, _pair_gram(rho), conj, _conj_positions(tau, at, conj), tol)
 
 
 def check_db2_tfd(
@@ -291,9 +366,10 @@ def check_db2_tfd(
 ) -> CheckResult:
     """Standard balance in mirror form: <tau(A) tilde(B)> = <A tilde(tau'(B))>
     on all matrix-unit pairs, plus unitality of the state dual."""
-    require_dynamics(tau, rho, tol, mode)
-    dual = rho_dual(tau, rho)
-    return _db2_tfd(tau, _pair_gram(rho), dual, is_unital(dual, tol).residual, tol)
+    at = _stored(tau.mat, tau.n)
+    _require_dynamics(tau, rho, tol, mode, at)
+    dual, dual_at = _rho_dual(tau, rho, at)
+    return _db2_tfd(tau, at, _pair_gram(rho), dual, dual_at, is_unital(dual, tol).residual, tol)
 
 
 def check_sqdb_tfd(
@@ -305,8 +381,10 @@ def check_sqdb_tfd(
 ) -> CheckResult:
     """Square-root balance in mirror form:
     <tau(A) tilde(B)> = <A tilde(Theta tau Theta(B))> on matrix-unit pairs."""
-    require_dynamics(tau, rho, tol, mode)
-    return _sqdb_tfd(tau, _pair_gram(rho), theta_conjugate(tau, th), tol)
+    at = _stored(tau.mat, tau.n)
+    _require_dynamics(tau, rho, tol, mode, at)
+    conj = theta_conjugate(tau, th)
+    return _sqdb_tfd(tau, at, _pair_gram(rho), conj, _conj_positions(tau, at, conj), tol)
 
 
 def check_implication_sqdb_db2(
@@ -322,9 +400,11 @@ def check_implication_sqdb_db2(
     When it holds, passed reports whether the standard-balance residual
     clears eq_tol; a False here would be a counterexample worth keeping.
     """
-    require_dynamics(tau, rho, tol, mode)
-    sq = _sqdb_definition(tau, rho, theta_conjugate(tau, th), tol)
-    db2 = _db2_modular(tau, rho, tol)
+    at = _stored(tau.mat, tau.n)
+    _require_dynamics(tau, rho, tol, mode, at)
+    conj = theta_conjugate(tau, th)
+    sq = _sqdb_definition(tau, rho, at, conj, _conj_positions(tau, at, conj), tol)
+    db2 = _db2_modular(tau, rho, at, tol)
     comm = db2.detail["modular_commutator"]
     applicable = sq.passed and _verdict(tol, {"commutator": comm}).passed
     if not applicable:
@@ -436,17 +516,19 @@ def run_report(
     """Run every checker on one (channel, state, reversing operation) triple,
     with the mirror checks if tfd; all share one dynamics check, state dual
     (and its unital defect and unitality residual), Theta-conjugate and
-    pair Gram."""
-    dynamics = require_dynamics(tau, rho, tol, mode)
-    dual = rho_dual(tau, rho)
+    pair Gram, and one search for tau's stored entries."""
+    at = _stored(tau.mat, tau.n)
+    dynamics = _require_dynamics(tau, rho, tol, mode, at)
+    dual, dual_at = _rho_dual(tau, rho, at)
     defect = _unital_defect(dual)
     conj = theta_conjugate(tau, th)
+    conj_at = _conj_positions(tau, at, conj)
     g = _pair_gram(rho)
-    db2_def = _db2_definition(dual, defect, tol, mode)
-    db2_mod = _db2_modular(tau, rho, tol)
-    db2_ent = _db2_entangled(tau, g, dual, defect, tol)
-    sq_def = _sqdb_definition(tau, rho, conj, tol)
-    sq_ent = _sqdb_entangled(tau, g, conj, tol)
+    db2_def = _db2_definition(dual, dual_at, defect, tol, mode)
+    db2_mod = _db2_modular(tau, rho, at, tol)
+    db2_ent = _db2_entangled(tau, at, g, dual, dual_at, defect, tol)
+    sq_def = _sqdb_definition(tau, rho, at, conj, conj_at, tol)
+    sq_ent = _sqdb_entangled(tau, at, g, conj, conj_at, tol)
     delta_commutes = _verdict(tol, {"modular_commutator": db2_mod.detail["modular_commutator"]})
     consistency = (
         db2_def.passed == db2_mod.passed == db2_ent.passed
@@ -454,8 +536,8 @@ def run_report(
     )
     db2_tfd = sq_tfd = tfd_agrees = None
     if tfd:
-        db2_tfd = _db2_tfd(tau, g, dual, db2_def.detail["dual_unital"], tol)
-        sq_tfd = _sqdb_tfd(tau, g, conj, tol)
+        db2_tfd = _db2_tfd(tau, at, g, dual, dual_at, db2_def.detail["dual_unital"], tol)
+        sq_tfd = _sqdb_tfd(tau, at, g, conj, conj_at, tol)
         tfd_agrees = db2_tfd.passed == db2_ent.passed and sq_tfd.passed == sq_def.passed
     return BalanceReport(
         db2_definition=db2_def,

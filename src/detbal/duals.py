@@ -20,7 +20,9 @@ for s with matrix M, K the commutation matrix and rho = diag(d):
 where row or column j + n k belongs to the unit E_jk.  Products with K are
 index permutations, so no dual costs a matrix product: K M^T K is read as a
 view of M (superop._realign) and scaled into the one array the dual
-returns, and the input is never written.  The Theta-conjugate conj(W) M W,
+returns, O(n^4), and the input is never written.  When M stores few entries
+(superop._stored) only those are scaled, at their realigned positions, and
+scattered into zeros.  The Theta-conjugate conj(W) M W,
 W = kron(conj u, u), is O(n^5), and for the plain transpose (u = 1) it is
 s itself, returned as is.
 
@@ -41,7 +43,17 @@ import numpy as np
 from .errors import DimensionMismatch, NonUnitary, NotInvolutive
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix
 from .states import DensityMatrix
-from .superop import SuperOperator, _kron_sandwich, _realign, _transpose_sides, pi_rep
+from .superop import (
+    SuperOperator,
+    _kron_sandwich,
+    _factor,
+    _permute,
+    _read,
+    _realign,
+    _stored,
+    _transpose_sides,
+    pi_rep,
+)
 
 
 def hs_adjoint(s: SuperOperator) -> SuperOperator:
@@ -65,10 +77,14 @@ def trace_dual(s: SuperOperator) -> SuperOperator:
     return SuperOperator(s.n, _trace_dual_view(s).reshape(s.n**2, s.n**2))
 
 
+# axes of the realignment that reads M as K M^T K (trace_dual)
+_DUAL_AXES = (3, 2, 1, 0)
+
+
 def _trace_dual_view(s: SuperOperator) -> np.ndarray:
     """K M^T K as a view of M: reversing the four realigned axes transposes
     M and swaps the two factors of each side."""
-    return _realign(s.mat, s.n, (3, 2, 1, 0))
+    return _realign(s.mat, s.n, _DUAL_AXES)
 
 
 def _check_state(s: SuperOperator, rho: DensityMatrix) -> None:
@@ -76,20 +92,44 @@ def _check_state(s: SuperOperator, rho: DensityMatrix) -> None:
         raise DimensionMismatch(f"map on M_{s.n} vs state on dimension {rho.n}")
 
 
+def _dense(n: int, at, entries: np.ndarray) -> np.ndarray:
+    """The n^2 x n^2 matrix with the given entries: the (n, n, n, n) array
+    itself when at is None, else one scatter into zeros at the positions at."""
+    if at is None:
+        return entries.reshape(n * n, n * n)
+    out = np.zeros((n,) * 4, dtype=complex)
+    out[at] = entries
+    return out.reshape(n * n, n * n)
+
+
 def rho_dual(s: SuperOperator, rho: DensityMatrix) -> SuperOperator:
     """State dual s' with <s'(A) B> = <A s(B)>, via rho^(-1) s^#(rho A).
 
     rho is diagonal, so left and right multiplication by it scale the rows
-    and columns of the matrix of s^#: O(n^4).  The defining pairing is kept
-    as a test oracle.  s' is unital iff s preserves <.>, and
+    and columns of the matrix of s^#: O(n^4), or O(stored) on the stored
+    entries of s (superop._stored), scattered into zeros.  The defining
+    pairing is kept as a test oracle.  s' is unital iff s preserves <.>, and
     trace-of-rho-preserving iff s is unital.
     """
     _check_state(s, rho)
-    n, d = s.n, rho.diag
-    # axes (k, j, k', j') of row j + n k, column j' + n k': rows / d_j, columns * d_j'
-    m = np.multiply((1.0 / d)[:, None, None], _trace_dual_view(s), order="C")
-    m *= d
-    return SuperOperator(n, m.reshape(n * n, n * n))
+    return _rho_dual(s, rho, _stored(s.mat, s.n))[0]
+
+
+def _rho_dual(s: SuperOperator, rho: DensityMatrix, at):
+    """(rho_dual(s, rho), where its matrix stores entries), from where s.mat
+    does (superop._stored): the same entries, realigned."""
+    at = _permute(at, _DUAL_AXES)
+    return SuperOperator(s.n, _dense(s.n, at, _rho_dual_entries(s, rho, at))), at
+
+
+def _rho_dual_entries(s: SuperOperator, rho: DensityMatrix, at) -> np.ndarray:
+    """Entries of rho_dual(s, rho).mat.reshape(n, n, n, n): all of them, or
+    those at the positions at (superop._factor).  Axes (k, j, k', j') of row j + n k,
+    column j' + n k': rows / d_j, columns * d_j'."""
+    d = rho.diag
+    m = np.multiply(_factor(1.0 / d, at, (1,)), _read(_trace_dual_view(s), at), order="C")
+    m *= _factor(d, at, (3,))
+    return m
 
 
 def kms_dual(s: SuperOperator, rho: DensityMatrix) -> SuperOperator:
@@ -97,14 +137,21 @@ def kms_dual(s: SuperOperator, rho: DensityMatrix) -> SuperOperator:
 
     Involutive, completely positive for completely positive s, and equal to
     rho_dual exactly on maps commuting with the modular map.  The products
-    with powers of the diagonal rho are row and column scalings: O(n^4).
+    with powers of the diagonal rho are row and column scalings: O(n^4), or
+    O(stored) as in rho_dual.
     """
     _check_state(s, rho)
-    n = s.n
+    at = _permute(_stored(s.mat, s.n), _DUAL_AXES)
+    return SuperOperator(s.n, _dense(s.n, at, _kms_dual_entries(s, rho, at)))
+
+
+def _kms_dual_entries(s: SuperOperator, rho: DensityMatrix, at) -> np.ndarray:
+    """Entries of kms_dual(s, rho).mat.reshape(n, n, n, n), all of them or
+    those at the positions at: rows / (d_j d_k)^(1/2), columns * (d_j' d_k')^(1/2)."""
     half = np.sqrt(np.outer(rho.diag, rho.diag))  # [k, j] -> (d_j d_k)^(1/2), vec index j + n k
-    m = np.divide(_trace_dual_view(s), half[:, :, None, None], order="C")
-    m *= half
-    return SuperOperator(n, m.reshape(n * n, n * n))
+    m = np.divide(_read(_trace_dual_view(s), at), _factor(half, at, (0, 1)), order="C")
+    m *= _factor(half, at, (2, 3))
+    return m
 
 
 def hat_map(s: SuperOperator, rho: DensityMatrix) -> SuperOperator:

@@ -8,12 +8,20 @@ SuperOperator uses this convention; mixing it with row-stacking data will
 silently transpose factors, which is why the JSON interchange format tags
 superoperator matrices with an explicit "convention" field.  The CP test
 solves only the coupled rows of the Choi matrix; the rest are 1x1 blocks.
-A map that stores few entries has its coupled rows found at those entries
-and its coupled block and Choi diagonal gathered from its matrix; the
-Choi Hermiticity residual is then summed over the stored entries and may
-differ from the dense form's in the last bits.  Any other map has the Choi
-matrix and its transpose read as views of its matrix, with one n^2 x n^2
-buffer.  No function here writes into its input.
+
+_stored decides, for the CP test and every other O(n^4) kernel, whether a
+map's stored entries are followed instead of all n^4: at n >= 7 with at
+most n^4 / 8 of them stored.  It finds them in one comparison pass, as the
+four indices of each entry in the (n, n, n, n) layout, so the stored
+entries of any realignment are a permutation of those indices (_permute).
+A kernel writes its elementwise expression once and is fed either the
+views of the dense pass or the gathered entries (_factor, _read).  The CP
+test then finds the coupled rows at the stored entries and gathers its
+coupled block and Choi diagonal from the matrix; the Choi Hermiticity
+residual is summed over the stored entries and may differ from the dense
+form's in the last bits.  Any other map has the Choi matrix and its
+transpose read as views of its matrix, with one n^2 x n^2 buffer.  No
+function here writes into its input.
 """
 
 from __future__ import annotations
@@ -181,55 +189,93 @@ def choi(s: SuperOperator) -> ChoiMatrix:
     return ChoiMatrix(n, _realign(s.mat, n, _CHOI_AXES).reshape(n * n, n * n))
 
 
-# Route constants of is_completely_positive, timed in one process against
-# the dense passes (2 vCPUs, numpy 2.4, one BLAS thread, 20th percentile of
-# 150 alternating timings).  On schur-db2 maps and their state duals the
-# gathered route is 10-27% slower at n <= 5, even at n = 6 and 8-29% faster
-# at n = 7, 8.  On maps whose Choi matrix has one random coupled block it is
-# 8-17% faster at n = 8, 12 with n^4 / 8 entries stored, 7-10% slower with
-# n^4 / 4.
+# Route constants of every O(n^4) kernel (_stored), timed in one process
+# against the dense passes of is_completely_positive (2 vCPUs, numpy 2.4,
+# one BLAS thread, 20th percentile of 150 alternating timings).  On schur-db2
+# maps and their state duals the gathered Choi route is 10-27% slower at
+# n <= 5, even at n = 6 and 8-29% faster at n = 7, 8.  On maps whose Choi
+# matrix has one random coupled block it is 8-17% faster at n = 8, 12 with
+# n^4 / 8 entries stored, 7-10% slower with n^4 / 4.
 _GATHER_MIN_N = 7
 _GATHER_SHARE = 8  # at most n^4 / _GATHER_SHARE stored entries
 
 
-@lru_cache(maxsize=None)
-def _choi_index(n: int) -> np.ndarray:
-    """Flat position in s.mat of each Choi entry, as an n^2 x n^2 array.
-    The realignment is its own inverse, so the array also maps a flat
-    position of s.mat to the flat position of its Choi entry."""
-    out = _realign(np.arange(n**4), n, _CHOI_AXES).reshape(n * n, n * n)
-    out.setflags(write=False)
-    return out
+def _stored(m: np.ndarray, n: int):
+    """Where the n^2 x n^2 matrix m stores entries, or None when the kernels
+    should make their dense passes: n below _GATHER_MIN_N, m not a C-ordered
+    complex128 array, or more than n^4 / _GATHER_SHARE entries stored.  A
+    dense map is caught on its first rows, which alone store more.
+
+    An entry is stored when its real or its imaginary half compares unequal
+    to zero, so a NaN is stored.  The stored entries are given in C order
+    as the four index arrays (x0, x1, x2, x3) of m.reshape(n, n, n, n):
+    row x1 + n x0, column x3 + n x2 of m."""
+    if n < _GATHER_MIN_N or m.dtype != np.complex128 or not m.flags.c_contiguous:
+        return None
+    limit = m.size // _GATHER_SHARE
+    # the entry's two comparison bytes read together as one uint16, counted
+    # on the first rows (a count over complex entries costs twice as much)
+    first = (m[: limit // len(m) + 1].view(np.float64) != 0).view(np.uint16)
+    if np.count_nonzero(first) > limit:
+        return None
+    pos = np.flatnonzero((m.view(np.float64) != 0).view(np.uint16) != 0)
+    return np.unravel_index(pos, (n,) * 4) if len(pos) <= limit else None
 
 
-def _gathered_choi(m: np.ndarray, n: int):
+def _permute(at, axes):
+    """The positions at of entries of m (_stored), as positions in
+    _realign(m, n, axes).  Every realignment in use is an involution, so the
+    same call takes positions in the view back to m; None stays None."""
+    return None if at is None else tuple(at[a] for a in axes)
+
+
+def _union(a, b, n: int):
+    """The positions in a or b, once each, in C order; None if either is."""
+    if a is None or b is None:
+        return None
+    shape = (n,) * 4
+    u = np.sort(np.concatenate((np.ravel_multi_index(a, shape), np.ravel_multi_index(b, shape))))
+    if len(u):
+        u = u[np.concatenate(([True], u[1:] != u[:-1]))]
+    return np.unravel_index(u, shape)
+
+
+def _factor(v: np.ndarray, at, axes) -> np.ndarray:
+    """A kernel factor that depends on the consecutive indices axes of the
+    (n, n, n, n) layout only (v has one axis for each): v broadcast along
+    them when at is None, else v at the positions at."""
+    if at is None:
+        return v.reshape(v.shape + (1,) * (3 - axes[-1]))
+    return v[tuple(at[a] for a in axes)]
+
+
+def _read(view: np.ndarray, at):
+    """A kernel operand: the (n, n, n, n) view itself when at is None, else
+    its entries at the positions at."""
+    return view if at is None else view[at]
+
+
+def _gathered_choi(m: np.ndarray, n: int, at):
     """(Hermiticity residual, Choi spectrum) of the map with matrix m, read
-    from its stored (nonzero) entries; None when the dense passes should
-    run instead: n below _GATHER_MIN_N, m not a C-ordered complex128 array,
-    more than n^4 / _GATHER_SHARE entries stored, or every Choi row coupled.
-    A dense map is caught on its first rows, which alone store more.
+    from its stored entries at (_stored); None when every Choi row is
+    coupled, so that the dense passes run instead.
 
     Only the stored entries and their mirrors can make the Hermitian part
     H = (C + C^dag) / 2 nonzero, so the coupled rows are found there, and
     the coupled block and the diagonal are gathered from m: the same values,
     by the same operations, as in the dense passes.  ||C|| and ||C - C^dag||
     are summed over the stored entries; an entry whose mirror is not stored
-    counts twice in the second, once for the mirror position."""
-    if n < _GATHER_MIN_N or m.dtype != np.complex128 or not m.flags.c_contiguous:
-        return None
-    limit = m.size // _GATHER_SHARE
-    if np.count_nonzero(m[: limit // len(m) + 1]) > limit:
-        return None
-    # stored: the real or the imaginary half is nonzero, read as the entry's
-    # two comparison bytes taken together as one uint16
-    pos = np.flatnonzero((m.view(np.float64) != 0).view(np.uint16) != 0)
-    if len(pos) > limit:
-        return None
+    counts twice in the second, once for the mirror position.
+
+    Entry [x0, x1, x2, x3] of m.reshape(n, n, n, n) is the Choi entry
+    (x1 + n x3, x0 + n x2), and its mirror is entry [x1, x0, x3, x2]."""
     big = n * n
-    choi_pos = _choi_index(n)
-    p, q = np.divmod(choi_pos.take(pos), big)
-    v = m.take(pos)
-    vm = m.take(choi_pos[q, p])
+    m4 = m.reshape((n,) * 4)
+    x0, x1, x2, x3 = at
+    p = x3 * n + x1
+    q = x2 * n + x0
+    v = m4[at]
+    vm = m4[x1, x0, x3, x2]
     scale = max(1.0, float(np.sqrt(np.vdot(v, v).real)))
     h = np.conjugate(vm)
     d = v - h
@@ -244,13 +290,16 @@ def _gathered_choi(m: np.ndarray, n: int):
     coupled = np.flatnonzero(rows)
     if len(coupled) == big:
         return None
-    diag = m.take(choi_pos.diagonal())
+    # Choi row j n + a holds its diagonal at [a, a, j, j], row and column
+    # (n + 1) a and (n + 1) j of m
+    diag = m[:: n + 1, :: n + 1].T.ravel()
     lam = np.conjugate(diag)
     lam += diag
     lam *= 0.5
     lam = lam.real.copy()
     if len(coupled):
-        block = m.take(choi_pos[coupled[:, None], coupled])
+        j, a = np.divmod(coupled, n)
+        block = m4[a, a[:, None], j, j[:, None]]
         h = np.conjugate(block.T)
         h += block
         h *= 0.5
@@ -275,8 +324,14 @@ def is_completely_positive(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> Ch
     holds in turn C, C - C^dag and H.  Both routes give the same
     eigenvalues; the residual may differ in its last bits.
     """
+    return _complete_positivity(s, tol, _stored(s.mat, s.n))
+
+
+def _complete_positivity(s: SuperOperator, tol: Tolerance, at) -> CheckResult:
+    """is_completely_positive on the stored entries at of s.mat (_stored),
+    found once by the caller."""
     n = s.n
-    gathered = _gathered_choi(s.mat, n)
+    gathered = None if at is None else _gathered_choi(s.mat, n, at)
     if gathered is not None:
         herm, lam = gathered
     else:

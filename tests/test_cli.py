@@ -301,8 +301,9 @@ def test_tfd_flag_adds_mirror_checks(tmp_path):
 
 
 def test_tfd_run_shares_the_reports_work(tmp_path, monkeypatch):
-    """Per power, one report: two CP tests (the channel's and its dual's),
-    one state dual and one Theta-conjugate, with the mirror checks included."""
+    """Per power, one report: one search for the channel's stored entries,
+    two CP tests (the channel's and its dual's), one state dual and one
+    Theta-conjugate, with the mirror checks included."""
     parsed = parse_problem(_write(tmp_path, generate_payload("schur-db2", 3, 3, 0.75, 0.2, 4)))
     calls = collections.Counter()
 
@@ -313,7 +314,10 @@ def test_tfd_run_shares_the_reports_work(tmp_path, monkeypatch):
 
         return wrapper
 
-    names = ("is_completely_positive", "is_unital", "_unital_defect", "rho_dual", "theta_conjugate")
+    names = (
+        "_stored", "_complete_positivity", "is_unital", "_unital_defect", "_rho_dual",
+        "theta_conjugate",
+    )
     for name in names:
         for module in (detbal.balance, detbal.thermofield):
             if hasattr(module, name):
@@ -324,10 +328,11 @@ def test_tfd_run_shares_the_reports_work(tmp_path, monkeypatch):
     # read by db2_definition and the transposed dual's check, and db2_tfd
     # reuses the dual's residual
     assert calls == {
-        "is_completely_positive": 4,
+        "_stored": 2,
+        "_complete_positivity": 4,
         "is_unital": 2,
         "_unital_defect": 2,
-        "rho_dual": 2,
+        "_rho_dual": 2,
         "theta_conjugate": 2,
     }
 

@@ -86,7 +86,9 @@ def calls(tau, rho, th):
     }
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+# n = 8 is above the size floor of the stored-entry route (superop._stored),
+# which schur-db2 takes there and random-unital does not
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
 @pytest.mark.parametrize("family", ["schur-db2", "random-unital"])
 @pytest.mark.parametrize("theta", ["transpose", "symmetric"])
 def test_no_kernel_writes_into_its_input(n, family, theta):
@@ -140,13 +142,19 @@ BELOW = {
 }
 
 
+# a channel with few stored entries takes the stored-entry route: the report
+# holds the state dual's matrix and O(stored) index and value arrays
+STORED_BUDGET = {"run_report": 1.5}
+
+
 @pytest.mark.parametrize("family", ["schur-db2", "random-unital"])
 def test_allocation_budget_at_n12(family):
     n = 12
     tau, rho = channels(n, 60)[family]
     todo = calls(tau, rho, transpose_reversing(n))
-    peaks = {name: traced_peak(todo[name], n) for name in {**BUDGET, **BELOW}}
-    over = {k: round(v, 2) for k, v in peaks.items() if k in BUDGET and v > BUDGET[k]}
+    budget = {**BUDGET, **STORED_BUDGET} if family == "schur-db2" else BUDGET
+    peaks = {name: traced_peak(todo[name], n) for name in {**budget, **BELOW}}
+    over = {k: round(v, 2) for k, v in peaks.items() if k in budget and v > budget[k]}
     over.update({k: round(v, 2) for k, v in peaks.items() if k in BELOW and v >= BELOW[k]})
     assert not over, over
 

@@ -25,11 +25,22 @@ identity (bit for bit) and the two marginals of the purified state.  The
 fixed-cost forms on the CLI path have their np.kron / apply references:
 from_kraus is bit-equal to a sum of np.kron terms, and is_unital's column
 sum matches ||s(1) - 1|| through apply to 1e-13 relative.
+
+Every kernel also runs over the stored entries of a map that stores few
+(superop._stored).  The dense passes are that route's oracle: with the
+route forced on or off for every map at n = 1...8, verdicts, maxima and
+eigenvalues must be the same bits, norms agree to 1e-15 relative and the
+duals' matrices entry for entry.  A NaN or inf entry must fail every
+kernel on both routes.
 """
+
+import collections
+import math
 
 import numpy as np
 import pytest
 
+from detbal import balance, duals, superop
 from detbal.balance import (
     MODE_CP,
     MODE_POSITIVITY,
@@ -39,6 +50,7 @@ from detbal.balance import (
     check_db2_entangled,
     check_db2_modular,
     check_db2_tfd,
+    check_sqdb_definition,
     check_sqdb_entangled,
     check_sqdb_tfd,
     classical_phi_balance,
@@ -60,11 +72,13 @@ from detbal.duals import (
 from detbal.generators import (
     cycle_chain,
     degenerate_db2_channel,
+    gad_kraus,
     gad_sqdb_channel,
     metropolis_chain,
     random_density,
     random_unital_channel,
     schur_db2_channel,
+    symmetrized_sqdb_channel,
 )
 from detbal.linalg import DEFAULT_TOL, matrix_units
 from detbal.states import (
@@ -679,3 +693,312 @@ def test_is_unital_matches_the_applied_identity(n):
     unital = schur_db2_channel(rho, seed=230 + n)
     want = float(np.linalg.norm(unital.apply(np.eye(n)) - np.eye(n)))
     assert is_unital(unital).residual == pytest.approx(want, abs=1e-15)
+
+
+# ------------------------------------ the stored-entry route against the dense passes
+
+
+def lone_entry_map(n, seed):
+    """One off-diagonal entry: E_10 -> z E_01 (at n = 1, a scaling)."""
+    z = complex(*np.random.default_rng(seed).standard_normal(2))
+    m = np.zeros((n * n, n * n), dtype=complex)
+    k = min(1, n - 1)
+    m[n * k, k] = z  # row: vec index of E_01; column: of E_10
+    return SuperOperator(n, m)
+
+
+def phase_rotated_gad():
+    """A gad-sqdb channel conjugated by D = diag(1, e^(0.7 i)), with
+    Theta's u = D^2: the Theta-conjugate is not the channel itself."""
+    phase = np.diag([1.0, np.exp(0.7j)])
+    tau, rho = gad_sqdb_channel(0.75, 0.2)
+    ops = [phase @ v @ phase.conj().T for v in gad_kraus(0.75, 0.2).ops]
+    return from_kraus(ops), rho, make_reversing(phase @ phase)
+
+
+def route_cases(n):
+    """(name, map, state, reversing operation) for the route oracle at n."""
+    rho = random_density(n, seed=300 + n)
+    th = transpose_reversing(n)
+    cases = [
+        ("schur-db2", schur_db2_channel(rho, seed=300 + n), rho, th),
+        ("random-unital", random_unital_channel(n, 3, 300 + n), rho, th),
+        ("transpose", transpose_superop(n), rho, th),
+        ("zero", SuperOperator(n, np.zeros((n * n, n * n), dtype=complex)), rho, th),
+        ("lone-entry", lone_entry_map(n, 310 + n), rho, th),
+    ]
+    if n >= 2:
+        spectrum = np.repeat(np.arange(n, 0, -1.0), 2)[:n]  # equal pairs
+        tau, drho = degenerate_db2_channel(320 + n, spectrum=spectrum / spectrum.sum())
+        cases.append(("degenerate-db2", tau, drho, th))
+    if n == 2:
+        tau, grho = gad_sqdb_channel(0.75, 0.2)
+        cases.append(("gad", tau, grho, th))
+        tau, srho = symmetrized_sqdb_channel(0.7, 0.3)
+        cases.append(("symmetrized-sqdb", tau, srho, th))
+        cases.append(("phase-rotated-gad", *phase_rotated_gad()))
+    return cases
+
+
+ROUTE_PARAMS = [
+    pytest.param(n, name, id=f"{name}-{n}")
+    for n in range(1, 9)
+    for name, *_ in route_cases(n)
+]
+
+
+def kernel_checks(tau, rho, th, mode=MODE_CP):
+    """Every kernel of run_report, wired as run_report wires them but
+    without the dynamics check, so that maps which are no channels (and
+    entries which are NaN) reach them too; each check as a thunk."""
+    n = tau.n
+    at = superop._stored(tau.mat, n)
+    dual, dual_at = duals._rho_dual(tau, rho, at)
+    defect = superop._unital_defect(dual)
+    conj = theta_conjugate(tau, th)
+    conj_at = balance._conj_positions(tau, at, conj)
+    g = balance._pair_gram(rho)
+    tol = DEFAULT_TOL
+    unital = float(np.linalg.norm(defect))
+    return {
+        "cp": lambda: balance._cp_check(tau, tol, mode, at),
+        "db2_definition": lambda: balance._db2_definition(dual, dual_at, defect, tol, mode),
+        "db2_modular": lambda: balance._db2_modular(tau, rho, at, tol),
+        "db2_entangled": lambda: balance._db2_entangled(tau, at, g, dual, dual_at, defect, tol),
+        "sqdb_definition": lambda: balance._sqdb_definition(tau, rho, at, conj, conj_at, tol),
+        "sqdb_entangled": lambda: balance._sqdb_entangled(tau, at, g, conj, conj_at, tol),
+        "db2_tfd": lambda: balance._db2_tfd(tau, at, g, dual, dual_at, unital, tol),
+        "sqdb_tfd": lambda: balance._sqdb_tfd(tau, at, g, conj, conj_at, tol),
+    }
+
+
+# residuals summed over the stored entries on the gathered route (a norm);
+# every other detail is a maximum, an eigenvalue or a dense pass
+NORM_DETAILS = {
+    "choi_hermiticity", "dual_choi_hermiticity", "modular_commutator",
+    "kms_vs_reversed", "hat_vs_channel",
+}
+
+
+def norm_close(a, b):
+    return a == b or abs(a - b) <= 1e-15 * max(abs(a), abs(b))
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes() or (math.isnan(a) and math.isnan(b))
+
+
+def assert_same_check(gathered, dense, where):
+    assert gathered.passed == dense.passed, where
+    assert gathered.detail.keys() == dense.detail.keys(), where
+    for key, value in dense.detail.items():
+        if key in NORM_DETAILS:
+            assert norm_close(gathered.detail[key], value), (where, key)
+        else:
+            assert same_bits(gathered.detail[key], value), (where, key)
+    norm_set = any(dense.residual == dense.detail[k] for k in NORM_DETAILS & dense.detail.keys())
+    if norm_set:
+        assert norm_close(gathered.residual, dense.residual), where
+    else:
+        assert same_bits(gathered.residual, dense.residual), where
+
+
+def run_route(monkeypatch, route, call):
+    """call() with every map gathered (route "gather") or none ("dense")."""
+    with monkeypatch.context() as patch:
+        if route == "gather":
+            patch.setattr(superop, "_GATHER_MIN_N", 1)
+            patch.setattr(superop, "_GATHER_SHARE", 1)
+        else:
+            patch.setattr(superop, "_GATHER_MIN_N", 10**9)
+        return call()
+
+
+@pytest.mark.parametrize("n,name", ROUTE_PARAMS)
+def test_kernel_routes_match(n, name, monkeypatch):
+    """Each kernel on the stored entries against its dense pass: the same
+    verdicts, maxima and eigenvalues bit for bit, norms to 1e-15 relative,
+    and the same dual matrices entry for entry."""
+    _, tau, rho, th = next(c for c in route_cases(n) if c[0] == name)
+
+    def both(call):
+        return [run_route(monkeypatch, r, call) for r in ("gather", "dense")]
+
+    gathered, dense = both(lambda: {k: f() for k, f in kernel_checks(tau, rho, th).items()})
+    for key in dense:
+        assert_same_check(gathered[key], dense[key], key)
+    for public in (rho_dual, kms_dual):
+        assert np.array_equal(*both(lambda: public(tau, rho).mat)), public.__name__
+    assert norm_close(*both(lambda: delta_commutator_residual(tau, rho)))
+
+
+@pytest.mark.parametrize(
+    "n,name", [p for p in ROUTE_PARAMS if p.values[1] not in ("transpose", "zero", "lone-entry")]
+)
+def test_public_checks_take_either_route_alike(n, name, monkeypatch):
+    """The public checks and run_report(tfd=True) of every channel in the
+    route oracle (the transpose, zero and lone-entry maps are none), on
+    both routes."""
+    _, tau, rho, th = next(c for c in route_cases(n) if c[0] == name)
+
+    def public():
+        report = run_report(tau, rho, th, tfd=True)
+        out = {f: getattr(report, f) for f in (
+            "dynamics", "db2_definition", "db2_modular", "db2_entangled", "sqdb_definition",
+            "sqdb_entangled", "delta_commutes", "db2_tfd", "sqdb_tfd",
+        )}
+        out["check_db2_tfd"] = check_db2_tfd(tau, rho)
+        out["check_sqdb_tfd"] = check_sqdb_tfd(tau, rho, th)
+        out["check_sqdb_definition"] = check_sqdb_definition(tau, rho, th)
+        return out, (report.consistency, report.tfd_agrees)
+
+    gathered, dense = (run_route(monkeypatch, r, public) for r in ("gather", "dense"))
+    assert gathered[1] == dense[1]
+    for key in dense[0]:
+        assert_same_check(gathered[0][key], dense[0][key], key)
+
+
+def route_spies(monkeypatch):
+    """Record, per kernel, whether it ran on the stored entries."""
+    seen = collections.defaultdict(set)
+
+    def spy(module, name, kernel, gathered):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            out = real(*args, **kwargs)
+            seen[kernel].add(gathered(args, kwargs, out))
+            return out
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(superop, "_gathered_choi", "cp", lambda a, k, out: True)
+    spy(duals, "_rho_dual_entries", "rho_dual", lambda a, k, out: a[2] is not None)
+    spy(duals, "_kms_dual_entries", "kms_dual", lambda a, k, out: a[2] is not None)
+    spy(balance, "_delta_commutator", "commutator", lambda a, k, out: a[2] is not None)
+    spy(balance, "_pair_residual", "pair",
+        lambda a, k, out: k.get("at") is not None and k.get("left_at") is not None)
+    spy(balance, "_union", "norm", lambda a, k, out: out is not None)
+    return seen
+
+
+KERNELS = {"cp", "rho_dual", "kms_dual", "commutator", "pair", "norm"}
+
+
+@pytest.mark.parametrize("n,family,gathered", [
+    (7, "schur-db2", True), (7, "degenerate-db2", True),
+    (6, "schur-db2", False), (6, "degenerate-db2", False),
+    (7, "random-unital", False), (8, "random-unital", False),
+])
+def test_kernel_route_choice(n, family, gathered, monkeypatch):
+    """Every kernel follows the CP test's rule (superop._stored): the
+    stored entries at n = 7, the dense passes at n = 6 and for a dense map."""
+    rho = random_density(n, seed=330 + n)
+    th = transpose_reversing(n)
+    if family == "schur-db2":
+        tau = schur_db2_channel(rho, seed=330 + n)
+    elif family == "random-unital":
+        tau = random_unital_channel(n, 3, 330 + n)
+    else:
+        spectrum = np.repeat(np.arange(n, 0, -1.0), 2)[:n]
+        tau, rho = degenerate_db2_channel(330 + n, spectrum=spectrum / spectrum.sum())
+    seen = route_spies(monkeypatch)
+    run_report(tau, rho, th, tfd=True)
+    check_db2_tfd(tau, rho)
+    check_sqdb_tfd(tau, rho, th)
+    rho_dual(tau, rho)
+    kms_dual(tau, rho)
+    delta_commutator_residual(tau, rho)
+    if gathered:
+        assert set(seen) == KERNELS and all(v == {True} for v in seen.values()), dict(seen)
+    else:
+        # the CP test's gathered solve is never reached on the dense passes
+        assert set(seen) == KERNELS - {"cp"}, dict(seen)
+        assert all(v == {False} for v in seen.values()), dict(seen)
+
+
+def poisoned(tau, spot, bad):
+    m = tau.mat.copy()
+    m.flat[spot] = bad
+    return SuperOperator(tau.n, m)
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0)])
+@pytest.mark.parametrize("where", ["stored", "transposed-only"])
+@pytest.mark.parametrize("route", ["gather", "dense"])
+@pytest.mark.parametrize("n", [3, 7])
+def test_no_kernel_passes_a_nan_entry(n, route, where, bad, monkeypatch):
+    """A NaN or inf in the channel fails every kernel with a non-finite
+    residual (NaN for a NaN), on both routes: on one of its stored
+    entries, or where the channel stores nothing at the transposed
+    position, so that the pair kernels reach it only through the transposed
+    set of stored entries."""
+    rho = random_density(n, seed=340 + n)
+    tau = schur_db2_channel(rho, seed=340 + n)
+    stored = np.flatnonzero(tau.mat)
+    big = n * n
+    if where == "stored":
+        spot = stored[len(stored) // 2]
+    else:
+        p, q = np.divmod(np.arange(big * big), big)
+        lone = np.flatnonzero((tau.mat.ravel() == 0) & (tau.mat.T.ravel() == 0) & (p != q))
+        spot = lone[0]
+    bad_tau = poisoned(tau, spot, bad)
+    with np.errstate(invalid="ignore"):  # inf times a zero factor
+        th = transpose_reversing(n)
+        checks = run_route(monkeypatch, route, lambda: kernel_checks(bad_tau, rho, th))
+        for name, check in checks.items():
+            try:
+                res = check()
+            except np.linalg.LinAlgError:
+                # the Choi solves may refuse the entry outright; no verdict passes
+                assert name in ("cp", "db2_definition")
+                continue
+            assert not res.passed, name
+            assert not math.isfinite(res.residual), name
+            if np.isnan(bad):
+                assert math.isnan(res.residual), name
+
+
+@pytest.mark.parametrize("conj", [False, True])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_split_pair_maximum_keeps_nan(side, conj):
+    """The gathered pair kernel takes its maximum in two parts, over the
+    stored entries of right and over the transposed ones of left.  A NaN or
+    inf in either part, behind a larger finite term in the other, decides
+    the result, as in the dense pass."""
+    n = 3
+    big = n * n
+    rng = np.random.default_rng(350)
+    g = rng.uniform(0.1, 1.0, big)
+    left = np.zeros((big, big), dtype=complex)
+    right = np.zeros((big, big), dtype=complex)
+    right[0, 1] = 5.0  # the large finite term, at pair (0, 1) through right
+    for bad in (np.nan, np.inf):
+        lt, rt = left.copy(), right.copy()
+        if side == "left":
+            lt[2, 4] = bad  # pair (4, 2), right[4, 2] = 0: only in left's transposed set
+        else:
+            rt[4, 2] = bad  # pair (4, 2), left[2, 4] = 0: only in right's set
+        r4 = rt.reshape((n,) * 4)
+        at = np.unravel_index(np.flatnonzero(rt), (n,) * 4)
+        left_at = np.unravel_index(np.flatnonzero(lt), (n,) * 4)
+        with np.errstate(invalid="ignore"):  # inf times a zero factor
+            dense = _pair_residual(g, lt, r4, conj=conj)
+            gathered = _pair_residual(g, lt, r4, conj=conj, at=at, left_at=left_at)
+        assert not math.isfinite(dense)
+        assert same_bits(gathered, dense)
+
+
+def test_db2_definition_keeps_a_nan_unital_residual():
+    """The state dual's CP residual and unital residual are joined by
+    np.maximum: a NaN unital defect behind a finite CP residual is the
+    result (Python max would return the CP residual)."""
+    n = 3
+    rho = random_density(n, seed=360)
+    dual = rho_dual(schur_db2_channel(rho, seed=360), rho)
+    defect = np.full(n * n, np.nan, dtype=complex)
+    res = balance._db2_definition(dual, None, defect, DEFAULT_TOL, MODE_CP)
+    assert math.isfinite(res.detail["dual_choi_hermiticity"])
+    assert math.isnan(res.residual)
+    assert not res.passed

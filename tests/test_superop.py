@@ -376,17 +376,27 @@ def test_cp_routes_match_the_dense_oracle(n, route):
         assert res.passed == want, name
 
 
+def cp_gathered(s, n):
+    pos = superop._stored(s.mat, n)
+    return pos is not None and superop._gathered_choi(s.mat, n, pos) is not None
+
+
 def test_cp_route_choice():
-    """Which maps the oracle test sends down the gathered route at n = 7."""
+    """Which maps the oracle test sends down the gathered route at n = 7:
+    those with few stored entries (the ring too, whose stored entries the
+    other kernels follow) unless every Choi row couples (the ring)."""
     maps = route_pool(7)
-    gathered = {name for name, s in maps.items() if superop._gathered_choi(s.mat, 7) is not None}
-    assert gathered == {
+    sparse = {
         "schur-db2", "schur-db2-dual", "degenerate-db2", "degenerate-db2-dual",
         "transpose", "transpose-dual", "zero", "zero-dual",
         "diagonal-choi", "cancelling-pair", "lone-entry",
     }
+    assert {name for name, s in maps.items() if cp_gathered(s, 7)} == sparse
+    assert {name for name, s in maps.items() if superop._stored(s.mat, 7) is not None} == (
+        sparse | {"ring"}
+    )
     # below the size floor every map takes the dense passes
-    assert all(superop._gathered_choi(s.mat, 6) is None for s in route_pool(6).values())
+    assert all(superop._stored(s.mat, 6) is None for s in route_pool(6).values())
 
 
 @pytest.mark.parametrize("name", ["schur-db2", "random-unital", "ring"])

@@ -62,7 +62,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duals import (
-    _DUAL_AXES,
     _kms_dual_entries,
     _modular_ratios,
     _rho_dual,
@@ -73,6 +72,9 @@ from .errors import DimensionMismatch, InputNotDynamics, NotStochastic
 from .linalg import DEFAULT_TOL, CheckResult, Tolerance, _verdict
 from .states import DensityMatrix
 from .superop import (
+    _BAR_AXES,
+    _DUAL_AXES,
+    _TRANSPOSE_AXES,
     SuperOperator,
     _complete_positivity,
     _factor,
@@ -89,13 +91,6 @@ from .superop import (
 
 MODE_CP = "cp"
 MODE_POSITIVITY = "positivity"
-
-# entries per row block of the pair kernel: 64 KiB of complex, cache-resident
-_PAIR_BLOCK = 4096
-# axes of the realignment that reads a matrix as its transpose conjugate (bar_map)
-_BAR_AXES = (1, 0, 3, 2)
-# and of the one that reads it as its transpose
-_TRANSPOSE_AXES = (2, 3, 0, 1)
 
 
 def _cp_check(s: SuperOperator, tol: Tolerance, mode: str, at) -> CheckResult:
@@ -161,8 +156,8 @@ def _pair_residual(
     left is a matrix.  right is one too, or the (n, n, n, n) realignment of
     a matrix as a view (its rows in C order), so it is never copied.  With
     conj (real g) conj(right) is compared: a map in the antilinear mirror
-    slot.  A matrix of more than _PAIR_BLOCK entries is taken in row blocks
-    of at most that many, so the pass makes no n^2 x n^2 temporary.
+    slot.  The dense pass is one _pair_max: two n^2 x n^2 complex
+    temporaries and the real array of their absolute difference.
 
     Given where right (in its (n, n, n, n) layout) and left store entries,
     at and left_at (superop._stored), every other term is zero: the maximum
@@ -177,27 +172,16 @@ def _pair_residual(
         worst = 0.0
         for x in (at, _permute(left_at, _TRANSPOSE_AXES)):
             rows, cols = _factor(g2, x, (0, 1)), _factor(g2, x, (2, 3))
-            worst = np.maximum(worst, _pair_block(rows, right[x], left_t[x], cols, conj))
+            worst = np.maximum(worst, _pair_max(rows, right[x], left_t[x], cols, conj))
         return float(worst)
     h = right.ndim // 2
-    rows = g.reshape(right.shape[:h] + (1,) * h)
-    step = max(1, _PAIR_BLOCK * len(right) // right.size)
-    if step >= len(right):  # one block; slicing would cost as much as the pass at n <= 4
-        return float(_pair_block(rows, right, left.T, g, conj))
-    span = len(g) // len(right)  # rows per index of right's first axis
-    worst = None
-    for i in range(0, len(right), step):
-        top = _pair_block(
-            rows[i : i + step], right[i : i + step], left.T[i * span : (i + step) * span], g, conj
-        )
-        worst = top if worst is None else np.maximum(worst, top)
-    return float(worst)
+    return float(_pair_max(g.reshape(right.shape[:h] + (1,) * h), right, left.T, g, conj))
 
 
-def _pair_block(rows, right, left_t, g, conj):
-    """max|rows right - left_t g| over one block of rows (conj(rows right)
-    with conj), or over gathered entries; a NaN entry makes the result NaN,
-    and no entry at all gives 0."""
+def _pair_max(rows, right, left_t, g, conj):
+    """max|rows right - left_t g| (conj(rows right) with conj), over whole
+    operands or gathered entries; a NaN entry makes the result NaN, and no
+    entry at all gives 0."""
     blk = np.multiply(rows, right, order="C")
     if conj:
         np.conjugate(blk, out=blk)

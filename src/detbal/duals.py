@@ -44,9 +44,12 @@ from .errors import DimensionMismatch, NonUnitary, NotInvolutive
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix
 from .states import DensityMatrix
 from .superop import (
+    _DUAL_AXES,
+    _INPUT_TRANSPOSE_AXES,
     SuperOperator,
-    _kron_sandwich,
+    _dense,
     _factor,
+    _kron_sandwich,
     _permute,
     _read,
     _realign,
@@ -58,7 +61,7 @@ from .superop import (
 
 def hs_adjoint(s: SuperOperator) -> SuperOperator:
     """Adjoint for the Hilbert-Schmidt inner product: the conjugate transpose."""
-    return SuperOperator(s.n, s.mat.conj().T)
+    return SuperOperator(s.n, np.conjugate(s.mat.T, order="C"))
 
 
 def bar_map(s: SuperOperator) -> SuperOperator:
@@ -74,32 +77,12 @@ def trace_dual(s: SuperOperator) -> SuperOperator:
     hs_adjoint(s).  Kraus maps dualize to their Kraus-adjoint families, so
     unital maps have trace-preserving duals and conversely.
     """
-    return SuperOperator(s.n, _trace_dual_view(s).reshape(s.n**2, s.n**2))
-
-
-# axes of the realignment that reads M as K M^T K (trace_dual)
-_DUAL_AXES = (3, 2, 1, 0)
-
-
-def _trace_dual_view(s: SuperOperator) -> np.ndarray:
-    """K M^T K as a view of M: reversing the four realigned axes transposes
-    M and swaps the two factors of each side."""
-    return _realign(s.mat, s.n, _DUAL_AXES)
+    return SuperOperator(s.n, _transpose_sides(s.mat, s.n, _DUAL_AXES))
 
 
 def _check_state(s: SuperOperator, rho: DensityMatrix) -> None:
     if s.n != rho.n:
         raise DimensionMismatch(f"map on M_{s.n} vs state on dimension {rho.n}")
-
-
-def _dense(n: int, at, entries: np.ndarray) -> np.ndarray:
-    """The n^2 x n^2 matrix with the given entries: the (n, n, n, n) array
-    itself when at is None, else one scatter into zeros at the positions at."""
-    if at is None:
-        return entries.reshape(n * n, n * n)
-    out = np.zeros((n,) * 4, dtype=complex)
-    out[at] = entries
-    return out.reshape(n * n, n * n)
 
 
 def rho_dual(s: SuperOperator, rho: DensityMatrix) -> SuperOperator:
@@ -127,7 +110,8 @@ def _rho_dual_entries(s: SuperOperator, rho: DensityMatrix, at) -> np.ndarray:
     those at the positions at (superop._factor).  Axes (k, j, k', j') of row j + n k,
     column j' + n k': rows / d_j, columns * d_j'."""
     d = rho.diag
-    m = np.multiply(_factor(1.0 / d, at, (1,)), _read(_trace_dual_view(s), at), order="C")
+    dual = _read(_realign(s.mat, s.n, _DUAL_AXES), at)
+    m = np.multiply(_factor(1.0 / d, at, (1,)), dual, order="C")
     m *= _factor(d, at, (3,))
     return m
 
@@ -149,7 +133,8 @@ def _kms_dual_entries(s: SuperOperator, rho: DensityMatrix, at) -> np.ndarray:
     """Entries of kms_dual(s, rho).mat.reshape(n, n, n, n), all of them or
     those at the positions at: rows / (d_j d_k)^(1/2), columns * (d_j' d_k')^(1/2)."""
     half = np.sqrt(np.outer(rho.diag, rho.diag))  # [k, j] -> (d_j d_k)^(1/2), vec index j + n k
-    m = np.divide(_read(_trace_dual_view(s), at), _factor(half, at, (0, 1)), order="C")
+    dual = _read(_realign(s.mat, s.n, _DUAL_AXES), at)
+    m = np.divide(dual, _factor(half, at, (0, 1)), order="C")
     m *= _factor(half, at, (2, 3))
     return m
 
@@ -209,7 +194,7 @@ class ReversingOperation:
     def superop(self) -> SuperOperator:
         """Matrix kron(conj u, u) K: the columns of kron(conj u, u) permuted."""
         w = np.kron(self.u.conj(), self.u)
-        return SuperOperator(self.n, _transpose_sides(w, self.n, (0, 1, 3, 2)))
+        return SuperOperator(self.n, _transpose_sides(w, self.n, _INPUT_TRANSPOSE_AXES))
 
 
 def make_reversing(u, tol: Tolerance = DEFAULT_TOL) -> ReversingOperation:

@@ -131,9 +131,9 @@ def purify(rho: DensityMatrix, w=None) -> Purification:
 
 
 def omega_eval(p: Purification, a, b) -> complex:
-    """Entangled two-copy expectation tr(r^dag a r b^T)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    """Entangled two-copy expectation tr(r^dag a r b^T) of n x n observables."""
+    a = _observable(p.rho, a)
+    b = _observable(p.rho, b)
     return complex(np.trace(p.r.conj().T @ a @ p.r @ b.T))
 
 

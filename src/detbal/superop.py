@@ -9,6 +9,9 @@ silently transpose factors, which is why the JSON interchange format tags
 superoperator matrices with an explicit "convention" field.  The CP test
 solves only the coupled rows of the Choi matrix; the rest are 1x1 blocks.
 
+A SuperOperator holds one C-ordered complex n^2 x n^2 matrix, so each
+realignment of it (_realign, axes defined here only) is a view.
+
 _stored decides, for the CP test and every other O(n^4) kernel, whether a
 map's stored entries are followed instead of all n^4: at n >= 7 with at
 most n^4 / 8 of them stored.  It finds them in one comparison pass, as the
@@ -52,10 +55,18 @@ def unvec(v, n: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SuperOperator:
-    """Linear map on M_n stored as its n^2 x n^2 column-stacking matrix."""
+    """Linear map on M_n stored as its n^2 x n^2 column-stacking matrix, one
+    C-ordered complex array: kept without a copy when given as one, else
+    converted once.  Another shape, or n < 1, raises DimensionMismatch."""
 
     n: int
     mat: np.ndarray
+
+    def __post_init__(self):
+        mat = np.ascontiguousarray(self.mat, dtype=complex)
+        if self.n < 1 or mat.shape != (self.n * self.n,) * 2:
+            raise DimensionMismatch(f"map on M_{self.n} with a matrix of shape {mat.shape}")
+        object.__setattr__(self, "mat", mat)
 
     def apply(self, x) -> np.ndarray:
         """Evaluate the map on an n x n matrix."""
@@ -82,16 +93,25 @@ def identity_superop(n: int) -> SuperOperator:
     return SuperOperator(n, np.eye(n * n, dtype=complex))
 
 
+# The realignments in use, each an involution (_permute).  Swapping axes
+# 0, 1 transposes a map's output, swapping 2, 3 its input.
+_CHOI_AXES = (3, 1, 2, 0)  # the Choi matrix (choi)
+_DUAL_AXES = (3, 2, 1, 0)  # K M^T K, the trace dual
+_BAR_AXES = (1, 0, 3, 2)  # K M K, the transpose conjugate; the Choi mirror
+_TRANSPOSE_AXES = (2, 3, 0, 1)  # M^T
+_INPUT_TRANSPOSE_AXES = (0, 1, 3, 2)  # M K
+
+
 def _realign(m: np.ndarray, n: int, axes) -> np.ndarray:
-    """m.reshape(n, n, n, n).transpose(axes), a view of m: entry
-    (a + n b, j + n k) of m sits at [b, a, k, j] of the reshape."""
+    """m.reshape(n, n, n, n).transpose(axes), a view of the C-ordered m:
+    entry (a + n b, j + n k) of m sits at [b, a, k, j] of the reshape."""
     return m.reshape(n, n, n, n).transpose(axes)
 
 
-def _transpose_sides(m: np.ndarray, n: int, axes=(1, 0, 3, 2)) -> np.ndarray:
-    """K m K for the commutation matrix K, vec(X^T) = K vec(X): swapping
-    axes 0, 1 of the realignment transposes the output and 2, 3 the input
-    (m K).  A copy; the kernels read _realign's view instead."""
+def _transpose_sides(m: np.ndarray, n: int, axes=_BAR_AXES) -> np.ndarray:
+    """K m K for the commutation matrix K, vec(X^T) = K vec(X), or another
+    realignment of m as an n^2 x n^2 matrix.  A copy; the kernels read
+    _realign's view instead."""
     return _realign(m, n, axes).reshape(n * n, n * n)
 
 
@@ -107,7 +127,8 @@ def _kron_sandwich(m: np.ndarray, n: int, a, b, j, k) -> np.ndarray:
 
 def transpose_superop(n: int) -> SuperOperator:
     """The transpose map X -> X^T; its matrix is the commutation matrix."""
-    return SuperOperator(n, _transpose_sides(np.eye(n * n, dtype=complex), n, (0, 1, 3, 2)))
+    eye = np.eye(n * n, dtype=complex)
+    return SuperOperator(n, _transpose_sides(eye, n, _INPUT_TRANSPOSE_AXES))
 
 
 def pi_rep(a, b) -> SuperOperator:
@@ -163,10 +184,6 @@ def from_kraus(k) -> SuperOperator:
     return SuperOperator(n, mat)
 
 
-# axes of the realignment that reads s.mat as its Choi matrix (see choi)
-_CHOI_AXES = (3, 1, 2, 0)
-
-
 @dataclass(frozen=True, eq=False)
 class ChoiMatrix:
     """Choi matrix sum_jk E_jk ox s(E_jk) of a superoperator on M_n."""
@@ -201,16 +218,16 @@ _GATHER_SHARE = 8  # at most n^4 / _GATHER_SHARE stored entries
 
 
 def _stored(m: np.ndarray, n: int):
-    """Where the n^2 x n^2 matrix m stores entries, or None when the kernels
-    should make their dense passes: n below _GATHER_MIN_N, m not a C-ordered
-    complex128 array, or more than n^4 / _GATHER_SHARE entries stored.  A
-    dense map is caught on its first rows, which alone store more.
+    """Where the matrix m of a SuperOperator on M_n stores entries, or None
+    when the kernels should make their dense passes: n below _GATHER_MIN_N
+    or more than n^4 / _GATHER_SHARE entries stored.  A dense map is caught
+    on its first rows, which alone store more.
 
     An entry is stored when its real or its imaginary half compares unequal
     to zero, so a NaN is stored.  The stored entries are given in C order
     as the four index arrays (x0, x1, x2, x3) of m.reshape(n, n, n, n):
     row x1 + n x0, column x3 + n x2 of m."""
-    if n < _GATHER_MIN_N or m.dtype != np.complex128 or not m.flags.c_contiguous:
+    if n < _GATHER_MIN_N:
         return None
     limit = m.size // _GATHER_SHARE
     # the entry's two comparison bytes read together as one uint16, counted
@@ -255,6 +272,16 @@ def _read(view: np.ndarray, at):
     return view if at is None else view[at]
 
 
+def _dense(n: int, at, entries: np.ndarray) -> np.ndarray:
+    """The n^2 x n^2 matrix with the given entries: the (n, n, n, n) array
+    itself when at is None, else one scatter into zeros at the positions at."""
+    if at is None:
+        return entries.reshape(n * n, n * n)
+    out = np.zeros((n,) * 4, dtype=complex)
+    out[at] = entries
+    return out.reshape(n * n, n * n)
+
+
 def _gathered_choi(m: np.ndarray, n: int, at):
     """(Hermiticity residual, Choi spectrum) of the map with matrix m, read
     from its stored entries at (_stored); None when every Choi row is
@@ -275,7 +302,7 @@ def _gathered_choi(m: np.ndarray, n: int, at):
     p = x3 * n + x1
     q = x2 * n + x0
     v = m4[at]
-    vm = m4[x1, x0, x3, x2]
+    vm = m4[_permute(at, _BAR_AXES)]
     scale = max(1.0, float(np.sqrt(np.vdot(v, v).real)))
     h = np.conjugate(vm)
     d = v - h
@@ -337,8 +364,8 @@ def _complete_positivity(s: SuperOperator, tol: Tolerance, at) -> CheckResult:
     else:
         big = n * n
         c = _realign(s.mat, n, _CHOI_AXES)
-        ct = c.transpose(2, 3, 0, 1)
-        h = c.astype(np.result_type(s.mat, 0.5), order="C")
+        ct = c.transpose(_TRANSPOSE_AXES)
+        h = c.copy()
         scale = max(1.0, float(np.linalg.norm(h)))
         np.conjugate(ct, out=h)
         np.subtract(c, h, out=h)
@@ -414,7 +441,7 @@ def is_unital(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
 def _unital_defect(s: SuperOperator) -> np.ndarray:
     """vec(s(1)) - vec(1), from the diagonal-unit columns of s.mat."""
     n = s.n
-    out = s.mat[:, :: n + 1].sum(axis=1, dtype=complex)
+    out = s.mat[:, :: n + 1].sum(axis=1)
     out[:: n + 1] -= 1.0
     return out
 

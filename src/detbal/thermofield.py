@@ -24,8 +24,8 @@ import numpy as np
 
 from .duals import _modular_ratios
 from .linalg import DEFAULT_TOL, CheckResult, Tolerance, _verdict, as_matrix
-from .states import DensityMatrix
-from .superop import SuperOperator, pi_rep, transpose_superop
+from .states import DensityMatrix, _observable
+from .superop import SuperOperator, pi_rep
 
 
 def tilde(a) -> SuperOperator:
@@ -51,13 +51,13 @@ def check_tilde_substitution(rho: DensityMatrix, tol: Tolerance = DEFAULT_TOL) -
 def check_kms(rho: DensityMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
     """Verify <A Delta(B)> = <B A> on all matrix-unit pairs: max|H Delta - H^T|
     for H = kron(1, rho^T) K, the Gram matrix of (A, B) -> <A B> on the vec
-    basis (K the commutation matrix).  kron(1, rho^T) = diag(d_j) at vec
-    index j + n k and Delta is diagonal, so H is a row scaling of K and
-    H Delta a column scaling of H.  The pair loop is a test oracle."""
-    n = rho.n
-    h = np.tile(rho.diag, n)[:, None] * transpose_superop(n).mat
-    residual = float(np.max(np.abs(h * _modular_ratios(rho) - h.T)))
-    return _verdict(tol, {"kms": residual})
+    basis (K the commutation matrix), rho = diag(d).  H holds d_j at row
+    j + n k, column k + n j, and Delta holds d_k / d_j at k + n j, so the
+    residual is max|d_j (d_k / d_j) - d_k| over the n x n pairs (j, k), one
+    elementwise pass.  The pair loop is a test oracle."""
+    d = rho.diag
+    lhs = d[:, None] * _modular_ratios(rho).reshape(rho.n, rho.n)
+    return _verdict(tol, {"kms": float(np.max(np.abs(lhs - d)))})
 
 
 def expect_tilde(rho: DensityMatrix, a, b) -> complex:
@@ -66,7 +66,7 @@ def expect_tilde(rho: DensityMatrix, a, b) -> complex:
     Closed form tr(rho^(1/2) a rho^(1/2) b^dag); the representation route
     hs_inner(rho^(1/2), a tilde(b) rho^(1/2)) is the test oracle.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a = _observable(rho, a)
+    b = _observable(rho, b)
     half = rho.power(0.5)
     return complex(np.trace(half @ a @ half @ b.conj().T))

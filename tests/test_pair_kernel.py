@@ -313,13 +313,13 @@ def test_pair_residual_is_the_bilinear_pair_maximum():
     assert close(_pair_residual(g, left, right), want)
 
 
-@pytest.mark.parametrize("n", [2, 10, 12])
-def test_pair_residual_blocks_match_the_one_shot_expression(n):
-    """The kernel runs over row blocks (several at n >= 10) and reads a
-    realigned right operand as a view.  The one-shot expression over full
-    copies is its reference, bit for bit, since a maximum is exact; with
-    conj the conjugate is taken after the real scaling, which moves at most
-    the sign of a zero.  A NaN anywhere, in the last block too, is the result."""
+@pytest.mark.parametrize("n", [2, 9, 10, 12, 16])
+def test_pair_residual_matches_the_one_shot_expression(n):
+    """The kernel's dense pass reads a realigned right operand as a view.
+    The one-shot expression over full copies is its reference, bit for bit,
+    since a maximum is exact; with conj the conjugate is taken after the real
+    scaling, which moves at most the sign of a zero.  A NaN anywhere, in the
+    last row too, is the result."""
     rng = np.random.default_rng(210 + n)
     size = n * n
     left, right = (

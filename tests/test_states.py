@@ -15,6 +15,7 @@ from detbal.states import (
     purify,
     theta_eval,
 )
+from detbal.thermofield import expect_tilde
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 RHO_DIAG = np.diag([0.75, 0.25])
@@ -175,6 +176,15 @@ def test_observables_must_be_n_by_n(bad):
         theta_eval(rho, bad, np.eye(2))
     with pytest.raises(DimensionMismatch):
         theta_eval(rho, np.eye(2), bad)
+    p = purify(rho)
+    with pytest.raises(DimensionMismatch):
+        omega_eval(p, bad, np.eye(2))
+    with pytest.raises(DimensionMismatch):
+        omega_eval(p, np.eye(2), bad)
+    with pytest.raises(DimensionMismatch):
+        expect_tilde(rho, bad, np.eye(2))
+    with pytest.raises(DimensionMismatch):
+        expect_tilde(rho, np.eye(2), bad)
 
 
 def test_marginals_check_default_w_passes():

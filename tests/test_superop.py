@@ -114,6 +114,36 @@ def test_apply_shape_guard():
         identity_superop(2).apply(np.eye(3))
 
 
+@pytest.mark.parametrize(
+    "n,mat",
+    [(3, np.eye(4)), (2, np.ones((4, 3))), (2, np.ones(16)), (2, np.ones((2, 2, 2, 2))),
+     (0, np.ones((0, 0)))],
+    ids=["n3-4x4", "4x3", "1d", "4d", "n0"],
+)
+def test_superoperator_rejects_a_matrix_of_another_shape(n, mat):
+    with pytest.raises(DimensionMismatch):
+        SuperOperator(n, mat)
+
+
+def test_superoperator_holds_one_c_ordered_complex_matrix():
+    """A real or Fortran-ordered input gives the same map, stored C-ordered
+    and complex; a C-ordered complex input is kept without a copy."""
+    rng = np.random.default_rng(13)
+    real = rng.standard_normal((9, 9))
+    want = SuperOperator(3, real.astype(complex))
+    x = random_mat(3, rng)
+    for given in (real, np.asfortranarray(real), np.asfortranarray(real.astype(complex))):
+        s = SuperOperator(3, given)
+        assert s.mat.dtype == np.complex128 and s.mat.flags.c_contiguous
+        assert np.array_equal(s.mat, want.mat)
+        assert np.array_equal(s.apply(x), want.apply(x))
+    m = random_mat(9, rng)
+    assert SuperOperator(3, m).mat is m
+    # a sparse real or Fortran-ordered input takes the stored-entry route
+    for given in (np.eye(49), np.asfortranarray(np.eye(49, dtype=complex))):
+        assert superop._stored(SuperOperator(7, given).mat, 7) is not None
+
+
 def test_compose_and_power():
     rng = np.random.default_rng(4)
     a = from_kraus([random_mat(2, rng)])

@@ -21,7 +21,6 @@ from .balance import (
     check_db2_entangled,
     check_db2_modular,
     check_db2_tfd,
-    check_implication_sqdb_db2,
     check_sqdb_definition,
     check_sqdb_entangled,
     check_sqdb_tfd,

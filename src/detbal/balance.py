@@ -44,9 +44,8 @@ permuted.  A pair maximum runs over the stored entries of R and the
 transposed ones of L, a norm over the union of its operands' stored
 entries.
 
-The two notions agree on channels commuting with the modular map; sqdb
-does not require that commutation.  check_implication_sqdb_db2 probes the
-one-way implication (sqdb + commutation => db2) empirically.
+On channels commuting with the modular map the kms and state duals
+coincide, so there sqdb implies db2; sqdb does not require that commutation.
 
 Channels that are not CP+unital are rejected with InputNotDynamics before
 any balance verdict; balance failures and input errors never mix.  A
@@ -369,41 +368,6 @@ def check_sqdb_tfd(
     _require_dynamics(tau, rho, tol, mode, at)
     conj = theta_conjugate(tau, th)
     return _sqdb_tfd(tau, at, _pair_gram(rho), conj, _conj_positions(tau, at, conj), tol)
-
-
-def check_implication_sqdb_db2(
-    tau: SuperOperator,
-    rho: DensityMatrix,
-    th: ReversingOperation,
-    tol: Tolerance = DEFAULT_TOL,
-    mode: str = MODE_CP,
-) -> CheckResult:
-    """Empirical probe of: sqdb together with modular commutation implies db2.
-
-    When the antecedent fails the check is vacuous (applicable = 0, passed).
-    When it holds, passed reports whether the standard-balance residual
-    clears eq_tol; a False here would be a counterexample worth keeping.
-    """
-    at = _stored(tau.mat, tau.n)
-    _require_dynamics(tau, rho, tol, mode, at)
-    conj = theta_conjugate(tau, th)
-    sq = _sqdb_definition(tau, rho, at, conj, _conj_positions(tau, at, conj), tol)
-    db2 = _db2_modular(tau, rho, at, tol)
-    comm = db2.detail["modular_commutator"]
-    applicable = sq.passed and _verdict(tol, {"commutator": comm}).passed
-    if not applicable:
-        return CheckResult(
-            passed=True,
-            residual=0.0,
-            detail={"applicable": 0.0, "sqdb_residual": sq.residual, "commutator": comm},
-            tol=tol,
-        )
-    return CheckResult(
-        passed=db2.passed,
-        residual=db2.residual,
-        detail={"applicable": 1.0, "sqdb_residual": sq.residual, "db2_residual": db2.residual},
-        tol=tol,
-    )
 
 
 @dataclass(frozen=True, eq=False)

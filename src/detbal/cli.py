@@ -329,53 +329,48 @@ def _to_eigenbasis(rho, channel, theta):
 
 
 def parse_problem(path: str) -> ParsedProblem:
-    """Read, validate and basis-normalize a problem file.
-
-    numpy's overflow and invalid-value warnings are off: every validator
-    fails closed on inf and NaN, so they would only print ahead of the one
-    error line."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    """Read, validate and basis-normalize a problem file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError("file", str(exc)) from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaError("file", f"invalid JSON: {exc}") from exc
+    # a non-object takes the quantum branch, whose key rule rejects it
+    kind = raw.get("kind", "quantum") if isinstance(raw, dict) else "quantum"
+    if kind == "quantum":
+        _check_object(raw, "file", _QUANTUM_KEYS, ("rho", "channel"))
+        tol = _parse_tol(raw.get("tol"))
+        powers = _parse_powers(raw.get("time_powers"))
+        rho = _parse_rho(raw["rho"], tol)
+        channel = _parse_channel(raw["channel"], rho.n, tol)
+        theta = _parse_theta(raw.get("theta"), rho.n)
+        tau, theta = _to_eigenbasis(rho, channel, theta)
+        return ParsedProblem(
+            kind="quantum", tol=tol, powers=powers, rho=rho, tau=tau, theta=theta
+        )
+    if kind == "classical":
+        _check_object(raw, "file", _CLASSICAL_KEYS, ("p", "gamma"))
+        tol = _parse_tol(raw.get("tol"))
+        powers = _parse_powers(raw.get("time_powers"))
+        p = _parse_real_vector(raw["p"], "p")
+        gamma = raw["gamma"]
+        if not (isinstance(gamma, list) and all(isinstance(r, list) for r in gamma)):
+            raise SchemaError("gamma", "expected a nested array of rows")
+        rows = [_parse_real_vector(r, f"gamma[{i}]") for i, r in enumerate(gamma)]
+        width = len(rows[0]) if rows else 0
+        for i, row in enumerate(rows):
+            if len(row) != width:
+                raise SchemaError("gamma", f"row {i} has length {len(row)}, expected {width}")
         try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise SchemaError("file", str(exc)) from exc
-        except json.JSONDecodeError as exc:
-            raise SchemaError("file", f"invalid JSON: {exc}") from exc
-        # a non-object takes the quantum branch, whose key rule rejects it
-        kind = raw.get("kind", "quantum") if isinstance(raw, dict) else "quantum"
-        if kind == "quantum":
-            _check_object(raw, "file", _QUANTUM_KEYS, ("rho", "channel"))
-            tol = _parse_tol(raw.get("tol"))
-            powers = _parse_powers(raw.get("time_powers"))
-            rho = _parse_rho(raw["rho"], tol)
-            channel = _parse_channel(raw["channel"], rho.n, tol)
-            theta = _parse_theta(raw.get("theta"), rho.n)
-            tau, theta = _to_eigenbasis(rho, channel, theta)
-            return ParsedProblem(
-                kind="quantum", tol=tol, powers=powers, rho=rho, tau=tau, theta=theta
-            )
-        if kind == "classical":
-            _check_object(raw, "file", _CLASSICAL_KEYS, ("p", "gamma"))
-            tol = _parse_tol(raw.get("tol"))
-            powers = _parse_powers(raw.get("time_powers"))
-            p = _parse_real_vector(raw["p"], "p")
-            gamma = raw["gamma"]
-            if not (isinstance(gamma, list) and all(isinstance(r, list) for r in gamma)):
-                raise SchemaError("gamma", "expected a nested array of rows")
-            rows = [_parse_real_vector(r, f"gamma[{i}]") for i, r in enumerate(gamma)]
-            width = len(rows[0]) if rows else 0
-            for i, row in enumerate(rows):
-                if len(row) != width:
-                    raise SchemaError("gamma", f"row {i} has length {len(row)}, expected {width}")
-            try:
-                chain = make_chain(p, np.asarray(rows))
-            except NotStochastic as exc:
-                raise SchemaError(exc.argument, str(exc)) from exc
-            except DetbalError as exc:
-                raise SchemaError("gamma", str(exc)) from exc
-            return ParsedProblem(kind="classical", tol=tol, powers=powers, chain=chain)
-        raise SchemaError("kind", 'expected "quantum" or "classical"')
+            chain = make_chain(p, np.asarray(rows))
+        except NotStochastic as exc:
+            raise SchemaError(exc.argument, str(exc)) from exc
+        except DetbalError as exc:
+            raise SchemaError("gamma", str(exc)) from exc
+        return ParsedProblem(kind="classical", tol=tol, powers=powers, chain=chain)
+    raise SchemaError("kind", 'expected "quantum" or "classical"')
 
 
 def _check_payload(c: CheckResult) -> dict:
@@ -637,11 +632,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  numpy's overflow and invalid-value warnings are off
+    for parsing and checks alike: every validator and verdict fails closed
+    on inf and NaN, so they would only print ahead of the one error line."""
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "check":
-            return _cmd_check(args)
-        return _cmd_generate(args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.command == "check":
+                return _cmd_check(args)
+            return _cmd_generate(args)
     except (DetbalError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

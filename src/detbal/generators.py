@@ -113,8 +113,9 @@ def gad_kraus(p: float, s: float) -> KrausChannel:
     Requires 1/2 < p < 1 and 0 < s <= (1-p)/p.  The family
       V1 = diag(a, b), V2 = c E01 + d E10
     with a^2 = 1-s, c^2 = s, d^2 = ps/(1-p), b^2 = 1 - ps/(1-p) satisfies
-    sum V V^dag = 1 (unital) and sum V^dag rho V = rho (state-preserving);
-    both are checked at construction.
+    sum V V^dag = 1 (unital) and sum V^dag rho V = rho (state-preserving)
+    identically in (p, s).  At s = (1-p)/p rounding can leave b^2 a few
+    ulps below zero, so it is clamped at 0.
     """
     if not 0.5 < p < 1.0:
         raise ValueError(f"p must lie in (1/2, 1), got {p}")
@@ -124,14 +125,9 @@ def gad_kraus(p: float, s: float) -> KrausChannel:
     a = math.sqrt(1.0 - s)
     c = math.sqrt(s)
     d = math.sqrt(p * s / q)
-    b = math.sqrt(1.0 - p * s / q)
+    b = math.sqrt(max(0.0, 1.0 - p * s / q))
     v1 = np.diag([a, b]).astype(complex)
     v2 = np.array([[0.0, c], [d, 0.0]], dtype=complex)
-    rho = np.diag([p, q])
-    unital_res = np.linalg.norm(v1 @ v1.conj().T + v2 @ v2.conj().T - np.eye(2))
-    fixed_res = np.linalg.norm(v1.conj().T @ rho @ v1 + v2.conj().T @ rho @ v2 - rho)
-    if max(float(unital_res), float(fixed_res)) > 1e-12:
-        raise DetbalError("construction identities violated")
     return make_kraus([v1, v2])
 
 
@@ -205,18 +201,15 @@ def symmetrized_sqdb_channel(
     Start from beta = (conjugation by diag(1, e^i phi)) after the gad
     channel: CP, unital and state-preserving but generally not balanced in
     either sense.  Averaging beta with Theta kms_dual(beta) Theta (Theta
-    the transpose) lands exactly on the square-root condition; the residual
-    is verified at construction.
+    the transpose) lands exactly on the square-root condition: kms_dual is
+    an involution and commutes with the transpose conjugation at a diagonal
+    state (both identities are pinned in tests).
     """
     gad, rho = gad_sqdb_channel(p, s)
     ph = np.diag([1.0, np.exp(1j * phi)])
     beta = SuperOperator(2, np.kron(ph.conj(), ph) @ gad.mat)
     partner = bar_map(kms_dual(beta, rho))
-    tau = SuperOperator(2, 0.5 * (beta.mat + partner.mat))
-    check = bar_map(kms_dual(tau, rho))
-    if float(np.linalg.norm(check.mat - tau.mat)) > 1e-10:
-        raise DetbalError("symmetrization failed to reach square-root balance")
-    return tau, rho
+    return SuperOperator(2, 0.5 * (beta.mat + partner.mat)), rho
 
 
 def metropolis_chain(n: int, seed: int) -> ClassicalChain:

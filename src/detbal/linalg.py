@@ -56,7 +56,7 @@ class CheckResult:
     residual is the largest of them and passed records whether each cleared
     its threshold.  Extreme eigenvalues (*_min_eigenvalue, *_max_eigenvalue)
     and hat_vs_channel are diagnostics that decide nothing.  _verdict applies
-    this rule; check_implication_sqdb_db2 documents its own detail.
+    this rule.
     """
 
     passed: bool

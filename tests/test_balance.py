@@ -10,7 +10,6 @@ from detbal.balance import (
     check_db2_definition,
     check_db2_entangled,
     check_db2_modular,
-    check_implication_sqdb_db2,
     check_sqdb_definition,
     check_sqdb_entangled,
     classical_detailed_balance,
@@ -237,20 +236,49 @@ def test_sqdb_with_nontrivial_reversing_unitary():
     assert check_sqdb_entangled(tau, rho, th).passed
 
 
-def test_implication_check_on_the_three_regimes():
-    th = transpose_reversing(2)
-    rho = rho_34()
-    # applicable and satisfied: entrywise multiplier
-    tau = schur_db2_channel(rho, seed=8)
-    res = check_implication_sqdb_db2(tau, rho, th)
-    assert res.passed and res.detail["applicable"] == 1.0
-    # not applicable: gad is sqdb but does not commute
-    gad, grho = gad_sqdb_channel(0.75, 0.2)
-    res = check_implication_sqdb_db2(gad, grho, th)
-    assert res.passed and res.detail["applicable"] == 0.0
-    # not applicable: generic unital channel is not sqdb
-    res = check_implication_sqdb_db2(random_unital_channel(2, 2, 9), rho, th)
-    assert res.passed and res.detail["applicable"] == 0.0
+def _embedded_chain(c, order):
+    """The chain c as a channel with Kraus operators sqrt(gamma_jk) E_jk at
+    rho = diag(p), its states taken in the given order."""
+    p, gamma = c.p[order], c.gamma[np.ix_(order, order)]
+    n = len(p)
+    ops = [
+        math.sqrt(gamma[j, k]) * matrix_unit(n, j, k)
+        for j in range(n)
+        for k in range(n)
+        if gamma[j, k] > 0.0
+    ]
+    return from_kraus(ops), make_density(np.diag(p)), make_chain(p, gamma)
+
+
+def _classical_limit_chains():
+    cycle = cycle_chain(4)
+    yield "cycle", cycle, (False, True, False)
+    yield "lazy-cycle", make_chain(cycle.p, 0.5 * (np.eye(4) + cycle.gamma)), (False, True, False)
+    for seed in (1, 2, 3):
+        yield f"metropolis-{seed}", metropolis_chain(4, seed), (True, True, True)
+
+
+@pytest.mark.parametrize(
+    "chain,expected", [pytest.param(c, e, id=name) for name, c, e in _classical_limit_chains()]
+)
+def test_classical_limit_of_the_quantum_verdicts(chain, expected):
+    # with p descending, sqdb (Theta the transpose) tracks pairwise
+    # reversibility, while db2 only asks the state dual to be a channel: the
+    # doubly stochastic cycle at uniform p passes it
+    tau, rho, ordered = _embedded_chain(chain, np.argsort(-chain.p, kind="stable"))
+    rep = run_report(tau, rho, transpose_reversing(4), tfd=True)
+    assert (classical_detailed_balance(ordered).passed, rep.db2, rep.sqdb) == expected
+    assert rep.consistency and rep.tfd_agrees
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_chain_in_ascending_order_is_read_in_the_wrong_basis(seed):
+    # make_density sorts p descending, so a channel built in ascending
+    # order is not given in rho's eigenbasis
+    chain = metropolis_chain(4, seed)
+    tau, rho, _ = _embedded_chain(chain, np.argsort(chain.p, kind="stable"))
+    rep = run_report(tau, rho, transpose_reversing(4))
+    assert (rep.db2, rep.sqdb) == (False, False)
 
 
 def test_entangled_checks_match_definition_booleans():

@@ -267,6 +267,17 @@ def test_powers_flag_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_huge_power_prints_one_error_line(tmp_path, capsys):
+    # tau^k overflows to inf and nan on the way to the eigensolver
+    path = tmp_path / "p.json"
+    assert main(["generate", "schur-db2", "--n", "3", "--seed", "0", "--out", str(path)]) == 0
+    assert main(["check", str(path), "--powers", "99999999999999999999999"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_json_format_is_deterministic(tmp_path, capsys):
     path = _gad_file(tmp_path)
     assert main(["check", path, "--format", "json"]) == 0
@@ -606,6 +617,15 @@ MALFORMED_FILES = [
     ),
     # the trace and the norm overflow; no RuntimeWarning may reach stderr
     ("rho-overflow", {"rho": [1e308, 1e308]}, "rho: trace must be 1, got inf"),
+    # a finite Kraus entry whose square overflows in the checks, not at parse
+    (
+        "kraus-overflow",
+        {
+            "rho": [0.6, 0.4],
+            "channel": {"kind": "kraus", "data": [[[[1e160, 0], [0, 0]], [[0, 0], [1, 0]]]]},
+        },
+        "channel is not completely positive (residual nan)",
+    ),
     (
         "gamma-overflow",
         {"p": [0.5, 0.5], "gamma": [[1e308, 1e308], [0.0, 1.0]]},

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from detbal.balance import check_db2_definition, check_sqdb_definition
 from detbal.duals import (
     bar_map,
     hat_map,
@@ -19,11 +20,12 @@ from detbal.duals import (
     transpose_reversing,
 )
 from detbal.errors import NonUnitary, NotInvolutive
-from detbal.generators import random_density
+from detbal.generators import degenerate_db2_channel, random_density, schur_db2_channel
 from detbal.linalg import DEFAULT_TOL, hs_inner, matrix_unit, matrix_units
 from detbal.states import expectation, make_density
 from detbal.superop import (
     SuperOperator,
+    _stored,
     from_kraus,
     identity_superop,
     is_completely_positive,
@@ -174,14 +176,40 @@ def test_kms_dual_preserves_complete_positivity():
         assert res.passed, res.detail
 
 
-def test_kms_equals_rho_dual_iff_modular_commutation():
-    rho = rho_34()
+def _modular_commuting_maps():
+    """Schur multipliers at n = 2..8 (both sides of the stored-entry route,
+    which starts at n = 7), their squares, and the degenerate-state family."""
+    yield "schur-2-diag", schur_channel(2, 14), rho_34()
+    for n in range(2, 9):
+        rho = random_density(n, seed=n)
+        s = schur_db2_channel(rho, seed=40 + n)
+        yield f"schur-{n}", s, rho
+        yield f"schur-{n}-squared", SuperOperator(n, s.mat @ s.mat), rho
+    s, rho = degenerate_db2_channel(seed=3)
+    yield "degenerate", s, rho
+
+
+@pytest.mark.parametrize(
+    "name,s,rho", [pytest.param(*case, id=case[0]) for case in _modular_commuting_maps()]
+)
+def test_kms_equals_rho_dual_iff_modular_commutation(name, s, rho):
+    # the identity behind "sqdb and modular commutation imply db2": on a map
+    # commuting with Delta the kms dual is the state dual, so a map passing
+    # sqdb passes db2 as well
     delta = modular(rho)
-    # commuting example: entrywise multiplier
-    s = schur_channel(2, 14)
     assert np.linalg.norm(s.mat @ delta.mat - delta.mat @ s.mat) <= 1e-12
-    assert np.allclose(kms_dual(s, rho).mat, rho_dual(s, rho).mat, atol=1e-12)
-    # non-commuting example: amplitude-damping-type channel
+    assert np.allclose(kms_dual(s, rho).mat, rho_dual(s, rho).mat, rtol=0, atol=1e-12)
+    assert (_stored(s.mat, s.n) is not None) == (s.n >= 7)
+    sqdb = check_sqdb_definition(s, rho, transpose_reversing(s.n)).passed
+    # the Hermitian multipliers are sqdb; the block unitaries are not
+    assert sqdb == name.startswith("schur")
+    if sqdb:
+        assert check_db2_definition(s, rho).passed
+
+
+def test_kms_differs_from_rho_dual_without_modular_commutation():
+    delta = modular(rho_34())
+    # amplitude-damping-type channel
     g, grho = gad_channel(0.75, 0.2)
     assert np.linalg.norm(g.mat @ delta.mat - delta.mat @ g.mat) > 0.5
     assert np.linalg.norm(kms_dual(g, grho).mat - rho_dual(g, grho).mat) > 1e-3

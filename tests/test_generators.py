@@ -130,6 +130,24 @@ def test_gad_parameter_validation():
     gad_kraus(0.75, 1.0 / 3.0)  # boundary is allowed
 
 
+def test_gad_kraus_identities_hold_over_the_parameter_range():
+    # 60 values of p, 40 of s per p, the last at the boundary s = (1-p)/p;
+    # the extra p is the boundary of the command line's reported failure
+    rounded = 0
+    for p in [*np.linspace(0.51, 0.99, 60), 0.6356389830508474]:
+        p, q = float(p), 1.0 - float(p)
+        for t in np.linspace(1.0 / 40.0, 1.0, 40):
+            s = float(t) * q / p
+            # b^2 = 1 - p s / q rounds below zero at some boundary points
+            rounded += 1.0 - p * s / q < 0.0
+            v1, v2 = gad_kraus(p, s).ops
+            rho = np.diag([p, q])
+            unital = np.linalg.norm(v1 @ v1.conj().T + v2 @ v2.conj().T - np.eye(2))
+            fixed = np.linalg.norm(v1.conj().T @ rho @ v1 + v2.conj().T @ rho @ v2 - rho)
+            assert max(unital, fixed) <= 1e-15, (p, s)
+    assert rounded == 4
+
+
 def test_gad_small_s_approaches_identity():
     tau, _ = gad_sqdb_channel(0.75, 1e-9)
     assert np.linalg.norm(tau.mat - np.eye(4)) <= 1e-4

@@ -27,7 +27,6 @@ from detbal import (
     check_db2_entangled,
     check_db2_modular,
     check_db2_tfd,
-    check_implication_sqdb_db2,
     check_sqdb_definition,
     check_sqdb_entangled,
     check_sqdb_tfd,
@@ -73,7 +72,6 @@ def calls(tau, rho, th):
         "check_sqdb_definition": lambda: check_sqdb_definition(tau, rho, th),
         "check_sqdb_entangled": lambda: check_sqdb_entangled(tau, rho, th),
         "check_sqdb_tfd": lambda: check_sqdb_tfd(tau, rho, th),
-        "check_implication_sqdb_db2": lambda: check_implication_sqdb_db2(tau, rho, th),
         "delta_commutator_residual": lambda: delta_commutator_residual(tau, rho),
         "rho_dual": lambda: rho_dual(tau, rho),
         "kms_dual": lambda: kms_dual(tau, rho),
@@ -134,7 +132,6 @@ BELOW = {
     "check_sqdb_definition": 3.41,
     "check_sqdb_entangled": 3.41,
     "check_sqdb_tfd": 4.41,
-    "check_implication_sqdb_db2": 3.41,
     "delta_commutator_residual": 1.90,
     "rho_dual": 2.40,
     "kms_dual": 2.40,

@@ -114,12 +114,7 @@ from .superop import (
     unvec,
     vec,
 )
-from .thermofield import (
-    check_kms,
-    check_tilde_substitution,
-    expect_tilde,
-    tilde,
-)
+from .thermofield import expect_tilde, tilde
 
 __version__ = "0.1.0"
 

@@ -67,6 +67,7 @@ from .balance import (
     classical_detailed_balance,
     classical_phi_balance,
     make_chain,
+    require_dynamics,
     run_report,
 )
 from .duals import ReversingOperation, make_reversing, transpose_reversing
@@ -405,9 +406,13 @@ def run_checks(
     assertion: str = "none",
     mode: str = MODE_CP,
 ) -> dict:
-    """Run the battery per requested time power; returns the report payload."""
+    """Run the battery per requested time power; returns the report payload.
+    Without power 1 the file's map is admitted first: a power of a map that
+    is no channel can be one (the transpose map squares to the identity)."""
     reports = []
     if parsed.kind == "quantum":
+        if 1 not in parsed.powers:
+            require_dynamics(parsed.tau, parsed.rho, parsed.tol, mode)
         for k in parsed.powers:
             tau_k = parsed.tau if k == 1 else parsed.tau.power(k)
             report = run_report(tau_k, parsed.rho, parsed.theta, parsed.tol, mode, tfd)

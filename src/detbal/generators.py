@@ -32,12 +32,12 @@ import math
 
 import numpy as np
 
-from .balance import ClassicalChain, make_chain
+from .balance import ClassicalChain
 from .duals import bar_map, kms_dual
 from .errors import DetbalError
 from .linalg import hermitian_eig, mat_power
 from .states import DensityMatrix, make_density
-from .superop import KrausChannel, SuperOperator, from_kraus, make_kraus
+from .superop import KrausChannel, SuperOperator, from_kraus
 
 
 def _gaussian(rng, n: int) -> np.ndarray:
@@ -82,7 +82,8 @@ def schur_kraus(h) -> KrausChannel:
 
     Spectral form: h = sum_m lam_m w_m w_m^dag gives diagonal Kraus
     operators diag(sqrt(lam_m) w_m); eigenvalues at numerical zero are
-    dropped.  Unital exactly when diag(h) = 1.
+    dropped.  Unital exactly when diag(h) = 1.  hermitian_eig validated h,
+    so the operators are finite square arrays and skip make_kraus.
     """
     lams, ws = hermitian_eig(h)
     ops = []
@@ -91,7 +92,7 @@ def schur_kraus(h) -> KrausChannel:
         if lam <= 1e-14 * scale:
             continue
         ops.append(np.diag(math.sqrt(lam) * w))
-    return make_kraus(ops)
+    return KrausChannel(tuple(ops))
 
 
 def schur_db2_channel(rho: DensityMatrix, seed: int) -> SuperOperator:
@@ -115,7 +116,8 @@ def gad_kraus(p: float, s: float) -> KrausChannel:
     with a^2 = 1-s, c^2 = s, d^2 = ps/(1-p), b^2 = 1 - ps/(1-p) satisfies
     sum V V^dag = 1 (unital) and sum V^dag rho V = rho (state-preserving)
     identically in (p, s).  At s = (1-p)/p rounding can leave b^2 a few
-    ulps below zero, so it is clamped at 0.
+    ulps below zero, so it is clamped at 0.  Both operators are finite for
+    (p, s) in range, so they skip make_kraus.
     """
     if not 0.5 < p < 1.0:
         raise ValueError(f"p must lie in (1/2, 1), got {p}")
@@ -128,7 +130,7 @@ def gad_kraus(p: float, s: float) -> KrausChannel:
     b = math.sqrt(max(0.0, 1.0 - p * s / q))
     v1 = np.diag([a, b]).astype(complex)
     v2 = np.array([[0.0, c], [d, 0.0]], dtype=complex)
-    return make_kraus([v1, v2])
+    return KrausChannel((v1, v2))
 
 
 def gad_sqdb_channel(p: float, s: float) -> tuple[SuperOperator, DensityMatrix]:
@@ -142,6 +144,7 @@ def random_unital_kraus(n: int, k: int, seed: int) -> KrausChannel:
 
     W_j = M^(-1/2) V_j with M = sum V V^dag; k = 1 reduces to a single
     unitary.  Resamples in the measure-zero event that M is near singular.
+    Every W_j is finite then, so the family skips make_kraus.
     """
     if k < 1:
         raise ValueError(f"need at least one Kraus operator, got {k}")
@@ -152,7 +155,7 @@ def random_unital_kraus(n: int, k: int, seed: int) -> KrausChannel:
         lam = np.linalg.eigvalsh(m)
         if lam[0] > 1e-8 * lam[-1]:
             root = mat_power(m, -0.5)
-            return make_kraus([root @ v for v in vs])
+            return KrausChannel(tuple(root @ v for v in vs))
     raise DetbalError("could not draw a nonsingular Kraus normalization")
 
 
@@ -162,13 +165,13 @@ def random_unital_channel(n: int, k: int, seed: int) -> SuperOperator:
 
 
 def degenerate_db2_channel(
-    seed: int, spectrum=(0.5, 0.25, 0.25), mixtures: int = 3
+    seed: int, spectrum=(0.5, 0.25, 0.25)
 ) -> tuple[SuperOperator, DensityMatrix]:
     """Standard-balanced channel over a state with a repeated eigenvalue.
 
-    Convex mixture of conjugations by unitaries block-diagonal along the
-    eigenvalue multiplicities: each commutes with the state, so the mixture
-    is CP, unital, modular-commuting and state-preserving, while the
+    Convex mixture of three conjugations by unitaries block-diagonal along
+    the eigenvalue multiplicities: each commutes with the state, so the
+    mixture is CP, unital, modular-commuting and state-preserving, while the
     degenerate spectrum exercises the non-canonical-basis code path.
     """
     spectrum = np.asarray(spectrum, dtype=float)
@@ -183,7 +186,7 @@ def degenerate_db2_channel(
             blocks.append((start, j))
             start = j
     n = rho.n
-    weights = rng.dirichlet(np.ones(mixtures))
+    weights = rng.dirichlet(np.ones(3))
     mat = np.zeros((n * n, n * n), dtype=complex)
     for w in weights:
         u = np.zeros((n, n), dtype=complex)
@@ -213,7 +216,10 @@ def symmetrized_sqdb_channel(
 
 
 def metropolis_chain(n: int, seed: int) -> ClassicalChain:
-    """Reversible chain: uniform proposal, Metropolis acceptance min(1, p_k/p_j)."""
+    """Reversible chain: uniform proposal, Metropolis acceptance min(1, p_k/p_j).
+    p is positive with unit sum up to rounding, the off-diagonal rates are
+    at most 1/(n-1) and each diagonal entry completes its row of gamma, so
+    the chain skips make_chain."""
     if n < 2:
         raise ValueError(f"need at least two states, got {n}")
     rng = np.random.default_rng(seed)
@@ -226,14 +232,15 @@ def metropolis_chain(n: int, seed: int) -> ClassicalChain:
             if j != k:
                 gamma[j, k] = min(1.0, p[k] / p[j]) / (n - 1)
         gamma[j, j] = 1.0 - gamma[j].sum()
-    return make_chain(p, gamma)
+    return ClassicalChain(p, gamma)
 
 
 def cycle_chain(n: int) -> ClassicalChain:
     """Deterministic rotation j -> j+1 over the uniform distribution.
 
     Stationary but maximally irreversible: every pairwise flow difference
-    equals 1/n, so the balance residual is exactly 1/n.
+    equals 1/n, so the balance residual is exactly 1/n.  The uniform p and
+    the permutation gamma are exact, so the chain skips make_chain.
     """
     if n < 3:
         raise ValueError(f"a cycle needs at least three states, got {n}")
@@ -241,4 +248,4 @@ def cycle_chain(n: int) -> ClassicalChain:
     gamma = np.zeros((n, n))
     for j in range(n):
         gamma[j, (j + 1) % n] = 1.0
-    return make_chain(p, gamma)
+    return ClassicalChain(p, gamma)

@@ -126,11 +126,11 @@ def hs_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def require_hermitian(m: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
-    """Validate Hermiticity up to rel_tol * max(1, ||m||) and return m."""
+def require_hermitian(m: np.ndarray) -> np.ndarray:
+    """Validate Hermiticity up to 1e-12 * max(1, ||m||) and return m."""
     m = as_matrix(m)
     res = float(np.linalg.norm(m - m.conj().T))
-    if res > rel_tol * max(1.0, float(np.linalg.norm(m))):
+    if res > 1e-12 * max(1.0, float(np.linalg.norm(m))):
         raise NotHermitian(f"matrix is not Hermitian (residual {res:.3e})")
     return m
 

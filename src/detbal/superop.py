@@ -29,6 +29,7 @@ function here writes into its input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -330,8 +331,17 @@ def _gathered_choi(m: np.ndarray, n: int, at):
         h = np.conjugate(block.T)
         h += block
         h *= 0.5
-        lam[coupled] = np.linalg.eigvalsh(h)
+        lam[coupled] = _block_spectrum(h, herm)
     return herm, lam
+
+
+def _block_spectrum(h: np.ndarray, herm: float) -> np.ndarray:
+    """eigvalsh of the coupled block h; NaNs, unsolved, when the Choi
+    Hermiticity residual herm is not finite, as it is whenever an entry of
+    the map is (LAPACK may refuse such a block)."""
+    if not math.isfinite(herm):
+        return np.full(len(h), np.nan)
+    return np.linalg.eigvalsh(h)
 
 
 def is_completely_positive(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
@@ -349,7 +359,9 @@ def is_completely_positive(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> Ch
     Hermiticity residual and its scale from the stored entries alone.
     Otherwise C and its transpose are read as views of s.mat, and one buffer
     holds in turn C, C - C^dag and H.  Both routes give the same
-    eigenvalues; the residual may differ in its last bits.
+    eigenvalues; the residual may differ in its last bits.  A map with a
+    non-finite entry fails with residual NaN on either route, unsolved
+    (_block_spectrum).
     """
     return _complete_positivity(s, tol, _stored(s.mat, s.n))
 
@@ -380,9 +392,9 @@ def _complete_positivity(s: SuperOperator, tol: Tolerance, at) -> CheckResult:
         off[:: big + 1] = False
         coupled = np.flatnonzero(off.reshape(big, -1).any(axis=1))
         if len(coupled) == big:
-            lam = np.linalg.eigvalsh(h)
+            lam = _block_spectrum(h, herm)
         elif len(coupled):
-            lam[coupled] = np.linalg.eigvalsh(h[coupled[:, None], coupled])
+            lam[coupled] = _block_spectrum(h[coupled[:, None], coupled], herm)
     lam_max = float(lam.max())
     lam_min = float(lam.min())
     return _verdict(
@@ -421,8 +433,10 @@ def is_positive_map(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> CheckResu
     adj = outs.conj().transpose(0, 2, 1)
     scale = np.maximum(1.0, np.linalg.norm(outs, axis=(1, 2)))
     worst_herm = float(np.max(np.linalg.norm(outs - adj, axis=(1, 2)) / scale))
-    lam = np.linalg.eigvalsh(0.5 * (outs + adj))
-    worst_neg = float(np.max(_negativity(lam[:, 0], lam[:, -1])))
+    worst_neg = math.nan  # a non-finite output, which LAPACK may refuse
+    if math.isfinite(worst_herm):
+        lam = np.linalg.eigvalsh(0.5 * (outs + adj))
+        worst_neg = float(np.max(_negativity(lam[:, 0], lam[:, -1])))
     return _verdict(
         tol, {"output_hermiticity": worst_herm}, psd={"output_negativity": worst_neg}
     )

@@ -5,8 +5,9 @@ Hilbert-Schmidt vector.  Left multiplication represents the algebra; the
 mirror ("tilde") copy of an operator a acts by right multiplication with
 a^dag, i.e. tilde(a): X -> X a^dag, which commutes with every left
 multiplication.  This module holds the mirror operator (tilde, returned as
-a SuperOperator), the mirror correlation expect_tilde, and the two
-structural identities that make the picture work:
+a SuperOperator) and the mirror correlation expect_tilde.  The two
+structural identities that make the picture work hold by construction in
+the eigenbasis and are asserted unit by unit in the tests:
 
   substitution  Delta^(-1/2)(tilde(a) rho^(1/2)) = a^dag rho^(1/2)
   kms           <A Delta(B)> = <B A>  with <X> = tr(rho X)
@@ -22,8 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .duals import _modular_ratios
-from .linalg import DEFAULT_TOL, CheckResult, Tolerance, _verdict, as_matrix
+from .linalg import as_matrix
 from .states import DensityMatrix, _observable
 from .superop import SuperOperator, pi_rep
 
@@ -33,31 +33,6 @@ def tilde(a) -> SuperOperator:
     non-square a raises DimensionMismatch."""
     a = as_matrix(a)
     return pi_rep(np.eye(a.shape[0]), a.conj())
-
-
-def check_tilde_substitution(rho: DensityMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
-    """Verify Delta^(-1/2)(tilde(a) rho^(1/2)) = a^dag rho^(1/2) on matrix units.
-
-    For a = E_jk, tilde(a) rho^(1/2) = rho^(1/2) E_kj and both sides are
-    multiples of E_kj: (d_k^(-1/2) d_k^(1/2)) d_j^(1/2) against d_j^(1/2),
-    rho = diag(d).  The residual is the largest gap over all (k, j), one
-    elementwise pass; the per-unit loop is a test oracle.
-    """
-    half = np.power(rho.diag, 0.5)
-    lhs = np.outer(np.power(rho.diag, -0.5) * half, half)
-    return _verdict(tol, {"substitution": float(np.max(np.abs(lhs - half)))})
-
-
-def check_kms(rho: DensityMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
-    """Verify <A Delta(B)> = <B A> on all matrix-unit pairs: max|H Delta - H^T|
-    for H = kron(1, rho^T) K, the Gram matrix of (A, B) -> <A B> on the vec
-    basis (K the commutation matrix), rho = diag(d).  H holds d_j at row
-    j + n k, column k + n j, and Delta holds d_k / d_j at k + n j, so the
-    residual is max|d_j (d_k / d_j) - d_k| over the n x n pairs (j, k), one
-    elementwise pass.  The pair loop is a test oracle."""
-    d = rho.diag
-    lhs = d[:, None] * _modular_ratios(rho).reshape(rho.n, rho.n)
-    return _verdict(tol, {"kms": float(np.max(np.abs(lhs - d)))})
 
 
 def expect_tilde(rho: DensityMatrix, a, b) -> complex:

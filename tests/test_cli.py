@@ -274,8 +274,34 @@ def test_huge_power_prints_one_error_line(tmp_path, capsys):
     assert main(["check", str(path), "--powers", "99999999999999999999999"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert captured.err.count("\n") == 1
+    assert captured.err == "error: channel is not completely positive (residual nan)\n"
+    # the positivity probe leaves the non-finite outputs unsolved too
+    assert main(["check", str(path), "--powers", "99999999999999999999999", "--positivity-only"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: channel is not positive (residual nan)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, extra", [(["--powers", "2"], {}), ([], {"time_powers": [2]})], ids=["flag", "file"]
+)
+def test_powers_without_one_still_admit_the_files_map(tmp_path, capsys, argv, extra):
+    # the transpose map on M_2 is Hermiticity-preserving and unital but not
+    # CP, and its square is the identity channel
+    payload = {
+        "rho": [0.6, 0.4],
+        "channel": {
+            "kind": "matrix",
+            "convention": "column-stacking",
+            "data": _enc(np.eye(4)[[0, 2, 1, 3]]),
+        },
+        **extra,
+    }
+    path = _write(tmp_path, payload)
+    assert main(["check", path, *argv, "--assert", "db2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: channel is not completely positive (residual 1.000e+00)\n"
 
 
 def test_json_format_is_deterministic(tmp_path, capsys):

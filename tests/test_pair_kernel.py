@@ -7,9 +7,7 @@ invariance by one matrix-vector product.  The loops below are the defining
 forms, one evaluation of the functional per pair of matrix units; at n <= 4
 the kernel must reproduce their residuals to 1e-12 relative and give the
 same verdicts.  The dense Gram products the diagonal kernel replaced
-(states.omega_gram, the mirror Gram matrix) are a second reference.  The
-KMS identity has its own Gram-matrix form in thermofield.check_kms, checked
-the same way.
+(states.omega_gram, the mirror Gram matrix) are a second reference.
 
 The duals, the transpose map and the modular commutator are index
 permutations and row / column scalings of the column-stacking matrix; the
@@ -20,8 +18,10 @@ matrices of rho's powers or of the rotation: a permutation must agree
 exactly, a scaling or a reordered product to 1e-13 relative.
 run_report(tfd=True) must reproduce the public mirror checks bit for bit.
 
-The remaining per-unit loops are oracles too: thermofield's substitution
-identity (bit for bit) and the two marginals of the purified state.  The
+The remaining per-unit loops are oracles too: the two marginals of the
+purified state.  The KMS and substitution identities hold by
+construction in the eigenbasis; their loops, through rho.power and
+tilde(e).apply, are the only place they are checked.  The
 fixed-cost forms on the CLI path have their np.kron / apply references:
 from_kraus is bit-equal to a sum of np.kron terms, and is_unital's column
 sum matches ||s(1) - 1|| through apply to 1e-13 relative.
@@ -101,12 +101,7 @@ from detbal.superop import (
     transpose_superop,
     vec,
 )
-from detbal.thermofield import (
-    check_kms,
-    check_tilde_substitution,
-    expect_tilde,
-    tilde,
-)
+from detbal.thermofield import expect_tilde, tilde
 
 SPIN = np.array([[0, 1], [-1, 0]], dtype=complex)
 DEGENERATE_SPECTRA = {2: (0.5, 0.5), 3: (0.5, 0.25, 0.25), 4: (0.4, 0.2, 0.2, 0.2)}
@@ -488,32 +483,18 @@ def test_classical_phi_matches_loop_oracle(chain):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_kms_matches_loop_oracle(n):
-    rho = random_density(n, seed=90 + n)
-    res = check_kms(rho)
-    oracle = kms_oracle(rho)
-    assert close(res.residual, oracle)
-    assert res.passed == (oracle <= DEFAULT_TOL.eq_tol)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_kms_matches_dense_diagonal_form_bit_for_bit(n):
-    # the residual as it was computed through the dense n^2 x n^2 modular
-    # matrix np.diag(ratios), of which only the diagonal was read
-    rho = random_density(n, seed=190 + n)
-    h = np.tile(rho.diag, n)[:, None] * transpose_superop(n).mat
-    delta = np.diag(np.outer(1.0 / rho.diag, rho.diag).ravel()).astype(complex)
-    dense = float(np.max(np.abs(h * delta.diagonal() - h.T)))
-    assert check_kms(rho).residual == dense
+def test_kms_identity_holds_on_matrix_units(n):
+    assert kms_oracle(random_density(n, seed=90 + n)) <= 1e-12
+    assert kms_oracle(make_density(np.diag(DEGENERATE_SPECTRA[n]))) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_tilde_substitution_matches_loop_oracle_bit_for_bit(n):
+def test_tilde_substitution_holds_on_matrix_units(n):
     for seed in range(3):
         rho = random_density(n, seed=60 + 10 * n + seed)
-        assert check_tilde_substitution(rho).residual == tilde_substitution_oracle(rho)
+        assert tilde_substitution_oracle(rho) <= 1e-12
     rho = make_density(np.diag(DEGENERATE_SPECTRA[n]))
-    assert check_tilde_substitution(rho).residual == tilde_substitution_oracle(rho)
+    assert tilde_substitution_oracle(rho) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -948,12 +929,7 @@ def test_no_kernel_passes_a_nan_entry(n, route, where, bad, monkeypatch):
         th = transpose_reversing(n)
         checks = run_route(monkeypatch, route, lambda: kernel_checks(bad_tau, rho, th))
         for name, check in checks.items():
-            try:
-                res = check()
-            except np.linalg.LinAlgError:
-                # the Choi solves may refuse the entry outright; no verdict passes
-                assert name in ("cp", "db2_definition")
-                continue
+            res = check()
             assert not res.passed, name
             assert not math.isfinite(res.residual), name
             if np.isnan(bad):

@@ -441,12 +441,23 @@ def test_cp_never_passes_a_nan_entry(n, name, route):
         for nan in (complex(np.nan, 0.0), complex(0.0, np.nan)):
             bad = c.copy()
             bad[spot] = nan
-            try:
-                res = is_completely_positive(from_choi(bad))
-            except np.linalg.LinAlgError:
-                continue
+            res = is_completely_positive(from_choi(bad))
             assert not res.passed
             assert math.isnan(res.residual)
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_positivity_never_passes_a_non_finite_entry(n, bad):
+    # the output spectra are left unsolved, as the Choi spectrum is
+    mat = route_pool(n)["schur-db2"].mat
+    for spot in (0, np.flatnonzero(mat)[1], np.flatnonzero(mat == 0)[0]):
+        poisoned = mat.copy()
+        poisoned.flat[spot] = bad
+        with np.errstate(invalid="ignore"):  # inf times a zero frame entry
+            res = is_positive_map(SuperOperator(n, poisoned))
+        assert not res.passed
+        assert math.isnan(res.residual)
 
 
 def choi_spectrum_pool(n):

@@ -36,13 +36,14 @@ _pair_residual is max|g_i R_ij - L_ji g_j|, O(n^4); the pair loops and dense
 Gram products are test oracles.  A map s in the antilinear mirror slot
 enters as conj(s.mat).
 
-Each public check finds where tau stores entries once (superop._stored).
-When it stores few, every kernel runs over those entries instead of all
-n^4: the duals, the transpose conjugate and the Choi matrix are
-realignments of tau, so their stored entries are tau's with the indices
-permuted.  A pair maximum runs over the stored entries of R and the
-transposed ones of L, a norm over the union of its operands' stored
-entries.
+A map finds where it stores entries once, on the first read of its
+positions (superop._stored), and every check on it reuses them.  When it
+stores few, every kernel runs over those entries instead of all n^4: the
+duals, the transpose conjugate and the Choi matrix are realignments of tau,
+so their stored entries are tau's with the indices permuted, and a dual
+inherits them from tau.  A pair maximum runs over the stored entries of R
+and the transposed ones of L, a norm over the union of its operands'
+stored entries.
 
 On channels commuting with the modular map the kms and state duals
 coincide, so there sqdb implies db2; sqdb does not require that commutation.
@@ -63,7 +64,7 @@ import numpy as np
 from .duals import (
     _kms_dual_entries,
     _modular_ratios,
-    _rho_dual,
+    rho_dual,
     theta_conjugate,
     ReversingOperation,
 )
@@ -75,14 +76,13 @@ from .superop import (
     _DUAL_AXES,
     _TRANSPOSE_AXES,
     SuperOperator,
-    _complete_positivity,
     _factor,
     _permute,
     _read,
     _realign,
-    _stored,
     _union,
     _unital_defect,
+    is_completely_positive,
     is_positive_map,
     is_unital,
     vec,
@@ -92,10 +92,9 @@ MODE_CP = "cp"
 MODE_POSITIVITY = "positivity"
 
 
-def _cp_check(s: SuperOperator, tol: Tolerance, mode: str, at) -> CheckResult:
-    # at: where s.mat stores entries (superop._stored), found by the caller
+def _cp_check(s: SuperOperator, tol: Tolerance, mode: str) -> CheckResult:
     if mode == MODE_CP:
-        return _complete_positivity(s, tol, at)
+        return is_completely_positive(s, tol)
     if mode == MODE_POSITIVITY:
         return is_positive_map(s, tol)
     raise ValueError(f"unknown mode {mode!r}")
@@ -109,13 +108,9 @@ def require_dynamics(
 ) -> CheckResult:
     """Raise InputNotDynamics unless tau is a (completely) positive unital map;
     return its complete positivity (positivity in MODE_POSITIVITY) check."""
-    return _require_dynamics(tau, rho, tol, mode, _stored(tau.mat, tau.n))
-
-
-def _require_dynamics(tau, rho, tol, mode, at) -> CheckResult:
     if tau.n != rho.n:
         raise DimensionMismatch(f"channel on M_{tau.n} vs state of dimension {rho.n}")
-    cp = _cp_check(tau, tol, mode, at)
+    cp = _cp_check(tau, tol, mode)
     if not cp.passed:
         raise InputNotDynamics(
             f"channel is not {'completely positive' if mode == MODE_CP else 'positive'}"
@@ -129,12 +124,9 @@ def _require_dynamics(tau, rho, tol, mode, at) -> CheckResult:
 
 def delta_commutator_residual(tau: SuperOperator, rho: DensityMatrix) -> float:
     """Frobenius norm of tau Delta - Delta tau on the superoperator level;
-    Delta = diag(r), r = kron(1/d, d), so entry (i, j) is tau_ij (r_j - r_i)."""
-    return _delta_commutator(tau, rho, _stored(tau.mat, tau.n))
-
-
-def _delta_commutator(tau, rho, at) -> float:
-    # at: where tau stores entries, or None for all of them
+    Delta = diag(r), r = kron(1/d, d), so entry (i, j) is tau_ij (r_j - r_i),
+    summed over the entries tau stores (superop._stored) or all of them."""
+    at = tau._at
     r = _modular_ratios(rho)
     if at is None:
         rows, cols, entries = r[:, None], r, tau.mat
@@ -196,9 +188,9 @@ def _pair_gram(rho: DensityMatrix) -> np.ndarray:
     return np.outer(half, half).ravel()
 
 
-def _db2_definition(dual, dual_at, defect, tol, mode) -> CheckResult:
+def _db2_definition(dual, defect, tol, mode) -> CheckResult:
     # defect = _unital_defect(dual), so un is is_unital(dual, tol)
-    cp = _cp_check(dual, tol, mode, dual_at)
+    cp = _cp_check(dual, tol, mode)
     un = _verdict(tol, {"unital": float(np.linalg.norm(defect))})
     detail = {f"dual_{k}": v for k, v in cp.detail.items()}
     detail["dual_unital"] = un.residual
@@ -212,67 +204,62 @@ def _db2_definition(dual, dual_at, defect, tol, mode) -> CheckResult:
     )
 
 
-def _db2_modular(tau, rho, at, tol) -> CheckResult:
-    comm = _delta_commutator(tau, rho, at)
+def _db2_modular(tau, rho, tol) -> CheckResult:
+    comm = delta_commutator_residual(tau, rho)
     # <tau(E_i)> = <E_i> for every matrix unit: vec(rho) = tau^T vec(rho)
     r = vec(rho.matrix())
     inv = float(np.max(np.abs(r - tau.mat.T @ r)))
     return _verdict(tol, {"modular_commutator": comm, "state_invariance": inv})
 
 
-def _db2_entangled(tau, at, g, dual, dual_at, defect, tol) -> CheckResult:
+def _db2_entangled(tau, g, dual, defect, tol) -> CheckResult:
     # hat = bar_map(dual), read as a view; hat(1) = dual(1)^T, whose vec is
     # dual's unital defect (defect = _unital_defect(dual)) with its index
     # pairs swapped
     n = tau.n
     hat = _realign(dual.mat, n, _BAR_AXES)
-    hat_at = _permute(dual_at, _BAR_AXES)
+    hat_at = _permute(dual._at, _BAR_AXES)
     hat_unital = float(np.linalg.norm(defect.reshape(n, n).T.ravel()))
     # distance of the transposed dual from the channel itself, over the
     # stored entries of either; diagnostic only, zero is not required for
     # balance
-    both = _union(hat_at, at, n)
+    both = _union(hat_at, tau._at, n)
     tau4 = tau.mat.reshape(hat.shape)
     hat_vs_channel = np.subtract(_read(hat, both), _read(tau4, both), order="C")
     hat_vs_channel = float(np.linalg.norm(hat_vs_channel))
     return _verdict(
         tol,
-        {"pair_residual": _pair_residual(g, tau.mat, hat, at=hat_at, left_at=at),
+        {"pair_residual": _pair_residual(g, tau.mat, hat, at=hat_at, left_at=tau._at),
          "hat_unital": hat_unital},
         info={"hat_vs_channel": hat_vs_channel},
     )
 
 
-def _sqdb_definition(tau, rho, at, conj, conj_at, tol) -> CheckResult:
+def _sqdb_definition(tau, rho, conj, tol) -> CheckResult:
     # kms_dual(tau) against bar_map(conj), over the stored entries of either
     n = tau.n
     bar = _realign(conj.mat, n, _BAR_AXES)
-    both = _union(_permute(at, _DUAL_AXES), _permute(conj_at, _BAR_AXES), n)
+    both = _union(_permute(tau._at, _DUAL_AXES), _permute(conj._at, _BAR_AXES), n)
     diff = _kms_dual_entries(tau, rho, both)
     diff -= _read(bar, both)
     return _verdict(tol, {"kms_vs_reversed": float(np.linalg.norm(diff))})
 
 
-def _sqdb_entangled(tau, at, g, conj, conj_at, tol) -> CheckResult:
-    pair = _pair_residual(g, tau.mat, conj.mat, at=conj_at, left_at=at)
+def _sqdb_entangled(tau, g, conj, tol) -> CheckResult:
+    pair = _pair_residual(g, tau.mat, conj.mat, at=conj._at, left_at=tau._at)
     return _verdict(tol, {"pair_residual": pair})
 
 
-def _db2_tfd(tau, at, g, dual, dual_at, dual_unital, tol) -> CheckResult:
-    pair = _pair_residual(g, tau.mat, dual.mat, conj=True, at=dual_at, left_at=at)
+def _db2_tfd(tau, g, dual, dual_unital, tol) -> CheckResult:
+    pair = _pair_residual(g, tau.mat, dual.mat, conj=True, at=dual._at, left_at=tau._at)
     return _verdict(tol, {"pair_residual": pair, "dual_unital": dual_unital})
 
 
-def _sqdb_tfd(tau, at, g, conj, conj_at, tol) -> CheckResult:
+def _sqdb_tfd(tau, g, conj, tol) -> CheckResult:
     bar = _realign(conj.mat, tau.n, _BAR_AXES)
-    pair = _pair_residual(g, tau.mat, bar, conj=True, at=_permute(conj_at, _BAR_AXES), left_at=at)
+    bar_at = _permute(conj._at, _BAR_AXES)
+    pair = _pair_residual(g, tau.mat, bar, conj=True, at=bar_at, left_at=tau._at)
     return _verdict(tol, {"pair_residual": pair})
-
-
-def _conj_positions(tau, at, conj):
-    """Stored positions of the Theta-conjugate: tau's when it is tau, none
-    when tau takes the dense passes, else one comparison pass of its own."""
-    return at if conj is tau or at is None else _stored(conj.mat, tau.n)
 
 
 def check_db2_definition(
@@ -282,10 +269,9 @@ def check_db2_definition(
     mode: str = MODE_CP,
 ) -> CheckResult:
     """Standard balance by its definition: the state dual is CP and unital."""
-    at = _stored(tau.mat, tau.n)
-    _require_dynamics(tau, rho, tol, mode, at)
-    dual, dual_at = _rho_dual(tau, rho, at)
-    return _db2_definition(dual, dual_at, _unital_defect(dual), tol, mode)
+    require_dynamics(tau, rho, tol, mode)
+    dual = rho_dual(tau, rho)
+    return _db2_definition(dual, _unital_defect(dual), tol, mode)
 
 
 def check_db2_modular(
@@ -295,9 +281,8 @@ def check_db2_modular(
     mode: str = MODE_CP,
 ) -> CheckResult:
     """Standard balance via modular commutation plus state invariance."""
-    at = _stored(tau.mat, tau.n)
-    _require_dynamics(tau, rho, tol, mode, at)
-    return _db2_modular(tau, rho, at, tol)
+    require_dynamics(tau, rho, tol, mode)
+    return _db2_modular(tau, rho, tol)
 
 
 def check_db2_entangled(
@@ -307,10 +292,9 @@ def check_db2_entangled(
     mode: str = MODE_CP,
 ) -> CheckResult:
     """Standard balance via the purified two-copy functional."""
-    at = _stored(tau.mat, tau.n)
-    _require_dynamics(tau, rho, tol, mode, at)
-    dual, dual_at = _rho_dual(tau, rho, at)
-    return _db2_entangled(tau, at, _pair_gram(rho), dual, dual_at, _unital_defect(dual), tol)
+    require_dynamics(tau, rho, tol, mode)
+    dual = rho_dual(tau, rho)
+    return _db2_entangled(tau, _pair_gram(rho), dual, _unital_defect(dual), tol)
 
 
 def check_sqdb_definition(
@@ -321,10 +305,8 @@ def check_sqdb_definition(
     mode: str = MODE_CP,
 ) -> CheckResult:
     """Square-root balance by its definition: kms dual equals Theta tau Theta."""
-    at = _stored(tau.mat, tau.n)
-    _require_dynamics(tau, rho, tol, mode, at)
-    conj = theta_conjugate(tau, th)
-    return _sqdb_definition(tau, rho, at, conj, _conj_positions(tau, at, conj), tol)
+    require_dynamics(tau, rho, tol, mode)
+    return _sqdb_definition(tau, rho, theta_conjugate(tau, th), tol)
 
 
 def check_sqdb_entangled(
@@ -335,10 +317,8 @@ def check_sqdb_entangled(
     mode: str = MODE_CP,
 ) -> CheckResult:
     """Square-root balance via the purified two-copy functional."""
-    at = _stored(tau.mat, tau.n)
-    _require_dynamics(tau, rho, tol, mode, at)
-    conj = theta_conjugate(tau, th)
-    return _sqdb_entangled(tau, at, _pair_gram(rho), conj, _conj_positions(tau, at, conj), tol)
+    require_dynamics(tau, rho, tol, mode)
+    return _sqdb_entangled(tau, _pair_gram(rho), theta_conjugate(tau, th), tol)
 
 
 def check_db2_tfd(
@@ -349,10 +329,9 @@ def check_db2_tfd(
 ) -> CheckResult:
     """Standard balance in mirror form: <tau(A) tilde(B)> = <A tilde(tau'(B))>
     on all matrix-unit pairs, plus unitality of the state dual."""
-    at = _stored(tau.mat, tau.n)
-    _require_dynamics(tau, rho, tol, mode, at)
-    dual, dual_at = _rho_dual(tau, rho, at)
-    return _db2_tfd(tau, at, _pair_gram(rho), dual, dual_at, is_unital(dual, tol).residual, tol)
+    require_dynamics(tau, rho, tol, mode)
+    dual = rho_dual(tau, rho)
+    return _db2_tfd(tau, _pair_gram(rho), dual, is_unital(dual, tol).residual, tol)
 
 
 def check_sqdb_tfd(
@@ -364,10 +343,8 @@ def check_sqdb_tfd(
 ) -> CheckResult:
     """Square-root balance in mirror form:
     <tau(A) tilde(B)> = <A tilde(Theta tau Theta(B))> on matrix-unit pairs."""
-    at = _stored(tau.mat, tau.n)
-    _require_dynamics(tau, rho, tol, mode, at)
-    conj = theta_conjugate(tau, th)
-    return _sqdb_tfd(tau, at, _pair_gram(rho), conj, _conj_positions(tau, at, conj), tol)
+    require_dynamics(tau, rho, tol, mode)
+    return _sqdb_tfd(tau, _pair_gram(rho), theta_conjugate(tau, th), tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -464,19 +441,17 @@ def run_report(
     """Run every checker on one (channel, state, reversing operation) triple,
     with the mirror checks if tfd; all share one dynamics check, state dual
     (and its unital defect and unitality residual), Theta-conjugate and
-    pair Gram, and one search for tau's stored entries."""
-    at = _stored(tau.mat, tau.n)
-    dynamics = _require_dynamics(tau, rho, tol, mode, at)
-    dual, dual_at = _rho_dual(tau, rho, at)
+    pair Gram, and tau's stored entries."""
+    dynamics = require_dynamics(tau, rho, tol, mode)
+    dual = rho_dual(tau, rho)
     defect = _unital_defect(dual)
     conj = theta_conjugate(tau, th)
-    conj_at = _conj_positions(tau, at, conj)
     g = _pair_gram(rho)
-    db2_def = _db2_definition(dual, dual_at, defect, tol, mode)
-    db2_mod = _db2_modular(tau, rho, at, tol)
-    db2_ent = _db2_entangled(tau, at, g, dual, dual_at, defect, tol)
-    sq_def = _sqdb_definition(tau, rho, at, conj, conj_at, tol)
-    sq_ent = _sqdb_entangled(tau, at, g, conj, conj_at, tol)
+    db2_def = _db2_definition(dual, defect, tol, mode)
+    db2_mod = _db2_modular(tau, rho, tol)
+    db2_ent = _db2_entangled(tau, g, dual, defect, tol)
+    sq_def = _sqdb_definition(tau, rho, conj, tol)
+    sq_ent = _sqdb_entangled(tau, g, conj, tol)
     delta_commutes = _verdict(tol, {"modular_commutator": db2_mod.detail["modular_commutator"]})
     consistency = (
         db2_def.passed == db2_mod.passed == db2_ent.passed
@@ -484,8 +459,8 @@ def run_report(
     )
     db2_tfd = sq_tfd = tfd_agrees = None
     if tfd:
-        db2_tfd = _db2_tfd(tau, at, g, dual, dual_at, db2_def.detail["dual_unital"], tol)
-        sq_tfd = _sqdb_tfd(tau, at, g, conj, conj_at, tol)
+        db2_tfd = _db2_tfd(tau, g, dual, db2_def.detail["dual_unital"], tol)
+        sq_tfd = _sqdb_tfd(tau, g, conj, tol)
         tfd_agrees = db2_tfd.passed == db2_ent.passed and sq_tfd.passed == sq_def.passed
     return BalanceReport(
         db2_definition=db2_def,

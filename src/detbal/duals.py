@@ -22,7 +22,9 @@ index permutations, so no dual costs a matrix product: K M^T K is read as a
 view of M (superop._realign) and scaled into the one array the dual
 returns, O(n^4), and the input is never written.  When M stores few entries
 (superop._stored) only those are scaled, at their realigned positions, and
-scattered into zeros.  The Theta-conjugate conj(W) M W,
+scattered into zeros; the dual inherits those positions as its own
+(superop._from_entries), so no dual searches its matrix again.  The
+Theta-conjugate conj(W) M W,
 W = kron(conj u, u), is O(n^5), and for the plain transpose (u = 1) it is
 s itself, returned as is.
 
@@ -47,13 +49,12 @@ from .superop import (
     _DUAL_AXES,
     _INPUT_TRANSPOSE_AXES,
     SuperOperator,
-    _dense,
     _factor,
+    _from_entries,
     _kron_sandwich,
     _permute,
     _read,
     _realign,
-    _stored,
     _transpose_sides,
     pi_rep,
 )
@@ -90,19 +91,13 @@ def rho_dual(s: SuperOperator, rho: DensityMatrix) -> SuperOperator:
 
     rho is diagonal, so left and right multiplication by it scale the rows
     and columns of the matrix of s^#: O(n^4), or O(stored) on the stored
-    entries of s (superop._stored), scattered into zeros.  The defining
-    pairing is kept as a test oracle.  s' is unital iff s preserves <.>, and
-    trace-of-rho-preserving iff s is unital.
+    entries of s (superop._stored), scattered into zeros, where s' stores
+    its entries.  The defining pairing is kept as a test oracle.  s' is
+    unital iff s preserves <.>, and trace-of-rho-preserving iff s is unital.
     """
     _check_state(s, rho)
-    return _rho_dual(s, rho, _stored(s.mat, s.n))[0]
-
-
-def _rho_dual(s: SuperOperator, rho: DensityMatrix, at):
-    """(rho_dual(s, rho), where its matrix stores entries), from where s.mat
-    does (superop._stored): the same entries, realigned."""
-    at = _permute(at, _DUAL_AXES)
-    return SuperOperator(s.n, _dense(s.n, at, _rho_dual_entries(s, rho, at))), at
+    at = _permute(s._at, _DUAL_AXES)
+    return _from_entries(s.n, at, _rho_dual_entries(s, rho, at))
 
 
 def _rho_dual_entries(s: SuperOperator, rho: DensityMatrix, at) -> np.ndarray:
@@ -125,8 +120,8 @@ def kms_dual(s: SuperOperator, rho: DensityMatrix) -> SuperOperator:
     O(stored) as in rho_dual.
     """
     _check_state(s, rho)
-    at = _permute(_stored(s.mat, s.n), _DUAL_AXES)
-    return SuperOperator(s.n, _dense(s.n, at, _kms_dual_entries(s, rho, at)))
+    at = _permute(s._at, _DUAL_AXES)
+    return _from_entries(s.n, at, _kms_dual_entries(s, rho, at))
 
 
 def _kms_dual_entries(s: SuperOperator, rho: DensityMatrix, at) -> np.ndarray:
@@ -188,7 +183,10 @@ class ReversingOperation:
         return self.u.shape[0]
 
     def apply(self, a) -> np.ndarray:
+        """Theta(a) for an n x n matrix a; another shape raises DimensionMismatch."""
         a = np.asarray(a, dtype=complex)
+        if a.shape != (self.n, self.n):
+            raise DimensionMismatch(f"expected shape {(self.n, self.n)}, got {a.shape}")
         return self.u @ a.T @ self.u.conj().T
 
     def superop(self) -> SuperOperator:

@@ -9,16 +9,19 @@ silently transpose factors, which is why the JSON interchange format tags
 superoperator matrices with an explicit "convention" field.  The CP test
 solves only the coupled rows of the Choi matrix; the rest are 1x1 blocks.
 
-A SuperOperator holds one C-ordered complex n^2 x n^2 matrix, so each
-realignment of it (_realign, axes defined here only) is a view.
+A SuperOperator holds one C-ordered complex n^2 x n^2 matrix, read-only,
+so each realignment of it (_realign, axes defined here only) is a view.
 
 _stored decides, for the CP test and every other O(n^4) kernel, whether a
 map's stored entries are followed instead of all n^4: at n >= 7 with at
 most n^4 / 8 of them stored.  It finds them in one comparison pass, as the
 four indices of each entry in the (n, n, n, n) layout, so the stored
 entries of any realignment are a permutation of those indices (_permute).
-A kernel writes its elementwise expression once and is fed either the
-views of the dense pass or the gathered entries (_factor, _read).  The CP
+A map runs that search once, the first time its positions (_at) are read,
+and keeps them; a map built from permuted entries of another, as a dual is
+(_from_entries), is handed those permuted positions and runs none.  A
+kernel writes its elementwise expression once and is fed either the views
+of the dense pass or the gathered entries (_factor, _read).  The CP
 test then finds the coupled rows at the stored entries and gathers its
 coupled block and Choi diagonal from the matrix; the Choi Hermiticity
 residual is summed over the stored entries and may differ from the dense
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -45,10 +48,10 @@ def vec(x) -> np.ndarray:
 
 
 def unvec(v, n: int | None = None) -> np.ndarray:
-    """Inverse of vec; n defaults to sqrt(len(v))."""
+    """Inverse of vec; n defaults to sqrt(v.size)."""
     v = np.asarray(v, dtype=complex)
     if n is None:
-        n = round(len(v) ** 0.5)
+        n = round(v.size**0.5)
     if n * n != v.size:
         raise DimensionMismatch(f"cannot reshape length {v.size} into {n} x {n}")
     return v.reshape((n, n), order="F")
@@ -57,17 +60,26 @@ def unvec(v, n: int | None = None) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SuperOperator:
     """Linear map on M_n stored as its n^2 x n^2 column-stacking matrix, one
-    C-ordered complex array: kept without a copy when given as one, else
-    converted once.  Another shape, or n < 1, raises DimensionMismatch."""
+    C-ordered complex array, read-only: a view of the input when given as
+    one, else converted once.  A non-integer n, n < 1 or another shape
+    raises DimensionMismatch."""
 
     n: int
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = np.ascontiguousarray(self.mat, dtype=complex)
+        if not isinstance(self.n, (int, np.integer)):
+            raise DimensionMismatch(f"map dimension must be an integer, got {self.n!r}")
+        mat = np.ascontiguousarray(self.mat, dtype=complex).view()
         if self.n < 1 or mat.shape != (self.n * self.n,) * 2:
             raise DimensionMismatch(f"map on M_{self.n} with a matrix of shape {mat.shape}")
+        mat.flags.writeable = False  # a write would leave the positions in _at stale
         object.__setattr__(self, "mat", mat)
+
+    @cached_property
+    def _at(self):
+        """Where mat stores entries (_stored), found on the first read."""
+        return _stored(self.mat, self.n)
 
     def apply(self, x) -> np.ndarray:
         """Evaluate the map on an n x n matrix."""
@@ -273,14 +285,18 @@ def _read(view: np.ndarray, at):
     return view if at is None else view[at]
 
 
-def _dense(n: int, at, entries: np.ndarray) -> np.ndarray:
-    """The n^2 x n^2 matrix with the given entries: the (n, n, n, n) array
-    itself when at is None, else one scatter into zeros at the positions at."""
+def _from_entries(n: int, at, entries: np.ndarray) -> SuperOperator:
+    """The map on M_n with the given entries: the (n, n, n, n) array itself
+    when at is None, else one scatter into zeros at the positions at.  The
+    map is handed at as its positions (_at), in the order given."""
     if at is None:
-        return entries.reshape(n * n, n * n)
-    out = np.zeros((n,) * 4, dtype=complex)
-    out[at] = entries
-    return out.reshape(n * n, n * n)
+        out = entries
+    else:
+        out = np.zeros((n,) * 4, dtype=complex)
+        out[at] = entries
+    s = SuperOperator(n, out.reshape(n * n, n * n))
+    s.__dict__["_at"] = at  # where cached_property keeps its value
+    return s
 
 
 def _gathered_choi(m: np.ndarray, n: int, at):
@@ -363,14 +379,8 @@ def is_completely_positive(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> Ch
     non-finite entry fails with residual NaN on either route, unsolved
     (_block_spectrum).
     """
-    return _complete_positivity(s, tol, _stored(s.mat, s.n))
-
-
-def _complete_positivity(s: SuperOperator, tol: Tolerance, at) -> CheckResult:
-    """is_completely_positive on the stored entries at of s.mat (_stored),
-    found once by the caller."""
     n = s.n
-    gathered = None if at is None else _gathered_choi(s.mat, n, at)
+    gathered = None if s._at is None else _gathered_choi(s.mat, n, s._at)
     if gathered is not None:
         herm, lam = gathered
     else:

@@ -352,13 +352,14 @@ def test_tfd_run_shares_the_reports_work(tmp_path, monkeypatch):
         return wrapper
 
     names = (
-        "_stored", "_complete_positivity", "is_unital", "_unital_defect", "_rho_dual",
-        "theta_conjugate",
+        "is_completely_positive", "is_unital", "_unital_defect", "rho_dual", "theta_conjugate",
     )
     for name in names:
         for module in (detbal.balance, detbal.thermofield):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    # the search runs once per map, on the first read of its positions
+    monkeypatch.setattr(detbal.superop, "_stored", counted("_stored", detbal.superop._stored))
     payload = run_checks(replace(parsed, powers=(1, 2)), tfd=True)
     assert all(r["tfd_agrees"] for r in payload["reports"])
     # unitality of the channel; the dual's unital defect is formed once and
@@ -366,10 +367,10 @@ def test_tfd_run_shares_the_reports_work(tmp_path, monkeypatch):
     # reuses the dual's residual
     assert calls == {
         "_stored": 2,
-        "_complete_positivity": 4,
+        "is_completely_positive": 4,
         "is_unital": 2,
         "_unital_defect": 2,
-        "_rho_dual": 2,
+        "rho_dual": 2,
         "theta_conjugate": 2,
     }
 

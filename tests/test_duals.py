@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from detbal import superop
 from detbal.balance import check_db2_definition, check_sqdb_definition
 from detbal.duals import (
     bar_map,
@@ -19,12 +20,14 @@ from detbal.duals import (
     trace_dual,
     transpose_reversing,
 )
-from detbal.errors import NonUnitary, NotInvolutive
+from detbal.errors import DimensionMismatch, NonUnitary, NotInvolutive
 from detbal.generators import degenerate_db2_channel, random_density, schur_db2_channel
 from detbal.linalg import DEFAULT_TOL, hs_inner, matrix_unit, matrix_units
 from detbal.states import expectation, make_density
 from detbal.superop import (
+    _DUAL_AXES,
     SuperOperator,
+    _permute,
     _stored,
     from_kraus,
     identity_superop,
@@ -207,6 +210,27 @@ def test_kms_equals_rho_dual_iff_modular_commutation(name, s, rho):
         assert check_db2_definition(s, rho).passed
 
 
+@pytest.mark.parametrize("dual", [rho_dual, kms_dual])
+@pytest.mark.parametrize("n", [3, 8])
+def test_dual_inherits_the_maps_positions(dual, n, monkeypatch):
+    """A dual is handed its map's stored positions, realigned and in the
+    map's order, and runs no search of its own."""
+    rho = random_density(n, seed=45 + n)
+    s = schur_db2_channel(rho, seed=45 + n)
+    want = _permute(s._at, _DUAL_AXES)
+
+    def no_search(m, k):
+        raise AssertionError("a dual searched its matrix")
+
+    monkeypatch.setattr(superop, "_stored", no_search)
+    got = dual(s, rho)._at
+    if n < 7:
+        assert want is None and got is None
+    else:
+        assert len(got) == 4
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_kms_differs_from_rho_dual_without_modular_commutation():
     delta = modular(rho_34())
     # amplitude-damping-type channel
@@ -345,6 +369,14 @@ def test_make_reversing_transpose_and_pauli():
     e01 = matrix_unit(2, 0, 1)
     # sigma_x E10 sigma_x = E01
     assert np.allclose(th_x.apply(e01), e01, atol=0)
+
+
+@pytest.mark.parametrize("shape", [(2,), (3, 3), (1, 4), (2, 2, 1)])
+def test_reversing_apply_rejects_another_shape(shape):
+    # a length-2 vector used to come back as a vector, [-1, -2] for the spin flip
+    th = make_reversing(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    with pytest.raises(DimensionMismatch):
+        th.apply(np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape))
 
 
 def test_make_reversing_accepts_diagonal_phases():

@@ -30,8 +30,9 @@ Every kernel also runs over the stored entries of a map that stores few
 (superop._stored).  The dense passes are that route's oracle: with the
 route forced on or off for every map at n = 1...8, verdicts, maxima and
 eigenvalues must be the same bits, norms agree to 1e-15 relative and the
-duals' matrices entry for entry.  A NaN or inf entry must fail every
-kernel on both routes.
+duals' matrices entry for entry.  A map keeps the positions it finds
+first, so each route runs on a fresh copy of the map.  A NaN or inf entry
+must fail every kernel on both routes.
 """
 
 import collections
@@ -731,25 +732,25 @@ ROUTE_PARAMS = [
 def kernel_checks(tau, rho, th, mode=MODE_CP):
     """Every kernel of run_report, wired as run_report wires them but
     without the dynamics check, so that maps which are no channels (and
-    entries which are NaN) reach them too; each check as a thunk."""
-    n = tau.n
-    at = superop._stored(tau.mat, n)
-    dual, dual_at = duals._rho_dual(tau, rho, at)
+    entries which are NaN) reach them too; each check as a thunk.  A map
+    keeps the positions it finds first, so the thunks run on a fresh copy
+    of tau: call kernel_checks and its thunks under one route."""
+    tau = SuperOperator(tau.n, tau.mat)
+    dual = rho_dual(tau, rho)
     defect = superop._unital_defect(dual)
     conj = theta_conjugate(tau, th)
-    conj_at = balance._conj_positions(tau, at, conj)
     g = balance._pair_gram(rho)
     tol = DEFAULT_TOL
     unital = float(np.linalg.norm(defect))
     return {
-        "cp": lambda: balance._cp_check(tau, tol, mode, at),
-        "db2_definition": lambda: balance._db2_definition(dual, dual_at, defect, tol, mode),
-        "db2_modular": lambda: balance._db2_modular(tau, rho, at, tol),
-        "db2_entangled": lambda: balance._db2_entangled(tau, at, g, dual, dual_at, defect, tol),
-        "sqdb_definition": lambda: balance._sqdb_definition(tau, rho, at, conj, conj_at, tol),
-        "sqdb_entangled": lambda: balance._sqdb_entangled(tau, at, g, conj, conj_at, tol),
-        "db2_tfd": lambda: balance._db2_tfd(tau, at, g, dual, dual_at, unital, tol),
-        "sqdb_tfd": lambda: balance._sqdb_tfd(tau, at, g, conj, conj_at, tol),
+        "cp": lambda: balance._cp_check(tau, tol, mode),
+        "db2_definition": lambda: balance._db2_definition(dual, defect, tol, mode),
+        "db2_modular": lambda: balance._db2_modular(tau, rho, tol),
+        "db2_entangled": lambda: balance._db2_entangled(tau, g, dual, defect, tol),
+        "sqdb_definition": lambda: balance._sqdb_definition(tau, rho, conj, tol),
+        "sqdb_entangled": lambda: balance._sqdb_entangled(tau, g, conj, tol),
+        "db2_tfd": lambda: balance._db2_tfd(tau, g, dual, unital, tol),
+        "sqdb_tfd": lambda: balance._sqdb_tfd(tau, g, conj, tol),
     }
 
 
@@ -785,7 +786,9 @@ def assert_same_check(gathered, dense, where):
 
 
 def run_route(monkeypatch, route, call):
-    """call() with every map gathered (route "gather") or none ("dense")."""
+    """call() with every map gathered (route "gather") or none ("dense").
+    Only a map whose positions are first read inside call() takes the
+    route: call() builds its maps afresh."""
     with monkeypatch.context() as patch:
         if route == "gather":
             patch.setattr(superop, "_GATHER_MIN_N", 1)
@@ -805,12 +808,15 @@ def test_kernel_routes_match(n, name, monkeypatch):
     def both(call):
         return [run_route(monkeypatch, r, call) for r in ("gather", "dense")]
 
+    def fresh():
+        return SuperOperator(tau.n, tau.mat)
+
     gathered, dense = both(lambda: {k: f() for k, f in kernel_checks(tau, rho, th).items()})
     for key in dense:
         assert_same_check(gathered[key], dense[key], key)
     for public in (rho_dual, kms_dual):
-        assert np.array_equal(*both(lambda: public(tau, rho).mat)), public.__name__
-    assert norm_close(*both(lambda: delta_commutator_residual(tau, rho)))
+        assert np.array_equal(*both(lambda: public(fresh(), rho).mat)), public.__name__
+    assert norm_close(*both(lambda: delta_commutator_residual(fresh(), rho)))
 
 
 @pytest.mark.parametrize(
@@ -820,9 +826,10 @@ def test_public_checks_take_either_route_alike(n, name, monkeypatch):
     """The public checks and run_report(tfd=True) of every channel in the
     route oracle (the transpose, zero and lone-entry maps are none), on
     both routes."""
-    _, tau, rho, th = next(c for c in route_cases(n) if c[0] == name)
+    _, given, rho, th = next(c for c in route_cases(n) if c[0] == name)
 
     def public():
+        tau = SuperOperator(given.n, given.mat)
         report = run_report(tau, rho, th, tfd=True)
         out = {f: getattr(report, f) for f in (
             "dynamics", "db2_definition", "db2_modular", "db2_entangled", "sqdb_definition",
@@ -856,7 +863,7 @@ def route_spies(monkeypatch):
     spy(superop, "_gathered_choi", "cp", lambda a, k, out: True)
     spy(duals, "_rho_dual_entries", "rho_dual", lambda a, k, out: a[2] is not None)
     spy(duals, "_kms_dual_entries", "kms_dual", lambda a, k, out: a[2] is not None)
-    spy(balance, "_delta_commutator", "commutator", lambda a, k, out: a[2] is not None)
+    spy(balance, "delta_commutator_residual", "commutator", lambda a, k, out: a[0]._at is not None)
     spy(balance, "_pair_residual", "pair",
         lambda a, k, out: k.get("at") is not None and k.get("left_at") is not None)
     spy(balance, "_union", "norm", lambda a, k, out: out is not None)
@@ -898,6 +905,28 @@ def test_kernel_route_choice(n, family, gathered, monkeypatch):
         assert all(v == {False} for v in seen.values()), dict(seen)
 
 
+def test_one_search_per_map(monkeypatch):
+    """A map finds its stored entries once: run_report(tfd=True) and the two
+    public mirror checks on one sparse channel at n = 8 share one search,
+    and its duals and its Theta-conjugate (the channel itself) run none."""
+    rho = random_density(8, seed=335)
+    tau = schur_db2_channel(rho, seed=335)
+    th = transpose_reversing(8)
+    searches = []
+    real = superop._stored
+
+    def counted(m, n):
+        searches.append(n)
+        return real(m, n)
+
+    monkeypatch.setattr(superop, "_stored", counted)
+    run_report(tau, rho, th, tfd=True)
+    check_db2_tfd(tau, rho)
+    check_sqdb_tfd(tau, rho, th)
+    assert tau._at is not None
+    assert searches == [8]
+
+
 def poisoned(tau, spot, bad):
     m = tau.mat.copy()
     m.flat[spot] = bad
@@ -927,9 +956,10 @@ def test_no_kernel_passes_a_nan_entry(n, route, where, bad, monkeypatch):
     bad_tau = poisoned(tau, spot, bad)
     with np.errstate(invalid="ignore"):  # inf times a zero factor
         th = transpose_reversing(n)
-        checks = run_route(monkeypatch, route, lambda: kernel_checks(bad_tau, rho, th))
-        for name, check in checks.items():
-            res = check()
+        results = run_route(monkeypatch, route, lambda: {
+            name: check() for name, check in kernel_checks(bad_tau, rho, th).items()
+        })
+        for name, res in results.items():
             assert not res.passed, name
             assert not math.isfinite(res.residual), name
             if np.isnan(bad):
@@ -974,7 +1004,7 @@ def test_db2_definition_keeps_a_nan_unital_residual():
     rho = random_density(n, seed=360)
     dual = rho_dual(schur_db2_channel(rho, seed=360), rho)
     defect = np.full(n * n, np.nan, dtype=complex)
-    res = balance._db2_definition(dual, None, defect, DEFAULT_TOL, MODE_CP)
+    res = balance._db2_definition(dual, defect, DEFAULT_TOL, MODE_CP)
     assert math.isfinite(res.detail["dual_choi_hermiticity"])
     assert math.isnan(res.residual)
     assert not res.passed

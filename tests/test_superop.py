@@ -117,17 +117,42 @@ def test_apply_shape_guard():
 @pytest.mark.parametrize(
     "n,mat",
     [(3, np.eye(4)), (2, np.ones((4, 3))), (2, np.ones(16)), (2, np.ones((2, 2, 2, 2))),
-     (0, np.ones((0, 0)))],
-    ids=["n3-4x4", "4x3", "1d", "4d", "n0"],
+     (0, np.ones((0, 0))), (2.0, np.eye(4)), (np.float64(2.0), np.eye(4)), ("2", np.eye(4))],
+    ids=["n3-4x4", "4x3", "1d", "4d", "n0", "float-n", "numpy-float-n", "str-n"],
 )
 def test_superoperator_rejects_a_matrix_of_another_shape(n, mat):
+    # a float n = 2.0 would admit the 4 x 4 matrix, since 2.0 * 2.0 == 4
     with pytest.raises(DimensionMismatch):
         SuperOperator(n, mat)
 
 
+def test_superoperator_matrix_is_read_only():
+    """A write into s.mat would leave the map's stored positions stale; it
+    raises for a kept input and for a converted one, and the input itself
+    stays writable."""
+    rng = np.random.default_rng(14)
+    kept = random_mat(9, rng)
+    for given in (kept, kept.real, np.asfortranarray(kept)):
+        s = SuperOperator(3, given)
+        with pytest.raises(ValueError):
+            s.mat[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            s.mat += 1.0
+    kept[0, 0] = 2.0
+    assert SuperOperator(3, kept).mat[0, 0] == 2.0
+
+
+def test_unvec_takes_n_from_the_size():
+    m = np.arange(4.0).reshape(2, 2)
+    assert np.array_equal(unvec(m), m.astype(complex))
+    with pytest.raises(DimensionMismatch, match="length 6 into 2 x 2"):
+        unvec(np.ones((2, 3)))
+
+
 def test_superoperator_holds_one_c_ordered_complex_matrix():
     """A real or Fortran-ordered input gives the same map, stored C-ordered
-    and complex; a C-ordered complex input is kept without a copy."""
+    and complex; a C-ordered complex input is kept without a copy, as a
+    read-only view."""
     rng = np.random.default_rng(13)
     real = rng.standard_normal((9, 9))
     want = SuperOperator(3, real.astype(complex))
@@ -138,7 +163,8 @@ def test_superoperator_holds_one_c_ordered_complex_matrix():
         assert np.array_equal(s.mat, want.mat)
         assert np.array_equal(s.apply(x), want.apply(x))
     m = random_mat(9, rng)
-    assert SuperOperator(3, m).mat is m
+    s = SuperOperator(3, m)
+    assert s.mat.base is m and not s.mat.flags.writeable
     # a sparse real or Fortran-ordered input takes the stored-entry route
     for given in (np.eye(49), np.asfortranarray(np.eye(49, dtype=complex))):
         assert superop._stored(SuperOperator(7, given).mat, 7) is not None

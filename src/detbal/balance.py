@@ -32,18 +32,19 @@ Every pair identity is decided at once: a bilinear form with Gram matrix G
 on the vec basis, F(A, B) = vec(A)^T G vec(B), has F(E_i, R(E_j)) =
 F(L(E_i), E_j) on all matrix-unit pairs iff G R = L^T G.  G = diag(g) with
 g = kron(d^(1/2), d^(1/2)) for rho = diag(d) (entangled, mirror) or p, so
-_pair_residual is max|g_i R_ij - L_ji g_j|, O(n^4); the pair loops and dense
-Gram products are test oracles.  A map s in the antilinear mirror slot
-enters as conj(s.mat).
+_pair_residual is max|g_i R_ij - L_ji g_j|, O(n^4), with L = tau and R a
+realignment of a map; the pair loops and dense Gram products are test
+oracles.  A map s in the antilinear mirror slot enters as conj(s.mat).
 
 A map finds where it stores entries once, on the first read of its
 positions (superop._stored), and every check on it reuses them.  When it
 stores few, every kernel runs over those entries instead of all n^4: the
 duals, the transpose conjugate and the Choi matrix are realignments of tau,
 so their stored entries are tau's with the indices permuted, and a dual
-inherits them from tau.  A pair maximum runs over the stored entries of R
-and the transposed ones of L, a norm over the union of its operands'
-stored entries.
+inherits them from tau.  Every kernel reads a realignment and its stored
+positions together, from SuperOperator._view.  A pair maximum runs over
+the stored entries of R and the transposed ones of L, a norm over the
+union of its operands' stored entries.
 
 On channels commuting with the modular map the kms and state duals
 coincide, so there sqdb implies db2; sqdb does not require that commutation.
@@ -62,6 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duals import (
+    _check_state,
     _kms_dual_entries,
     _modular_ratios,
     rho_dual,
@@ -74,12 +76,11 @@ from .states import DensityMatrix
 from .superop import (
     _BAR_AXES,
     _DUAL_AXES,
+    _SAME_AXES,
     _TRANSPOSE_AXES,
     SuperOperator,
     _factor,
-    _permute,
     _read,
-    _realign,
     _union,
     _unital_defect,
     is_completely_positive,
@@ -126,47 +127,39 @@ def delta_commutator_residual(tau: SuperOperator, rho: DensityMatrix) -> float:
     """Frobenius norm of tau Delta - Delta tau on the superoperator level;
     Delta = diag(r), r = kron(1/d, d), so entry (i, j) is tau_ij (r_j - r_i),
     summed over the entries tau stores (superop._stored) or all of them."""
-    at = tau._at
-    r = _modular_ratios(rho)
-    if at is None:
-        rows, cols, entries = r[:, None], r, tau.mat
-    else:
-        r = r.reshape(tau.n, tau.n)
-        rows, cols, entries = r[at[0], at[1]], r[at[2], at[3]], tau.mat.reshape((tau.n,) * 4)[at]
-    out = np.subtract(cols, rows, dtype=complex)
-    out *= entries
+    _check_state(tau, rho)
+    r = _modular_ratios(rho).reshape(tau.n, tau.n)
+    view, at = tau._view(_SAME_AXES)
+    out = np.subtract(_factor(r, at, (2, 3)), _factor(r, at, (0, 1)), dtype=complex)
+    out *= _read(view, at)
     return float(np.linalg.norm(out))
 
 
 def _pair_residual(
-    g: np.ndarray, left: np.ndarray, right: np.ndarray, conj: bool = False, at=None, left_at=None
+    g: np.ndarray, tau: SuperOperator, other: SuperOperator, axes=_SAME_AXES, mirror=False
 ) -> float:
-    """Largest |F(e_i, right e_j) - F(left e_i, e_j)| over basis pairs, for
-    F(x, y) = x^T diag(g) y: max|g_i right_ij - left_ji g_j|, O(n^4).
+    """Largest |F(e_i, R e_j) - F(tau e_i, e_j)| over basis pairs, for
+    F(x, y) = x^T diag(g) y and R the realignment of other by axes:
+    max|g_i R_ij - tau_ji g_j|, O(n^4).  With mirror R is conjugated: other
+    in the antilinear mirror slot.  R is read as a view, never copied; the
+    dense pass is one _pair_max, with two n^2 x n^2 complex temporaries and
+    the real array of their absolute difference.
 
-    left is a matrix.  right is one too, or the (n, n, n, n) realignment of
-    a matrix as a view (its rows in C order), so it is never copied.  With
-    conj (real g) conj(right) is compared: a map in the antilinear mirror
-    slot.  The dense pass is one _pair_max: two n^2 x n^2 complex
-    temporaries and the real array of their absolute difference.
-
-    Given where right (in its (n, n, n, n) layout) and left store entries,
-    at and left_at (superop._stored), every other term is zero: the maximum
-    runs over the pairs at and over left_at transposed, each read in one
-    gather, and the two partial maxima are joined by np.maximum, which keeps
-    a NaN."""
-    if at is not None and left_at is not None:
-        n = math.isqrt(len(g))
+    When R and tau both store few entries (SuperOperator._view), every
+    other term is zero: the maximum runs over the stored entries of R and
+    the transposed ones of tau, each read in one gather, and the two
+    partial maxima are joined by np.maximum, which keeps a NaN."""
+    n = tau.n
+    right, at = other._view(axes)
+    if at is not None and tau._at is not None:
         g2 = g.reshape(n, n)
-        right = right.reshape((n,) * 4)
-        left_t = _realign(left, n, _TRANSPOSE_AXES)
+        left_t, left_at = tau._view(_TRANSPOSE_AXES)
         worst = 0.0
-        for x in (at, _permute(left_at, _TRANSPOSE_AXES)):
+        for x in (at, left_at):
             rows, cols = _factor(g2, x, (0, 1)), _factor(g2, x, (2, 3))
-            worst = np.maximum(worst, _pair_max(rows, right[x], left_t[x], cols, conj))
+            worst = np.maximum(worst, _pair_max(rows, right[x], left_t[x], cols, mirror))
         return float(worst)
-    h = right.ndim // 2
-    return float(_pair_max(g.reshape(right.shape[:h] + (1,) * h), right, left.T, g, conj))
+    return float(_pair_max(g.reshape(n, n, 1, 1), right, tau.mat.T, g, mirror))
 
 
 def _pair_max(rows, right, left_t, g, conj):
@@ -217,49 +210,43 @@ def _db2_entangled(tau, g, dual, defect, tol) -> CheckResult:
     # dual's unital defect (defect = _unital_defect(dual)) with its index
     # pairs swapped
     n = tau.n
-    hat = _realign(dual.mat, n, _BAR_AXES)
-    hat_at = _permute(dual._at, _BAR_AXES)
+    hat, hat_at = dual._view(_BAR_AXES)
+    tau4, tau_at = tau._view(_SAME_AXES)
     hat_unital = float(np.linalg.norm(defect.reshape(n, n).T.ravel()))
     # distance of the transposed dual from the channel itself, over the
     # stored entries of either; diagnostic only, zero is not required for
     # balance
-    both = _union(hat_at, tau._at, n)
-    tau4 = tau.mat.reshape(hat.shape)
+    both = _union(hat_at, tau_at, n)
     hat_vs_channel = np.subtract(_read(hat, both), _read(tau4, both), order="C")
     hat_vs_channel = float(np.linalg.norm(hat_vs_channel))
     return _verdict(
         tol,
-        {"pair_residual": _pair_residual(g, tau.mat, hat, at=hat_at, left_at=tau._at),
-         "hat_unital": hat_unital},
+        {"pair_residual": _pair_residual(g, tau, dual, _BAR_AXES), "hat_unital": hat_unital},
         info={"hat_vs_channel": hat_vs_channel},
     )
 
 
 def _sqdb_definition(tau, rho, conj, tol) -> CheckResult:
     # kms_dual(tau) against bar_map(conj), over the stored entries of either
-    n = tau.n
-    bar = _realign(conj.mat, n, _BAR_AXES)
-    both = _union(_permute(tau._at, _DUAL_AXES), _permute(conj._at, _BAR_AXES), n)
-    diff = _kms_dual_entries(tau, rho, both)
+    dual, dual_at = tau._view(_DUAL_AXES)
+    bar, bar_at = conj._view(_BAR_AXES)
+    both = _union(dual_at, bar_at, tau.n)
+    diff = _kms_dual_entries(rho, dual, both)
     diff -= _read(bar, both)
     return _verdict(tol, {"kms_vs_reversed": float(np.linalg.norm(diff))})
 
 
 def _sqdb_entangled(tau, g, conj, tol) -> CheckResult:
-    pair = _pair_residual(g, tau.mat, conj.mat, at=conj._at, left_at=tau._at)
-    return _verdict(tol, {"pair_residual": pair})
+    return _verdict(tol, {"pair_residual": _pair_residual(g, tau, conj)})
 
 
 def _db2_tfd(tau, g, dual, dual_unital, tol) -> CheckResult:
-    pair = _pair_residual(g, tau.mat, dual.mat, conj=True, at=dual._at, left_at=tau._at)
+    pair = _pair_residual(g, tau, dual, mirror=True)
     return _verdict(tol, {"pair_residual": pair, "dual_unital": dual_unital})
 
 
 def _sqdb_tfd(tau, g, conj, tol) -> CheckResult:
-    bar = _realign(conj.mat, tau.n, _BAR_AXES)
-    bar_at = _permute(conj._at, _BAR_AXES)
-    pair = _pair_residual(g, tau.mat, bar, conj=True, at=bar_at, left_at=tau._at)
-    return _verdict(tol, {"pair_residual": pair})
+    return _verdict(tol, {"pair_residual": _pair_residual(g, tau, conj, _BAR_AXES, mirror=True)})
 
 
 def check_db2_definition(
@@ -362,8 +349,11 @@ class ClassicalChain:
 def make_chain(p, gamma) -> ClassicalChain:
     """Validate chain data to 1e-12 (finiteness, positivity, normalization,
     stochasticity); every comparison fails closed on a NaN."""
-    p = np.asarray(p, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
+    try:
+        p = np.asarray(p, dtype=float)
+        gamma = np.asarray(gamma, dtype=float)
+    except ValueError as exc:  # ragged rows, which numpy cannot shape
+        raise DimensionMismatch(f"chain data p, gamma must be numeric arrays: {exc}") from None
     if p.ndim != 1 or gamma.shape != (len(p), len(p)):
         raise DimensionMismatch(f"chain shapes p {p.shape}, gamma {gamma.shape}")
     for name, x in (("p", p), ("gamma", gamma)):
@@ -394,7 +384,8 @@ def classical_phi_balance(c: ClassicalChain, tol: Tolerance = DEFAULT_TOL) -> Ch
     reversibility says phi[(Gamma f) ox g] = phi[f ox (Gamma g)] for all f, g;
     the residual runs over all coordinate basis pairs.
     """
-    return _verdict(tol, {"functional": _pair_residual(c.p, c.gamma, c.gamma)})
+    functional = _pair_max(c.p[:, None], c.gamma, c.gamma.T, c.p, False)
+    return _verdict(tol, {"functional": float(functional)})
 
 
 @dataclass(frozen=True, eq=False)

@@ -338,6 +338,8 @@ def parse_problem(path: str) -> ParsedProblem:
         raise SchemaError("file", str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise SchemaError("file", f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError("file", "invalid JSON: nested too deeply") from None
     # a non-object takes the quantum branch, whose key rule rejects it
     kind = raw.get("kind", "quantum") if isinstance(raw, dict) else "quantum"
     if kind == "quantum":

@@ -19,12 +19,12 @@ for s with matrix M, K the commutation matrix and rho = diag(d):
                K M^T K, rows / (d_j d_k)^(1/2), columns * (d_j d_k)^(1/2)
 where row or column j + n k belongs to the unit E_jk.  Products with K are
 index permutations, so no dual costs a matrix product: K M^T K is read as a
-view of M (superop._realign) and scaled into the one array the dual
-returns, O(n^4), and the input is never written.  When M stores few entries
-(superop._stored) only those are scaled, at their realigned positions, and
-scattered into zeros; the dual inherits those positions as its own
-(superop._from_entries), so no dual searches its matrix again.  The
-Theta-conjugate conj(W) M W,
+view of M and scaled into the one array the dual returns, O(n^4), and the
+input is never written.  When M stores few entries (superop._stored) only
+those are scaled, at their realigned positions, and scattered into zeros.
+The view and those positions come together from SuperOperator._view, and
+the dual inherits the positions as its own (superop._from_entries), so no
+dual searches its matrix again.  The Theta-conjugate conj(W) M W,
 W = kron(conj u, u), is O(n^5), and for the plain transpose (u = 1) it is
 s itself, returned as is.
 
@@ -46,16 +46,15 @@ from .errors import DimensionMismatch, NonUnitary, NotInvolutive
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix
 from .states import DensityMatrix
 from .superop import (
+    _BAR_AXES,
     _DUAL_AXES,
     _INPUT_TRANSPOSE_AXES,
     SuperOperator,
     _factor,
     _from_entries,
     _kron_sandwich,
-    _permute,
     _read,
     _realign,
-    _transpose_sides,
     pi_rep,
 )
 
@@ -67,7 +66,8 @@ def hs_adjoint(s: SuperOperator) -> SuperOperator:
 
 def bar_map(s: SuperOperator) -> SuperOperator:
     """Transpose conjugate A -> s(A^T)^T; CP for CP input."""
-    return SuperOperator(s.n, _transpose_sides(s.mat, s.n))
+    n = s.n
+    return SuperOperator(n, _realign(s.mat, n, _BAR_AXES).reshape(n * n, n * n))
 
 
 def trace_dual(s: SuperOperator) -> SuperOperator:
@@ -78,7 +78,8 @@ def trace_dual(s: SuperOperator) -> SuperOperator:
     hs_adjoint(s).  Kraus maps dualize to their Kraus-adjoint families, so
     unital maps have trace-preserving duals and conversely.
     """
-    return SuperOperator(s.n, _transpose_sides(s.mat, s.n, _DUAL_AXES))
+    n = s.n
+    return SuperOperator(n, _realign(s.mat, n, _DUAL_AXES).reshape(n * n, n * n))
 
 
 def _check_state(s: SuperOperator, rho: DensityMatrix) -> None:
@@ -96,17 +97,17 @@ def rho_dual(s: SuperOperator, rho: DensityMatrix) -> SuperOperator:
     unital iff s preserves <.>, and trace-of-rho-preserving iff s is unital.
     """
     _check_state(s, rho)
-    at = _permute(s._at, _DUAL_AXES)
-    return _from_entries(s.n, at, _rho_dual_entries(s, rho, at))
+    dual, at = s._view(_DUAL_AXES)
+    return _from_entries(s.n, at, _rho_dual_entries(rho, dual, at))
 
 
-def _rho_dual_entries(s: SuperOperator, rho: DensityMatrix, at) -> np.ndarray:
-    """Entries of rho_dual(s, rho).mat.reshape(n, n, n, n): all of them, or
-    those at the positions at (superop._factor).  Axes (k, j, k', j') of row j + n k,
+def _rho_dual_entries(rho: DensityMatrix, dual: np.ndarray, at) -> np.ndarray:
+    """Entries of rho_dual(s, rho).mat.reshape(n, n, n, n) from the view
+    dual of s.mat (s._view(_DUAL_AXES)): all of them, or those at the
+    positions at (superop._factor).  Axes (k, j, k', j') of row j + n k,
     column j' + n k': rows / d_j, columns * d_j'."""
     d = rho.diag
-    dual = _read(_realign(s.mat, s.n, _DUAL_AXES), at)
-    m = np.multiply(_factor(1.0 / d, at, (1,)), dual, order="C")
+    m = np.multiply(_factor(1.0 / d, at, (1,)), _read(dual, at), order="C")
     m *= _factor(d, at, (3,))
     return m
 
@@ -120,16 +121,16 @@ def kms_dual(s: SuperOperator, rho: DensityMatrix) -> SuperOperator:
     O(stored) as in rho_dual.
     """
     _check_state(s, rho)
-    at = _permute(s._at, _DUAL_AXES)
-    return _from_entries(s.n, at, _kms_dual_entries(s, rho, at))
+    dual, at = s._view(_DUAL_AXES)
+    return _from_entries(s.n, at, _kms_dual_entries(rho, dual, at))
 
 
-def _kms_dual_entries(s: SuperOperator, rho: DensityMatrix, at) -> np.ndarray:
-    """Entries of kms_dual(s, rho).mat.reshape(n, n, n, n), all of them or
-    those at the positions at: rows / (d_j d_k)^(1/2), columns * (d_j' d_k')^(1/2)."""
+def _kms_dual_entries(rho: DensityMatrix, dual: np.ndarray, at) -> np.ndarray:
+    """Entries of kms_dual(s, rho).mat.reshape(n, n, n, n) from the view dual
+    of s.mat (s._view(_DUAL_AXES)), all of them or those at the positions at:
+    rows / (d_j d_k)^(1/2), columns * (d_j' d_k')^(1/2)."""
     half = np.sqrt(np.outer(rho.diag, rho.diag))  # [k, j] -> (d_j d_k)^(1/2), vec index j + n k
-    dual = _read(_realign(s.mat, s.n, _DUAL_AXES), at)
-    m = np.divide(dual, _factor(half, at, (0, 1)), order="C")
+    m = np.divide(_read(dual, at), _factor(half, at, (0, 1)), order="C")
     m *= _factor(half, at, (2, 3))
     return m
 
@@ -191,8 +192,9 @@ class ReversingOperation:
 
     def superop(self) -> SuperOperator:
         """Matrix kron(conj u, u) K: the columns of kron(conj u, u) permuted."""
+        n = self.n
         w = np.kron(self.u.conj(), self.u)
-        return SuperOperator(self.n, _transpose_sides(w, self.n, _INPUT_TRANSPOSE_AXES))
+        return SuperOperator(n, _realign(w, n, _INPUT_TRANSPOSE_AXES).reshape(n * n, n * n))
 
 
 def make_reversing(u, tol: Tolerance = DEFAULT_TOL) -> ReversingOperation:

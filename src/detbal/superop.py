@@ -16,10 +16,12 @@ _stored decides, for the CP test and every other O(n^4) kernel, whether a
 map's stored entries are followed instead of all n^4: at n >= 7 with at
 most n^4 / 8 of them stored.  It finds them in one comparison pass, as the
 four indices of each entry in the (n, n, n, n) layout, so the stored
-entries of any realignment are a permutation of those indices (_permute).
-A map runs that search once, the first time its positions (_at) are read,
-and keeps them; a map built from permuted entries of another, as a dual is
-(_from_entries), is handed those permuted positions and runs none.  A
+entries of any realignment are a permutation of those indices.  A map
+runs that search once, the first time its positions (_at) are read, and
+keeps them; a map built from permuted entries of another, as a dual is
+(_from_entries), is handed those permuted positions and runs none.
+SuperOperator._view is the one place a realignment meets its positions:
+it returns the realigned view with _at's index arrays reordered alike.  A
 kernel writes its elementwise expression once and is fed either the views
 of the dense pass or the gathered entries (_factor, _read).  The CP
 test then finds the coupled rows at the stored entries and gathers its
@@ -81,6 +83,12 @@ class SuperOperator:
         """Where mat stores entries (_stored), found on the first read."""
         return _stored(self.mat, self.n)
 
+    def _view(self, axes):
+        """mat realigned by axes (_realign) and where that view stores
+        entries: _at's index arrays reordered alike, or None when _at is."""
+        at = self._at
+        return _realign(self.mat, self.n, axes), None if at is None else tuple(at[a] for a in axes)
+
     def apply(self, x) -> np.ndarray:
         """Evaluate the map on an n x n matrix."""
         x = np.asarray(x, dtype=complex)
@@ -106,8 +114,9 @@ def identity_superop(n: int) -> SuperOperator:
     return SuperOperator(n, np.eye(n * n, dtype=complex))
 
 
-# The realignments in use, each an involution (_permute).  Swapping axes
+# The realignments in use (_realign, SuperOperator._view).  Swapping axes
 # 0, 1 transposes a map's output, swapping 2, 3 its input.
+_SAME_AXES = (0, 1, 2, 3)  # M itself
 _CHOI_AXES = (3, 1, 2, 0)  # the Choi matrix (choi)
 _DUAL_AXES = (3, 2, 1, 0)  # K M^T K, the trace dual
 _BAR_AXES = (1, 0, 3, 2)  # K M K, the transpose conjugate; the Choi mirror
@@ -119,13 +128,6 @@ def _realign(m: np.ndarray, n: int, axes) -> np.ndarray:
     """m.reshape(n, n, n, n).transpose(axes), a view of the C-ordered m:
     entry (a + n b, j + n k) of m sits at [b, a, k, j] of the reshape."""
     return m.reshape(n, n, n, n).transpose(axes)
-
-
-def _transpose_sides(m: np.ndarray, n: int, axes=_BAR_AXES) -> np.ndarray:
-    """K m K for the commutation matrix K, vec(X^T) = K vec(X), or another
-    realignment of m as an n^2 x n^2 matrix.  A copy; the kernels read
-    _realign's view instead."""
-    return _realign(m, n, axes).reshape(n * n, n * n)
 
 
 def _kron_sandwich(m: np.ndarray, n: int, a, b, j, k) -> np.ndarray:
@@ -141,7 +143,7 @@ def _kron_sandwich(m: np.ndarray, n: int, a, b, j, k) -> np.ndarray:
 def transpose_superop(n: int) -> SuperOperator:
     """The transpose map X -> X^T; its matrix is the commutation matrix."""
     eye = np.eye(n * n, dtype=complex)
-    return SuperOperator(n, _transpose_sides(eye, n, _INPUT_TRANSPOSE_AXES))
+    return SuperOperator(n, _realign(eye, n, _INPUT_TRANSPOSE_AXES).reshape(n * n, n * n))
 
 
 def pi_rep(a, b) -> SuperOperator:
@@ -166,6 +168,8 @@ class KrausChannel:
     def __post_init__(self):
         if len(self.ops) == 0:
             raise DimensionMismatch("a Kraus channel needs at least one operator")
+        if not all(isinstance(v, np.ndarray) for v in self.ops):
+            raise DimensionMismatch("Kraus operators must be arrays (make_kraus converts them)")
         shape = self.ops[0].shape
         for v in self.ops:
             if v.shape != shape or v.ndim != 2 or v.shape[0] != v.shape[1]:
@@ -252,13 +256,6 @@ def _stored(m: np.ndarray, n: int):
     return np.unravel_index(pos, (n,) * 4) if len(pos) <= limit else None
 
 
-def _permute(at, axes):
-    """The positions at of entries of m (_stored), as positions in
-    _realign(m, n, axes).  Every realignment in use is an involution, so the
-    same call takes positions in the view back to m; None stays None."""
-    return None if at is None else tuple(at[a] for a in axes)
-
-
 def _union(a, b, n: int):
     """The positions in a or b, once each, in C order; None if either is."""
     if a is None or b is None:
@@ -299,27 +296,29 @@ def _from_entries(n: int, at, entries: np.ndarray) -> SuperOperator:
     return s
 
 
-def _gathered_choi(m: np.ndarray, n: int, at):
-    """(Hermiticity residual, Choi spectrum) of the map with matrix m, read
-    from its stored entries at (_stored); None when every Choi row is
-    coupled, so that the dense passes run instead.
+def _gathered_choi(s: SuperOperator):
+    """(Hermiticity residual, Choi spectrum) of the map s, read from its
+    stored entries (_at); None when every Choi row is coupled, so that the
+    dense passes run instead.
 
     Only the stored entries and their mirrors can make the Hermitian part
     H = (C + C^dag) / 2 nonzero, so the coupled rows are found there, and
-    the coupled block and the diagonal are gathered from m: the same values,
-    by the same operations, as in the dense passes.  ||C|| and ||C - C^dag||
-    are summed over the stored entries; an entry whose mirror is not stored
-    counts twice in the second, once for the mirror position.
+    the coupled block and the diagonal are gathered from s.mat: the same
+    values, by the same operations, as in the dense passes.  ||C|| and
+    ||C - C^dag|| are summed over the stored entries; an entry whose mirror
+    is not stored counts twice in the second, once for the mirror position.
 
-    Entry [x0, x1, x2, x3] of m.reshape(n, n, n, n) is the Choi entry
-    (x1 + n x3, x0 + n x2), and its mirror is entry [x1, x0, x3, x2]."""
+    Entry [x0, x1, x2, x3] of s.mat.reshape(n, n, n, n) is the Choi entry
+    (x1 + n x3, x0 + n x2), and its mirror is entry [x1, x0, x3, x2]: the
+    entry at the same position of the _BAR_AXES view."""
+    n, m = s.n, s.mat
     big = n * n
-    m4 = m.reshape((n,) * 4)
+    m4, at = s._view(_SAME_AXES)
     x0, x1, x2, x3 = at
     p = x3 * n + x1
     q = x2 * n + x0
     v = m4[at]
-    vm = m4[_permute(at, _BAR_AXES)]
+    vm = _realign(m, n, _BAR_AXES)[at]
     scale = max(1.0, float(np.sqrt(np.vdot(v, v).real)))
     h = np.conjugate(vm)
     d = v - h
@@ -380,7 +379,7 @@ def is_completely_positive(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> Ch
     (_block_spectrum).
     """
     n = s.n
-    gathered = None if s._at is None else _gathered_choi(s.mat, n, s._at)
+    gathered = None if s._at is None else _gathered_choi(s)
     if gathered is not None:
         herm, lam = gathered
     else:
@@ -477,5 +476,6 @@ def is_hermitian_map(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> CheckRes
     matrix.  Column j + n k of M - K conj(M) K is s(E_jk) - s(E_kj)^dag, so
     the largest column norm is the largest defect over the matrix units.
     """
-    diff = s.mat - _transpose_sides(s.mat.conj(), s.n)
+    n = s.n
+    diff = s.mat - _realign(s.mat.conj(), n, _BAR_AXES).reshape(n * n, n * n)
     return _verdict(tol, {"hermitian_map": float(np.max(np.linalg.norm(diff, axis=0)))})

@@ -201,6 +201,15 @@ def test_dimension_mismatch():
         check_db2_definition(identity_superop(3), rho_34())
 
 
+@pytest.mark.parametrize("n,m", [(3, 2), (2, 1)])
+def test_delta_commutator_rejects_a_state_of_another_dimension(n, m):
+    # numpy would report a broadcast error (n = 3) or a non-broadcastable
+    # output operand (n = 2) instead
+    rho = make_density(np.diag(np.arange(m, 0, -1.0) / (m * (m + 1) / 2)))
+    with pytest.raises(DimensionMismatch, match=f"map on M_{n} vs state on dimension {m}"):
+        delta_commutator_residual(identity_superop(n), rho)
+
+
 def test_positivity_only_mode():
     rho = rho_34()
     tau = schur_db2_channel(rho, seed=6)
@@ -317,6 +326,8 @@ def test_make_chain_validation():
         make_chain([1.5, -0.5], [[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(DimensionMismatch):
         make_chain([0.5, 0.5], [[1.0]])
+    with pytest.raises(DimensionMismatch):  # ragged rows, which numpy cannot shape
+        make_chain([0.5, 0.5], [[1, 0], [0]])
     with pytest.raises(NotStochastic, match="p has a non-finite entry"):
         make_chain([np.nan, 0.5], [[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(NotStochastic, match="gamma has a non-finite entry"):

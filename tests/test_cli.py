@@ -579,9 +579,15 @@ HUGE_U3 = [[[1e308 if i == j == 0 else float(i == j), 0.0] for j in range(3)] fo
 
 # (id, changes to a qubit problem file, or to a two-state chain when "p" is
 # among them, with None dropping a key; and the one error line the file must
-# produce).  A list is the whole file.
+# produce).  A list is the whole file, a string the file's text.
 MALFORMED_FILES = [
     ("top-level-list", [1, 2], "file: expected an object"),
+    # json.load raises RecursionError on it
+    (
+        "nested-too-deeply",
+        '{"rho": ' + "[" * 100000 + "]" * 100000 + "}",
+        "file: invalid JSON: nested too deeply",
+    ),
     ("kind", {"kind": "other"}, 'kind: expected "quantum" or "classical"'),
     ("unknown-sorted", {"zzz": 1, "aaa": 2}, "aaa: unknown field"),
     ("classical-unknown", {"p": [0.5, 0.5], "extra": 1}, "extra: unknown field"),
@@ -692,7 +698,9 @@ def test_malformed_files_name_the_field_at_fault(tmp_path, capsys, changes, line
         payload = {k: v for k, v in payload.items() if v is not None}
     else:
         payload = changes
-    assert main(["check", _write(tmp_path, payload)]) == 2
+    path = tmp_path / "problem.json"
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload), encoding="utf-8")
+    assert main(["check", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {line}\n"

@@ -45,6 +45,7 @@ from detbal import balance, duals, superop
 from detbal.balance import (
     MODE_CP,
     MODE_POSITIVITY,
+    _pair_max,
     _pair_residual,
     delta_commutator_residual,
     check_db2_definition,
@@ -91,6 +92,8 @@ from detbal.states import (
     purify,
 )
 from detbal.superop import (
+    _BAR_AXES,
+    _SAME_AXES,
     SuperOperator,
     _kron_sandwich,
     from_kraus,
@@ -291,10 +294,10 @@ def close(new, oracle):
 # ------------------------------------------------------------------ tests
 
 
-def test_pair_residual_is_the_bilinear_pair_maximum():
-    """Complex diagonal G = diag(g), non-symmetric L, R: the kernel is the
-    maximum over basis pairs of |F(e_i, R e_j) - F(L e_i, e_j)| with
-    F(x, y) = x^T G y."""
+def test_pair_max_is_the_bilinear_pair_maximum():
+    """Complex diagonal G = diag(g), non-symmetric L, R: the kernel's
+    maximum is the one over basis pairs of |F(e_i, R e_j) - F(L e_i, e_j)|
+    with F(x, y) = x^T G y."""
     rng = np.random.default_rng(5)
     m = 6
     left, right = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for _ in range(2))
@@ -306,29 +309,31 @@ def test_pair_residual_is_the_bilinear_pair_maximum():
         for i in range(m)
         for j in range(m)
     )
-    assert close(_pair_residual(g, left, right), want)
+    assert close(float(_pair_max(g[:, None], right, left.T, g, False)), want)
 
 
 @pytest.mark.parametrize("n", [2, 9, 10, 12, 16])
 def test_pair_residual_matches_the_one_shot_expression(n):
-    """The kernel's dense pass reads a realigned right operand as a view.
-    The one-shot expression over full copies is its reference, bit for bit,
-    since a maximum is exact; with conj the conjugate is taken after the real
-    scaling, which moves at most the sign of a zero.  A NaN anywhere, in the
-    last row too, is the result."""
+    """The kernel's dense pass reads the other map, as is or realigned, as a
+    view.  The one-shot expression over full copies is its reference, bit
+    for bit, since a maximum is exact; with mirror the conjugate is taken
+    after the real scaling, which moves at most the sign of a zero.  A NaN
+    anywhere, in the last row too, is the result."""
     rng = np.random.default_rng(210 + n)
     size = n * n
     left, right = (
         rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)) for _ in range(2)
     )
     g = rng.uniform(0.1, 1.0, size)
-    bar = right.reshape(n, n, n, n).transpose(1, 0, 3, 2)
-    for view, copy in ((right, right), (bar, bar.reshape(size, size))):
-        for conj in (False, True):
-            want = np.max(np.abs(g[:, None] * (copy.conj() if conj else copy) - left.T * g))
-            assert _pair_residual(g, left, view, conj=conj) == want
+    tau, other = SuperOperator(n, left), SuperOperator(n, right)
+    bar = right.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(size, size)
+    for axes, copy in ((_SAME_AXES, right), (_BAR_AXES, bar)):
+        for mirror in (False, True):
+            want = np.max(np.abs(g[:, None] * (copy.conj() if mirror else copy) - left.T * g))
+            assert _pair_residual(g, tau, other, axes, mirror) == want
+    right = right.copy()
     right[-1, -1] = np.nan
-    assert np.isnan(_pair_residual(g, left, right))
+    assert np.isnan(_pair_residual(g, tau, SuperOperator(n, right)))
 
 
 def dense_pair_residual(gram, left, right):
@@ -865,7 +870,7 @@ def route_spies(monkeypatch):
     spy(duals, "_kms_dual_entries", "kms_dual", lambda a, k, out: a[2] is not None)
     spy(balance, "delta_commutator_residual", "commutator", lambda a, k, out: a[0]._at is not None)
     spy(balance, "_pair_residual", "pair",
-        lambda a, k, out: k.get("at") is not None and k.get("left_at") is not None)
+        lambda a, k, out: a[1]._at is not None and a[2]._at is not None)
     spy(balance, "_union", "norm", lambda a, k, out: out is not None)
     return seen
 
@@ -968,11 +973,11 @@ def test_no_kernel_passes_a_nan_entry(n, route, where, bad, monkeypatch):
 
 @pytest.mark.parametrize("conj", [False, True])
 @pytest.mark.parametrize("side", ["left", "right"])
-def test_split_pair_maximum_keeps_nan(side, conj):
+def test_split_pair_maximum_keeps_nan(side, conj, monkeypatch):
     """The gathered pair kernel takes its maximum in two parts, over the
     stored entries of right and over the transposed ones of left.  A NaN or
     inf in either part, behind a larger finite term in the other, decides
-    the result, as in the dense pass."""
+    the result, as in the dense pass.  Each route runs on fresh maps."""
     n = 3
     big = n * n
     rng = np.random.default_rng(350)
@@ -986,12 +991,17 @@ def test_split_pair_maximum_keeps_nan(side, conj):
             lt[2, 4] = bad  # pair (4, 2), right[4, 2] = 0: only in left's transposed set
         else:
             rt[4, 2] = bad  # pair (4, 2), left[2, 4] = 0: only in right's set
-        r4 = rt.reshape((n,) * 4)
-        at = np.unravel_index(np.flatnonzero(rt), (n,) * 4)
-        left_at = np.unravel_index(np.flatnonzero(lt), (n,) * 4)
+
+        def pair():
+            tau, other = SuperOperator(n, lt), SuperOperator(n, rt)
+            out = _pair_residual(g, tau, other, mirror=conj)
+            return out, (tau._at is None, other._at is None)
+
         with np.errstate(invalid="ignore"):  # inf times a zero factor
-            dense = _pair_residual(g, lt, r4, conj=conj)
-            gathered = _pair_residual(g, lt, r4, conj=conj, at=at, left_at=left_at)
+            dense, unstored = run_route(monkeypatch, "dense", pair)
+            assert unstored == (True, True)
+            gathered, unstored = run_route(monkeypatch, "gather", pair)
+            assert unstored == (False, False)
         assert not math.isfinite(dense)
         assert same_bits(gathered, dense)
 

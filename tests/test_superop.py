@@ -106,6 +106,8 @@ def test_kraus_channel_validation():
         make_kraus([np.eye(2), np.eye(3)])
     with pytest.raises(DimensionMismatch):
         KrausChannel((np.ones((2, 3)),))
+    with pytest.raises(DimensionMismatch, match="must be arrays"):
+        KrausChannel((np.eye(2), [[1, 0], [0, 1]]))
     assert KrausChannel((np.eye(2),)).n == 2
 
 
@@ -432,9 +434,8 @@ def test_cp_routes_match_the_dense_oracle(n, route):
         assert res.passed == want, name
 
 
-def cp_gathered(s, n):
-    pos = superop._stored(s.mat, n)
-    return pos is not None and superop._gathered_choi(s.mat, n, pos) is not None
+def cp_gathered(s):
+    return s._at is not None and superop._gathered_choi(s) is not None
 
 
 def test_cp_route_choice():
@@ -447,7 +448,7 @@ def test_cp_route_choice():
         "transpose", "transpose-dual", "zero", "zero-dual",
         "diagonal-choi", "cancelling-pair", "lone-entry",
     }
-    assert {name for name, s in maps.items() if cp_gathered(s, 7)} == sparse
+    assert {name for name, s in maps.items() if cp_gathered(s)} == sparse
     assert {name for name, s in maps.items() if superop._stored(s.mat, 7) is not None} == (
         sparse | {"ring"}
     )

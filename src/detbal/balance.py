@@ -28,6 +28,10 @@ correlation <A tilde(B)> = tr(rho^(1/2) A rho^(1/2) B^dag) (see thermofield):
                tau'(1) = 1
   sqdb_tfd     <tau(A) tilde(B)> = <A tilde(Theta tau Theta(B))> for all A, B
 
+tau_hat(1) = tau'(1)^T, so the three db2 checks that ask for unitality
+report one residual, is_unital(tau'), read once per report: dual_unital
+of the definition and the mirror form, hat_unital of the entangled form.
+
 Every pair identity is decided at once: a bilinear form with Gram matrix G
 on the vec basis, F(A, B) = vec(A)^T G vec(B), has F(E_i, R(E_j)) =
 F(L(E_i), E_j) on all matrix-unit pairs iff G R = L^T G.  G = diag(g) with
@@ -71,7 +75,7 @@ from .duals import (
     ReversingOperation,
 )
 from .errors import DimensionMismatch, InputNotDynamics, NotStochastic
-from .linalg import DEFAULT_TOL, CheckResult, Tolerance, _verdict
+from .linalg import DEFAULT_TOL, CheckResult, Tolerance, _numeric, _verdict
 from .states import DensityMatrix
 from .superop import (
     _BAR_AXES,
@@ -82,7 +86,6 @@ from .superop import (
     _factor,
     _read,
     _union,
-    _unital_defect,
     is_completely_positive,
     is_positive_map,
     is_unital,
@@ -181,10 +184,9 @@ def _pair_gram(rho: DensityMatrix) -> np.ndarray:
     return np.outer(half, half).ravel()
 
 
-def _db2_definition(dual, defect, tol, mode) -> CheckResult:
-    # defect = _unital_defect(dual), so un is is_unital(dual, tol)
+def _db2_definition(dual, un, tol, mode) -> CheckResult:
+    # un = is_unital(dual, tol)
     cp = _cp_check(dual, tol, mode)
-    un = _verdict(tol, {"unital": float(np.linalg.norm(defect))})
     detail = {f"dual_{k}": v for k, v in cp.detail.items()}
     detail["dual_unital"] = un.residual
     # Python max alone would drop a NaN that does not come first
@@ -205,18 +207,15 @@ def _db2_modular(tau, rho, tol) -> CheckResult:
     return _verdict(tol, {"modular_commutator": comm, "state_invariance": inv})
 
 
-def _db2_entangled(tau, g, dual, defect, tol) -> CheckResult:
-    # hat = bar_map(dual), read as a view; hat(1) = dual(1)^T, whose vec is
-    # dual's unital defect (defect = _unital_defect(dual)) with its index
-    # pairs swapped
-    n = tau.n
+def _db2_entangled(tau, g, dual, hat_unital, tol) -> CheckResult:
+    # hat = bar_map(dual), read as a view; hat(1) = dual(1)^T has dual's
+    # unital defect transposed, so hat_unital is is_unital(dual).residual
     hat, hat_at = dual._view(_BAR_AXES)
     tau4, tau_at = tau._view(_SAME_AXES)
-    hat_unital = float(np.linalg.norm(defect.reshape(n, n).T.ravel()))
     # distance of the transposed dual from the channel itself, over the
     # stored entries of either; diagnostic only, zero is not required for
     # balance
-    both = _union(hat_at, tau_at, n)
+    both = _union(hat_at, tau_at, tau.n)
     hat_vs_channel = np.subtract(_read(hat, both), _read(tau4, both), order="C")
     hat_vs_channel = float(np.linalg.norm(hat_vs_channel))
     return _verdict(
@@ -258,7 +257,7 @@ def check_db2_definition(
     """Standard balance by its definition: the state dual is CP and unital."""
     require_dynamics(tau, rho, tol, mode)
     dual = rho_dual(tau, rho)
-    return _db2_definition(dual, _unital_defect(dual), tol, mode)
+    return _db2_definition(dual, is_unital(dual, tol), tol, mode)
 
 
 def check_db2_modular(
@@ -281,7 +280,7 @@ def check_db2_entangled(
     """Standard balance via the purified two-copy functional."""
     require_dynamics(tau, rho, tol, mode)
     dual = rho_dual(tau, rho)
-    return _db2_entangled(tau, _pair_gram(rho), dual, _unital_defect(dual), tol)
+    return _db2_entangled(tau, _pair_gram(rho), dual, is_unital(dual, tol).residual, tol)
 
 
 def check_sqdb_definition(
@@ -349,12 +348,8 @@ class ClassicalChain:
 def make_chain(p, gamma) -> ClassicalChain:
     """Validate chain data to 1e-12 (finiteness, positivity, normalization,
     stochasticity); every comparison fails closed on a NaN."""
-    try:
-        p = np.asarray(p, dtype=float)
-        gamma = np.asarray(gamma, dtype=float)
-    except ValueError as exc:  # ragged rows, which numpy cannot shape
-        raise DimensionMismatch(f"chain data p, gamma must be numeric arrays: {exc}") from None
-    if p.ndim != 1 or gamma.shape != (len(p), len(p)):
+    p, gamma = _numeric(p, float), _numeric(gamma, float)
+    if p.ndim != 1 or not len(p) or gamma.shape != (len(p), len(p)):
         raise DimensionMismatch(f"chain shapes p {p.shape}, gamma {gamma.shape}")
     for name, x in (("p", p), ("gamma", gamma)):
         if not np.all(np.isfinite(x)):
@@ -431,16 +426,16 @@ def run_report(
 ) -> BalanceReport:
     """Run every checker on one (channel, state, reversing operation) triple,
     with the mirror checks if tfd; all share one dynamics check, state dual
-    (and its unital defect and unitality residual), Theta-conjugate and
-    pair Gram, and tau's stored entries."""
+    (and its unitality check), Theta-conjugate and pair Gram, and tau's
+    stored entries."""
     dynamics = require_dynamics(tau, rho, tol, mode)
     dual = rho_dual(tau, rho)
-    defect = _unital_defect(dual)
+    un = is_unital(dual, tol)
     conj = theta_conjugate(tau, th)
     g = _pair_gram(rho)
-    db2_def = _db2_definition(dual, defect, tol, mode)
+    db2_def = _db2_definition(dual, un, tol, mode)
     db2_mod = _db2_modular(tau, rho, tol)
-    db2_ent = _db2_entangled(tau, g, dual, defect, tol)
+    db2_ent = _db2_entangled(tau, g, dual, un.residual, tol)
     sq_def = _sqdb_definition(tau, rho, conj, tol)
     sq_ent = _sqdb_entangled(tau, g, conj, tol)
     delta_commutes = _verdict(tol, {"modular_commutator": db2_mod.detail["modular_commutator"]})
@@ -450,7 +445,7 @@ def run_report(
     )
     db2_tfd = sq_tfd = tfd_agrees = None
     if tfd:
-        db2_tfd = _db2_tfd(tau, g, dual, db2_def.detail["dual_unital"], tol)
+        db2_tfd = _db2_tfd(tau, g, dual, un.residual, tol)
         sq_tfd = _sqdb_tfd(tau, g, conj, tol)
         tfd_agrees = db2_tfd.passed == db2_ent.passed and sq_tfd.passed == sq_def.passed
     return BalanceReport(

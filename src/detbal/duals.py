@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonUnitary, NotInvolutive
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix
+from .linalg import DEFAULT_TOL, Tolerance, _square, as_matrix
 from .states import DensityMatrix
 from .superop import (
     _BAR_AXES,
@@ -185,10 +185,7 @@ class ReversingOperation:
 
     def apply(self, a) -> np.ndarray:
         """Theta(a) for an n x n matrix a; another shape raises DimensionMismatch."""
-        a = np.asarray(a, dtype=complex)
-        if a.shape != (self.n, self.n):
-            raise DimensionMismatch(f"expected shape {(self.n, self.n)}, got {a.shape}")
-        return self.u @ a.T @ self.u.conj().T
+        return self.u @ _square(a, self.n).T @ self.u.conj().T
 
     def superop(self) -> SuperOperator:
         """Matrix kron(conj u, u) K: the columns of kron(conj u, u) permuted."""

@@ -98,9 +98,26 @@ def _negativity(lam_min, lam_max):
     return np.maximum(-lam_min, 0.0) / np.maximum(1.0, lam_max)
 
 
+def _numeric(x, dtype=complex) -> np.ndarray:
+    """np.asarray(x, dtype); input numpy cannot shape or read as numbers
+    (ragged rows, a string) raises DimensionMismatch."""
+    try:
+        return np.asarray(x, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"expected a numeric array: {exc}") from None
+
+
+def _square(x, n: int) -> np.ndarray:
+    """x as a complex n x n array (_numeric), else DimensionMismatch."""
+    a = _numeric(x)
+    if a.shape != (n, n):
+        raise DimensionMismatch(f"expected shape {(n, n)}, got {a.shape}")
+    return a
+
+
 def as_matrix(x) -> np.ndarray:
     """Coerce input to a square, finite, complex ndarray copy."""
-    m = np.array(x, dtype=complex)
+    m = _numeric(x).copy()
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
@@ -108,16 +125,11 @@ def as_matrix(x) -> np.ndarray:
     return m
 
 
-def _same_shape(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
-
-
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     """Hilbert-Schmidt inner product tr(a^dag b), conjugate-linear in a."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    _same_shape(a, b)
+    a, b = _numeric(a), _numeric(b)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
     return complex(np.vdot(a, b))
 
 

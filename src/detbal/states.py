@@ -22,12 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonUnitary, NotDensity, NotInvertible
+from .errors import NonUnitary, NotDensity, NotInvertible
 from .linalg import (
     DEFAULT_TOL,
     CheckResult,
     Tolerance,
     _eig_descending,
+    _square,
     _verdict,
     as_matrix,
 )
@@ -100,17 +101,9 @@ def make_density(m, tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
     return DensityMatrix(n=m.shape[0], diag=lam, basis=basis, degenerate=degenerate)
 
 
-def _observable(rho: DensityMatrix, a) -> np.ndarray:
-    """a as a complex array, which must be n x n for rho on dimension n."""
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (rho.n, rho.n):
-        raise DimensionMismatch(f"expected a {rho.n}x{rho.n} observable, got shape {a.shape}")
-    return a
-
-
 def expectation(rho: DensityMatrix, a) -> complex:
     """tr(rho a) with the observable a expressed in rho's eigenbasis."""
-    return complex(np.sum(rho.diag * np.diag(_observable(rho, a))))
+    return complex(np.sum(rho.diag * np.diag(_square(a, rho.n))))
 
 
 def purify(rho: DensityMatrix, w=None) -> Purification:
@@ -132,8 +125,8 @@ def purify(rho: DensityMatrix, w=None) -> Purification:
 
 def omega_eval(p: Purification, a, b) -> complex:
     """Entangled two-copy expectation tr(r^dag a r b^T) of n x n observables."""
-    a = _observable(p.rho, a)
-    b = _observable(p.rho, b)
+    a = _square(a, p.rho.n)
+    b = _square(b, p.rho.n)
     return complex(np.trace(p.r.conj().T @ a @ p.r @ b.T))
 
 
@@ -146,8 +139,8 @@ def omega_gram(p: Purification) -> np.ndarray:
 def theta_eval(rho: DensityMatrix, a, b) -> complex:
     """Classically correlated two-copy expectation sum_j rho_j a_jj b_jj,
     with both observables expressed in rho's eigenbasis."""
-    a = _observable(rho, a)
-    b = _observable(rho, b)
+    a = _square(a, rho.n)
+    b = _square(b, rho.n)
     return complex(np.sum(rho.diag * np.diag(a) * np.diag(b)))
 
 

@@ -25,7 +25,8 @@ it returns the realigned view with _at's index arrays reordered alike.  A
 kernel writes its elementwise expression once and is fed either the views
 of the dense pass or the gathered entries (_factor, _read).  The CP
 test then finds the coupled rows at the stored entries and gathers its
-coupled block and Choi diagonal from the matrix; the Choi Hermiticity
+coupled block (all of C if every row couples) and diagonal from the
+matrix; the Choi Hermiticity
 residual is summed over the stored entries and may differ from the dense
 form's in the last bits.  Any other map has the Choi matrix and its
 transpose read as views of its matrix, with one n^2 x n^2 buffer.  No
@@ -41,17 +42,26 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import DEFAULT_TOL, CheckResult, Tolerance, _negativity, _verdict, as_matrix
+from .linalg import (
+    DEFAULT_TOL,
+    CheckResult,
+    Tolerance,
+    _negativity,
+    _numeric,
+    _square,
+    _verdict,
+    as_matrix,
+)
 
 
 def vec(x) -> np.ndarray:
     """Column-stacking vectorization of a matrix."""
-    return np.asarray(x, dtype=complex).reshape(-1, order="F")
+    return _numeric(x).reshape(-1, order="F")
 
 
 def unvec(v, n: int | None = None) -> np.ndarray:
     """Inverse of vec; n defaults to sqrt(v.size)."""
-    v = np.asarray(v, dtype=complex)
+    v = _numeric(v)
     if n is None:
         n = round(v.size**0.5)
     if n * n != v.size:
@@ -72,7 +82,7 @@ class SuperOperator:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)):
             raise DimensionMismatch(f"map dimension must be an integer, got {self.n!r}")
-        mat = np.ascontiguousarray(self.mat, dtype=complex).view()
+        mat = np.ascontiguousarray(_numeric(self.mat)).view()
         if self.n < 1 or mat.shape != (self.n * self.n,) * 2:
             raise DimensionMismatch(f"map on M_{self.n} with a matrix of shape {mat.shape}")
         mat.flags.writeable = False  # a write would leave the positions in _at stale
@@ -91,10 +101,7 @@ class SuperOperator:
 
     def apply(self, x) -> np.ndarray:
         """Evaluate the map on an n x n matrix."""
-        x = np.asarray(x, dtype=complex)
-        if x.shape != (self.n, self.n):
-            raise DimensionMismatch(f"expected shape {(self.n, self.n)}, got {x.shape}")
-        return unvec(self.mat @ vec(x), self.n)
+        return unvec(self.mat @ vec(_square(x, self.n)), self.n)
 
     def compose(self, other: "SuperOperator") -> "SuperOperator":
         """self after other: (self.compose(other)).apply(x) = self(other(x))."""
@@ -104,7 +111,7 @@ class SuperOperator:
 
     def power(self, k: int) -> "SuperOperator":
         """k-fold composition with itself; k = 0 gives the identity map."""
-        if k < 0 or k != int(k):
+        if not (k >= 0 and k % 1 == 0):  # inf % 1 and a NaN compare False
             raise ValueError(f"power wants a nonnegative integer, got {k!r}")
         return SuperOperator(self.n, np.linalg.matrix_power(self.mat, int(k)))
 
@@ -298,15 +305,15 @@ def _from_entries(n: int, at, entries: np.ndarray) -> SuperOperator:
 
 def _gathered_choi(s: SuperOperator):
     """(Hermiticity residual, Choi spectrum) of the map s, read from its
-    stored entries (_at); None when every Choi row is coupled, so that the
-    dense passes run instead.
+    stored entries (_at).
 
     Only the stored entries and their mirrors can make the Hermitian part
     H = (C + C^dag) / 2 nonzero, so the coupled rows are found there, and
     the coupled block and the diagonal are gathered from s.mat: the same
-    values, by the same operations, as in the dense passes.  ||C|| and
-    ||C - C^dag|| are summed over the stored entries; an entry whose mirror
-    is not stored counts twice in the second, once for the mirror position.
+    values, by the same operations, as in the dense passes, also when every
+    row couples and the block is all of C.  ||C|| and ||C - C^dag|| are
+    summed over the stored entries; an entry whose mirror is not stored
+    counts twice in the second, once for the mirror position.
 
     Entry [x0, x1, x2, x3] of s.mat.reshape(n, n, n, n) is the Choi entry
     (x1 + n x3, x0 + n x2), and its mirror is entry [x1, x0, x3, x2]: the
@@ -331,8 +338,6 @@ def _gathered_choi(s: SuperOperator):
     rows[p[hit]] = True
     rows[q[hit]] = True
     coupled = np.flatnonzero(rows)
-    if len(coupled) == big:
-        return None
     # Choi row j n + a holds its diagonal at [a, a, j, j], row and column
     # (n + 1) a and (n + 1) j of m
     diag = m[:: n + 1, :: n + 1].T.ravel()
@@ -369,9 +374,9 @@ def is_completely_positive(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> Ch
     The spectrum is that of the Hermitian part H = (C + C^dag) / 2.  A row
     of H with no nonzero off-diagonal entry (exact test) keeps its diagonal
     entry; the coupled rows go to eigvalsh as one block, or H whole when
-    every row couples.  A map with few stored entries (_gathered_choi)
-    takes H's coupled block and diagonal straight from s.mat, and the
-    Hermiticity residual and its scale from the stored entries alone.
+    every row couples.  A map with few stored entries (_at) takes H's coupled
+    block and diagonal straight from s.mat, and the Hermiticity residual and
+    its scale from the stored entries alone (_gathered_choi).
     Otherwise C and its transpose are read as views of s.mat, and one buffer
     holds in turn C, C - C^dag and H.  Both routes give the same
     eigenvalues; the residual may differ in its last bits.  A map with a
@@ -379,9 +384,8 @@ def is_completely_positive(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> Ch
     (_block_spectrum).
     """
     n = s.n
-    gathered = None if s._at is None else _gathered_choi(s)
-    if gathered is not None:
-        herm, lam = gathered
+    if s._at is not None:
+        herm, lam = _gathered_choi(s)
     else:
         big = n * n
         c = _realign(s.mat, n, _CHOI_AXES)
@@ -457,16 +461,12 @@ def is_unital(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
     s(1) = sum_j s(E_jj), and column j + n j of s.mat is vec(s(E_jj)), so
     vec(s(1)) is the sum of the n diagonal-unit columns; 1 sits at the same
     positions j + n j of the result.  No product with vec(1) is formed.
+    A -> s(A^T)^T sends 1 to s(1)^T: the same residual, summed in another order.
     """
-    return _verdict(tol, {"unital": float(np.linalg.norm(_unital_defect(s)))})
-
-
-def _unital_defect(s: SuperOperator) -> np.ndarray:
-    """vec(s(1)) - vec(1), from the diagonal-unit columns of s.mat."""
     n = s.n
-    out = s.mat[:, :: n + 1].sum(axis=1)
-    out[:: n + 1] -= 1.0
-    return out
+    defect = s.mat[:, :: n + 1].sum(axis=1)
+    defect[:: n + 1] -= 1.0
+    return _verdict(tol, {"unital": float(np.linalg.norm(defect))})
 
 
 def is_hermitian_map(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> CheckResult:

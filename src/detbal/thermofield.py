@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_matrix
-from .states import DensityMatrix, _observable
+from .linalg import _square, as_matrix
+from .states import DensityMatrix
 from .superop import SuperOperator, pi_rep
 
 
@@ -41,7 +41,7 @@ def expect_tilde(rho: DensityMatrix, a, b) -> complex:
     Closed form tr(rho^(1/2) a rho^(1/2) b^dag); the representation route
     hs_inner(rho^(1/2), a tilde(b) rho^(1/2)) is the test oracle.
     """
-    a = _observable(rho, a)
-    b = _observable(rho, b)
+    a = _square(a, rho.n)
+    b = _square(b, rho.n)
     half = rho.power(0.5)
     return complex(np.trace(half @ a @ half @ b.conj().T))

@@ -10,6 +10,7 @@ from detbal.balance import (
     check_db2_definition,
     check_db2_entangled,
     check_db2_modular,
+    check_db2_tfd,
     check_sqdb_definition,
     check_sqdb_entangled,
     classical_detailed_balance,
@@ -30,6 +31,7 @@ from detbal.generators import (
     degenerate_db2_channel,
     gad_sqdb_channel,
     metropolis_chain,
+    random_density,
     random_unital_channel,
     schur_db2_channel,
 )
@@ -108,7 +110,7 @@ def test_rotating_unitary_conjugation_fails_db2():
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_report_unitality_residuals_match_the_single_checks(n):
-    """run_report forms the state dual's unital defect once; both residuals
+    """run_report reads the state dual's unitality once; both residuals
     read from it are the bits that is_unital and check_db2_entangled give."""
     rho = make_density(np.diag(np.arange(1.0, n + 1) / (n * (n + 1) / 2)))
     tau = from_kraus([haar_unitary(n, 20 + n)])  # moves rho: nonzero defects
@@ -118,6 +120,30 @@ def test_report_unitality_residuals_match_the_single_checks(n):
     alone = check_db2_entangled(tau, rho).detail["hat_unital"]
     assert rep.db2_entangled.detail["hat_unital"] == alone > 1e-3
     assert check_db2_definition(tau, rho).detail == rep.db2_definition.detail
+
+
+@pytest.mark.parametrize("family", ["random-unital", "schur-db2"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_db2_checks_read_one_dual_unitality_residual(n, family):
+    """hat_unital and the dual_unital of db2_definition and db2_tfd are one
+    residual: the same bits in run_report and in the standalone checks."""
+    th = transpose_reversing(n)
+    for seed in range(30):
+        rho = random_density(n, seed=seed)
+        if family == "random-unital":
+            tau = random_unital_channel(n, 3, seed)
+        else:
+            tau = schur_db2_channel(rho, seed)
+        rep = run_report(tau, rho, th, tfd=True)
+        residuals = [
+            rep.db2_definition.detail["dual_unital"],
+            rep.db2_entangled.detail["hat_unital"],
+            rep.db2_tfd.detail["dual_unital"],
+            check_db2_definition(tau, rho).detail["dual_unital"],
+            check_db2_entangled(tau, rho).detail["hat_unital"],
+            check_db2_tfd(tau, rho).detail["dual_unital"],
+        ]
+        assert len({np.float64(r).tobytes() for r in residuals}) == 1, (seed, residuals)
 
 
 def test_gad_channel_sqdb_but_not_db2():
@@ -328,6 +354,8 @@ def test_make_chain_validation():
         make_chain([0.5, 0.5], [[1.0]])
     with pytest.raises(DimensionMismatch):  # ragged rows, which numpy cannot shape
         make_chain([0.5, 0.5], [[1, 0], [0]])
+    with pytest.raises(DimensionMismatch):  # no state at all
+        make_chain([], np.zeros((0, 0)))
     with pytest.raises(NotStochastic, match="p has a non-finite entry"):
         make_chain([np.nan, 0.5], [[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(NotStochastic, match="gamma has a non-finite entry"):

@@ -339,8 +339,8 @@ def test_tfd_flag_adds_mirror_checks(tmp_path):
 
 def test_tfd_run_shares_the_reports_work(tmp_path, monkeypatch):
     """Per power, one report: one search for the channel's stored entries,
-    two CP tests (the channel's and its dual's), one state dual and one
-    Theta-conjugate, with the mirror checks included."""
+    two CP tests and two unitality tests (the channel's and its dual's),
+    one state dual and one Theta-conjugate, with the mirror checks included."""
     parsed = parse_problem(_write(tmp_path, generate_payload("schur-db2", 3, 3, 0.75, 0.2, 4)))
     calls = collections.Counter()
 
@@ -352,7 +352,7 @@ def test_tfd_run_shares_the_reports_work(tmp_path, monkeypatch):
         return wrapper
 
     names = (
-        "is_completely_positive", "is_unital", "_unital_defect", "rho_dual", "theta_conjugate",
+        "is_completely_positive", "is_unital", "rho_dual", "theta_conjugate",
     )
     for name in names:
         for module in (detbal.balance, detbal.thermofield):
@@ -362,14 +362,12 @@ def test_tfd_run_shares_the_reports_work(tmp_path, monkeypatch):
     monkeypatch.setattr(detbal.superop, "_stored", counted("_stored", detbal.superop._stored))
     payload = run_checks(replace(parsed, powers=(1, 2)), tfd=True)
     assert all(r["tfd_agrees"] for r in payload["reports"])
-    # unitality of the channel; the dual's unital defect is formed once and
-    # read by db2_definition and the transposed dual's check, and db2_tfd
-    # reuses the dual's residual
+    # unitality of the channel and of its dual; the dual's residual is read
+    # by db2_definition, the transposed dual's check and db2_tfd
     assert calls == {
         "_stored": 2,
         "is_completely_positive": 4,
-        "is_unital": 2,
-        "_unital_defect": 2,
+        "is_unital": 4,
         "rho_dual": 2,
         "theta_conjugate": 2,
     }

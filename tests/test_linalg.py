@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from detbal.duals import make_reversing, transpose_reversing
 from detbal.errors import DetbalError, DimensionMismatch, NotHermitian, NotInvertible
 from detbal.linalg import (
     DEFAULT_TOL,
@@ -18,7 +19,11 @@ from detbal.linalg import (
     mat_power,
     matrix_unit,
     matrix_units,
+    require_hermitian,
 )
+from detbal.states import expectation, make_density
+from detbal.superop import SuperOperator, identity_superop, make_kraus, pi_rep, unvec, vec
+from detbal.thermofield import tilde
 
 E01 = matrix_unit(2, 0, 1)
 E10 = matrix_unit(2, 1, 0)
@@ -261,3 +266,33 @@ def test_hs_norm_matches_inner():
     rng = np.random.default_rng(17)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     assert hs_norm(a) == pytest.approx(math.sqrt(hs_inner(a, a).real))
+
+
+
+def _unshaped_entry_points():
+    rho = make_density(np.diag([0.75, 0.25]))
+    return {
+        "make_density": make_density,
+        "make_kraus": lambda x: make_kraus([x]),
+        "make_reversing": make_reversing,
+        "pi_rep": lambda x: pi_rep(x, x),
+        "tilde": tilde,
+        "require_hermitian": require_hermitian,
+        "is_psd": is_psd,
+        "SuperOperator": lambda x: SuperOperator(2, x),
+        "vec": vec,
+        "unvec": unvec,
+        "SuperOperator.apply": identity_superop(2).apply,
+        "ReversingOperation.apply": transpose_reversing(2).apply,
+        "expectation": lambda x: expectation(rho, x),
+        "hs_inner": lambda x: hs_inner(x, x),
+    }
+
+
+@pytest.mark.parametrize("bad", [[[1, 0], [0]], "ab"], ids=["ragged", "string"])
+@pytest.mark.parametrize("name", list(_unshaped_entry_points()))
+def test_unshaped_input_raises_dimension_mismatch(name, bad):
+    """Input numpy cannot shape or read as numbers raises the package's own
+    error (linalg._numeric), not numpy's ValueError."""
+    with pytest.raises(DimensionMismatch, match="expected a numeric array"):
+        _unshaped_entry_points()[name](bad)

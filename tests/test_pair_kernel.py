@@ -82,7 +82,7 @@ from detbal.generators import (
     schur_db2_channel,
     symmetrized_sqdb_channel,
 )
-from detbal.linalg import DEFAULT_TOL, matrix_units
+from detbal.linalg import DEFAULT_TOL, _verdict, matrix_units
 from detbal.states import (
     expectation,
     make_density,
@@ -742,19 +742,18 @@ def kernel_checks(tau, rho, th, mode=MODE_CP):
     of tau: call kernel_checks and its thunks under one route."""
     tau = SuperOperator(tau.n, tau.mat)
     dual = rho_dual(tau, rho)
-    defect = superop._unital_defect(dual)
     conj = theta_conjugate(tau, th)
     g = balance._pair_gram(rho)
     tol = DEFAULT_TOL
-    unital = float(np.linalg.norm(defect))
+    un = is_unital(dual, tol)
     return {
         "cp": lambda: balance._cp_check(tau, tol, mode),
-        "db2_definition": lambda: balance._db2_definition(dual, defect, tol, mode),
+        "db2_definition": lambda: balance._db2_definition(dual, un, tol, mode),
         "db2_modular": lambda: balance._db2_modular(tau, rho, tol),
-        "db2_entangled": lambda: balance._db2_entangled(tau, g, dual, defect, tol),
+        "db2_entangled": lambda: balance._db2_entangled(tau, g, dual, un.residual, tol),
         "sqdb_definition": lambda: balance._sqdb_definition(tau, rho, conj, tol),
         "sqdb_entangled": lambda: balance._sqdb_entangled(tau, g, conj, tol),
-        "db2_tfd": lambda: balance._db2_tfd(tau, g, dual, unital, tol),
+        "db2_tfd": lambda: balance._db2_tfd(tau, g, dual, un.residual, tol),
         "sqdb_tfd": lambda: balance._sqdb_tfd(tau, g, conj, tol),
     }
 
@@ -1008,13 +1007,13 @@ def test_split_pair_maximum_keeps_nan(side, conj, monkeypatch):
 
 def test_db2_definition_keeps_a_nan_unital_residual():
     """The state dual's CP residual and unital residual are joined by
-    np.maximum: a NaN unital defect behind a finite CP residual is the
+    np.maximum: a NaN unital residual behind a finite CP residual is the
     result (Python max would return the CP residual)."""
     n = 3
     rho = random_density(n, seed=360)
     dual = rho_dual(schur_db2_channel(rho, seed=360), rho)
-    defect = np.full(n * n, np.nan, dtype=complex)
-    res = balance._db2_definition(dual, defect, DEFAULT_TOL, MODE_CP)
+    un = _verdict(DEFAULT_TOL, {"unital": math.nan})
+    res = balance._db2_definition(dual, un, DEFAULT_TOL, MODE_CP)
     assert math.isfinite(res.detail["dual_choi_hermiticity"])
     assert math.isnan(res.residual)
     assert not res.passed

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from detbal import superop
-from detbal.duals import rho_dual
+from detbal.duals import bar_map, rho_dual
 from detbal.errors import DimensionMismatch
 from detbal.generators import (
     degenerate_db2_channel,
@@ -183,6 +183,8 @@ def test_compose_and_power():
     assert np.allclose(a.power(3).mat, a.compose(a).compose(a).mat, atol=1e-12)
     with pytest.raises(ValueError):
         a.power(-1)
+    with pytest.raises(ValueError):
+        a.power(float("inf"))
     with pytest.raises(DimensionMismatch):
         a.compose(identity_superop(3))
 
@@ -434,24 +436,34 @@ def test_cp_routes_match_the_dense_oracle(n, route):
         assert res.passed == want, name
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_transpose_conjugate_keeps_the_duals_unital_residual(n, route):
+    """The balance checks read one unitality residual of the state dual for
+    the transposed dual too: hat(1) = dual(1)^T, so the two residuals are
+    one norm summed in two orders."""
+    maps = route_pool(n)
+    for name in ("schur-db2", "random-unital", "degenerate-db2", "gad"):
+        if name in maps:
+            dual = maps[name + "-dual"]
+            want = is_unital(dual).residual
+            assert is_unital(bar_map(dual)).residual == pytest.approx(want, rel=1e-13)
+
+
 def cp_gathered(s):
-    return s._at is not None and superop._gathered_choi(s) is not None
+    return s._at is not None
 
 
 def test_cp_route_choice():
     """Which maps the oracle test sends down the gathered route at n = 7:
-    those with few stored entries (the ring too, whose stored entries the
-    other kernels follow) unless every Choi row couples (the ring)."""
+    those with few stored entries, the ring too, whose Choi rows all couple."""
     maps = route_pool(7)
     sparse = {
         "schur-db2", "schur-db2-dual", "degenerate-db2", "degenerate-db2-dual",
         "transpose", "transpose-dual", "zero", "zero-dual",
-        "diagonal-choi", "cancelling-pair", "lone-entry",
+        "diagonal-choi", "cancelling-pair", "lone-entry", "ring",
     }
     assert {name for name, s in maps.items() if cp_gathered(s)} == sparse
-    assert {name for name, s in maps.items() if superop._stored(s.mat, 7) is not None} == (
-        sparse | {"ring"}
-    )
+    assert {name for name, s in maps.items() if superop._stored(s.mat, 7) is not None} == sparse
     # below the size floor every map takes the dense passes
     assert all(superop._stored(s.mat, 6) is None for s in route_pool(6).values())
 

@@ -43,6 +43,7 @@ from .duals import (
     modular_power,
     rho_dual,
     theta_conjugate,
+    tilde,
     trace_dual,
     transpose_reversing,
 )
@@ -80,8 +81,6 @@ from .linalg import (
     as_matrix,
     hermitian_eig,
     hs_inner,
-    hs_norm,
-    is_psd,
     mat_power,
     matrix_unit,
     matrix_units,
@@ -110,11 +109,9 @@ from .superop import (
     is_unital,
     make_kraus,
     pi_rep,
-    transpose_superop,
     unvec,
     vec,
 )
-from .thermofield import expect_tilde, tilde
 
 __version__ = "0.1.0"
 

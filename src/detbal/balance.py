@@ -22,7 +22,7 @@ Theta: the kms dual of tau equals Theta tau Theta.  Two characterizations:
                matrix unit pairs
 
 Both notions also have a mirror (thermofield) form, stated with the mirror
-correlation <A tilde(B)> = tr(rho^(1/2) A rho^(1/2) B^dag) (see thermofield):
+correlation <A tilde(B)> = tr(rho^(1/2) A rho^(1/2) B^dag) (see duals):
 
   db2_tfd      <tau(A) tilde(B)> = <A tilde(tau'(B))> for all A, B, and
                tau'(1) = 1
@@ -178,8 +178,9 @@ def _pair_max(rows, right, left_t, g, conj):
 
 
 def _pair_gram(rho: DensityMatrix) -> np.ndarray:
-    """Diagonal of states.omega_gram (w = 1) and of the mirror Gram matrix
-    kron(rho^(1/2), (rho^(1/2))^T): kron(d^(1/2), d^(1/2)), rho = diag(d)."""
+    """Diagonal of the Gram matrix kron(r, conj(r)) of omega (w = 1) and of
+    the mirror Gram matrix kron(rho^(1/2), (rho^(1/2))^T): kron(d^(1/2),
+    d^(1/2)), rho = diag(d)."""
     half = np.sqrt(rho.diag)
     return np.outer(half, half).ravel()
 

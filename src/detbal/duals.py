@@ -33,7 +33,23 @@ dual agrees with it exactly when s commutes with the modular map
 Delta(A) = rho A rho^(-1), which modular returns as a SuperOperator.  The
 one-parameter family Delta^(-iz)(A) = rho^(-iz) A rho^(iz) of modular_power
 extends Delta: z = i gives Delta itself, z = i/2 its square root, real z the
-modular unitary group.
+modular unitary group.  All of them are diagonal in the matrix-unit basis.
+
+Thermofield double view.  The cyclic vector of the purified state is
+rho^(1/2) itself, viewed as a Hilbert-Schmidt vector.  Left multiplication
+represents the algebra; the mirror copy of an operator a acts by right
+multiplication with a^dag, tilde(a): X -> X a^dag, which commutes with every
+left multiplication.  Two structural identities make the picture work; they
+hold by construction in the eigenbasis and are asserted unit by unit in the
+tests:
+
+  substitution  Delta^(-1/2)(tilde(a) rho^(1/2)) = a^dag rho^(1/2)
+  kms           <A Delta(B)> = <B A>
+
+The mirror correlation is the purified two-copy functional of states:
+<A tilde(B)> = tr(rho^(1/2) A rho^(1/2) B^dag) = omega(A ox conj(B)),
+omega_eval(purify(rho), A, conj(B)).  The balance checks in mirror form,
+check_db2_tfd and check_sqdb_tfd, are in balance.
 """
 
 from __future__ import annotations
@@ -42,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonUnitary, NotInvolutive
+from .errors import DetbalError, DimensionMismatch, NonUnitary, NotInvolutive
 from .linalg import DEFAULT_TOL, Tolerance, _square, as_matrix
 from .states import DensityMatrix
 from .superop import (
@@ -161,10 +177,21 @@ def modular_power(rho: DensityMatrix, z) -> SuperOperator:
 
     Real z gives the unitary modular group; z = i recovers the modular map
     itself and z = -i its inverse (the sign convention is locked by tests).
+    Diagonal with entries (rho_j / rho_k)^(-iz); a z for which one of them
+    is not finite (a NaN, or an overflow) raises DetbalError.
     """
-    left = rho.power(-1j * complex(z))
-    right = rho.power(1j * complex(z))
-    return pi_rep(left, right.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = _modular_ratios(rho) ** (-1j * complex(z))
+    if not np.all(np.isfinite(d)):
+        raise DetbalError("matrix entries must be finite")
+    return SuperOperator(rho.n, np.diag(d))
+
+
+def tilde(a) -> SuperOperator:
+    """The mirror operator of a: X -> X a^dag, pi_rep(1, conj(a)).  A
+    non-square a raises DimensionMismatch."""
+    a = as_matrix(a)
+    return pi_rep(np.eye(a.shape[0]), a.conj())
 
 
 @dataclass(frozen=True, eq=False)

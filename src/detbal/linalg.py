@@ -133,11 +133,6 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.vdot(a, b))
 
 
-def hs_norm(a: np.ndarray) -> float:
-    """Frobenius norm, the norm induced by hs_inner."""
-    return float(np.linalg.norm(a))
-
-
 def require_hermitian(m: np.ndarray) -> np.ndarray:
     """Validate Hermiticity up to 1e-12 * max(1, ||m||) and return m."""
     m = as_matrix(m)
@@ -182,10 +177,14 @@ def mat_power(m, z, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return u @ np.diag(powered) @ u.conj().T
 
 
-def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether a Hermitian matrix is PSD within tol.psd_tol (relative, floor 1)."""
-    lam = np.linalg.eigvalsh(require_hermitian(m))
-    return bool(_negativity(lam[0], lam[-1]) <= tol.psd_tol)
+def matrix_unit(n: int, j: int, k: int) -> np.ndarray:
+    """The matrix unit E_jk (1 in row j, column k, zero elsewhere); j or k
+    outside 0 ... n - 1 raises DimensionMismatch."""
+    if not (0 <= j < n and 0 <= k < n):
+        raise DimensionMismatch(f"matrix unit E_({j},{k}) is not in M_{n}")
+    e = np.zeros((n, n), dtype=complex)
+    e[j, k] = 1.0
+    return e
 
 
 @lru_cache(maxsize=None)
@@ -193,18 +192,10 @@ def _matrix_units(n: int) -> tuple[tuple[int, int, np.ndarray], ...]:
     out = []
     for j in range(n):
         for k in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[j, k] = 1.0
+            e = matrix_unit(n, j, k)
             e.setflags(write=False)
             out.append((j, k, e))
     return tuple(out)
-
-
-def matrix_unit(n: int, j: int, k: int) -> np.ndarray:
-    """The matrix unit E_jk (1 in row j, column k, zero elsewhere)."""
-    e = np.zeros((n, n), dtype=complex)
-    e[j, k] = 1.0
-    return e
 
 
 def matrix_units(n: int) -> tuple[tuple[int, int, np.ndarray], ...]:

@@ -18,6 +18,7 @@ what the balance checks in this package exploit.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,13 +57,12 @@ class DensityMatrix:
         """The density matrix in its eigenbasis (diagonal)."""
         return np.diag(self.diag).astype(complex)
 
-    def power(self, z) -> np.ndarray:
-        """Elementwise spectral power rho**z in the eigenbasis; z may be complex."""
-        if isinstance(z, (int, float)):
-            d = np.power(self.diag, float(z))
-        else:
-            d = np.exp(np.asarray(z, dtype=complex) * np.log(self.diag.astype(complex)))
-        return np.diag(d).astype(complex)
+    def power(self, z: float) -> np.ndarray:
+        """Elementwise spectral power rho**z in the eigenbasis, for real z;
+        any other z, numpy complex scalars included, raises TypeError."""
+        if not isinstance(z, numbers.Real):
+            raise TypeError(f"power wants a real exponent, got {z!r}")
+        return np.diag(np.power(self.diag, float(z))).astype(complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,12 +128,6 @@ def omega_eval(p: Purification, a, b) -> complex:
     a = _square(a, p.rho.n)
     b = _square(b, p.rho.n)
     return complex(np.trace(p.r.conj().T @ a @ p.r @ b.T))
-
-
-def omega_gram(p: Purification) -> np.ndarray:
-    """Gram matrix G of omega on the column-stacking vec basis:
-    omega_eval(p, a, b) = vec(a)^T G vec(b), G = kron(r, conj(r))."""
-    return np.kron(p.r, p.r.conj())
 
 
 def theta_eval(rho: DensityMatrix, a, b) -> complex:

@@ -147,12 +147,6 @@ def _kron_sandwich(m: np.ndarray, n: int, a, b, j, k) -> np.ndarray:
     return m.reshape(n * n, n * n)
 
 
-def transpose_superop(n: int) -> SuperOperator:
-    """The transpose map X -> X^T; its matrix is the commutation matrix."""
-    eye = np.eye(n * n, dtype=complex)
-    return SuperOperator(n, _realign(eye, n, _INPUT_TRANSPOSE_AXES).reshape(n * n, n * n))
-
-
 def pi_rep(a, b) -> SuperOperator:
     """Two-sided multiplication X -> a X b^T, the product representation.
 

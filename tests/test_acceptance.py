@@ -44,7 +44,6 @@ from detbal import (
     symmetrized_sqdb_channel,
     theta_eval,
     transpose_reversing,
-    transpose_superop,
     unvec,
     vec,
 )
@@ -368,7 +367,7 @@ def test_criterion_08_classical_baseline():
 
 
 def test_criterion_09_choi_discrimination(pool):
-    cp = is_completely_positive(transpose_superop(2))
+    cp = is_completely_positive(transpose_reversing(2).superop())
     eig = cp.detail["choi_min_eigenvalue"]
     transpose_ok = not cp.passed and abs(eig + 1.0) <= 1e-10
     kraus_cp = all(

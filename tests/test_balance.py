@@ -216,10 +216,8 @@ def test_non_dynamics_rejected_not_failed():
     with pytest.raises(InputNotDynamics):
         run_report(tau, rho, transpose_reversing(2))
     # non-CP map (transpose) is rejected as input, not reported as imbalance
-    from detbal.superop import transpose_superop
-
     with pytest.raises(InputNotDynamics):
-        check_db2_modular(transpose_superop(2), rho)
+        check_db2_modular(transpose_reversing(2).superop(), rho)
 
 
 def test_dimension_mismatch():

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import detbal.balance
-import detbal.thermofield
 from detbal import (
     InputNotDynamics,
     NotInvolutive,
@@ -355,9 +354,7 @@ def test_tfd_run_shares_the_reports_work(tmp_path, monkeypatch):
         "is_completely_positive", "is_unital", "rho_dual", "theta_conjugate",
     )
     for name in names:
-        for module in (detbal.balance, detbal.thermofield):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        monkeypatch.setattr(detbal.balance, name, counted(name, getattr(detbal.balance, name)))
     # the search runs once per map, on the first read of its positions
     monkeypatch.setattr(detbal.superop, "_stored", counted("_stored", detbal.superop._stored))
     payload = run_checks(replace(parsed, powers=(1, 2)), tfd=True)

@@ -20,7 +20,7 @@ from detbal.duals import (
     trace_dual,
     transpose_reversing,
 )
-from detbal.errors import DimensionMismatch, NonUnitary, NotInvolutive
+from detbal.errors import DetbalError, DimensionMismatch, NonUnitary, NotInvolutive
 from detbal.generators import degenerate_db2_channel, random_density, schur_db2_channel
 from detbal.linalg import DEFAULT_TOL, hs_inner, matrix_unit, matrix_units
 from detbal.states import expectation, make_density
@@ -300,6 +300,21 @@ def test_modular_power_conventions():
         modular_power(rho, 1.0).mat,
         atol=1e-13,
     )
+
+
+def test_modular_power_at_i_and_zero():
+    rho = random_density(4, seed=44)
+    delta = modular(rho).mat
+    assert np.max(np.abs(modular_power(rho, 1j).mat - delta)) <= 1e-15 * np.max(np.abs(delta))
+    assert np.array_equal(modular_power(rho, 0).mat, np.eye(16))
+
+
+def test_modular_power_rejects_non_finite_entries():
+    # rho_0 / rho_1 = 9 > e, so (rho_0 / rho_1)^1000 overflows at z = 1000i
+    rho = make_density(np.diag([0.9, 0.1]))
+    for z in (float("nan"), 1e3j):
+        with pytest.raises(DetbalError, match="matrix entries must be finite"):
+            modular_power(rho, z)
 
 
 def test_modular_power_on_state_is_trivial():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from detbal.duals import make_reversing, transpose_reversing
+from detbal.duals import make_reversing, tilde, transpose_reversing
 from detbal.errors import DetbalError, DimensionMismatch, NotHermitian, NotInvertible
 from detbal.linalg import (
     DEFAULT_TOL,
@@ -14,8 +14,6 @@ from detbal.linalg import (
     _verdict,
     hermitian_eig,
     hs_inner,
-    hs_norm,
-    is_psd,
     mat_power,
     matrix_unit,
     matrix_units,
@@ -23,7 +21,6 @@ from detbal.linalg import (
 )
 from detbal.states import expectation, make_density
 from detbal.superop import SuperOperator, identity_superop, make_kraus, pi_rep, unvec, vec
-from detbal.thermofield import tilde
 
 E01 = matrix_unit(2, 0, 1)
 E10 = matrix_unit(2, 1, 0)
@@ -190,15 +187,6 @@ def test_mat_power_rejects_singular():
         mat_power(np.diag([1.0, -0.25]), 2.0)
 
 
-def test_is_psd():
-    assert is_psd(np.eye(3))
-    assert is_psd(np.zeros((2, 2)))
-    assert not is_psd(np.diag([1.0, -1e-3]))
-    # scale-relative: tiny negativity next to a huge eigenvalue still passes
-    assert is_psd(np.diag([1e6, -1e-4]))
-    assert not is_psd(np.diag([1e6, -1e-2]), Tolerance(psd_tol=1e-9))
-
-
 SPLIT_TOL = Tolerance(eq_tol=1e-9, psd_tol=1e-6)
 ABOVE_EQ_TOL = float(np.nextafter(1e-9, 1))
 NAN = float("nan")
@@ -251,6 +239,13 @@ def test_matrix_units_basis():
     assert np.array_equal(matrix_unit(2, 0, 1), E01)
 
 
+@pytest.mark.parametrize("j, k", [(-1, 0), (2, 0), (0, -1), (0, 2)])
+def test_matrix_unit_index_out_of_range(j, k):
+    # a negative index would wrap to E_(n-1)k, a large one raise IndexError
+    with pytest.raises(DimensionMismatch):
+        matrix_unit(2, j, k)
+
+
 def test_tolerance_validation():
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
@@ -260,12 +255,6 @@ def test_tolerance_validation():
     assert DEFAULT_TOL.eq_tol == 1e-9
     assert DEFAULT_TOL.psd_tol == 1e-9
     assert DEFAULT_TOL.inv_tol == 1e-12
-
-
-def test_hs_norm_matches_inner():
-    rng = np.random.default_rng(17)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert hs_norm(a) == pytest.approx(math.sqrt(hs_inner(a, a).real))
 
 
 
@@ -278,7 +267,6 @@ def _unshaped_entry_points():
         "pi_rep": lambda x: pi_rep(x, x),
         "tilde": tilde,
         "require_hermitian": require_hermitian,
-        "is_psd": is_psd,
         "SuperOperator": lambda x: SuperOperator(2, x),
         "vec": vec,
         "unvec": unvec,

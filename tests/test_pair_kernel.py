@@ -7,7 +7,9 @@ invariance by one matrix-vector product.  The loops below are the defining
 forms, one evaluation of the functional per pair of matrix units; at n <= 4
 the kernel must reproduce their residuals to 1e-12 relative and give the
 same verdicts.  The dense Gram products the diagonal kernel replaced
-(states.omega_gram, the mirror Gram matrix) are a second reference.
+(omega_gram, the mirror Gram matrix) are a second reference.  The mirror
+correlation <A tilde(B)> of those loops is the two-copy functional
+omega(A ox conj(B)), expect_tilde below.
 
 The duals, the transpose map and the modular commutator are index
 permutations and row / column scalings of the column-stacking matrix; the
@@ -68,6 +70,7 @@ from detbal.duals import (
     modular,
     rho_dual,
     theta_conjugate,
+    tilde,
     trace_dual,
     transpose_reversing,
 )
@@ -88,7 +91,6 @@ from detbal.states import (
     make_density,
     marginals_check,
     omega_eval,
-    omega_gram,
     purify,
 )
 from detbal.superop import (
@@ -102,10 +104,8 @@ from detbal.superop import (
     is_positive_map,
     is_unital,
     pi_rep,
-    transpose_superop,
     vec,
 )
-from detbal.thermofield import expect_tilde, tilde
 
 SPIN = np.array([[0, 1], [-1, 0]], dtype=complex)
 DEGENERATE_SPECTRA = {2: (0.5, 0.5), 3: (0.5, 0.25, 0.25), 4: (0.4, 0.2, 0.2, 0.2)}
@@ -119,6 +119,17 @@ def haar_unitary(n, seed):
 
 
 # ---------------------------------------------------------------- oracles
+
+
+def expect_tilde(rho, a, b):
+    """Mirror correlation <a tilde(b)> = omega(a ox conj(b)), w = 1."""
+    return omega_eval(purify(rho), a, np.conj(b))
+
+
+def omega_gram(p):
+    """Gram matrix G of omega on the column-stacking vec basis:
+    omega_eval(p, a, b) = vec(a)^T G vec(b), G = kron(r, conj(r))."""
+    return np.kron(p.r, p.r.conj())
 
 
 def db2_entangled_oracle(tau, rho):
@@ -553,7 +564,7 @@ def scaled_close(new, old):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_transpose_superop_is_the_commutation_matrix(n):
-    assert np.array_equal(transpose_superop(n).mat, commutation_matrix(n))
+    assert np.array_equal(transpose_reversing(n).superop().mat, commutation_matrix(n))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -710,7 +721,7 @@ def route_cases(n):
     cases = [
         ("schur-db2", schur_db2_channel(rho, seed=300 + n), rho, th),
         ("random-unital", random_unital_channel(n, 3, 300 + n), rho, th),
-        ("transpose", transpose_superop(n), rho, th),
+        ("transpose", th.superop(), rho, th),
         ("zero", SuperOperator(n, np.zeros((n * n, n * n), dtype=complex)), rho, th),
         ("lone-entry", lone_entry_map(n, 310 + n), rho, th),
     ]

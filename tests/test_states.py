@@ -15,7 +15,7 @@ from detbal.states import (
     purify,
     theta_eval,
 )
-from detbal.thermofield import expect_tilde
+from test_pair_kernel import expect_tilde
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 RHO_DIAG = np.diag([0.75, 0.25])
@@ -87,6 +87,15 @@ def test_expectation_values():
     assert expectation(rho, np.eye(2)) == pytest.approx(1.0)
     assert expectation(rho, matrix_unit(2, 0, 0)) == pytest.approx(0.75)
     assert expectation(rho, SX) == pytest.approx(0.0)
+
+
+def test_density_power_wants_a_real_exponent():
+    # complex powers of rho are modular_power's, as a diagonal map
+    rho = rho_34()
+    assert np.array_equal(rho.power(np.int64(2)), np.diag([0.5625, 0.0625]))
+    for z in (1j, 0.5 + 0j, np.complex128(1j)):
+        with pytest.raises(TypeError):
+            rho.power(z)
 
 
 def test_purify_default_is_sqrt():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from detbal import superop
-from detbal.duals import bar_map, rho_dual
+from detbal.duals import bar_map, rho_dual, transpose_reversing
 from detbal.errors import DimensionMismatch
 from detbal.generators import (
     degenerate_db2_channel,
@@ -29,7 +29,6 @@ from detbal.superop import (
     is_unital,
     make_kraus,
     pi_rep,
-    transpose_superop,
     unvec,
     vec,
 )
@@ -190,7 +189,7 @@ def test_compose_and_power():
 
 
 def test_transpose_superop_is_involutive_swap():
-    t = transpose_superop(2)
+    t = transpose_reversing(2).superop()
     rng = np.random.default_rng(5)
     x = random_mat(2, rng)
     assert np.allclose(t.apply(x), x.T, atol=0)
@@ -204,7 +203,7 @@ def test_choi_identity_eigenvalues():
 
 
 def test_choi_transpose_is_swap():
-    c = choi(transpose_superop(2)).mat
+    c = choi(transpose_reversing(2).superop()).mat
     swap = np.zeros((4, 4), dtype=complex)
     for i in range(2):
         for j in range(2):
@@ -224,7 +223,7 @@ def test_cp_kraus_channels_pass():
 
 
 def test_cp_transpose_fails_with_eigenvalue_minus_one():
-    res = is_completely_positive(transpose_superop(2))
+    res = is_completely_positive(transpose_reversing(2).superop())
     assert not res.passed
     assert res.detail["choi_min_eigenvalue"] == pytest.approx(-1.0, abs=1e-10)
 
@@ -233,7 +232,7 @@ def test_cp_iff_adjoint_cp():
     rng = np.random.default_rng(7)
     pool = [
         from_kraus([random_mat(2, rng), random_mat(2, rng)]),
-        transpose_superop(2),
+        transpose_reversing(2).superop(),
         pi_rep(np.eye(2), SX),
     ]
     for s in pool:
@@ -386,7 +385,7 @@ def route_pool(n):
     maps = {
         "schur-db2": schur_db2_channel(rho, seed=200 + n),
         "random-unital": random_unital_channel(n, 3, 200 + n),
-        "transpose": transpose_superop(n),
+        "transpose": transpose_reversing(n).superop(),
         "zero": SuperOperator(n, np.zeros((n * n, n * n), dtype=complex)),
     }
     states = dict.fromkeys(maps, rho)
@@ -508,7 +507,7 @@ def choi_spectrum_pool(n):
         schur_db2_channel(rho, seed=90 + n),
         tau,
         from_kraus([random_mat(n, rng) for _ in range(3)]),
-        transpose_superop(n),
+        transpose_reversing(n).superop(),
         identity_superop(n),
     ]
 
@@ -527,8 +526,8 @@ def test_cp_spectrum_matches_full_choi_solve(n):
 def test_positive_map_probe():
     assert is_positive_map(identity_superop(3)).passed
     # the transpose map is positive but not completely positive
-    assert is_positive_map(transpose_superop(2)).passed
-    assert not is_completely_positive(transpose_superop(2)).passed
+    assert is_positive_map(transpose_reversing(2).superop()).passed
+    assert not is_completely_positive(transpose_reversing(2).superop()).passed
     # a map with a non-PSD output on a projector fails
     bad = pi_rep(np.diag([1.0, -1.0]), np.eye(2))
     assert not is_positive_map(bad).passed
@@ -566,7 +565,7 @@ def test_is_hermitian_map():
 def test_hermitian_map_iff_conjugated_version():
     # s Hermitian-preserving iff X -> s(X^T)^T is
     rng = np.random.default_rng(11)
-    t = transpose_superop(2)
+    t = transpose_reversing(2).superop()
     for s in [from_kraus([random_mat(2, rng)]), pi_rep(np.eye(2), matrix_unit(2, 0, 1))]:
         bar = t.compose(s).compose(t)
         assert is_hermitian_map(s).passed == is_hermitian_map(bar).passed
@@ -616,7 +615,7 @@ def oracle_pool(n, seed):
         SuperOperator(n, random_mat(n * n, rng)),
         from_kraus([random_mat(n, rng) for _ in range(2)]),
         pi_rep(random_mat(n, rng), random_mat(n, rng)),
-        transpose_superop(n),
+        transpose_reversing(n).superop(),
         identity_superop(n),
     ]
 

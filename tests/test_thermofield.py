@@ -10,13 +10,10 @@ from detbal import (
     check_db2_tfd,
     check_sqdb_definition,
     check_sqdb_tfd,
-    expect_tilde,
     expectation,
     gad_sqdb_channel,
     hs_inner,
     make_density,
-    omega_eval,
-    purify,
     random_density,
     random_unital_channel,
     schur_db2_channel,
@@ -24,7 +21,7 @@ from detbal import (
     transpose_reversing,
 )
 from detbal.superop import pi_rep
-from test_pair_kernel import kms_oracle, tilde_substitution_oracle
+from test_pair_kernel import expect_tilde, kms_oracle, tilde_substitution_oracle
 
 
 def _rng(seed):
@@ -126,14 +123,16 @@ def test_expect_tilde_matches_representation_route():
 
 
 def test_expect_tilde_matches_two_copy_functional():
-    # <A tilde(B)> = omega(A ox conj(B)).
+    # omega(A ox conj(B)) = tr(rho^(1/2) A rho^(1/2) B^dag), the closed form
+    # of <A tilde(B)>.
     rng = _rng(22)
     rho = random_density(3, seed=40)
-    pur = purify(rho)
+    half = rho.power(0.5)
     for _ in range(20):
         a = _random_matrix(rng, 3)
         b = _random_matrix(rng, 3)
-        assert abs(expect_tilde(rho, a, b) - omega_eval(pur, a, b.conj())) <= 1e-12
+        closed = complex(np.trace(half @ a @ half @ b.conj().T))
+        assert abs(expect_tilde(rho, a, b) - closed) <= 1e-12
 
 
 def test_expect_tilde_of_identity_is_state_expectation():

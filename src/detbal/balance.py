@@ -54,9 +54,14 @@ On channels commuting with the modular map the kms and state duals
 coincide, so there sqdb implies db2; sqdb does not require that commutation.
 
 Channels that are not CP+unital are rejected with InputNotDynamics before
-any balance verdict; balance failures and input errors never mix.  A
-positivity-only mode replaces both CP tests with the weaker fixed-frame
-positivity probe for callers who want plain positive dynamics.
+any balance verdict; balance failures and input errors never mix.  Every
+public check runs that dynamics test itself, but a map solves its Choi
+spectrum once (superop.SuperOperator._choi_spectrum): a second check on
+the same channel reads the kept numbers and forms its verdict under its
+own tolerance.  A state dual is a new map per call that builds it, so its
+spectrum is solved once per such call.  A positivity-only mode replaces
+both CP tests with the weaker fixed-frame positivity probe for callers
+who want plain positive dynamics; that probe runs on every call.
 """
 
 from __future__ import annotations

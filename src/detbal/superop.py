@@ -11,6 +11,13 @@ solves only the coupled rows of the Choi matrix; the rest are 1x1 blocks.
 
 A SuperOperator holds one C-ordered complex n^2 x n^2 matrix, read-only,
 so each realignment of it (_realign, axes defined here only) is a view.
+A map keeps two values computed from that matrix on their first read: its
+stored entries (_at, below) and the numbers of its CP test
+(_choi_spectrum): the Choi Hermiticity residual and the smallest and
+largest Choi eigenvalue, which do not depend on the tolerance.  Every CP
+test of the map after the first, from any public check, forms its verdict
+from those three numbers without solving again.  The positivity probe
+(is_positive_map) keeps nothing.
 
 _stored decides, for the CP test and every other O(n^4) kernel, whether a
 map's stored entries are followed instead of all n^4: at n >= 7 with at
@@ -85,13 +92,19 @@ class SuperOperator:
         mat = np.ascontiguousarray(_numeric(self.mat)).view()
         if self.n < 1 or mat.shape != (self.n * self.n,) * 2:
             raise DimensionMismatch(f"map on M_{self.n} with a matrix of shape {mat.shape}")
-        mat.flags.writeable = False  # a write would leave the positions in _at stale
+        mat.flags.writeable = False  # a write would leave _at and _choi_spectrum stale
         object.__setattr__(self, "mat", mat)
 
     @cached_property
     def _at(self):
         """Where mat stores entries (_stored), found on the first read."""
         return _stored(self.mat, self.n)
+
+    @cached_property
+    def _choi_spectrum(self):
+        """The Choi Hermiticity residual and the extreme eigenvalues of the
+        Choi matrix's Hermitian part (_choi_test), solved on the first read."""
+        return _choi_test(self)
 
     def _view(self, axes):
         """mat realigned by axes (_realign) and where that view stores
@@ -358,25 +371,14 @@ def _block_spectrum(h: np.ndarray, herm: float) -> np.ndarray:
     return np.linalg.eigvalsh(h)
 
 
-def is_completely_positive(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
-    """CP test: the Choi matrix must be Hermitian and PSD.
-
-    Eigenvalue negativity is measured relative to the largest Choi
-    eigenvalue with a floor of 1, so scaling a channel does not move the
-    verdict.  detail reports the extreme Choi eigenvalues.
-
-    The spectrum is that of the Hermitian part H = (C + C^dag) / 2.  A row
-    of H with no nonzero off-diagonal entry (exact test) keeps its diagonal
-    entry; the coupled rows go to eigvalsh as one block, or H whole when
-    every row couples.  A map with few stored entries (_at) takes H's coupled
-    block and diagonal straight from s.mat, and the Hermiticity residual and
-    its scale from the stored entries alone (_gathered_choi).
-    Otherwise C and its transpose are read as views of s.mat, and one buffer
-    holds in turn C, C - C^dag and H.  Both routes give the same
-    eigenvalues; the residual may differ in its last bits.  A map with a
-    non-finite entry fails with residual NaN on either route, unsolved
-    (_block_spectrum).
-    """
+def _choi_test(s: SuperOperator) -> tuple[float, float, float]:
+    """The tol-independent numbers of the CP test on s: the Choi Hermiticity
+    residual and the smallest and largest eigenvalue of the Hermitian part
+    H = (C + C^dag) / 2 (is_completely_positive).  A map with few stored
+    entries (_at) takes H's coupled block and diagonal straight from s.mat,
+    and the residual and its scale from the stored entries alone
+    (_gathered_choi).  Otherwise C and its transpose are read as views of
+    s.mat, and one buffer holds in turn C, C - C^dag and H."""
     n = s.n
     if s._at is not None:
         herm, lam = _gathered_choi(s)
@@ -402,8 +404,27 @@ def is_completely_positive(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> Ch
             lam = _block_spectrum(h, herm)
         elif len(coupled):
             lam[coupled] = _block_spectrum(h[coupled[:, None], coupled], herm)
-    lam_max = float(lam.max())
-    lam_min = float(lam.min())
+    return herm, float(lam.min()), float(lam.max())
+
+
+def is_completely_positive(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
+    """CP test: the Choi matrix must be Hermitian and PSD.
+
+    Eigenvalue negativity is measured relative to the largest Choi
+    eigenvalue with a floor of 1, so scaling a channel does not move the
+    verdict.  detail reports the extreme Choi eigenvalues.
+
+    The spectrum is that of the Hermitian part H = (C + C^dag) / 2.  A row
+    of H with no nonzero off-diagonal entry (exact test) keeps its diagonal
+    entry; the coupled rows go to eigvalsh as one block, or H whole when
+    every row couples.  A map solves it once, on its first CP test, and
+    keeps the residual and the two extreme eigenvalues
+    (SuperOperator._choi_spectrum); the verdict under tol is formed on
+    every call.  Both routes of _choi_test give the same eigenvalues; the
+    residual may differ in its last bits.  A map with a non-finite entry
+    fails with residual NaN on either route, unsolved (_block_spectrum).
+    """
+    herm, lam_min, lam_max = s._choi_spectrum
     return _verdict(
         tol,
         {"choi_hermiticity": herm},

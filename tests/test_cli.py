@@ -338,8 +338,9 @@ def test_tfd_flag_adds_mirror_checks(tmp_path):
 
 def test_tfd_run_shares_the_reports_work(tmp_path, monkeypatch):
     """Per power, one report: one search for the channel's stored entries,
-    two CP tests and two unitality tests (the channel's and its dual's),
-    one state dual and one Theta-conjugate, with the mirror checks included."""
+    two CP tests, each solving one Choi spectrum, and two unitality tests
+    (the channel's and its dual's), one state dual and one Theta-conjugate,
+    with the mirror checks included."""
     parsed = parse_problem(_write(tmp_path, generate_payload("schur-db2", 3, 3, 0.75, 0.2, 4)))
     calls = collections.Counter()
 
@@ -357,12 +358,17 @@ def test_tfd_run_shares_the_reports_work(tmp_path, monkeypatch):
         monkeypatch.setattr(detbal.balance, name, counted(name, getattr(detbal.balance, name)))
     # the search runs once per map, on the first read of its positions
     monkeypatch.setattr(detbal.superop, "_stored", counted("_stored", detbal.superop._stored))
+    # the Choi spectrum is solved once per map, on its first CP test
+    monkeypatch.setattr(
+        detbal.superop, "_choi_test", counted("_choi_test", detbal.superop._choi_test)
+    )
     payload = run_checks(replace(parsed, powers=(1, 2)), tfd=True)
     assert all(r["tfd_agrees"] for r in payload["reports"])
     # unitality of the channel and of its dual; the dual's residual is read
     # by db2_definition, the transposed dual's check and db2_tfd
     assert calls == {
         "_stored": 2,
+        "_choi_test": 4,
         "is_completely_positive": 4,
         "is_unital": 4,
         "rho_dual": 2,

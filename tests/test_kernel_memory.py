@@ -22,6 +22,7 @@ import pytest
 
 from detbal import (
     MODE_POSITIVITY,
+    SuperOperator,
     bar_map,
     check_db2_definition,
     check_db2_entangled,
@@ -105,9 +106,9 @@ def test_no_kernel_writes_into_its_input(n, family, theta):
         assert [a.tobytes() for a in inputs] == before, name
 
 
-def traced_peak(call, n):
+def traced_peak(call, n, warm=None):
     """Peak traced allocation of one call, in n^2 x n^2 complex arrays."""
-    call()  # fill lazy caches first
+    (warm or call)()  # fill lazy caches first
     tracemalloc.start()
     try:
         call()
@@ -116,8 +117,22 @@ def traced_peak(call, n):
         tracemalloc.stop()
 
 
+def solving_peak(name, tau, rho, th, n):
+    """traced_peak of a CP test that solves the Choi spectrum: the call on
+    tau fills the lazy caches, and the measured call runs on a fresh map of
+    tau's matrix, whose stored entries are found before tracing starts.  A
+    map keeps its spectrum, so a second call on tau would solve nothing."""
+    s = SuperOperator(n, tau.mat)
+    s._at
+    peak = traced_peak(calls(s, rho, th)[name], n, warm=calls(tau, rho, th)[name])
+    assert "_choi_spectrum" in s.__dict__, name
+    return peak
+
+
 # at most this many n^2 x n^2 complex arrays; the peak before the rewrite
-# follows each bound
+# follows each bound.  The two calls whose work is the CP test are measured
+# where they solve it (solving_peak).
+SOLVING = {"is_completely_positive", "require_dynamics"}
 BUDGET = {
     "run_report": 4.0,  # 5.41
     "is_completely_positive": 2.5,  # 3.17
@@ -148,9 +163,13 @@ STORED_BUDGET = {"run_report": 1.5}
 def test_allocation_budget_at_n12(family):
     n = 12
     tau, rho = channels(n, 60)[family]
-    todo = calls(tau, rho, transpose_reversing(n))
+    th = transpose_reversing(n)
+    todo = calls(tau, rho, th)
     budget = {**BUDGET, **STORED_BUDGET} if family == "schur-db2" else BUDGET
-    peaks = {name: traced_peak(todo[name], n) for name in {**budget, **BELOW}}
+    peaks = {
+        name: solving_peak(name, tau, rho, th, n) if name in SOLVING else traced_peak(todo[name], n)
+        for name in {**budget, **BELOW}
+    }
     over = {k: round(v, 2) for k, v in peaks.items() if k in budget and v > budget[k]}
     over.update({k: round(v, 2) for k, v in peaks.items() if k in BELOW and v >= BELOW[k]})
     assert not over, over

@@ -58,6 +58,7 @@ from detbal.balance import (
     check_sqdb_entangled,
     check_sqdb_tfd,
     classical_phi_balance,
+    require_dynamics,
     run_report,
 )
 from detbal.cli import _to_eigenbasis
@@ -940,6 +941,41 @@ def test_one_search_per_map(monkeypatch):
     check_sqdb_tfd(tau, rho, th)
     assert tau._at is not None
     assert searches == [8]
+
+
+@pytest.mark.parametrize("family,n", [("random-unital", 3), ("schur-db2", 8)])
+def test_one_choi_solve_per_map(family, n, monkeypatch):
+    """A map solves its Choi spectrum once: every public entry point on one
+    channel, dense (random-unital) or on the stored-entry route (schur-db2
+    at n = 8), shares one solve of the channel's.  A state dual is a new map
+    in each call that builds it, and the two calls that CP-test one
+    (run_report, check_db2_definition) solve it once each."""
+    rho = random_density(n, seed=336)
+    if family == "schur-db2":
+        tau = schur_db2_channel(rho, seed=336)
+    else:
+        tau = random_unital_channel(n, 3, 336)
+    th = transpose_reversing(n)
+    solved = []
+    real = superop._choi_test
+
+    def counted(s):
+        solved.append(s)
+        return real(s)
+
+    monkeypatch.setattr(superop, "_choi_test", counted)
+    run_report(tau, rho, th, tfd=True)
+    for check in (check_db2_definition, check_db2_modular, check_db2_entangled, check_db2_tfd):
+        check(tau, rho)
+    for check in (check_sqdb_definition, check_sqdb_entangled, check_sqdb_tfd):
+        check(tau, rho, th)
+    require_dynamics(tau, rho)
+    is_completely_positive(tau)
+    assert (tau._at is not None) == (family == "schur-db2")
+    assert len(solved) == 3
+    assert solved[0] is tau
+    assert all(s is not tau for s in solved[1:])
+    assert solved[1] is not solved[2]
 
 
 def poisoned(tau, spot, bad):

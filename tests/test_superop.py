@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from detbal import superop
+from detbal.balance import MODE_CP, MODE_POSITIVITY, require_dynamics
 from detbal.duals import bar_map, rho_dual, transpose_reversing
-from detbal.errors import DimensionMismatch
+from detbal.errors import DimensionMismatch, InputNotDynamics
 from detbal.generators import (
     degenerate_db2_channel,
     gad_sqdb_channel,
@@ -16,7 +17,14 @@ from detbal.generators import (
     schur_db2_channel,
     symmetrized_sqdb_channel,
 )
-from detbal.linalg import DEFAULT_TOL, _negativity, hermitian_eig, matrix_unit, matrix_units
+from detbal.linalg import (
+    DEFAULT_TOL,
+    Tolerance,
+    _negativity,
+    hermitian_eig,
+    matrix_unit,
+    matrix_units,
+)
 from detbal.superop import (
     KrausChannel,
     SuperOperator,
@@ -245,6 +253,39 @@ def test_cp_scale_relative_tolerance():
     rng = np.random.default_rng(8)
     s = from_kraus([1e4 * random_mat(2, rng)])
     assert is_completely_positive(s).passed
+
+
+def near_cp_map(eps):
+    """(1 - eps) id + eps T on M_2: Choi negativity eps / (2 - eps), from
+    the antisymmetric eigenvector of the swap."""
+    mat = (1.0 - eps) * identity_superop(2).mat + eps * transpose_reversing(2).superop().mat
+    return SuperOperator(2, mat)
+
+
+def test_cp_keeps_residuals_not_verdicts():
+    """A map keeps its Choi residuals, not a verdict: a negativity of about
+    5e-8 passes under psd_tol 1e-6 and fails under 1e-9 on one map, in
+    either order, as on two fresh maps."""
+    loose, tight = Tolerance(psd_tol=1e-6), Tolerance(psd_tol=1e-9)
+    for order in ((loose, tight), (tight, loose)):
+        s = near_cp_map(1e-7)
+        kept = [is_completely_positive(s, tol) for tol in order]
+        fresh = [is_completely_positive(near_cp_map(1e-7), tol) for tol in order]
+        assert kept == fresh
+        assert [r.passed for r in kept] == [tol is loose for tol in order]
+
+
+def test_cp_rejection_leaves_the_positivity_mode_its_own_probe():
+    """The transpose map on M_2, rejected by the CP test, is then admitted
+    as positive dynamics on the same object: the positivity mode runs its
+    own probe and reads nothing the CP test kept."""
+    s = transpose_reversing(2).superop()
+    rho = random_density(2, seed=5)
+    with pytest.raises(InputNotDynamics, match="not completely positive"):
+        require_dynamics(s, rho, mode=MODE_CP)
+    res = require_dynamics(s, rho, mode=MODE_POSITIVITY)
+    assert res.passed
+    assert set(res.detail) == {"output_hermiticity", "output_negativity"}
 
 
 def random_hermitian(m, rng):
@@ -479,9 +520,12 @@ def test_cp_never_passes_a_nan_entry(n, name, route):
         for nan in (complex(np.nan, 0.0), complex(0.0, np.nan)):
             bad = c.copy()
             bad[spot] = nan
-            res = is_completely_positive(from_choi(bad))
+            s = from_choi(bad)
+            res = is_completely_positive(s)
             assert not res.passed
             assert math.isnan(res.residual)
+            # the kept residuals: NaN again, and no LinAlgError
+            assert math.isnan(is_completely_positive(s).residual)
 
 
 @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0)])

@@ -44,11 +44,13 @@ A map finds where it stores entries once, on the first read of its
 positions (superop._stored), and every check on it reuses them.  When it
 stores few, every kernel runs over those entries instead of all n^4: the
 duals, the transpose conjugate and the Choi matrix are realignments of tau,
-so their stored entries are tau's with the indices permuted, and a dual
-inherits them from tau.  Every kernel reads a realignment and its stored
-positions together, from SuperOperator._view.  A pair maximum runs over
-the stored entries of R and the transposed ones of L, a norm over the
-union of its operands' stored entries.
+so they store tau's entries at permuted flat positions, which a map forms
+once per realignment (SuperOperator._place) and a dual reads from tau.
+Each operand is then the map's own stored entries (_entries) or one take
+of a matrix at such positions.  A pair maximum runs over the stored
+entries of R and the transposed ones of L, a norm over the sorted union of
+its operands' stored positions, where each operand's own entries are
+spread (superop._union).
 
 On channels commuting with the modular map the kms and state duals
 coincide, so there sqdb implies db2; sqdb does not require that commutation.
@@ -88,8 +90,9 @@ from .superop import (
     _SAME_AXES,
     _TRANSPOSE_AXES,
     SuperOperator,
-    _factor,
-    _read,
+    _compose,
+    _realign,
+    _spread,
     _union,
     is_completely_positive,
     is_positive_map,
@@ -136,10 +139,16 @@ def delta_commutator_residual(tau: SuperOperator, rho: DensityMatrix) -> float:
     Delta = diag(r), r = kron(1/d, d), so entry (i, j) is tau_ij (r_j - r_i),
     summed over the entries tau stores (superop._stored) or all of them."""
     _check_state(tau, rho)
-    r = _modular_ratios(rho).reshape(tau.n, tau.n)
-    view, at = tau._view(_SAME_AXES)
-    out = np.subtract(_factor(r, at, (2, 3)), _factor(r, at, (0, 1)), dtype=complex)
-    out *= _read(view, at)
+    r = _modular_ratios(rho)
+    if tau._at is None:
+        n = tau.n
+        r = r.reshape(n, n)
+        rows, cols, entries = r.reshape(n, n, 1, 1), r, _realign(tau.mat, n, _SAME_AXES)
+    else:
+        _, i, j = tau._place(_SAME_AXES)
+        rows, cols, entries = r.take(i), r.take(j), tau._entries
+    out = np.subtract(cols, rows, dtype=complex)
+    out *= entries
     return float(np.linalg.norm(out))
 
 
@@ -153,21 +162,24 @@ def _pair_residual(
     dense pass is one _pair_max, with two n^2 x n^2 complex temporaries and
     the real array of their absolute difference.
 
-    When R and tau both store few entries (SuperOperator._view), every
+    When R and tau both store few entries (SuperOperator._place), every
     other term is zero: the maximum runs over the stored entries of R and
-    the transposed ones of tau, each read in one gather, and the two
-    partial maxima are joined by np.maximum, which keeps a NaN."""
+    the transposed ones of tau, and each operand there is a map's own
+    entries or one take at the other map's positions.  The two partial
+    maxima are joined by np.maximum, which keeps a NaN."""
     n = tau.n
-    right, at = other._view(axes)
-    if at is not None and tau._at is not None:
-        g2 = g.reshape(n, n)
-        left_t, left_at = tau._view(_TRANSPOSE_AXES)
-        worst = 0.0
-        for x in (at, left_at):
-            rows, cols = _factor(g2, x, (0, 1)), _factor(g2, x, (2, 3))
-            worst = np.maximum(worst, _pair_max(rows, right[x], left_t[x], cols, mirror))
-        return float(worst)
-    return float(_pair_max(g.reshape(n, n, 1, 1), right, tau.mat.T, g, mirror))
+    if other._at is None or tau._at is None:
+        right = _realign(other.mat, n, axes)
+        return float(_pair_max(g.reshape(n, n, 1, 1), right, tau.mat.T, g, mirror))
+    worst = 0.0
+    # tau^T read at R's positions, and R at those of tau^T
+    _, i, j = other._place(axes)
+    left_t = tau.mat.take(other._place(_compose(axes, _TRANSPOSE_AXES))[0])
+    worst = np.maximum(worst, _pair_max(g.take(i), other._entries, left_t, g.take(j), mirror))
+    _, i, j = tau._place(_TRANSPOSE_AXES)
+    right = other.mat.take(tau._place(_compose(_TRANSPOSE_AXES, axes))[0])
+    worst = np.maximum(worst, _pair_max(g.take(i), right, tau._entries, g.take(j), mirror))
+    return float(worst)
 
 
 def _pair_max(rows, right, left_t, g, conj):
@@ -216,14 +228,17 @@ def _db2_modular(tau, rho, tol) -> CheckResult:
 def _db2_entangled(tau, g, dual, hat_unital, tol) -> CheckResult:
     # hat = bar_map(dual), read as a view; hat(1) = dual(1)^T has dual's
     # unital defect transposed, so hat_unital is is_unital(dual).residual
-    hat, hat_at = dual._view(_BAR_AXES)
-    tau4, tau_at = tau._view(_SAME_AXES)
+    n = tau.n
     # distance of the transposed dual from the channel itself, over the
     # stored entries of either; diagnostic only, zero is not required for
     # balance
-    both = _union(hat_at, tau_at, tau.n)
-    hat_vs_channel = np.subtract(_read(hat, both), _read(tau4, both), order="C")
-    hat_vs_channel = float(np.linalg.norm(hat_vs_channel))
+    both = _union(dual, _BAR_AXES, tau, _SAME_AXES)
+    if both is None:
+        hat, channel = _realign(dual.mat, n, _BAR_AXES), _realign(tau.mat, n, _SAME_AXES)
+    else:
+        u, at_hat, at_tau = both
+        hat, channel = _spread(dual._entries, at_hat, len(u)), _spread(tau._entries, at_tau, len(u))
+    hat_vs_channel = float(np.linalg.norm(np.subtract(hat, channel, order="C")))
     return _verdict(
         tol,
         {"pair_residual": _pair_residual(g, tau, dual, _BAR_AXES), "hat_unital": hat_unital},
@@ -233,11 +248,15 @@ def _db2_entangled(tau, g, dual, hat_unital, tol) -> CheckResult:
 
 def _sqdb_definition(tau, rho, conj, tol) -> CheckResult:
     # kms_dual(tau) against bar_map(conj), over the stored entries of either
-    dual, dual_at = tau._view(_DUAL_AXES)
-    bar, bar_at = conj._view(_BAR_AXES)
-    both = _union(dual_at, bar_at, tau.n)
-    diff = _kms_dual_entries(rho, dual, both)
-    diff -= _read(bar, both)
+    n = tau.n
+    both = _union(tau, _DUAL_AXES, conj, _BAR_AXES)
+    if both is None:
+        diff = _kms_dual_entries(rho, _realign(tau.mat, n, _DUAL_AXES))
+        diff -= _realign(conj.mat, n, _BAR_AXES)
+    else:
+        u, at_dual, at_bar = both
+        diff = _spread(_kms_dual_entries(rho, tau._entries, tau), at_dual, len(u))
+        diff -= _spread(conj._entries, at_bar, len(u))
     return _verdict(tol, {"kms_vs_reversed": float(np.linalg.norm(diff))})
 
 

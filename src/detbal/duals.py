@@ -21,10 +21,11 @@ where row or column j + n k belongs to the unit E_jk.  Products with K are
 index permutations, so no dual costs a matrix product: K M^T K is read as a
 view of M and scaled into the one array the dual returns, O(n^4), and the
 input is never written.  When M stores few entries (superop._stored) only
-those are scaled, at their realigned positions, and scattered into zeros.
-The view and those positions come together from SuperOperator._view, and
-the dual inherits the positions as its own (superop._from_entries), so no
-dual searches its matrix again.  The Theta-conjugate conj(W) M W,
+those are scaled, with the rows and columns they take in K M^T K
+(SuperOperator._place), and scattered into zeros.  The dual is handed
+those positions and the scaled entries as its own (superop._from_entries),
+so no dual searches its matrix again or permutes a position: those of its
+realignments are read from s.  The Theta-conjugate conj(W) M W,
 W = kron(conj u, u), is O(n^5), and for the plain transpose (u = 1) it is
 s itself, returned as is.
 
@@ -66,10 +67,8 @@ from .superop import (
     _DUAL_AXES,
     _INPUT_TRANSPOSE_AXES,
     SuperOperator,
-    _factor,
     _from_entries,
     _kron_sandwich,
-    _read,
     _realign,
     pi_rep,
 )
@@ -112,19 +111,34 @@ def rho_dual(s: SuperOperator, rho: DensityMatrix) -> SuperOperator:
     its entries.  The defining pairing is kept as a test oracle.  s' is
     unital iff s preserves <.>, and trace-of-rho-preserving iff s is unital.
     """
+    return _dual(s, rho, _rho_dual_entries)
+
+
+def _dual(s: SuperOperator, rho: DensityMatrix, entries_of) -> SuperOperator:
+    """The map whose (n, n, n, n) matrix entries_of(rho, ...) forms from
+    the _DUAL_AXES realignment of s.mat: from the whole view, or from its
+    stored entries (s._entries), which the dual keeps as its own with their
+    positions there (superop._from_entries)."""
     _check_state(s, rho)
-    dual, at = s._view(_DUAL_AXES)
-    return _from_entries(s.n, at, _rho_dual_entries(rho, dual, at))
+    if s._at is None:
+        return _from_entries(s, _DUAL_AXES, entries_of(rho, _realign(s.mat, s.n, _DUAL_AXES)))
+    return _from_entries(s, _DUAL_AXES, entries_of(rho, s._entries, s))
 
 
-def _rho_dual_entries(rho: DensityMatrix, dual: np.ndarray, at) -> np.ndarray:
-    """Entries of rho_dual(s, rho).mat.reshape(n, n, n, n) from the view
-    dual of s.mat (s._view(_DUAL_AXES)): all of them, or those at the
-    positions at (superop._factor).  Axes (k, j, k', j') of row j + n k,
+def _rho_dual_entries(rho: DensityMatrix, dual: np.ndarray, s=None) -> np.ndarray:
+    """Entries of rho_dual(s, rho).mat.reshape(n, n, n, n) from those of
+    the view dual of s.mat realigned by _DUAL_AXES: all of them, or with s
+    given, the stored ones (s._entries).  Axes (k, j, k', j') of row j + n k,
     column j' + n k': rows / d_j, columns * d_j'."""
     d = rho.diag
-    m = np.multiply(_factor(1.0 / d, at, (1,)), _read(dual, at), order="C")
-    m *= _factor(d, at, (3,))
+    if s is None:
+        rows, cols = (1.0 / d)[:, None, None], d
+    else:
+        # index k of a position of the realignment is index _DUAL_AXES[k] of s's
+        x = s._digits
+        rows, cols = (1.0 / d).take(x[_DUAL_AXES[1]]), d.take(x[_DUAL_AXES[3]])
+    m = np.multiply(rows, dual, order="C")
+    m *= cols
     return m
 
 
@@ -136,18 +150,22 @@ def kms_dual(s: SuperOperator, rho: DensityMatrix) -> SuperOperator:
     with powers of the diagonal rho are row and column scalings: O(n^4), or
     O(stored) as in rho_dual.
     """
-    _check_state(s, rho)
-    dual, at = s._view(_DUAL_AXES)
-    return _from_entries(s.n, at, _kms_dual_entries(rho, dual, at))
+    return _dual(s, rho, _kms_dual_entries)
 
 
-def _kms_dual_entries(rho: DensityMatrix, dual: np.ndarray, at) -> np.ndarray:
-    """Entries of kms_dual(s, rho).mat.reshape(n, n, n, n) from the view dual
-    of s.mat (s._view(_DUAL_AXES)), all of them or those at the positions at:
-    rows / (d_j d_k)^(1/2), columns * (d_j' d_k')^(1/2)."""
+def _kms_dual_entries(rho: DensityMatrix, dual: np.ndarray, s=None) -> np.ndarray:
+    """Entries of kms_dual(s, rho).mat.reshape(n, n, n, n) from those of
+    the view dual of s.mat realigned by _DUAL_AXES, all of them or with s
+    given the stored ones (_rho_dual_entries): rows / (d_j d_k)^(1/2),
+    columns * (d_j' d_k')^(1/2)."""
     half = np.sqrt(np.outer(rho.diag, rho.diag))  # [k, j] -> (d_j d_k)^(1/2), vec index j + n k
-    m = np.divide(_read(dual, at), _factor(half, at, (0, 1)), order="C")
-    m *= _factor(half, at, (2, 3))
+    if s is None:
+        rows, cols = half.reshape(half.shape + (1, 1)), half
+    else:
+        _, i, j = s._place(_DUAL_AXES)
+        rows, cols = half.take(i), half.take(j)
+    m = np.divide(dual, rows, order="C")
+    m *= cols
     return m
 
 

@@ -16,6 +16,7 @@ argument: hs_inner(a, b) = tr(a^dag b).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -179,7 +180,14 @@ def mat_power(m, z, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 def matrix_unit(n: int, j: int, k: int) -> np.ndarray:
     """The matrix unit E_jk (1 in row j, column k, zero elsewhere); j or k
-    outside 0 ... n - 1 raises DimensionMismatch."""
+    that is no integer (a bool is none) or lies outside 0 ... n - 1 raises
+    DimensionMismatch."""
+    try:
+        if isinstance(j, (bool, np.bool_)) or isinstance(k, (bool, np.bool_)):
+            raise TypeError
+        j, k = operator.index(j), operator.index(k)
+    except TypeError:
+        raise DimensionMismatch(f"matrix unit indices must be integers, got {j!r}, {k!r}") from None
     if not (0 <= j < n and 0 <= k < n):
         raise DimensionMismatch(f"matrix unit E_({j},{k}) is not in M_{n}")
     e = np.zeros((n, n), dtype=complex)

@@ -11,8 +11,8 @@ solves only the coupled rows of the Choi matrix; the rest are 1x1 blocks.
 
 A SuperOperator holds one C-ordered complex n^2 x n^2 matrix, read-only,
 so each realignment of it (_realign, axes defined here only) is a view.
-A map keeps two values computed from that matrix on their first read: its
-stored entries (_at, below) and the numbers of its CP test
+A map keeps values computed from that matrix on their first read: where
+it stores entries (_at and more, below) and the numbers of its CP test
 (_choi_spectrum): the Choi Hermiticity residual and the smallest and
 largest Choi eigenvalue, which do not depend on the tolerance.  Every CP
 test of the map after the first, from any public check, forms its verdict
@@ -21,23 +21,28 @@ from those three numbers without solving again.  The positivity probe
 
 _stored decides, for the CP test and every other O(n^4) kernel, whether a
 map's stored entries are followed instead of all n^4: at n >= 7 with at
-most n^4 / 8 of them stored.  It finds them in one comparison pass, as the
-four indices of each entry in the (n, n, n, n) layout, so the stored
-entries of any realignment are a permutation of those indices.  A map
-runs that search once, the first time its positions (_at) are read, and
-keeps them; a map built from permuted entries of another, as a dual is
-(_from_entries), is handed those permuted positions and runs none.
-SuperOperator._view is the one place a realignment meets its positions:
-it returns the realigned view with _at's index arrays reordered alike.  A
-kernel writes its elementwise expression once and is fed either the views
-of the dense pass or the gathered entries (_factor, _read).  The CP
-test then finds the coupled rows at the stored entries and gathers its
-coupled block (all of C if every row couples) and diagonal from the
-matrix; the Choi Hermiticity
-residual is summed over the stored entries and may differ from the dense
-form's in the last bits.  Any other map has the Choi matrix and its
-transpose read as views of its matrix, with one n^2 x n^2 buffer.  No
-function here writes into its input.
+most n^4 / 8 of them stored.  It finds them in one comparison pass, as
+flat C-order positions into mat.ravel().  A map runs that search once, on
+the first read of its positions (_at), and keeps them and the entries
+stored there (_entries).  A realignment stores the same entries at
+permuted positions: SuperOperator._place gives them as flat positions of
+the realignment's (n, n, n, n) layout, in _at's order, with the row and
+column of each in its n^2 x n^2 layout, formed once per map and
+realignment and kept.  So a map's realignment read at its own positions is
+_entries, and any other operand there is one take: every realignment in
+use is an involution, so the matrix entry behind a position of one
+realignment is found through the positions of a composed one (_compose).
+A map built from rescaled entries of another's realignment, as a dual is
+(_from_entries), is handed those positions and entries and reads the
+positions of its own realignments from the other map: it neither searches
+nor forms positions.  A kernel writes its elementwise expression once and
+is fed either the views of the dense pass or the gathered entries.  The CP
+test then finds the coupled rows at the stored entries and takes its
+coupled block (a copy of the Choi view if every row couples) and diagonal
+from the matrix; the Choi Hermiticity residual is summed over the stored
+entries and may differ from the dense form's in the last bits.  Any other
+map has the Choi matrix and its transpose read as views of its matrix,
+with one n^2 x n^2 buffer.  No function here writes into its input.
 """
 
 from __future__ import annotations
@@ -62,8 +67,12 @@ from .linalg import (
 
 
 def vec(x) -> np.ndarray:
-    """Column-stacking vectorization of a matrix."""
-    return _numeric(x).reshape(-1, order="F")
+    """Column-stacking vectorization of a matrix; input that is not 2-D
+    raises DimensionMismatch."""
+    x = _numeric(x)
+    if x.ndim != 2:
+        raise DimensionMismatch(f"vec wants a matrix, got shape {x.shape}")
+    return x.reshape(-1, order="F")
 
 
 def unvec(v, n: int | None = None) -> np.ndarray:
@@ -94,6 +103,7 @@ class SuperOperator:
             raise DimensionMismatch(f"map on M_{self.n} with a matrix of shape {mat.shape}")
         mat.flags.writeable = False  # a write would leave _at and _choi_spectrum stale
         object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "_placed", {})  # SuperOperator._place, by axes
 
     @cached_property
     def _at(self):
@@ -101,16 +111,46 @@ class SuperOperator:
         return _stored(self.mat, self.n)
 
     @cached_property
+    def _entries(self):
+        """The stored entries of mat, at _at and in its order."""
+        return self.mat.take(self._at)
+
+    @cached_property
     def _choi_spectrum(self):
         """The Choi Hermiticity residual and the extreme eigenvalues of the
         Choi matrix's Hermitian part (_choi_test), solved on the first read."""
         return _choi_test(self)
 
-    def _view(self, axes):
-        """mat realigned by axes (_realign) and where that view stores
-        entries: _at's index arrays reordered alike, or None when _at is."""
-        at = self._at
-        return _realign(self.mat, self.n, axes), None if at is None else tuple(at[a] for a in axes)
+    def _place(self, axes):
+        """Where the realignment of mat by axes (_realign) stores entries,
+        for a map with positions (_at): their flat positions in its
+        (n, n, n, n) layout, in _at's order, and their rows and columns in
+        its n^2 x n^2 layout (flat // n^2, flat % n^2).  Formed once per
+        axes from _digits, or read from the map this one was built from
+        (_from_entries)."""
+        got = self._placed.get(axes)
+        if got is None:
+            source = self.__dict__.get("_source")
+            n = self.n
+            if source is not None:
+                got = source[0]._place(_compose(source[1], axes))
+            elif axes == _SAME_AXES:
+                got = (self._at, *_split(self._at, n * n))
+            else:
+                x = self._digits
+                rows = x[axes[0]] * n + x[axes[1]]
+                cols = x[axes[2]] * n + x[axes[3]]
+                got = (rows * (n * n) + cols, rows, cols)
+            self._placed[axes] = got
+        return got
+
+    @cached_property
+    def _digits(self):
+        """The four indices of each stored entry in the (n, n, n, n) layout,
+        in _at's order: those of its row and of its column.  They only form
+        positions (_place) and the state dual's row and column scalings."""
+        _, rows, cols = self._place(_SAME_AXES)
+        return (*_split(rows, self.n), *_split(cols, self.n))
 
     def apply(self, x) -> np.ndarray:
         """Evaluate the map on an n x n matrix."""
@@ -134,8 +174,9 @@ def identity_superop(n: int) -> SuperOperator:
     return SuperOperator(n, np.eye(n * n, dtype=complex))
 
 
-# The realignments in use (_realign, SuperOperator._view).  Swapping axes
-# 0, 1 transposes a map's output, swapping 2, 3 its input.
+# The realignments in use (_realign, SuperOperator._place), each an
+# involution.  Swapping axes 0, 1 transposes a map's output, swapping 2, 3
+# its input.
 _SAME_AXES = (0, 1, 2, 3)  # M itself
 _CHOI_AXES = (3, 1, 2, 0)  # the Choi matrix (choi)
 _DUAL_AXES = (3, 2, 1, 0)  # K M^T K, the trace dual
@@ -148,6 +189,20 @@ def _realign(m: np.ndarray, n: int, axes) -> np.ndarray:
     """m.reshape(n, n, n, n).transpose(axes), a view of the C-ordered m:
     entry (a + n b, j + n k) of m sits at [b, a, k, j] of the reshape."""
     return m.reshape(n, n, n, n).transpose(axes)
+
+
+@lru_cache(maxsize=None)
+def _compose(first, then):
+    """The realignment by first, then by then, as one: axes first[k] for k
+    in then."""
+    return tuple(first[k] for k in then)
+
+
+def _split(flat: np.ndarray, base: int):
+    """(flat // base, flat % base), by one floor division: numpy's divmod
+    and % take no fast path for a scalar divisor, // does."""
+    high = flat // base
+    return high, flat - high * base
 
 
 def _kron_sandwich(m: np.ndarray, n: int, a, b, j, k) -> np.ndarray:
@@ -238,12 +293,16 @@ def choi(s: SuperOperator) -> ChoiMatrix:
 
 
 # Route constants of every O(n^4) kernel (_stored), timed in one process
-# against the dense passes of is_completely_positive (2 vCPUs, numpy 2.4,
-# one BLAS thread, 20th percentile of 150 alternating timings).  On schur-db2
-# maps and their state duals the gathered Choi route is 10-27% slower at
-# n <= 5, even at n = 6 and 8-29% faster at n = 7, 8.  On maps whose Choi
-# matrix has one random coupled block it is 8-17% faster at n = 8, 12 with
-# n^4 / 8 entries stored, 7-10% slower with n^4 / 4.
+# on schur-db2 maps, each call on a new map, so with its search and the
+# positions it forms (2 vCPUs, numpy 2.4, one BLAS thread, 20th percentile
+# of 120 alternating timings).  run_report with both mirror checks, where
+# every kernel shares the positions, is 14% slower gathered at n = 6, 4%
+# faster at n = 7 and 21% faster at n = 8.  is_completely_positive alone,
+# which forms two realignments' positions for itself, is 38% slower at
+# n = 6, 19% slower at n = 7 and 4% faster at n = 8.  On maps whose Choi
+# matrix has one random coupled block the CP test alone is 14% faster at
+# n = 12 and 10% slower at n = 8 with n^4 / 8 entries stored, 18-44% slower
+# with n^4 / 4.
 _GATHER_MIN_N = 7
 _GATHER_SHARE = 8  # at most n^4 / _GATHER_SHARE stored entries
 
@@ -255,9 +314,8 @@ def _stored(m: np.ndarray, n: int):
     on its first rows, which alone store more.
 
     An entry is stored when its real or its imaginary half compares unequal
-    to zero, so a NaN is stored.  The stored entries are given in C order
-    as the four index arrays (x0, x1, x2, x3) of m.reshape(n, n, n, n):
-    row x1 + n x0, column x3 + n x2 of m."""
+    to zero, so a NaN is stored.  The stored entries are given in C order,
+    as their flat positions in m.ravel()."""
     if n < _GATHER_MIN_N:
         return None
     limit = m.size // _GATHER_SHARE
@@ -267,47 +325,49 @@ def _stored(m: np.ndarray, n: int):
     if np.count_nonzero(first) > limit:
         return None
     pos = np.flatnonzero((m.view(np.float64) != 0).view(np.uint16) != 0)
-    return np.unravel_index(pos, (n,) * 4) if len(pos) <= limit else None
+    return pos if len(pos) <= limit else None
 
 
-def _union(a, b, n: int):
-    """The positions in a or b, once each, in C order; None if either is."""
-    if a is None or b is None:
+def _union(s: SuperOperator, a, t: SuperOperator, b):
+    """The positions stored by the realignment of s by a or of t by b
+    (SuperOperator._place), once each and sorted, and where the entries of
+    s and of t (_entries) go among them (_spread); None if s or t has no
+    positions (_at).  At the union's other positions a realignment holds
+    zero, of either sign, which no norm tells apart."""
+    if s._at is None or t._at is None:
         return None
-    shape = (n,) * 4
-    u = np.sort(np.concatenate((np.ravel_multi_index(a, shape), np.ravel_multi_index(b, shape))))
+    first, second = s._place(a)[0], t._place(b)[0]
+    u = np.concatenate((first, second))
+    u.sort()
     if len(u):
         u = u[np.concatenate(([True], u[1:] != u[:-1]))]
-    return np.unravel_index(u, shape)
+    return u, np.searchsorted(u, first), np.searchsorted(u, second)
 
 
-def _factor(v: np.ndarray, at, axes) -> np.ndarray:
-    """A kernel factor that depends on the consecutive indices axes of the
-    (n, n, n, n) layout only (v has one axis for each): v broadcast along
-    them when at is None, else v at the positions at."""
-    if at is None:
-        return v.reshape(v.shape + (1,) * (3 - axes[-1]))
-    return v[tuple(at[a] for a in axes)]
+def _spread(entries: np.ndarray, at: np.ndarray, size: int) -> np.ndarray:
+    """entries at the places at of a complex vector of zeros of length size."""
+    out = np.zeros(size, dtype=complex)
+    out[at] = entries
+    return out
 
 
-def _read(view: np.ndarray, at):
-    """A kernel operand: the (n, n, n, n) view itself when at is None, else
-    its entries at the positions at."""
-    return view if at is None else view[at]
-
-
-def _from_entries(n: int, at, entries: np.ndarray) -> SuperOperator:
-    """The map on M_n with the given entries: the (n, n, n, n) array itself
-    when at is None, else one scatter into zeros at the positions at.  The
-    map is handed at as its positions (_at), in the order given."""
-    if at is None:
-        out = entries
-    else:
-        out = np.zeros((n,) * 4, dtype=complex)
-        out[at] = entries
-    s = SuperOperator(n, out.reshape(n * n, n * n))
-    s.__dict__["_at"] = at  # where cached_property keeps its value
-    return s
+def _from_entries(s: SuperOperator, axes, entries: np.ndarray) -> SuperOperator:
+    """The map on M_n whose matrix holds entries where the realignment of
+    s by axes stores its own: the (n, n, n, n) array entries itself when s
+    has no positions (_at), and then neither has the new map, else one
+    scatter into zeros.  The new map is then handed those positions and
+    entries (_at, _entries), in s's order, and takes the positions of its
+    realignments from s (SuperOperator._place)."""
+    n = s.n
+    if s._at is None:
+        new = SuperOperator(n, entries.reshape(n * n, n * n))
+        new.__dict__["_at"] = None  # where cached_property keeps its value
+        return new
+    flat = s._place(axes)[0]
+    new = SuperOperator(n, _spread(entries, flat, n**4).reshape(n * n, n * n))
+    entries.flags.writeable = False
+    new.__dict__.update(_at=flat, _entries=entries, _source=(s, axes))
+    return new
 
 
 def _gathered_choi(s: SuperOperator):
@@ -316,23 +376,20 @@ def _gathered_choi(s: SuperOperator):
 
     Only the stored entries and their mirrors can make the Hermitian part
     H = (C + C^dag) / 2 nonzero, so the coupled rows are found there, and
-    the coupled block and the diagonal are gathered from s.mat: the same
-    values, by the same operations, as in the dense passes, also when every
-    row couples and the block is all of C.  ||C|| and ||C - C^dag|| are
-    summed over the stored entries; an entry whose mirror is not stored
-    counts twice in the second, once for the mirror position.
+    the coupled block and the diagonal are taken from s.mat: the same
+    values, by the same operations, as in the dense passes.  When every row
+    couples the block is all of C, one copy of the Choi view.  ||C|| and
+    ||C - C^dag|| are summed over the stored entries; an entry whose mirror
+    is not stored counts twice in the second, once for the mirror position.
 
-    Entry [x0, x1, x2, x3] of s.mat.reshape(n, n, n, n) is the Choi entry
-    (x1 + n x3, x0 + n x2), and its mirror is entry [x1, x0, x3, x2]: the
-    entry at the same position of the _BAR_AXES view."""
+    A stored entry sits in the Choi matrix at the row and column of its
+    _CHOI_AXES position, and its mirror is the entry of s.mat at its
+    _BAR_AXES position."""
     n, m = s.n, s.mat
     big = n * n
-    m4, at = s._view(_SAME_AXES)
-    x0, x1, x2, x3 = at
-    p = x3 * n + x1
-    q = x2 * n + x0
-    v = m4[at]
-    vm = _realign(m, n, _BAR_AXES)[at]
+    v = s._entries
+    vm = m.take(s._place(_BAR_AXES)[0])
+    _, p, q = s._place(_CHOI_AXES)
     scale = max(1.0, float(np.sqrt(np.vdot(v, v).real)))
     h = np.conjugate(vm)
     d = v - h
@@ -352,9 +409,13 @@ def _gathered_choi(s: SuperOperator):
     lam += diag
     lam *= 0.5
     lam = lam.real.copy()
-    if len(coupled):
+    if len(coupled) == big:
+        block = _realign(m, n, _CHOI_AXES).reshape(big, big)
+    elif len(coupled):
+        # Choi entry (j n + a, k n + b) is entry [b, a, k, j] of the reshape
         j, a = np.divmod(coupled, n)
-        block = m4[a, a[:, None], j, j[:, None]]
+        block = m.reshape(n, n, n, n)[a, a[:, None], j, j[:, None]]
+    if len(coupled):
         h = np.conjugate(block.T)
         h += block
         h *= 0.5

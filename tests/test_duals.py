@@ -213,21 +213,26 @@ def test_kms_equals_rho_dual_iff_modular_commutation(name, s, rho):
 @pytest.mark.parametrize("n", [3, 8])
 def test_dual_inherits_the_maps_positions(dual, n, monkeypatch):
     """A dual is handed its map's stored positions, realigned and in the
-    map's order, and runs no search of its own."""
+    map's order (not the dual's own C order), with the entries stored
+    there, and runs no search of its own."""
     rho = random_density(n, seed=45 + n)
     s = schur_db2_channel(rho, seed=45 + n)
-    want = s._view(_DUAL_AXES)[1]
+    s._at
 
     def no_search(m, k):
         raise AssertionError("a dual searched its matrix")
 
     monkeypatch.setattr(superop, "_stored", no_search)
-    got = dual(s, rho)._at
+    d = dual(s, rho)
     if n < 7:
-        assert want is None and got is None
-    else:
-        assert len(got) == 4
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert s._at is None and d._at is None
+        return
+    at = np.unravel_index(s._at, (n,) * 4)
+    want = np.ravel_multi_index(tuple(at[a] for a in _DUAL_AXES), (n,) * 4)
+    assert np.array_equal(d._at, want)
+    assert not np.array_equal(d._at, np.sort(d._at))
+    assert np.array_equal(np.sort(d._at), np.flatnonzero(d.mat))
+    assert np.array_equal(d._entries, d.mat.ravel()[want])
 
 
 def test_kms_differs_from_rho_dual_without_modular_commutation():

@@ -239,11 +239,20 @@ def test_matrix_units_basis():
     assert np.array_equal(matrix_unit(2, 0, 1), E01)
 
 
-@pytest.mark.parametrize("j, k", [(-1, 0), (2, 0), (0, -1), (0, 2)])
+@pytest.mark.parametrize("j, k", [
+    (-1, 0), (2, 0), (0, -1), (0, 2),
+    (True, 0), (0, False), (np.True_, 0), (1.0, 0), (0, 1.5), ("1", 0),
+])
 def test_matrix_unit_index_out_of_range(j, k):
-    # a negative index would wrap to E_(n-1)k, a large one raise IndexError
+    # a negative index would wrap to E_(n-1)k, a large one raise IndexError;
+    # a bool would index as a mask (E_(True,0) = [[1, 1], [0, 0]], E_(0,False)
+    # = 0) and a float raise numpy's IndexError
     with pytest.raises(DimensionMismatch):
         matrix_unit(2, j, k)
+
+
+def test_matrix_unit_takes_numpy_integers():
+    assert np.array_equal(matrix_unit(3, np.int64(2), np.uint8(0)), matrix_unit(3, 2, 0))
 
 
 def test_tolerance_validation():

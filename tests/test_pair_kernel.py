@@ -877,11 +877,14 @@ def route_spies(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     spy(superop, "_gathered_choi", "cp", lambda a, k, out: True)
-    spy(duals, "_rho_dual_entries", "rho_dual", lambda a, k, out: a[2] is not None)
-    spy(duals, "_kms_dual_entries", "kms_dual", lambda a, k, out: a[2] is not None)
+    # a dual's entries are formed from rows and columns of stored entries,
+    # or from the whole view
+    spy(duals, "_rho_dual_entries", "rho_dual", lambda a, k, out: out.ndim == 1)
+    spy(duals, "_kms_dual_entries", "kms_dual", lambda a, k, out: out.ndim == 1)
     spy(balance, "delta_commutator_residual", "commutator", lambda a, k, out: a[0]._at is not None)
     spy(balance, "_pair_residual", "pair",
         lambda a, k, out: a[1]._at is not None and a[2]._at is not None)
+    # the sorted flat positions stored by either operand of a norm, or None
     spy(balance, "_union", "norm", lambda a, k, out: out is not None)
     return seen
 
@@ -919,6 +922,72 @@ def test_kernel_route_choice(n, family, gathered, monkeypatch):
         # the CP test's gathered solve is never reached on the dense passes
         assert set(seen) == KERNELS - {"cp"}, dict(seen)
         assert all(v == {False} for v in seen.values()), dict(seen)
+
+
+def test_sparse_channel_with_a_dense_theta_conjugate(monkeypatch):
+    """A balanced channel at n = 8 stores few entries, its conjugate under
+    a reversing operation other than the transpose stores all of them:
+    the db2 kernels then follow the channel's stored entries and the sqdb
+    kernels, which read the conjugate, make their dense passes.  Every
+    check matches the all-dense route (bits, norms to 1e-15 relative)."""
+    n = 8
+    rho = random_density(n, seed=345)
+    tau = schur_db2_channel(rho, seed=345)
+    v = haar_unitary(n, 346)
+    th = make_reversing(v @ v.T)
+    seen = route_spies(monkeypatch)
+    mixed = {k: f() for k, f in kernel_checks(tau, rho, th).items()}
+    fresh = SuperOperator(n, tau.mat)
+    assert fresh._at is not None and theta_conjugate(fresh, th)._at is None
+    assert seen["pair"] == {True, False} and seen["norm"] == {True, False}, dict(seen)
+    assert seen["cp"] == {True}
+    dense = run_route(
+        monkeypatch, "dense", lambda: {k: f() for k, f in kernel_checks(tau, rho, th).items()}
+    )
+    for key in dense:
+        assert_same_check(mixed[key], dense[key], key)
+
+
+def signed_zeros(m):
+    """m with every zero half, stored entry or not, turned into -0.0."""
+    halves = m.copy().view(np.float64)
+    halves[halves == 0] = -0.0
+    return halves.view(complex)
+
+
+@pytest.mark.parametrize("n,family,zeros", [
+    (8, "schur-db2", "plain"), (8, "schur-db2", "negative"),
+    (9, "degenerate-db2", "plain"), (9, "degenerate-db2", "negative"),
+])
+def test_union_norms_read_the_realigned_views(n, family, zeros):
+    """The two norms over a union of stored positions (hat_vs_channel,
+    kms_vs_reversed) spread each operand's own entries into the union.
+    They equal, bit for bit, the norm of the realigned views read at every
+    position either view stores, in C order, also when the unstored
+    entries (and zero halves of stored ones) are -0.0."""
+    rho = random_density(n, seed=370 + n)
+    if family == "schur-db2":
+        tau = schur_db2_channel(rho, seed=370 + n)
+    else:
+        spectrum = np.repeat(np.arange(n, 0, -1.0), 2)[:n]
+        tau, rho = degenerate_db2_channel(370 + n, spectrum=spectrum / spectrum.sum())
+    if zeros == "negative":
+        tau = SuperOperator(n, signed_zeros(tau.mat))
+    dual = rho_dual(tau, rho)
+    assert tau._at is not None and dual._at is not None
+
+    def union_norm(left, right):
+        idx = np.unravel_index(np.flatnonzero((left != 0) | (right != 0)), (n,) * 4)
+        return float(np.linalg.norm(left[idx] - right[idx]))
+
+    g = balance._pair_gram(rho)
+    got = balance._db2_entangled(tau, g, dual, 0.0, DEFAULT_TOL).detail["hat_vs_channel"]
+    hat = superop._realign(dual.mat, n, _BAR_AXES)
+    assert same_bits(got, union_norm(hat, tau.mat.reshape((n,) * 4)))
+    got = balance._sqdb_definition(tau, rho, tau, DEFAULT_TOL).detail["kms_vs_reversed"]
+    half = np.sqrt(np.outer(rho.diag, rho.diag))
+    kms = superop._realign(tau.mat, n, superop._DUAL_AXES) / half[:, :, None, None] * half
+    assert same_bits(got, union_norm(kms, superop._realign(tau.mat, n, _BAR_AXES)))
 
 
 def test_one_search_per_map(monkeypatch):

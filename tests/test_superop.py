@@ -151,6 +151,13 @@ def test_superoperator_matrix_is_read_only():
     assert SuperOperator(3, kept).mat[0, 0] == 2.0
 
 
+@pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2), (1, 4, 1)])
+def test_vec_wants_a_matrix(shape):
+    # numpy would flatten any shape: length 3 and 8 for the middle two
+    with pytest.raises(DimensionMismatch, match="vec wants a matrix"):
+        vec(np.ones(shape))
+
+
 def test_unvec_takes_n_from_the_size():
     m = np.arange(4.0).reshape(2, 2)
     assert np.array_equal(unvec(m), m.astype(complex))
@@ -686,3 +693,46 @@ def test_is_positive_map_matches_loop_oracle(n):
         herm, neg = positive_map_oracle(s)
         assert res.detail["output_hermiticity"] == pytest.approx(herm, rel=1e-12, abs=1e-15)
         assert res.detail["output_negativity"] == pytest.approx(neg, rel=1e-12, abs=1e-15)
+
+
+# every realignment a kernel reads (SuperOperator._place), and those a dual
+# reads through its source
+PLACED_AXES = (
+    superop._SAME_AXES, superop._CHOI_AXES, superop._DUAL_AXES, superop._BAR_AXES,
+    superop._TRANSPOSE_AXES, superop._INPUT_TRANSPOSE_AXES,
+)
+
+
+def placed_pool(n):
+    rho = random_density(n, seed=600 + n)
+    spectrum = np.repeat(np.arange(n, 0, -1.0), 2)[:n]  # equal pairs
+    degenerate, drho = degenerate_db2_channel(610 + n, spectrum=spectrum / spectrum.sum())
+    return {
+        "schur-db2": (schur_db2_channel(rho, seed=600 + n), rho),
+        "degenerate-db2": (degenerate, drho),
+        "ring": (ring_map(n, 620 + n), rho),
+    }
+
+
+@pytest.mark.parametrize("n", range(7, 13))
+def test_placed_positions_match_the_index_oracle(n):
+    """A map's positions in each realignment are the flat C-order indices
+    of its (n, n, n, n) index tuple permuted by the axes
+    (np.ravel_multi_index), in the map's order, with their rows and columns
+    of the n^2 x n^2 layout; the realigned view holds the map's own entries
+    there.  A dual reads its positions from its source and keeps the
+    source's order."""
+    shape = (n,) * 4
+    for name, (s, rho) in placed_pool(n).items():
+        assert np.array_equal(s._at, np.flatnonzero(s.mat)), name
+        for m in (s, rho_dual(s, rho)):
+            at = np.unravel_index(m._at, shape)
+            for first in PLACED_AXES:
+                for axes in (first, *(superop._compose(first, b) for b in PLACED_AXES)):
+                    flat, rows, cols = m._place(axes)
+                    want = np.ravel_multi_index(tuple(at[a] for a in axes), shape)
+                    assert np.array_equal(flat, want), (name, axes)
+                    assert np.array_equal(rows, want // n**2), (name, axes)
+                    assert np.array_equal(cols, want % n**2), (name, axes)
+                    view = superop._realign(m.mat, n, axes).reshape(-1)
+                    assert np.array_equal(view[flat], m._entries), (name, axes)

@@ -58,12 +58,18 @@ coincide, so there sqdb implies db2; sqdb does not require that commutation.
 Channels that are not CP+unital are rejected with InputNotDynamics before
 any balance verdict; balance failures and input errors never mix.  Every
 public check runs that dynamics test itself, but a map solves its Choi
-spectrum once (superop.SuperOperator._choi_spectrum): a second check on
+spectrum and forms its unital residual once
+(superop.SuperOperator._choi_spectrum, _unital_residual): a second check on
 the same channel reads the kept numbers and forms its verdict under its
 own tolerance.  A state dual is a new map per call that builds it, so its
-spectrum is solved once per such call.  A positivity-only mode replaces
-both CP tests with the weaker fixed-frame positivity probe for callers
-who want plain positive dynamics; that probe runs on every call.
+spectrum and residual are formed once per such call.  What depends on the
+state alone, the pair Gram g, the modular ratios, the KMS weights, 1 / d
+and vec(rho), the state keeps (states.DensityMatrix), and a reversing
+operation keeps whether it is the plain transpose
+(duals.ReversingOperation); no value is kept per pair of objects.  A
+positivity-only mode replaces both CP tests with the weaker fixed-frame
+positivity probe for callers who want plain positive dynamics; that probe
+runs on every call.
 """
 
 from __future__ import annotations
@@ -76,7 +82,6 @@ import numpy as np
 from .duals import (
     _check_state,
     _kms_dual_entries,
-    _modular_ratios,
     rho_dual,
     theta_conjugate,
     ReversingOperation,
@@ -97,7 +102,6 @@ from .superop import (
     is_completely_positive,
     is_positive_map,
     is_unital,
-    vec,
 )
 
 MODE_CP = "cp"
@@ -136,10 +140,11 @@ def require_dynamics(
 
 def delta_commutator_residual(tau: SuperOperator, rho: DensityMatrix) -> float:
     """Frobenius norm of tau Delta - Delta tau on the superoperator level;
-    Delta = diag(r), r = kron(1/d, d), so entry (i, j) is tau_ij (r_j - r_i),
-    summed over the entries tau stores (superop._stored) or all of them."""
+    Delta = diag(r), r = kron(1/d, d) (DensityMatrix._modular_ratios), so
+    entry (i, j) is tau_ij (r_j - r_i), summed over the entries tau stores
+    (superop._stored) or all of them."""
     _check_state(tau, rho)
-    r = _modular_ratios(rho)
+    r = rho._modular_ratios
     if tau._at is None:
         n = tau.n
         r = r.reshape(n, n)
@@ -194,14 +199,6 @@ def _pair_max(rows, right, left_t, g, conj):
     return np.abs(flat).max(initial=0.0)
 
 
-def _pair_gram(rho: DensityMatrix) -> np.ndarray:
-    """Diagonal of the Gram matrix kron(r, conj(r)) of omega (w = 1) and of
-    the mirror Gram matrix kron(rho^(1/2), (rho^(1/2))^T): kron(d^(1/2),
-    d^(1/2)), rho = diag(d)."""
-    half = np.sqrt(rho.diag)
-    return np.outer(half, half).ravel()
-
-
 def _db2_definition(dual, un, tol, mode) -> CheckResult:
     # un = is_unital(dual, tol)
     cp = _cp_check(dual, tol, mode)
@@ -220,7 +217,7 @@ def _db2_definition(dual, un, tol, mode) -> CheckResult:
 def _db2_modular(tau, rho, tol) -> CheckResult:
     comm = delta_commutator_residual(tau, rho)
     # <tau(E_i)> = <E_i> for every matrix unit: vec(rho) = tau^T vec(rho)
-    r = vec(rho.matrix())
+    r = rho._vec
     inv = float(np.max(np.abs(r - tau.mat.T @ r)))
     return _verdict(tol, {"modular_commutator": comm, "state_invariance": inv})
 
@@ -305,7 +302,7 @@ def check_db2_entangled(
     """Standard balance via the purified two-copy functional."""
     require_dynamics(tau, rho, tol, mode)
     dual = rho_dual(tau, rho)
-    return _db2_entangled(tau, _pair_gram(rho), dual, is_unital(dual, tol).residual, tol)
+    return _db2_entangled(tau, rho._pair_gram, dual, is_unital(dual, tol).residual, tol)
 
 
 def check_sqdb_definition(
@@ -329,7 +326,7 @@ def check_sqdb_entangled(
 ) -> CheckResult:
     """Square-root balance via the purified two-copy functional."""
     require_dynamics(tau, rho, tol, mode)
-    return _sqdb_entangled(tau, _pair_gram(rho), theta_conjugate(tau, th), tol)
+    return _sqdb_entangled(tau, rho._pair_gram, theta_conjugate(tau, th), tol)
 
 
 def check_db2_tfd(
@@ -342,7 +339,7 @@ def check_db2_tfd(
     on all matrix-unit pairs, plus unitality of the state dual."""
     require_dynamics(tau, rho, tol, mode)
     dual = rho_dual(tau, rho)
-    return _db2_tfd(tau, _pair_gram(rho), dual, is_unital(dual, tol).residual, tol)
+    return _db2_tfd(tau, rho._pair_gram, dual, is_unital(dual, tol).residual, tol)
 
 
 def check_sqdb_tfd(
@@ -355,7 +352,7 @@ def check_sqdb_tfd(
     """Square-root balance in mirror form:
     <tau(A) tilde(B)> = <A tilde(Theta tau Theta(B))> on matrix-unit pairs."""
     require_dynamics(tau, rho, tol, mode)
-    return _sqdb_tfd(tau, _pair_gram(rho), theta_conjugate(tau, th), tol)
+    return _sqdb_tfd(tau, rho._pair_gram, theta_conjugate(tau, th), tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -451,13 +448,13 @@ def run_report(
 ) -> BalanceReport:
     """Run every checker on one (channel, state, reversing operation) triple,
     with the mirror checks if tfd; all share one dynamics check, state dual
-    (and its unitality check), Theta-conjugate and pair Gram, and tau's
-    stored entries."""
+    (and its unitality check) and Theta-conjugate, tau's stored entries and
+    the values rho keeps, the pair Gram among them."""
     dynamics = require_dynamics(tau, rho, tol, mode)
     dual = rho_dual(tau, rho)
     un = is_unital(dual, tol)
     conj = theta_conjugate(tau, th)
-    g = _pair_gram(rho)
+    g = rho._pair_gram
     db2_def = _db2_definition(dual, un, tol, mode)
     db2_mod = _db2_modular(tau, rho, tol)
     db2_ent = _db2_entangled(tau, g, dual, un.residual, tol)

@@ -86,6 +86,7 @@ from .states import DensityMatrix, make_density
 from .superop import (
     KrausChannel,
     SuperOperator,
+    _adopt,
     _kron_sandwich,
     from_kraus,
     is_hermitian_map,
@@ -276,7 +277,7 @@ def _parse_channel(obj, n: int, tol: Tolerance) -> KrausChannel | SuperOperator:
             raise SchemaError(
                 "channel.data", f"expected a {n * n}x{n * n} matrix, got {mat.shape}"
             )
-        s = SuperOperator(n, mat)
+        s = _adopt(n, mat)
         herm = is_hermitian_map(s, tol)
         if not herm.passed:
             raise InputNotDynamics(
@@ -322,8 +323,7 @@ def _to_eigenbasis(rho, channel, theta):
     if np.array_equal(v, np.eye(rho.n)):
         return (channel if isinstance(channel, SuperOperator) else from_kraus(channel)), theta
     if isinstance(channel, SuperOperator):
-        mat = _kron_sandwich(channel.mat, rho.n, v.conj().T, v.T, v, v.conj())
-        tau = SuperOperator(rho.n, mat)
+        tau = _adopt(rho.n, _kron_sandwich(channel.mat, rho.n, v.conj().T, v.T, v, v.conj()))
     else:
         tau = from_kraus(KrausChannel(tuple(v.conj().T @ op @ v for op in channel.ops)))
     return tau, ReversingOperation(u=v.conj().T @ theta.u @ v.conj())

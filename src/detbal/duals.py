@@ -25,16 +25,20 @@ those are scaled, with the rows and columns they take in K M^T K
 (SuperOperator._place), and scattered into zeros.  The dual is handed
 those positions and the scaled entries as its own (superop._from_entries),
 so no dual searches its matrix again or permutes a position: those of its
-realignments are read from s.  The Theta-conjugate conj(W) M W,
+realignments are read from s.  The row and column scalings are read from
+rho, which keeps 1 / d and the KMS weights (d_j d_k)^(1/2)
+(states.DensityMatrix).  The Theta-conjugate conj(W) M W,
 W = kron(conj u, u), is O(n^5), and for the plain transpose (u = 1) it is
-s itself, returned as is.
+s itself, returned as is: a ReversingOperation keeps whether it is the
+plain transpose, and holds a read-only copy of u.
 
 The kms dual preserves complete positivity and is an involution; the state
 dual agrees with it exactly when s commutes with the modular map
-Delta(A) = rho A rho^(-1), which modular returns as a SuperOperator.  The
-one-parameter family Delta^(-iz)(A) = rho^(-iz) A rho^(iz) of modular_power
-extends Delta: z = i gives Delta itself, z = i/2 its square root, real z the
-modular unitary group.  All of them are diagonal in the matrix-unit basis.
+Delta(A) = rho A rho^(-1), which modular returns as a SuperOperator, from
+the modular ratios rho keeps.  The one-parameter family
+Delta^(-iz)(A) = rho^(-iz) A rho^(iz) of modular_power extends Delta:
+z = i gives Delta itself, z = i/2 its square root, real z the modular
+unitary group.  All of them are diagonal in the matrix-unit basis.
 
 Thermofield double view.  The cyclic vector of the purified state is
 rho^(1/2) itself, viewed as a Hilbert-Schmidt vector.  Left multiplication
@@ -56,17 +60,19 @@ check_db2_tfd and check_sqdb_tfd, are in balance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DetbalError, DimensionMismatch, NonUnitary, NotInvolutive
-from .linalg import DEFAULT_TOL, Tolerance, _square, as_matrix
+from .linalg import DEFAULT_TOL, Tolerance, _read_only, _square, as_matrix
 from .states import DensityMatrix
 from .superop import (
     _BAR_AXES,
     _DUAL_AXES,
     _INPUT_TRANSPOSE_AXES,
     SuperOperator,
+    _adopt,
     _from_entries,
     _kron_sandwich,
     _realign,
@@ -76,13 +82,13 @@ from .superop import (
 
 def hs_adjoint(s: SuperOperator) -> SuperOperator:
     """Adjoint for the Hilbert-Schmidt inner product: the conjugate transpose."""
-    return SuperOperator(s.n, np.conjugate(s.mat.T, order="C"))
+    return _adopt(s.n, np.conjugate(s.mat.T, order="C"))
 
 
 def bar_map(s: SuperOperator) -> SuperOperator:
     """Transpose conjugate A -> s(A^T)^T; CP for CP input."""
     n = s.n
-    return SuperOperator(n, _realign(s.mat, n, _BAR_AXES).reshape(n * n, n * n))
+    return _adopt(n, _realign(s.mat, n, _BAR_AXES).reshape(n * n, n * n))
 
 
 def trace_dual(s: SuperOperator) -> SuperOperator:
@@ -94,7 +100,7 @@ def trace_dual(s: SuperOperator) -> SuperOperator:
     unital maps have trace-preserving duals and conversely.
     """
     n = s.n
-    return SuperOperator(n, _realign(s.mat, n, _DUAL_AXES).reshape(n * n, n * n))
+    return _adopt(n, _realign(s.mat, n, _DUAL_AXES).reshape(n * n, n * n))
 
 
 def _check_state(s: SuperOperator, rho: DensityMatrix) -> None:
@@ -129,14 +135,15 @@ def _rho_dual_entries(rho: DensityMatrix, dual: np.ndarray, s=None) -> np.ndarra
     """Entries of rho_dual(s, rho).mat.reshape(n, n, n, n) from those of
     the view dual of s.mat realigned by _DUAL_AXES: all of them, or with s
     given, the stored ones (s._entries).  Axes (k, j, k', j') of row j + n k,
-    column j' + n k': rows / d_j, columns * d_j'."""
-    d = rho.diag
+    column j' + n k': rows / d_j, columns * d_j', with 1 / d kept by rho
+    (DensityMatrix._inverse)."""
+    d, inverse = rho.diag, rho._inverse
     if s is None:
-        rows, cols = (1.0 / d)[:, None, None], d
+        rows, cols = inverse[:, None, None], d
     else:
         # index k of a position of the realignment is index _DUAL_AXES[k] of s's
         x = s._digits
-        rows, cols = (1.0 / d).take(x[_DUAL_AXES[1]]), d.take(x[_DUAL_AXES[3]])
+        rows, cols = inverse.take(x[_DUAL_AXES[1]]), d.take(x[_DUAL_AXES[3]])
     m = np.multiply(rows, dual, order="C")
     m *= cols
     return m
@@ -157,8 +164,9 @@ def _kms_dual_entries(rho: DensityMatrix, dual: np.ndarray, s=None) -> np.ndarra
     """Entries of kms_dual(s, rho).mat.reshape(n, n, n, n) from those of
     the view dual of s.mat realigned by _DUAL_AXES, all of them or with s
     given the stored ones (_rho_dual_entries): rows / (d_j d_k)^(1/2),
-    columns * (d_j' d_k')^(1/2)."""
-    half = np.sqrt(np.outer(rho.diag, rho.diag))  # [k, j] -> (d_j d_k)^(1/2), vec index j + n k
+    columns * (d_j' d_k')^(1/2), the KMS weights kept by rho
+    (DensityMatrix._kms_weights)."""
+    half = rho._kms_weights  # [k, j] -> (d_j d_k)^(1/2), vec index j + n k
     if s is None:
         rows, cols = half.reshape(half.shape + (1, 1)), half
     else:
@@ -174,20 +182,15 @@ def hat_map(s: SuperOperator, rho: DensityMatrix) -> SuperOperator:
     return bar_map(rho_dual(s, rho))
 
 
-def _modular_ratios(rho: DensityMatrix) -> np.ndarray:
-    """Diagonal of the modular map in the matrix-unit basis: rho_j / rho_k
-    at vec index j + n k."""
-    return np.outer(1.0 / rho.diag, rho.diag).ravel()
-
-
 def modular(rho: DensityMatrix) -> SuperOperator:
     """The modular map Delta(A) = rho A rho^(-1) of rho.
 
     Positive definite and self-adjoint for the Hilbert-Schmidt inner
-    product, diagonal in the matrix-unit basis with entries rho_j / rho_k.
-    Its square root is modular_power(rho, 0.5j).
+    product, diagonal in the matrix-unit basis with entries rho_j / rho_k
+    (DensityMatrix._modular_ratios).  Its square root is
+    modular_power(rho, 0.5j).
     """
-    return SuperOperator(rho.n, np.diag(_modular_ratios(rho)).astype(complex))
+    return _adopt(rho.n, np.diag(rho._modular_ratios).astype(complex))
 
 
 def modular_power(rho: DensityMatrix, z) -> SuperOperator:
@@ -199,10 +202,10 @@ def modular_power(rho: DensityMatrix, z) -> SuperOperator:
     is not finite (a NaN, or an overflow) raises DetbalError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        d = _modular_ratios(rho) ** (-1j * complex(z))
+        d = rho._modular_ratios ** (-1j * complex(z))
     if not np.all(np.isfinite(d)):
         raise DetbalError("matrix entries must be finite")
-    return SuperOperator(rho.n, np.diag(d))
+    return _adopt(rho.n, np.diag(d))
 
 
 def tilde(a) -> SuperOperator:
@@ -219,14 +222,24 @@ class ReversingOperation:
     For unitary u the map is anti-multiplicative and *-preserving by
     construction.  Applied twice it is A -> w A w^dag with w = u conj(u), so
     it is an involution exactly when w is a phase times the identity;
-    make_reversing checks unitarity and that condition.
+    make_reversing checks unitarity and that condition.  u is a read-only
+    copy of the array given.  The operation keeps whether it is the plain
+    transpose (_is_transpose), formed on the first read.
     """
 
     u: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "u", _read_only(np.array(self.u)))
+
     @property
     def n(self) -> int:
         return self.u.shape[0]
+
+    @cached_property
+    def _is_transpose(self) -> bool:
+        """Whether u is the identity, so that Theta is the plain transpose."""
+        return bool(np.array_equal(self.u, np.eye(self.n)))
 
     def apply(self, a) -> np.ndarray:
         """Theta(a) for an n x n matrix a; another shape raises DimensionMismatch."""
@@ -236,7 +249,7 @@ class ReversingOperation:
         """Matrix kron(conj u, u) K: the columns of kron(conj u, u) permuted."""
         n = self.n
         w = np.kron(self.u.conj(), self.u)
-        return SuperOperator(n, _realign(w, n, _INPUT_TRANSPOSE_AXES).reshape(n * n, n * n))
+        return _adopt(n, _realign(w, n, _INPUT_TRANSPOSE_AXES).reshape(n * n, n * n))
 
 
 def make_reversing(u, tol: Tolerance = DEFAULT_TOL) -> ReversingOperation:
@@ -276,11 +289,12 @@ def theta_conjugate(s: SuperOperator, th: ReversingOperation) -> SuperOperator:
 
     Its matrix is conj(W) M W with W = kron(conj u, u), four batched n x n
     products (superop._kron_sandwich); Theta s Theta is bar_map of it.  For
-    the plain transpose (u = 1) the map is s, and s itself is returned.
+    the plain transpose (u = 1, ReversingOperation._is_transpose) the map
+    is s, and s itself is returned.
     """
     if s.n != th.n:
         raise DimensionMismatch(f"map on M_{s.n} vs reversing operation on M_{th.n}")
-    u = th.u
-    if np.array_equal(u, np.eye(s.n)):
+    if th._is_transpose:
         return s
-    return SuperOperator(s.n, _kron_sandwich(s.mat, s.n, u.conj(), u, u, u.conj()))
+    u = th.u
+    return _adopt(s.n, _kron_sandwich(s.mat, s.n, u.conj(), u, u, u.conj()))

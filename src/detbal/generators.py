@@ -37,7 +37,7 @@ from .duals import bar_map, kms_dual
 from .errors import DetbalError
 from .linalg import hermitian_eig, mat_power
 from .states import DensityMatrix, make_density
-from .superop import KrausChannel, SuperOperator, from_kraus
+from .superop import KrausChannel, SuperOperator, _adopt, from_kraus
 
 
 def _gaussian(rng, n: int) -> np.ndarray:
@@ -193,7 +193,7 @@ def degenerate_db2_channel(
         for lo, hi in blocks:
             u[lo:hi, lo:hi] = _unitary(rng, hi - lo)
         mat += w * np.kron(u.conj(), u)
-    return SuperOperator(n, mat), rho
+    return _adopt(n, mat), rho
 
 
 def symmetrized_sqdb_channel(
@@ -210,9 +210,9 @@ def symmetrized_sqdb_channel(
     """
     gad, rho = gad_sqdb_channel(p, s)
     ph = np.diag([1.0, np.exp(1j * phi)])
-    beta = SuperOperator(2, np.kron(ph.conj(), ph) @ gad.mat)
+    beta = _adopt(2, np.kron(ph.conj(), ph) @ gad.mat)
     partner = bar_map(kms_dual(beta, rho))
-    return SuperOperator(2, 0.5 * (beta.mat + partner.mat)), rho
+    return _adopt(2, 0.5 * (beta.mat + partner.mat)), rho
 
 
 def metropolis_chain(n: int, seed: int) -> ClassicalChain:

@@ -7,7 +7,8 @@ sorted descending.  The driver is deterministic for a fixed numpy/LAPACK
 build: identical input bits give identical output bits on one build, though
 another build may differ in the last digits or pick another basis inside a
 degenerate eigenspace.  Every function here is pure: inputs are never
-modified.
+modified, except that _read_only switches off writes into the array it is
+handed.
 
 The Hilbert-Schmidt inner product is conjugate-linear in the first
 argument: hs_inner(a, b) = tr(a^dag b).
@@ -97,6 +98,12 @@ def _negativity(lam_min, lam_max):
     dips below zero relative to its top eigenvalue, floor 1; +0.0 (not -0.0)
     when lam_min is zero."""
     return np.maximum(-lam_min, 0.0) / np.maximum(1.0, lam_max)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, with writes into it switched off."""
+    a.flags.writeable = False
+    return a
 
 
 def _numeric(x, dtype=complex) -> np.ndarray:

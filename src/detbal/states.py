@@ -14,12 +14,20 @@ matches only for w = identity, which is the default.  The classically
 correlated counterpart theta_eval, sum_j rho_j a_jj b_jj, shares both
 marginals but has no off-diagonal correlations; the gap between the two is
 what the balance checks in this package exploit.
+
+A DensityMatrix holds read-only copies of its eigenvalues and basis, and
+keeps the values that the balance checks derive from rho alone, each
+formed on its first read and read-only: 1 / d, the pair Gram diagonal
+kron(d^(1/2), d^(1/2)) of the purified two-copy functional, the modular
+ratios d_j / d_k, the KMS weights (d_j d_k)^(1/2) and vec(rho).  Every
+check on the same state reads them instead of forming them again.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,10 +37,12 @@ from .linalg import (
     CheckResult,
     Tolerance,
     _eig_descending,
+    _read_only,
     _square,
     _verdict,
     as_matrix,
 )
+from .superop import vec
 
 _DEGENERACY_GAP = 1e-8
 
@@ -45,13 +55,48 @@ class DensityMatrix:
     with V^dag rho_user V = diag(diag).  degenerate flags an eigenvalue gap
     below 1e-8, in which case the eigenbasis (and with it the purification
     below) is not canonical: V is still fixed deterministically by the
-    eigensolver, but physically distinct choices exist.
+    eigensolver, but physically distinct choices exist.  diag and basis are
+    read-only copies of the arrays given.
     """
 
     n: int
     diag: np.ndarray
     basis: np.ndarray
     degenerate: bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "diag", _read_only(np.array(self.diag)))
+        object.__setattr__(self, "basis", _read_only(np.array(self.basis)))
+
+    @cached_property
+    def _inverse(self) -> np.ndarray:
+        """1 / d, the row scaling of the state dual."""
+        return _read_only(1.0 / self.diag)
+
+    @cached_property
+    def _pair_gram(self) -> np.ndarray:
+        """Diagonal of the Gram matrix kron(r, conj(r)) of omega (w = 1) and
+        of the mirror Gram matrix kron(rho^(1/2), (rho^(1/2))^T):
+        kron(d^(1/2), d^(1/2)), rho = diag(d)."""
+        half = np.sqrt(self.diag)
+        return _read_only(np.outer(half, half).ravel())
+
+    @cached_property
+    def _modular_ratios(self) -> np.ndarray:
+        """Diagonal of the modular map in the matrix-unit basis: d_j / d_k
+        at vec index j + n k."""
+        return _read_only(np.outer(self._inverse, self.diag).ravel())
+
+    @cached_property
+    def _kms_weights(self) -> np.ndarray:
+        """(d_j d_k)^(1/2) at [k, j], vec index j + n k: the row and column
+        scalings of the kms dual."""
+        return _read_only(np.sqrt(np.outer(self.diag, self.diag)))
+
+    @cached_property
+    def _vec(self) -> np.ndarray:
+        """vec(rho) in the eigenbasis, the state-invariance test vector."""
+        return _read_only(vec(self.matrix()))
 
     def matrix(self) -> np.ndarray:
         """The density matrix in its eigenbasis (diagonal)."""

@@ -11,13 +11,17 @@ solves only the coupled rows of the Choi matrix; the rest are 1x1 blocks.
 
 A SuperOperator holds one C-ordered complex n^2 x n^2 matrix, read-only,
 so each realignment of it (_realign, axes defined here only) is a view.
-A map keeps values computed from that matrix on their first read: where
-it stores entries (_at and more, below) and the numbers of its CP test
-(_choi_spectrum): the Choi Hermiticity residual and the smallest and
-largest Choi eigenvalue, which do not depend on the tolerance.  Every CP
-test of the map after the first, from any public check, forms its verdict
-from those three numbers without solving again.  The positivity probe
-(is_positive_map) keeps nothing.
+No caller can write into it: an input array is kept only when it, and
+every array it views, is read-only, and copied otherwise; the builders
+here and in duals hand over arrays they made, frozen (_adopt).  A map
+keeps values computed from that matrix on their first read, none of which
+depends on the tolerance: where it stores entries (_at and more, below),
+its unital residual ||s(1) - 1|| (_unital_residual), and the numbers of
+its CP test (_choi_spectrum): the Choi Hermiticity residual, the smallest
+and largest Choi eigenvalue and the Choi negativity.  Every unitality or
+CP test of the map after the first, from any public check, forms its
+verdict from those numbers without computing them again.  The positivity
+probe (is_positive_map) keeps nothing.
 
 _stored decides, for the CP test and every other O(n^4) kernel, whether a
 map's stored entries are followed instead of all n^4: at n >= 7 with at
@@ -42,7 +46,8 @@ coupled block (a copy of the Choi view if every row couples) and diagonal
 from the matrix; the Choi Hermiticity residual is summed over the stored
 entries and may differ from the dense form's in the last bits.  Any other
 map has the Choi matrix and its transpose read as views of its matrix,
-with one n^2 x n^2 buffer.  No function here writes into its input.
+with one n^2 x n^2 buffer.  No function here writes into its input;
+_adopt only switches off writes into the array a builder hands it.
 """
 
 from __future__ import annotations
@@ -88,20 +93,23 @@ def unvec(v, n: int | None = None) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SuperOperator:
     """Linear map on M_n stored as its n^2 x n^2 column-stacking matrix, one
-    C-ordered complex array, read-only: a view of the input when given as
-    one, else converted once.  A non-integer n, n < 1 or another shape
-    raises DimensionMismatch."""
+    C-ordered complex array, read-only: the input itself when it is one and
+    no caller can write into it (_writable_elsewhere), else a copy or a
+    conversion made once.  A non-integer n (a bool is none), n < 1 or
+    another shape raises DimensionMismatch."""
 
     n: int
     mat: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)):
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
             raise DimensionMismatch(f"map dimension must be an integer, got {self.n!r}")
-        mat = np.ascontiguousarray(_numeric(self.mat)).view()
+        mat = np.ascontiguousarray(_numeric(self.mat))
         if self.n < 1 or mat.shape != (self.n * self.n,) * 2:
             raise DimensionMismatch(f"map on M_{self.n} with a matrix of shape {mat.shape}")
-        mat.flags.writeable = False  # a write would leave _at and _choi_spectrum stale
+        if _writable_elsewhere(mat, self.mat):
+            mat = mat.copy()
+        mat.flags.writeable = False  # a write would leave the kept values stale
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "_placed", {})  # SuperOperator._place, by axes
 
@@ -116,10 +124,25 @@ class SuperOperator:
         return self.mat.take(self._at)
 
     @cached_property
+    def _unital_residual(self) -> float:
+        """||s(1) - 1|| (is_unital), formed on the first read.
+
+        s(1) = sum_j s(E_jj), and column j + n j of mat is vec(s(E_jj)), so
+        vec(s(1)) is the sum of the n diagonal-unit columns; 1 sits at the
+        same positions j + n j of the result.  No product with vec(1) is
+        formed."""
+        n = self.n
+        defect = self.mat[:, :: n + 1].sum(axis=1)
+        defect[:: n + 1] -= 1.0
+        return float(np.linalg.norm(defect))
+
+    @cached_property
     def _choi_spectrum(self):
-        """The Choi Hermiticity residual and the extreme eigenvalues of the
-        Choi matrix's Hermitian part (_choi_test), solved on the first read."""
-        return _choi_test(self)
+        """The Choi Hermiticity residual, the extreme eigenvalues of the
+        Choi matrix's Hermitian part (_choi_test), solved on the first read,
+        and the Choi negativity they give."""
+        herm, lam_min, lam_max = _choi_test(self)
+        return herm, lam_min, lam_max, float(_negativity(lam_min, lam_max))
 
     def _place(self, axes):
         """Where the realignment of mat by axes (_realign) stores entries,
@@ -160,18 +183,49 @@ class SuperOperator:
         """self after other: (self.compose(other)).apply(x) = self(other(x))."""
         if self.n != other.n:
             raise DimensionMismatch(f"cannot compose maps on M_{self.n} and M_{other.n}")
-        return SuperOperator(self.n, self.mat @ other.mat)
+        return _adopt(self.n, self.mat @ other.mat)
 
     def power(self, k: int) -> "SuperOperator":
-        """k-fold composition with itself; k = 0 gives the identity map."""
-        if not (k >= 0 and k % 1 == 0):  # inf % 1 and a NaN compare False
+        """k-fold composition with itself; k = 0 gives the identity map.  A
+        bool k raises ValueError, as a negative or fractional one does."""
+        # inf % 1 and a NaN compare False
+        if isinstance(k, (bool, np.bool_)) or not (k >= 0 and k % 1 == 0):
             raise ValueError(f"power wants a nonnegative integer, got {k!r}")
-        return SuperOperator(self.n, np.linalg.matrix_power(self.mat, int(k)))
+        return _adopt(self.n, np.linalg.matrix_power(self.mat, int(k)))
+
+
+def _writable_elsewhere(mat: np.ndarray, given) -> bool:
+    """Whether a caller could still write into mat, the array SuperOperator
+    made of its input given: mat holds given's memory (numpy converted
+    nothing), and mat or an array it views is writable, or its memory is
+    a buffer other than bytes.  A converted input is new memory."""
+    if isinstance(given, np.ndarray):
+        if not np.may_share_memory(mat, given):
+            return False
+    elif mat.base is None:  # built from a list or a scalar
+        return False
+    a = mat
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return True
+        a = a.base
+    return a is not None and not isinstance(a, bytes)
+
+
+def _adopt(n: int, mat: np.ndarray) -> SuperOperator:
+    """The map of a matrix that a builder made for it and keeps no other
+    reference to: mat and every array it views are frozen in place, so the
+    map keeps mat without a copy."""
+    a = mat
+    while isinstance(a, np.ndarray):
+        a.flags.writeable = False
+        a = a.base
+    return SuperOperator(n, mat)
 
 
 def identity_superop(n: int) -> SuperOperator:
     """The identity map on M_n."""
-    return SuperOperator(n, np.eye(n * n, dtype=complex))
+    return _adopt(n, np.eye(n * n, dtype=complex))
 
 
 # The realignments in use (_realign, SuperOperator._place), each an
@@ -225,7 +279,7 @@ def pi_rep(a, b) -> SuperOperator:
     b = as_matrix(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"factor shapes differ: {a.shape} vs {b.shape}")
-    return SuperOperator(a.shape[0], np.kron(b, a))
+    return _adopt(a.shape[0], np.kron(b, a))
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,7 +321,7 @@ def from_kraus(k) -> SuperOperator:
     mat = np.zeros((n * n, n * n), dtype=complex)
     for v in k.ops:
         mat += (v.conj()[:, None, :, None] * v[None, :, None, :]).reshape(n * n, n * n)
-    return SuperOperator(n, mat)
+    return _adopt(n, mat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,11 +414,11 @@ def _from_entries(s: SuperOperator, axes, entries: np.ndarray) -> SuperOperator:
     realignments from s (SuperOperator._place)."""
     n = s.n
     if s._at is None:
-        new = SuperOperator(n, entries.reshape(n * n, n * n))
+        new = _adopt(n, entries.reshape(n * n, n * n))
         new.__dict__["_at"] = None  # where cached_property keeps its value
         return new
     flat = s._place(axes)[0]
-    new = SuperOperator(n, _spread(entries, flat, n**4).reshape(n * n, n * n))
+    new = _adopt(n, _spread(entries, flat, n**4).reshape(n * n, n * n))
     entries.flags.writeable = False
     new.__dict__.update(_at=flat, _entries=entries, _source=(s, axes))
     return new
@@ -479,17 +533,17 @@ def is_completely_positive(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> Ch
     of H with no nonzero off-diagonal entry (exact test) keeps its diagonal
     entry; the coupled rows go to eigvalsh as one block, or H whole when
     every row couples.  A map solves it once, on its first CP test, and
-    keeps the residual and the two extreme eigenvalues
+    keeps the residual, the two extreme eigenvalues and the negativity
     (SuperOperator._choi_spectrum); the verdict under tol is formed on
     every call.  Both routes of _choi_test give the same eigenvalues; the
     residual may differ in its last bits.  A map with a non-finite entry
     fails with residual NaN on either route, unsolved (_block_spectrum).
     """
-    herm, lam_min, lam_max = s._choi_spectrum
+    herm, lam_min, lam_max, negativity = s._choi_spectrum
     return _verdict(
         tol,
         {"choi_hermiticity": herm},
-        psd={"choi_negativity": float(_negativity(lam_min, lam_max))},
+        psd={"choi_negativity": negativity},
         info={"choi_min_eigenvalue": lam_min, "choi_max_eigenvalue": lam_max},
     )
 
@@ -532,17 +586,12 @@ def is_positive_map(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> CheckResu
 
 
 def is_unital(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
-    """Unitality test: residual ||s(1) - 1||.
-
-    s(1) = sum_j s(E_jj), and column j + n j of s.mat is vec(s(E_jj)), so
-    vec(s(1)) is the sum of the n diagonal-unit columns; 1 sits at the same
-    positions j + n j of the result.  No product with vec(1) is formed.
-    A -> s(A^T)^T sends 1 to s(1)^T: the same residual, summed in another order.
+    """Unitality test: residual ||s(1) - 1||, formed once per map and kept
+    (SuperOperator._unital_residual); the verdict under tol is formed on
+    every call.  A -> s(A^T)^T sends 1 to s(1)^T: the same residual, summed
+    in another order.
     """
-    n = s.n
-    defect = s.mat[:, :: n + 1].sum(axis=1)
-    defect[:: n + 1] -= 1.0
-    return _verdict(tol, {"unital": float(np.linalg.norm(defect))})
+    return _verdict(tol, {"unital": s._unital_residual})
 
 
 def is_hermitian_map(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> CheckResult:

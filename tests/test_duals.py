@@ -8,6 +8,7 @@ import pytest
 from detbal import superop
 from detbal.balance import check_db2_definition, check_sqdb_definition
 from detbal.duals import (
+    ReversingOperation,
     bar_map,
     hat_map,
     hs_adjoint,
@@ -488,3 +489,47 @@ def test_theta_conjugate_is_involutive():
 def test_theta_conjugate_of_identity():
     th = make_reversing(np.diag([1.0, 1j, -1.0]))
     assert np.allclose(theta_conjugate(identity_superop(3), th).mat, np.eye(9), atol=1e-13)
+
+
+def reversings():
+    """The plain transpose (also from a real identity), the spin reversal
+    and a rotated u = v v^T, each with a channel of its dimension."""
+    rng = np.random.default_rng(95)
+    v = haar(3, rng)
+    yield transpose_reversing(3), random_channel(3, 2, 95)
+    yield make_reversing(np.eye(2)), random_channel(2, 2, 96)
+    yield make_reversing(np.array([[0.0, 1.0], [-1.0, 0.0]])), random_channel(2, 2, 97)
+    yield make_reversing(v @ v.T), random_channel(3, 2, 98)
+
+
+def test_kept_transpose_test_is_the_formula_bit_for_bit():
+    """A reversing operation's kept transpose test is np.array_equal(u, 1),
+    and theta_conjugate returns s itself for the transpose, else the
+    sandwich conj(W) M W, bit for bit."""
+    seen = []
+    for th, s in reversings():
+        u, n = th.u, th.n
+        plain = bool(np.array_equal(u, np.eye(n)))
+        assert th._is_transpose is plain
+        got = theta_conjugate(s, th)
+        if plain:
+            assert got is s
+        else:
+            want = superop._kron_sandwich(s.mat, n, u.conj(), u, u, u.conj())
+            assert got.mat.tobytes() == want.tobytes()
+        seen.append(plain)
+    assert seen == [True, True, False, False]
+
+
+def test_reversing_u_is_a_read_only_copy():
+    """th.u refuses writes, and an operation built from a caller's array
+    does not change when the caller writes to it."""
+    for th, _ in reversings():
+        with pytest.raises(ValueError):
+            th.u[0, 0] = 2.0
+    u = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    for th in (ReversingOperation(u=u), make_reversing(u)):
+        u[0, 1] = 5.0
+        assert np.array_equal(th.u, [[0.0, 1.0], [-1.0, 0.0]])
+        u[0, 1] = 1.0
+    assert u.flags.writeable

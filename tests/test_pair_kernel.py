@@ -88,6 +88,7 @@ from detbal.generators import (
 )
 from detbal.linalg import DEFAULT_TOL, _verdict, matrix_units
 from detbal.states import (
+    DensityMatrix,
     expectation,
     make_density,
     marginals_check,
@@ -755,7 +756,7 @@ def kernel_checks(tau, rho, th, mode=MODE_CP):
     tau = SuperOperator(tau.n, tau.mat)
     dual = rho_dual(tau, rho)
     conj = theta_conjugate(tau, th)
-    g = balance._pair_gram(rho)
+    g = rho._pair_gram
     tol = DEFAULT_TOL
     un = is_unital(dual, tol)
     return {
@@ -980,7 +981,7 @@ def test_union_norms_read_the_realigned_views(n, family, zeros):
         idx = np.unravel_index(np.flatnonzero((left != 0) | (right != 0)), (n,) * 4)
         return float(np.linalg.norm(left[idx] - right[idx]))
 
-    g = balance._pair_gram(rho)
+    g = rho._pair_gram
     got = balance._db2_entangled(tau, g, dual, 0.0, DEFAULT_TOL).detail["hat_vs_channel"]
     hat = superop._realign(dual.mat, n, _BAR_AXES)
     assert same_bits(got, union_norm(hat, tau.mat.reshape((n,) * 4)))
@@ -1045,6 +1046,56 @@ def test_one_choi_solve_per_map(family, n, monkeypatch):
     assert solved[0] is tau
     assert all(s is not tau for s in solved[1:])
     assert solved[1] is not solved[2]
+
+
+# the values each object keeps, formed from that object alone
+KEPT = {
+    SuperOperator: ("_unital_residual",),
+    DensityMatrix: ("_inverse", "_pair_gram", "_modular_ratios", "_kms_weights", "_vec"),
+    ReversingOperation: ("_is_transpose",),
+}
+
+
+@pytest.mark.parametrize("family,n", [("random-unital", 3), ("schur-db2", 8)])
+def test_derived_values_formed_once(family, n, monkeypatch):
+    """Each object forms the values derived from it alone once: over every
+    public entry point on one channel, dense (random-unital) or on the
+    stored-entry route (schur-db2 at n = 8), the channel's unital residual
+    is computed once, and each state dual (a new map per call that builds
+    it) computes its own once; the state forms each kept vector once, and
+    Theta runs its transpose test once."""
+    rho = random_density(n, seed=337)
+    if family == "schur-db2":
+        tau = schur_db2_channel(rho, seed=337)
+    else:
+        tau = random_unital_channel(n, 3, 337)
+    th = transpose_reversing(n)
+    formed = collections.Counter()
+    for cls, names in KEPT.items():
+        for name in names:
+            prop = cls.__dict__[name]
+
+            def counted(obj, name=name, real=prop.func):
+                formed[name, obj] += 1
+                return real(obj)
+
+            monkeypatch.setattr(prop, "func", counted)
+    run_report(tau, rho, th, tfd=True)
+    for check in (check_db2_definition, check_db2_modular, check_db2_entangled, check_db2_tfd):
+        check(tau, rho)
+    for check in (check_sqdb_definition, check_sqdb_entangled, check_sqdb_tfd):
+        check(tau, rho, th)
+    require_dynamics(tau, rho)
+    assert (tau._at is not None) == (family == "schur-db2")
+    assert set(formed.values()) == {1}
+    # the channel and the state duals of run_report and of the three db2
+    # checks that build one
+    maps = [obj for name, obj in formed if name == "_unital_residual"]
+    assert len(maps) == 5 and tau in maps
+    assert {key for key in formed if key[0] != "_unital_residual"} == {
+        *((name, rho) for name in KEPT[DensityMatrix]),
+        ("_is_transpose", th),
+    }
 
 
 def poisoned(tau, spot, bad):

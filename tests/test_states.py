@@ -8,6 +8,7 @@ import pytest
 from detbal.errors import DimensionMismatch, NonUnitary, NotDensity, NotInvertible
 from detbal.linalg import matrix_unit
 from detbal.states import (
+    DensityMatrix,
     expectation,
     make_density,
     marginals_check,
@@ -233,3 +234,57 @@ def test_omega_basis_change_rule():
         lhs = np.trace(rv.conj().T @ a @ rv @ b.T)
         rhs = omega_eval(p, v.conj().T @ a @ v, v.conj().T @ b @ v)
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+def same_array(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def states_1_to_12():
+    """A random state at every n = 1 ... 12, and degenerate ones: the
+    maximally mixed state and one with a repeated pair of eigenvalues."""
+    for n in range(1, 13):
+        u = haar_unitary(n, 70 + n)
+        lam = np.linspace(2.0, 1.0, n)
+        lam /= lam.sum()
+        yield make_density(u @ np.diag(lam) @ u.conj().T)
+        yield make_density(np.eye(n) / n)
+        if n >= 3:
+            lam = np.linspace(2.0, 1.0, n)
+            lam[1] = lam[2]
+            yield make_density(np.diag(lam / lam.sum()))
+
+
+def test_kept_state_values_are_the_formulas_bit_for_bit():
+    """Each value a state keeps is bit-equal to the formula it replaced."""
+    for rho in states_1_to_12():
+        d = rho.diag
+        half = np.sqrt(d)
+        want = {
+            "_inverse": 1.0 / d,
+            "_pair_gram": np.outer(half, half).ravel(),
+            "_modular_ratios": np.outer(1.0 / d, d).ravel(),
+            "_kms_weights": np.sqrt(np.outer(d, d)),
+            "_vec": rho.matrix().reshape(-1, order="F"),
+        }
+        for name, value in want.items():
+            assert same_array(getattr(rho, name), value), (rho.n, name)
+    assert any(rho.degenerate for rho in states_1_to_12())
+
+
+def test_state_arrays_are_read_only_copies():
+    """diag, basis and every kept array refuse writes, and a state built
+    from a caller's arrays does not change when the caller writes to them."""
+    u = haar_unitary(3, 80)
+    rho = make_density(u @ np.diag([0.5, 0.3, 0.2]) @ u.conj().T)
+    kept = ("_inverse", "_pair_gram", "_modular_ratios", "_kms_weights", "_vec")
+    for name in ("diag", "basis", *kept):
+        a = getattr(rho, name)
+        with pytest.raises(ValueError):
+            a.flat[0] = 0.0
+    diag, basis = np.array([0.75, 0.25]), np.eye(2, dtype=complex)
+    built = DensityMatrix(n=2, diag=diag, basis=basis, degenerate=False)
+    diag[0], basis[0, 0] = 9.0, 9.0
+    assert np.array_equal(built.diag, [0.75, 0.25])
+    assert np.array_equal(built.basis, np.eye(2))
+    assert diag.flags.writeable and basis.flags.writeable

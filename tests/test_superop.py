@@ -126,8 +126,10 @@ def test_apply_shape_guard():
 @pytest.mark.parametrize(
     "n,mat",
     [(3, np.eye(4)), (2, np.ones((4, 3))), (2, np.ones(16)), (2, np.ones((2, 2, 2, 2))),
-     (0, np.ones((0, 0))), (2.0, np.eye(4)), (np.float64(2.0), np.eye(4)), ("2", np.eye(4))],
-    ids=["n3-4x4", "4x3", "1d", "4d", "n0", "float-n", "numpy-float-n", "str-n"],
+     (0, np.ones((0, 0))), (2.0, np.eye(4)), (np.float64(2.0), np.eye(4)), ("2", np.eye(4)),
+     (True, np.eye(1)), (np.True_, np.eye(1))],
+    ids=["n3-4x4", "4x3", "1d", "4d", "n0", "float-n", "numpy-float-n", "str-n", "bool-n",
+         "numpy-bool-n"],
 )
 def test_superoperator_rejects_a_matrix_of_another_shape(n, mat):
     # a float n = 2.0 would admit the 4 x 4 matrix, since 2.0 * 2.0 == 4
@@ -151,6 +153,27 @@ def test_superoperator_matrix_is_read_only():
     assert SuperOperator(3, kept).mat[0, 0] == 2.0
 
 
+@pytest.mark.parametrize("given", ["plain", "read-only-view"])
+def test_a_write_into_the_input_leaves_the_map_alone(given):
+    """A map copies an input a caller can still write into, also through a
+    read-only view of a writable array, so its kept values never go stale:
+    a write into the identity channel's matrix after its CP and unitality
+    tests changes neither the map nor their verdicts, while a fresh map on
+    the written matrix fails."""
+    a = np.eye(4, dtype=complex)
+    view = a
+    if given == "read-only-view":
+        view = a.view()
+        view.flags.writeable = False
+    s = SuperOperator(2, view)
+    assert is_completely_positive(s).passed and is_unital(s).passed
+    a[0, 0] = -5
+    assert np.array_equal(s.mat, np.eye(4))
+    assert is_completely_positive(s).passed and is_unital(s).passed
+    assert is_completely_positive(SuperOperator(2, s.mat)).passed
+    assert not is_completely_positive(SuperOperator(2, a)).passed
+
+
 @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2), (1, 4, 1)])
 def test_vec_wants_a_matrix(shape):
     # numpy would flatten any shape: length 3 and 8 for the middle two
@@ -167,8 +190,8 @@ def test_unvec_takes_n_from_the_size():
 
 def test_superoperator_holds_one_c_ordered_complex_matrix():
     """A real or Fortran-ordered input gives the same map, stored C-ordered
-    and complex; a C-ordered complex input is kept without a copy, as a
-    read-only view."""
+    and complex; a C-ordered complex input is copied while a caller can
+    still write into it, and kept without a copy once it is read-only."""
     rng = np.random.default_rng(13)
     real = rng.standard_normal((9, 9))
     want = SuperOperator(3, real.astype(complex))
@@ -180,7 +203,13 @@ def test_superoperator_holds_one_c_ordered_complex_matrix():
         assert np.array_equal(s.apply(x), want.apply(x))
     m = random_mat(9, rng)
     s = SuperOperator(3, m)
-    assert s.mat.base is m and not s.mat.flags.writeable
+    assert not np.shares_memory(s.mat, m) and not s.mat.flags.writeable
+    assert np.array_equal(s.mat, m) and m.flags.writeable
+    m.flags.writeable = False
+    assert SuperOperator(3, m).mat is m
+    # read-only memory of bytes is kept as it is
+    frozen = np.frombuffer(m.tobytes(), dtype=complex).reshape(9, 9)
+    assert SuperOperator(3, frozen).mat is frozen
     # a sparse real or Fortran-ordered input takes the stored-entry route
     for given in (np.eye(49), np.asfortranarray(np.eye(49, dtype=complex))):
         assert superop._stored(SuperOperator(7, given).mat, 7) is not None
@@ -199,6 +228,9 @@ def test_compose_and_power():
         a.power(-1)
     with pytest.raises(ValueError):
         a.power(float("inf"))
+    for k in (True, False, np.True_):
+        with pytest.raises(ValueError):
+            a.power(k)
     with pytest.raises(DimensionMismatch):
         a.compose(identity_superop(3))
 

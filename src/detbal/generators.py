@@ -172,17 +172,20 @@ def degenerate_db2_channel(
     Convex mixture of three conjugations by unitaries block-diagonal along
     the eigenvalue multiplicities: each commutes with the state, so the
     mixture is CP, unital, modular-commuting and state-preserving, while the
-    degenerate spectrum exercises the non-canonical-basis code path.
+    degenerate spectrum exercises the non-canonical-basis code path.  The
+    spectrum may come in any order: the blocks follow rho.diag, the
+    descending eigenbasis that the channel is stated in.
     """
     spectrum = np.asarray(spectrum, dtype=float)
     rho = make_density(np.diag(spectrum))
     if not rho.degenerate:
         raise ValueError("spectrum must contain a repeated eigenvalue")
     rng = np.random.default_rng(seed)
+    lam = rho.diag
     blocks = []
     start = 0
-    for j in range(1, len(spectrum) + 1):
-        if j == len(spectrum) or abs(spectrum[j] - spectrum[j - 1]) > 1e-12:
+    for j in range(1, len(lam) + 1):
+        if j == len(lam) or abs(lam[j] - lam[j - 1]) > 1e-12:
             blocks.append((start, j))
             start = j
     n = rho.n

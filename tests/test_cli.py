@@ -11,29 +11,39 @@ import pytest
 
 import detbal.balance
 from detbal import (
+    MODE_CP,
+    MODE_POSITIVITY,
     InputNotDynamics,
     NotInvolutive,
     SchemaError,
     Tolerance,
+    cycle_chain,
+    degenerate_db2_channel,
     gad_sqdb_channel,
+    metropolis_chain,
     random_density,
+    random_unital_channel,
     random_unitary,
     run_report,
     schur_db2_channel,
+    symmetrized_sqdb_channel,
     transpose_reversing,
 )
 import detbal.cli
 from detbal.cli import (
+    ParsedProblem,
     _build_parser,
     _finite,
     _is_number,
     _parse_matrix,
+    _render_json,
     _verdict,
     generate_payload,
     main,
     parse_problem,
     run_checks,
 )
+from detbal.linalg import DEFAULT_TOL
 
 QUANTUM_CHECKS = (
     "db2_definition",
@@ -928,3 +938,101 @@ def test_module_runs_as_script(tmp_path):
         text=True,
     )
     assert run.returncode == 0
+
+
+def _json_dumps(payload) -> str:
+    """The bytes _render_json must write: json's own indented encoding."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+_DEGENERATE_SPECTRA = {2: (0.5, 0.5), 3: (0.5, 0.25, 0.25), 4: (0.4, 0.2, 0.2, 0.2)}
+
+
+def _quantum_problem(family, n):
+    seed = 40 + n
+    if family == "degenerate-db2":
+        tau, rho = degenerate_db2_channel(seed, spectrum=_DEGENERATE_SPECTRA[n])
+    elif family == "gad-sqdb":
+        tau, rho = gad_sqdb_channel(0.75, 0.2)
+    elif family == "symmetrized-sqdb":
+        tau, rho = symmetrized_sqdb_channel(0.7, 0.3)
+    else:
+        rho = random_density(n, seed=seed)
+        if family == "schur-db2":
+            tau = schur_db2_channel(rho, seed)
+        else:
+            tau = random_unital_channel(n, 3, seed)
+    return ParsedProblem(
+        kind="quantum", tol=DEFAULT_TOL, powers=(1, 2), rho=rho, tau=tau,
+        theta=transpose_reversing(rho.n),
+    )
+
+
+RENDERED_PROBLEMS = [
+    (family, n)
+    for family in ("schur-db2", "random-unital", "degenerate-db2")
+    for n in (2, 3, 4)
+] + [("gad-sqdb", 2), ("symmetrized-sqdb", 2)]
+
+
+@pytest.mark.parametrize("family,n", RENDERED_PROBLEMS)
+def test_render_json_matches_json_dumps_on_quantum_reports(family, n):
+    parsed = _quantum_problem(family, n)
+    for tfd in (False, True):
+        for mode in (MODE_CP, MODE_POSITIVITY):
+            for assertion in ("db2", "sqdb"):
+                payload = run_checks(parsed, tfd=tfd, assertion=assertion, mode=mode)
+                assert _render_json(payload) == _json_dumps(payload)
+
+
+@pytest.mark.parametrize("chain", [metropolis_chain(3, 5), cycle_chain(4)], ids=["metropolis", "cycle"])
+def test_render_json_matches_json_dumps_on_classical_reports(chain):
+    parsed = ParsedProblem(kind="classical", tol=DEFAULT_TOL, powers=(1, 2), chain=chain)
+    for mode in (MODE_CP, MODE_POSITIVITY):
+        for assertion in ("db2", "sqdb"):
+            payload = run_checks(parsed, assertion=assertion, mode=mode)
+            assert _render_json(payload) == _json_dumps(payload)
+
+
+@pytest.mark.parametrize("family", ["schur-db2", "gad-sqdb", "random-unital", "metropolis", "cycle"])
+def test_render_json_matches_json_dumps_on_generated_files(family):
+    for seed in (0, 1):
+        payload = generate_payload(family, None, 3, 0.75, 0.2, seed)
+        assert _render_json(payload) == _json_dumps(payload)
+
+
+RENDER_EDGES = {
+    "nan": float("nan"),
+    "infinities": [float("inf"), -float("inf")],
+    "negative-zero": -0.0,
+    "subnormal": 5e-324,
+    "large-float": 1e16,
+    "large-int": 2**70,
+    "np-float64": [np.float64(0.1), np.float64(-2.5e-300)],
+    "bools-and-none": [True, False, None, {"t": True, "n": None}],
+    "empty": [{}, [], ()],
+    "nested-empty": {"a": {"b": {}}, "c": [[], [{}]]},
+    "tuples": (1, (2.5, "x"), {"k": (None,)}),
+    "quotes": 'say "hi"',
+    "backslash": "a\\b",
+    "control": "\x00\x01\x1f\n\r\t\b\f\x7f",
+    "non-ascii": "héllo ✓ 𝔼",
+    "lone-surrogate": "\ud800",
+    "key-escapes": {'"q"': 1, "\n": 2, "é": 3, "": 4},
+}
+
+
+@pytest.mark.parametrize("value", list(RENDER_EDGES.values()), ids=list(RENDER_EDGES))
+def test_render_json_matches_json_dumps_on_edge_values(value):
+    assert _render_json(value) == _json_dumps(value)
+    assert _render_json({"v": value, "w": [value]}) == _json_dumps({"v": value, "w": [value]})
+
+
+@pytest.mark.parametrize(
+    "value",
+    [np.int64(1), {1, 2}, {1: "one"}, [np.bool_(True)], {"a": [object()]}],
+    ids=["np-int64", "set", "non-str-key", "np-bool", "nested-object"],
+)
+def test_render_json_raises_type_error_where_json_would_not_encode(value):
+    with pytest.raises(TypeError):
+        _render_json(value)

@@ -199,6 +199,17 @@ def test_degenerate_db2_channel_contract():
     assert rep.db2 and rep.consistency and rep.degenerate_rho
 
 
+@pytest.mark.parametrize("spectrum", [(0.25, 0.25, 0.5), (0.25, 0.5, 0.25)])
+def test_degenerate_db2_channel_any_spectrum_order(spectrum):
+    # the blocks follow rho.diag, the descending eigenbasis the channel is
+    # stated in, so the repeated eigenvalue 0.25 (indices 1 and 2) is mixed
+    tau, rho = degenerate_db2_channel(0, spectrum=spectrum)
+    assert np.array_equal(rho.diag, [0.5, 0.25, 0.25])
+    rep = run_report(tau, rho, transpose_reversing(3))
+    assert rep.db2 and rep.consistency and rep.degenerate_rho
+    assert abs(tau.apply(matrix_unit(3, 1, 1))[2, 2]) > 1e-3
+
+
 def test_degenerate_channel_rejects_simple_spectrum():
     with pytest.raises(ValueError):
         degenerate_db2_channel(seed=0, spectrum=(0.5, 0.3, 0.2))

@@ -35,11 +35,9 @@ from .balance import (
 from .duals import (
     ReversingOperation,
     bar_map,
-    hat_map,
     hs_adjoint,
     kms_dual,
     make_reversing,
-    modular,
     modular_power,
     rho_dual,
     theta_conjugate,
@@ -80,10 +78,7 @@ from .linalg import (
     Tolerance,
     as_matrix,
     hermitian_eig,
-    hs_inner,
     mat_power,
-    matrix_unit,
-    matrix_units,
     require_hermitian,
 )
 from .states import (
@@ -102,7 +97,6 @@ from .superop import (
     SuperOperator,
     choi,
     from_kraus,
-    identity_superop,
     is_completely_positive,
     is_hermitian_map,
     is_positive_map,

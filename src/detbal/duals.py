@@ -8,7 +8,8 @@ and write <A> = tr(rho A).  For a linear map s on M_n this module builds:
   rho_dual     s'      state dual:                   <s'(A) B> = <A s(B)>
   kms_dual     s^(1/2) symmetrized state dual:
                tr(rho^(1/2) s^(1/2)(A) rho^(1/2) B) = tr(rho^(1/2) A rho^(1/2) s(B))
-  hat_map      s^hat   transpose conjugate of the state dual: s'(A^T)^T
+  bar_map      s^bar   transpose conjugate s(A^T)^T; of the state dual,
+                       bar_map(rho_dual(s, rho)) is s^hat: A -> s'(A^T)^T
   theta_conjugate      (Theta s Theta)(A^T)^T for a reversing operation Theta
 
 Closed forms used (all checked against their defining pairings in tests),
@@ -34,10 +35,10 @@ plain transpose, and holds a read-only copy of u.
 
 The kms dual preserves complete positivity and is an involution; the state
 dual agrees with it exactly when s commutes with the modular map
-Delta(A) = rho A rho^(-1), which modular returns as a SuperOperator, from
-the modular ratios rho keeps.  The one-parameter family
-Delta^(-iz)(A) = rho^(-iz) A rho^(iz) of modular_power extends Delta:
-z = i gives Delta itself, z = i/2 its square root, real z the modular
+Delta(A) = rho A rho^(-1).  The one-parameter family
+Delta^(-iz)(A) = rho^(-iz) A rho^(iz) of modular_power, formed from the
+modular ratios rho keeps, holds Delta: z = i gives Delta itself
+(modular_power(rho, 1j)), z = i/2 its square root, real z the modular
 unitary group.  All of them are diagonal in the matrix-unit basis.
 
 Thermofield double view.  The cyclic vector of the purified state is
@@ -175,22 +176,6 @@ def _kms_dual_entries(rho: DensityMatrix, dual: np.ndarray, s=None) -> np.ndarra
     m = np.divide(dual, rows, order="C")
     m *= cols
     return m
-
-
-def hat_map(s: SuperOperator, rho: DensityMatrix) -> SuperOperator:
-    """Transpose conjugate of the state dual: A -> s'(A^T)^T."""
-    return bar_map(rho_dual(s, rho))
-
-
-def modular(rho: DensityMatrix) -> SuperOperator:
-    """The modular map Delta(A) = rho A rho^(-1) of rho.
-
-    Positive definite and self-adjoint for the Hilbert-Schmidt inner
-    product, diagonal in the matrix-unit basis with entries rho_j / rho_k
-    (DensityMatrix._modular_ratios).  Its square root is
-    modular_power(rho, 0.5j).
-    """
-    return _adopt(rho.n, np.diag(rho._modular_ratios).astype(complex))
 
 
 def modular_power(rho: DensityMatrix, z) -> SuperOperator:

@@ -9,17 +9,12 @@ another build may differ in the last digits or pick another basis inside a
 degenerate eigenspace.  Every function here is pure: inputs are never
 modified, except that _read_only switches off writes into the array it is
 handed.
-
-The Hilbert-Schmidt inner product is conjugate-linear in the first
-argument: hs_inner(a, b) = tr(a^dag b).
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -133,19 +128,23 @@ def as_matrix(x) -> np.ndarray:
     return m
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(a^dag b), conjugate-linear in a."""
-    a, b = _numeric(a), _numeric(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
+def _hermiticity(m: np.ndarray) -> tuple[bool, float]:
+    """Whether the finite matrix m (complex and C-ordered, as as_matrix
+    returns it) is Hermitian, ||m - m^dag|| <= 1e-12 * max(1, ||m||) in
+    Frobenius norm, and that residual.  Both norms are taken of m / s,
+    s = max(1, max |Re m_jk|, max |Im m_jk|), so neither overflows; for
+    s = 1 this is the comparison itself."""
+    s = float(np.abs(m.view(np.float64)).max(initial=1.0))
+    a = m / s if s > 1.0 else m
+    res = float(np.linalg.norm(a - a.conj().T))
+    return res <= 1e-12 * max(1.0 / s, float(np.linalg.norm(a))), res * s
 
 
 def require_hermitian(m: np.ndarray) -> np.ndarray:
     """Validate Hermiticity up to 1e-12 * max(1, ||m||) and return m."""
     m = as_matrix(m)
-    res = float(np.linalg.norm(m - m.conj().T))
-    if res > 1e-12 * max(1.0, float(np.linalg.norm(m))):
+    hermitian, res = _hermiticity(m)
+    if not hermitian:
         raise NotHermitian(f"matrix is not Hermitian (residual {res:.3e})")
     return m
 
@@ -183,36 +182,3 @@ def mat_power(m, z, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         )
     powered = np.exp(np.asarray(z, dtype=complex) * np.log(lam.astype(complex)))
     return u @ np.diag(powered) @ u.conj().T
-
-
-def matrix_unit(n: int, j: int, k: int) -> np.ndarray:
-    """The matrix unit E_jk (1 in row j, column k, zero elsewhere); j or k
-    that is no integer (a bool is none) or lies outside 0 ... n - 1 raises
-    DimensionMismatch."""
-    try:
-        if isinstance(j, (bool, np.bool_)) or isinstance(k, (bool, np.bool_)):
-            raise TypeError
-        j, k = operator.index(j), operator.index(k)
-    except TypeError:
-        raise DimensionMismatch(f"matrix unit indices must be integers, got {j!r}, {k!r}") from None
-    if not (0 <= j < n and 0 <= k < n):
-        raise DimensionMismatch(f"matrix unit E_({j},{k}) is not in M_{n}")
-    e = np.zeros((n, n), dtype=complex)
-    e[j, k] = 1.0
-    return e
-
-
-@lru_cache(maxsize=None)
-def _matrix_units(n: int) -> tuple[tuple[int, int, np.ndarray], ...]:
-    out = []
-    for j in range(n):
-        for k in range(n):
-            e = matrix_unit(n, j, k)
-            e.setflags(write=False)
-            out.append((j, k, e))
-    return tuple(out)
-
-
-def matrix_units(n: int) -> tuple[tuple[int, int, np.ndarray], ...]:
-    """All n^2 matrix units as (j, k, E_jk) triples, row-major order."""
-    return _matrix_units(n)

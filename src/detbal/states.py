@@ -37,6 +37,7 @@ from .linalg import (
     CheckResult,
     Tolerance,
     _eig_descending,
+    _hermiticity,
     _read_only,
     _square,
     _verdict,
@@ -129,8 +130,8 @@ def make_density(m, tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
     the solve is hermitian_eig's, without its second copy and check.
     """
     m = as_matrix(m)
-    herm = float(np.linalg.norm(m - m.conj().T))
-    if not herm <= 1e-12 * max(1.0, float(np.linalg.norm(m))):
+    hermitian, herm = _hermiticity(m)
+    if not hermitian:
         raise NotDensity(f"not Hermitian (residual {herm:.3e})")
     tr = complex(np.trace(m))
     if not abs(tr - 1.0) <= 1e-12:

@@ -223,11 +223,6 @@ def _adopt(n: int, mat: np.ndarray) -> SuperOperator:
     return SuperOperator(n, mat)
 
 
-def identity_superop(n: int) -> SuperOperator:
-    """The identity map on M_n."""
-    return _adopt(n, np.eye(n * n, dtype=complex))
-
-
 # The realignments in use (_realign, SuperOperator._place), each an
 # involution.  Swapping axes 0, 1 transposes a map's output, swapping 2, 3
 # its input.

@@ -30,9 +30,7 @@ from detbal import (
     kms_dual,
     make_density,
     marginals_check,
-    matrix_units,
     metropolis_chain,
-    modular,
     modular_power,
     omega_eval,
     purify,
@@ -48,7 +46,7 @@ from detbal import (
     vec,
 )
 from detbal.cli import main, parse_problem, run_checks
-from test_pair_kernel import kms_oracle, tilde_substitution_oracle
+from test_pair_kernel import kms_oracle, matrix_units, tilde_substitution_oracle
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +194,7 @@ def test_criterion_02_positive_controls(pool):
 
 def test_criterion_03_sqdb_without_commutation():
     tau, rho = gad_sqdb_channel(0.75, 0.2)
-    delta = modular(rho)
+    delta = modular_power(rho, 1j)
     comm = tau.mat @ delta.mat - delta.mat @ tau.mat
     e01 = np.array([[0, 1], [0, 0]], dtype=complex)
     norm_on_e01 = float(np.linalg.norm(unvec(comm @ vec(e01), 2)))
@@ -272,7 +270,7 @@ def test_criterion_06_modular_machinery(pool):
     rho34 = make_density(np.diag([0.75, 0.25]))
     delta_err = float(
         np.linalg.norm(
-            modular(rho34).mat - np.diag([1.0, 1.0 / 3.0, 3.0, 1.0])
+            modular_power(rho34, 1j).mat - np.diag([1.0, 1.0 / 3.0, 3.0, 1.0])
         )
     )
     hermitian_pairs = 0

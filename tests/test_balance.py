@@ -35,9 +35,9 @@ from detbal.generators import (
     random_unital_channel,
     schur_db2_channel,
 )
-from detbal.linalg import DEFAULT_TOL, matrix_unit
 from detbal.states import make_density
-from detbal.superop import SuperOperator, from_kraus, identity_superop, is_unital, vec
+from detbal.superop import SuperOperator, from_kraus, is_unital, vec
+from test_pair_kernel import matrix_unit
 
 COMMUTATOR_E01 = 0.9237604307034012  # sqrt(0.12) * (3 - 1/3) for p=3/4, s=1/5
 
@@ -62,7 +62,7 @@ def pinch_channel(rho):
 def test_identity_channel_passes_everything():
     rho = rho_34()
     th = transpose_reversing(2)
-    rep = run_report(identity_superop(2), rho, th)
+    rep = run_report(from_kraus([np.eye(2)]), rho, th)
     for res in (
         rep.db2_definition,
         rep.db2_modular,
@@ -160,9 +160,9 @@ def test_gad_channel_sqdb_but_not_db2():
 
 def test_gad_commutator_frozen_value():
     tau, rho = gad_sqdb_channel(0.75, 0.2)
-    from detbal.duals import modular
+    from detbal.duals import modular_power
 
-    delta = modular(rho)
+    delta = modular_power(rho, 1j)
     e01 = matrix_unit(2, 0, 1)
     gap = tau.apply(delta.apply(e01)) - delta.apply(tau.apply(e01))
     assert np.linalg.norm(gap) == pytest.approx(COMMUTATOR_E01, abs=1e-12)
@@ -222,7 +222,7 @@ def test_non_dynamics_rejected_not_failed():
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        check_db2_definition(identity_superop(3), rho_34())
+        check_db2_definition(from_kraus([np.eye(3)]), rho_34())
 
 
 @pytest.mark.parametrize("n,m", [(3, 2), (2, 1)])
@@ -231,7 +231,7 @@ def test_delta_commutator_rejects_a_state_of_another_dimension(n, m):
     # output operand (n = 2) instead
     rho = make_density(np.diag(np.arange(m, 0, -1.0) / (m * (m + 1) / 2)))
     with pytest.raises(DimensionMismatch, match=f"map on M_{n} vs state on dimension {m}"):
-        delta_commutator_residual(identity_superop(n), rho)
+        delta_commutator_residual(from_kraus([np.eye(n)]), rho)
 
 
 def test_positivity_only_mode():
@@ -262,8 +262,8 @@ def test_sqdb_with_nontrivial_reversing_unitary():
     # cancel entrywise
     rho = rho_34()
     th = make_reversing(np.diag([1.0, 1j]))
-    assert check_sqdb_definition(identity_superop(2), rho, th).passed
-    assert check_sqdb_entangled(identity_superop(2), rho, th).passed
+    assert check_sqdb_definition(from_kraus([np.eye(2)]), rho, th).passed
+    assert check_sqdb_entangled(from_kraus([np.eye(2)]), rho, th).passed
     tau = schur_db2_channel(rho, seed=30)
     assert check_sqdb_definition(tau, rho, th).passed
     assert check_sqdb_entangled(tau, rho, th).passed
@@ -318,7 +318,7 @@ def test_entangled_checks_match_definition_booleans():
     th = transpose_reversing(2)
     rho = rho_34()
     pool = [
-        (identity_superop(2), rho),
+        (from_kraus([np.eye(2)]), rho),
         (schur_db2_channel(rho, 10), rho),
         (pinch_channel(rho), rho),
         gad_sqdb_channel(0.75, 0.2),

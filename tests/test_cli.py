@@ -661,6 +661,18 @@ MALFORMED_FILES = [
     ),
     # the trace and the norm overflow; no RuntimeWarning may reach stderr
     ("rho-overflow", {"rho": [1e308, 1e308]}, "rho: trace must be 1, got inf"),
+    # the Hermiticity residual and its bound overflow alike; rescaled, neither
+    # does, and the huge entries fail as the small ones do
+    (
+        "rho-not-hermitian",
+        {"rho": [[[0.5, 0], [0, 1e-3]], [[0, 1e-3], [0.5, 0]]]},
+        "rho: not Hermitian (residual 2.828e-03)",
+    ),
+    (
+        "rho-not-hermitian-overflow",
+        {"rho": [[[0.5, 0], [0, 1e300]], [[0, 1e300], [0.5, 0]]]},
+        "rho: not Hermitian (residual 2.828e+300)",
+    ),
     # a finite Kraus entry whose square overflows in the checks, not at parse
     (
         "kraus-overflow",

@@ -27,9 +27,10 @@ from detbal.generators import (
     schur_multiplier_matrix,
     symmetrized_sqdb_channel,
 )
-from detbal.linalg import hermitian_eig, matrix_unit
+from detbal.linalg import hermitian_eig
 from detbal.states import make_density
 from detbal.superop import from_kraus, is_completely_positive, is_unital
+from test_pair_kernel import matrix_unit
 
 
 def test_random_density_contract():

@@ -32,7 +32,6 @@ from detbal import (
     check_sqdb_entangled,
     check_sqdb_tfd,
     delta_commutator_residual,
-    hat_map,
     is_completely_positive,
     is_hermitian_map,
     is_unital,
@@ -76,7 +75,7 @@ def calls(tau, rho, th):
         "delta_commutator_residual": lambda: delta_commutator_residual(tau, rho),
         "rho_dual": lambda: rho_dual(tau, rho),
         "kms_dual": lambda: kms_dual(tau, rho),
-        "hat_map": lambda: hat_map(tau, rho),
+        "hat_map": lambda: bar_map(rho_dual(tau, rho)),
         "trace_dual": lambda: trace_dual(tau),
         "bar_map": lambda: bar_map(tau),
         "theta_conjugate": lambda: theta_conjugate(tau, th),

@@ -1,4 +1,4 @@
-"""Substrate checks: inner product, Hermitian eigensolver, matrix powers."""
+"""Substrate checks: Hermitian eigensolver, matrix powers, input coercion."""
 
 import cmath
 import math
@@ -11,19 +11,14 @@ from detbal.errors import DetbalError, DimensionMismatch, NotHermitian, NotInver
 from detbal.linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _hermiticity,
     _verdict,
     hermitian_eig,
-    hs_inner,
     mat_power,
-    matrix_unit,
-    matrix_units,
     require_hermitian,
 )
 from detbal.states import expectation, make_density
-from detbal.superop import SuperOperator, identity_superop, make_kraus, pi_rep, unvec, vec
-
-E01 = matrix_unit(2, 0, 1)
-E10 = matrix_unit(2, 1, 0)
+from detbal.superop import SuperOperator, from_kraus, make_kraus, pi_rep, unvec, vec
 
 
 def random_hermitian(n, rng, scale=1.0):
@@ -37,37 +32,6 @@ def char_poly_eigs_2x2(m):
     d = np.linalg.det(m).real
     disc = math.sqrt(max(0.0, t * t - 4.0 * d))
     return np.array([(t + disc) / 2.0, (t - disc) / 2.0])
-
-
-def test_hs_inner_trivial_values():
-    assert hs_inner(np.eye(2), np.eye(2)) == pytest.approx(2.0)
-    assert hs_inner(E01, E01) == pytest.approx(1.0)
-    assert hs_inner(E01, E10) == pytest.approx(0.0)
-
-
-def test_hs_inner_conjugate_linear_first_argument():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    z = 0.3 - 1.7j
-    assert hs_inner(z * a, b) == pytest.approx(np.conj(z) * hs_inner(a, b))
-    assert hs_inner(a, z * b) == pytest.approx(z * hs_inner(a, b))
-    assert hs_inner(a, b) == pytest.approx(np.conj(hs_inner(b, a)))
-
-
-def test_hs_inner_positive_definite():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        v = hs_inner(a, a)
-        assert v.imag == pytest.approx(0.0, abs=1e-14)
-        assert v.real > 0.0
-    assert hs_inner(np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
-
-
-def test_hs_inner_shape_mismatch():
-    with pytest.raises(DimensionMismatch):
-        hs_inner(np.eye(2), np.eye(3))
 
 
 def test_eig_diagonal_input_is_identity_rotation():
@@ -132,9 +96,41 @@ def test_eig_degenerate_spectrum():
     assert np.linalg.norm(u @ np.diag(lam) @ u.conj().T - m) <= 1e-12
 
 
-def test_eig_rejects_non_hermitian():
+# the last three have Frobenius norms that overflow: residual and bound
+# both read inf unless the comparison is rescaled, and inf <= inf passed
+@pytest.mark.parametrize("m", [
+    [[0.0, 1.0], [0.0, 0.0]],
+    [[1.0, 1e200], [0.0, 0.0]],
+    [[0.0, 1e308], [-1e308, 0.0]],
+    [[0.5, 1e300j], [1e300j, 0.5]],
+])
+def test_eig_rejects_non_hermitian(m):
     with pytest.raises(NotHermitian):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        require_hermitian(m)
+    with pytest.raises(NotHermitian):
+        hermitian_eig(np.array(m))
+
+
+def test_hermiticity_accepts_a_large_hermitian_matrix():
+    m = np.array([[1e300, 2e299 - 1e299j], [2e299 + 1e299j, -1e300]])
+    assert np.array_equal(require_hermitian(m), m)
+
+
+def test_hermiticity_on_unit_entries_is_the_plain_comparison():
+    # entries of modulus <= 1: the residual and the verdict are those of
+    # ||m - m^dag|| <= 1e-12 * max(1, ||m||) on m itself, bit for bit,
+    # across the threshold
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 3, 5):
+        for _ in range(20):
+            h = random_hermitian(n, rng)
+            h *= 0.5 / np.max(np.abs(h))
+            g = 0.25 * (rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n)))
+            for eps in np.geomspace(1e-14, 1e-10, 9):
+                m = h + eps * g
+                res = float(np.linalg.norm(m - m.conj().T))
+                plain = res <= 1e-12 * max(1.0, float(np.linalg.norm(m)))
+                assert _hermiticity(m) == (plain, res)
 
 
 def test_eig_rejects_non_square():
@@ -230,31 +226,6 @@ def test_verdict_rule(tol, eq, psd, info, passed, residual):
     assert res.tol is tol
 
 
-def test_matrix_units_basis():
-    units = matrix_units(3)
-    assert len(units) == 9
-    for j, k, e in units:
-        assert e[j, k] == 1.0
-        assert np.sum(np.abs(e)) == 1.0
-    assert np.array_equal(matrix_unit(2, 0, 1), E01)
-
-
-@pytest.mark.parametrize("j, k", [
-    (-1, 0), (2, 0), (0, -1), (0, 2),
-    (True, 0), (0, False), (np.True_, 0), (1.0, 0), (0, 1.5), ("1", 0),
-])
-def test_matrix_unit_index_out_of_range(j, k):
-    # a negative index would wrap to E_(n-1)k, a large one raise IndexError;
-    # a bool would index as a mask (E_(True,0) = [[1, 1], [0, 0]], E_(0,False)
-    # = 0) and a float raise numpy's IndexError
-    with pytest.raises(DimensionMismatch):
-        matrix_unit(2, j, k)
-
-
-def test_matrix_unit_takes_numpy_integers():
-    assert np.array_equal(matrix_unit(3, np.int64(2), np.uint8(0)), matrix_unit(3, 2, 0))
-
-
 def test_tolerance_validation():
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
@@ -279,10 +250,9 @@ def _unshaped_entry_points():
         "SuperOperator": lambda x: SuperOperator(2, x),
         "vec": vec,
         "unvec": unvec,
-        "SuperOperator.apply": identity_superop(2).apply,
+        "SuperOperator.apply": from_kraus([np.eye(2)]).apply,
         "ReversingOperation.apply": transpose_reversing(2).apply,
         "expectation": lambda x: expectation(rho, x),
-        "hs_inner": lambda x: hs_inner(x, x),
     }
 
 

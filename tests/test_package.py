@@ -22,12 +22,11 @@ PUBLIC_NAMES = [
     "check_db2_tfd", "check_sqdb_definition", "check_sqdb_entangled", "check_sqdb_tfd",
     "choi", "classical_detailed_balance", "classical_phi_balance", "cycle_chain",
     "degenerate_db2_channel", "delta_commutator_residual", "expectation", "from_kraus",
-    "gad_kraus", "gad_sqdb_channel", "hat_map", "hermitian_eig", "hs_adjoint",
-    "hs_inner", "identity_superop", "in_deadband", "is_completely_positive",
-    "is_hermitian_map", "is_positive_map", "is_unital", "kms_dual", "make_chain",
-    "make_density", "make_kraus", "make_reversing", "marginals_check", "mat_power",
-    "matrix_unit", "matrix_units", "metropolis_chain", "modular", "modular_power",
-    "omega_eval", "pi_rep", "purify", "random_density", "random_unital_channel",
+    "gad_kraus", "gad_sqdb_channel", "hermitian_eig", "hs_adjoint", "in_deadband",
+    "is_completely_positive", "is_hermitian_map", "is_positive_map", "is_unital",
+    "kms_dual", "make_chain", "make_density", "make_kraus", "make_reversing",
+    "marginals_check", "mat_power", "metropolis_chain", "modular_power", "omega_eval",
+    "pi_rep", "purify", "random_density", "random_unital_channel",
     "random_unital_kraus", "random_unitary", "require_dynamics", "require_hermitian",
     "rho_dual", "run_report", "schur_db2_channel", "schur_kraus",
     "schur_multiplier_matrix", "symmetrized_sqdb_channel", "theta_conjugate",

@@ -65,10 +65,9 @@ from detbal.cli import _to_eigenbasis
 from detbal.duals import (
     ReversingOperation,
     bar_map,
-    hat_map,
     kms_dual,
     make_reversing,
-    modular,
+    modular_power,
     rho_dual,
     theta_conjugate,
     tilde,
@@ -86,7 +85,7 @@ from detbal.generators import (
     schur_db2_channel,
     symmetrized_sqdb_channel,
 )
-from detbal.linalg import DEFAULT_TOL, _verdict, matrix_units
+from detbal.linalg import DEFAULT_TOL, _verdict
 from detbal.states import (
     DensityMatrix,
     expectation,
@@ -123,6 +122,18 @@ def haar_unitary(n, seed):
 # ---------------------------------------------------------------- oracles
 
 
+def matrix_unit(n, j, k):
+    """The matrix unit E_jk of M_n: 1 in row j, column k, zero elsewhere."""
+    e = np.zeros((n, n), dtype=complex)
+    e[j, k] = 1.0
+    return e
+
+
+def matrix_units(n):
+    """All n^2 matrix units as (j, k, E_jk) triples, row-major order."""
+    return [(j, k, matrix_unit(n, j, k)) for j in range(n) for k in range(n)]
+
+
 def expect_tilde(rho, a, b):
     """Mirror correlation <a tilde(b)> = omega(a ox conj(b)), w = 1."""
     return omega_eval(purify(rho), a, np.conj(b))
@@ -136,7 +147,7 @@ def omega_gram(p):
 
 def db2_entangled_oracle(tau, rho):
     p = purify(rho)
-    hat = hat_map(tau, rho)
+    hat = bar_map(rho_dual(tau, rho))
     units = matrix_units(rho.n)
     hat_of = [hat.apply(e) for _, _, e in units]
     tau_of = [tau.apply(e) for _, _, e in units]
@@ -501,6 +512,15 @@ def test_classical_phi_matches_loop_oracle(chain):
     assert res.passed == (oracle <= DEFAULT_TOL.eq_tol)
 
 
+def test_matrix_units_basis():
+    units = matrix_units(3)
+    assert len(units) == 9
+    for j, k, e in units:
+        assert e[j, k] == 1.0
+        assert np.sum(np.abs(e)) == 1.0
+    assert [(j, k) for j, k, _ in units] == [(j, k) for j in range(3) for k in range(3)]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_kms_identity_holds_on_matrix_units(n):
     assert kms_oracle(random_density(n, seed=90 + n)) <= 1e-12
@@ -620,7 +640,7 @@ def test_kms_dual_matches_kronecker_products(n):
 def test_delta_commutator_matches_modular_products(n):
     s = random_map(n, 170 + n)
     rho = random_density(n, seed=170 + n)
-    d = modular(rho).mat
+    d = modular_power(rho, 1j).mat
     want = np.linalg.norm(s.mat @ d - d @ s.mat)
     assert abs(delta_commutator_residual(s, rho) - want) <= 1e-13 * want
 

@@ -1,10 +1,13 @@
-"""The README's library quick start runs and prints what its comments say."""
+"""The README's library quick start runs and prints what its comments say,
+and the README names every public name."""
 
 import ast
 import contextlib
 import io
 import pathlib
 import re
+
+import detbal
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -41,3 +44,15 @@ def test_library_quick_start_prints_its_commented_values():
             assert shown == comment
             checked += 1
     assert checked == 3
+
+
+def test_every_public_name_is_documented():
+    # a name counts when it stands whole in an inline code span, as in
+    # `purify` or `theta_eval(rho, a, b)`
+    spans = re.findall(r"`([^`\n]+)`", README.read_text(encoding="utf-8"))
+    missing = [
+        name
+        for name in detbal.__all__
+        if not any(re.search(rf"(?<![\w.]){name}(?!\w)", span) for span in spans)
+    ]
+    assert missing == []

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from detbal.errors import DimensionMismatch, NonUnitary, NotDensity, NotInvertible
-from detbal.linalg import matrix_unit
 from detbal.states import (
     DensityMatrix,
     expectation,
@@ -16,7 +15,7 @@ from detbal.states import (
     purify,
     theta_eval,
 )
-from test_pair_kernel import expect_tilde
+from test_pair_kernel import expect_tilde, matrix_unit
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 RHO_DIAG = np.diag([0.75, 0.25])
@@ -67,9 +66,12 @@ def test_make_density_rejects_bad_trace():
         make_density(np.diag([0.7, 0.2]))
 
 
-def test_make_density_rejects_non_hermitian():
-    with pytest.raises(NotDensity):
-        make_density(np.array([[0.5, 0.5], [0.0, 0.5]]))
+# in the second, ||m|| and ||m - m^dag|| both overflow, and the symmetrized
+# solve would read diag(0.5, 0.5)
+@pytest.mark.parametrize("m", [[[0.5, 0.5], [0.0, 0.5]], [[0.5, 1e300j], [1e300j, 0.5]]])
+def test_make_density_rejects_non_hermitian(m):
+    with pytest.raises(NotDensity, match="not Hermitian"):
+        make_density(np.array(m))
 
 
 def test_make_density_rejects_negative_eigenvalue():

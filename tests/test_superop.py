@@ -22,15 +22,12 @@ from detbal.linalg import (
     Tolerance,
     _negativity,
     hermitian_eig,
-    matrix_unit,
-    matrix_units,
 )
 from detbal.superop import (
     KrausChannel,
     SuperOperator,
     choi,
     from_kraus,
-    identity_superop,
     is_completely_positive,
     is_hermitian_map,
     is_positive_map,
@@ -40,6 +37,7 @@ from detbal.superop import (
     unvec,
     vec,
 )
+from test_pair_kernel import matrix_unit, matrix_units
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -120,7 +118,7 @@ def test_kraus_channel_validation():
 
 def test_apply_shape_guard():
     with pytest.raises(DimensionMismatch):
-        identity_superop(2).apply(np.eye(3))
+        from_kraus([np.eye(2)]).apply(np.eye(3))
 
 
 @pytest.mark.parametrize(
@@ -232,7 +230,7 @@ def test_compose_and_power():
         with pytest.raises(ValueError):
             a.power(k)
     with pytest.raises(DimensionMismatch):
-        a.compose(identity_superop(3))
+        a.compose(from_kraus([np.eye(3)]))
 
 
 def test_transpose_superop_is_involutive_swap():
@@ -244,7 +242,7 @@ def test_transpose_superop_is_involutive_swap():
 
 
 def test_choi_identity_eigenvalues():
-    c = choi(identity_superop(2))
+    c = choi(from_kraus([np.eye(2)]))
     lam, _ = hermitian_eig(c.mat)
     assert np.allclose(lam, [2.0, 0.0, 0.0, 0.0], atol=1e-14)
 
@@ -297,7 +295,7 @@ def test_cp_scale_relative_tolerance():
 def near_cp_map(eps):
     """(1 - eps) id + eps T on M_2: Choi negativity eps / (2 - eps), from
     the antisymmetric eigenvector of the swap."""
-    mat = (1.0 - eps) * identity_superop(2).mat + eps * transpose_reversing(2).superop().mat
+    mat = (1.0 - eps) * from_kraus([np.eye(2)]).mat + eps * transpose_reversing(2).superop().mat
     return SuperOperator(2, mat)
 
 
@@ -403,7 +401,7 @@ def test_cp_rejects_an_isolated_negative_choi_eigenvalue():
     the diagonal of row 1 = 0 n + 1, which couples to nothing: that entry
     is the only negative eigenvalue and must decide the verdict."""
     n = 3
-    c = choi(identity_superop(n)).mat.copy()
+    c = choi(from_kraus([np.eye(n)])).mat.copy()
     c[1, 1] = -0.1
     # choi's index realignment is its own inverse
     s = SuperOperator(n, c.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n * n, n * n))
@@ -591,7 +589,7 @@ def choi_spectrum_pool(n):
         tau,
         from_kraus([random_mat(n, rng) for _ in range(3)]),
         transpose_reversing(n).superop(),
-        identity_superop(n),
+        from_kraus([np.eye(n)]),
     ]
 
 
@@ -607,7 +605,7 @@ def test_cp_spectrum_matches_full_choi_solve(n):
 
 
 def test_positive_map_probe():
-    assert is_positive_map(identity_superop(3)).passed
+    assert is_positive_map(from_kraus([np.eye(3)])).passed
     # the transpose map is positive but not completely positive
     assert is_positive_map(transpose_reversing(2).superop()).passed
     assert not is_completely_positive(transpose_reversing(2).superop()).passed
@@ -620,7 +618,7 @@ def test_positive_map_probe():
 def test_identity_negativities_are_positive_zero(n):
     # the identity's Choi and output spectra touch zero; a -0.0 negativity
     # would print as -0.0 in the JSON report
-    s = identity_superop(n)
+    s = from_kraus([np.eye(n)])
     assert math.copysign(1.0, is_positive_map(s).detail["output_negativity"]) == 1.0
     assert math.copysign(1.0, is_completely_positive(s).detail["choi_negativity"]) == 1.0
 
@@ -699,7 +697,7 @@ def oracle_pool(n, seed):
         from_kraus([random_mat(n, rng) for _ in range(2)]),
         pi_rep(random_mat(n, rng), random_mat(n, rng)),
         transpose_reversing(n).superop(),
-        identity_superop(n),
+        from_kraus([np.eye(n)]),
     ]
 
 

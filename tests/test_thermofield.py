@@ -12,7 +12,6 @@ from detbal import (
     check_sqdb_tfd,
     expectation,
     gad_sqdb_channel,
-    hs_inner,
     make_density,
     random_density,
     random_unital_channel,
@@ -118,7 +117,7 @@ def test_expect_tilde_matches_representation_route():
         for _ in range(20):
             a = _random_matrix(rng, n)
             b = _random_matrix(rng, n)
-            via_rep = hs_inner(half, a @ tilde(b).apply(half))
+            via_rep = complex(np.vdot(half, a @ tilde(b).apply(half)))
             assert abs(expect_tilde(rho, a, b) - via_rep) <= 1e-12
 
 
@@ -216,9 +215,9 @@ def test_sqdb_tfd_rejects_dimension_mismatch():
 
 
 def test_identity_channel_passes_both_mirror_checks():
-    from detbal.superop import identity_superop
+    from detbal.superop import from_kraus
 
     rho = random_density(3, seed=74)
-    ident = identity_superop(3)
+    ident = from_kraus([np.eye(3)])
     assert check_db2_tfd(ident, rho).residual <= 1e-12
     assert check_sqdb_tfd(ident, rho, transpose_reversing(3)).residual <= 1e-12

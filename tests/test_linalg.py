@@ -13,11 +13,12 @@ from detbal.linalg import (
     Tolerance,
     _hermiticity,
     _verdict,
+    as_matrix,
     hermitian_eig,
     mat_power,
     require_hermitian,
 )
-from detbal.states import expectation, make_density
+from detbal.states import expectation, make_density, omega_eval, purify, theta_eval
 from detbal.superop import SuperOperator, from_kraus, make_kraus, pi_rep, unvec, vec
 
 
@@ -253,6 +254,12 @@ def _unshaped_entry_points():
         "SuperOperator.apply": from_kraus([np.eye(2)]).apply,
         "ReversingOperation.apply": transpose_reversing(2).apply,
         "expectation": lambda x: expectation(rho, x),
+        "as_matrix": as_matrix,
+        "hermitian_eig": hermitian_eig,
+        "mat_power": lambda x: mat_power(x, 0.5),
+        "from_kraus": lambda x: from_kraus([x]),
+        "omega_eval": lambda x: omega_eval(purify(rho), x, x),
+        "theta_eval": lambda x: theta_eval(rho, x, x),
     }
 
 

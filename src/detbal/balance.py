@@ -399,7 +399,10 @@ def classical_phi_balance(c: ClassicalChain, tol: Tolerance = DEFAULT_TOL) -> Ch
 
     With phi(f ox g) = sum_j p_j f_j g_j and (Gamma f)_j = sum_k gamma_jk f_k,
     reversibility says phi[(Gamma f) ox g] = phi[f ox (Gamma g)] for all f, g;
-    the residual runs over all coordinate basis pairs.
+    the residual runs over all coordinate basis pairs.  On a basis pair it
+    reduces to p_j gamma_jk - gamma_kj p_k, the products of
+    classical_detailed_balance, so the two residuals are bit-identical and
+    the command line's classical consistency flag cannot fail.
     """
     functional = _pair_max(c.p[:, None], c.gamma, c.gamma.T, c.p, False)
     return _verdict(tol, {"functional": float(functional)})

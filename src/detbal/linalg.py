@@ -163,8 +163,9 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eig_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """hermitian_eig's solve of an already validated complex matrix a."""
-    lam, v = np.linalg.eigh(0.5 * (a + a.conj().T))
+    """hermitian_eig's solve of an already validated complex matrix a.  The
+    symmetrization halves before it adds, so no finite entry overflows."""
+    lam, v = np.linalg.eigh(0.5 * a + 0.5 * a.conj().T)
     order = np.argsort(-lam, kind="stable")
     return lam[order], v[:, order]
 

@@ -133,7 +133,8 @@ def make_density(m, tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
     hermitian, herm = _hermiticity(m)
     if not hermitian:
         raise NotDensity(f"not Hermitian (residual {herm:.3e})")
-    tr = complex(np.trace(m))
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN trace fails
+        tr = complex(np.trace(m))
     if not abs(tr - 1.0) <= 1e-12:
         raise NotDensity(f"trace must be 1, got {tr.real:.12g}")
     lam, basis = _eig_descending(m)

@@ -11,17 +11,21 @@ solves only the coupled rows of the Choi matrix; the rest are 1x1 blocks.
 
 A SuperOperator holds one C-ordered complex n^2 x n^2 matrix, read-only,
 so each realignment of it (_realign, axes defined here only) is a view.
-No caller can write into it: an input array is kept only when it, and
-every array it views, is read-only, and copied otherwise; the builders
-here and in duals hand over arrays they made, frozen (_adopt).  A map
-keeps values computed from that matrix on their first read, none of which
-depends on the tolerance: where it stores entries (_at and more, below),
-its unital residual ||s(1) - 1|| (_unital_residual), and the numbers of
-its CP test (_choi_spectrum): the Choi Hermiticity residual, the smallest
-and largest Choi eigenvalue and the Choi negativity.  Every unitality or
-CP test of the map after the first, from any public check, forms its
-verdict from those numbers without computing them again.  The positivity
-probe (is_positive_map) keeps nothing.
+No caller can write into it.  The map keeps the array numpy made of its
+input in two cases: numpy made it anew (from a list, or a real or
+Fortran-ordered matrix), or it is read-only and owns its memory.  Any
+other array, a writable one or any view or buffer-backed one, is copied
+once and the copy frozen.  The builders here, in duals, generators and
+the command line hand over C-ordered complex n^2 x n^2 arrays they made
+through _adopt, which freezes them and builds the map without checking
+them again.  A map keeps values computed from that matrix on their first
+read, none of which depends on the tolerance: where it stores entries (_at
+and more, below), its unital residual ||s(1) - 1|| (_unital_residual), and
+the numbers of its CP test (_choi_spectrum): the Choi Hermiticity
+residual, the smallest and largest Choi eigenvalue and the Choi
+negativity.  Every unitality or CP test of the map after the first, from
+any public check, forms its verdict from those numbers without computing
+them again.  The positivity probe (is_positive_map) keeps nothing.
 
 _stored decides, for the CP test and every other O(n^4) kernel, whether a
 map's stored entries are followed instead of all n^4: at n >= 7 with at
@@ -65,6 +69,7 @@ from .linalg import (
     Tolerance,
     _negativity,
     _numeric,
+    _read_only,
     _square,
     _verdict,
     as_matrix,
@@ -93,10 +98,10 @@ def unvec(v, n: int | None = None) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SuperOperator:
     """Linear map on M_n stored as its n^2 x n^2 column-stacking matrix, one
-    C-ordered complex array, read-only: the input itself when it is one and
-    no caller can write into it (_writable_elsewhere), else a copy or a
-    conversion made once.  A non-integer n (a bool is none), n < 1 or
-    another shape raises DimensionMismatch."""
+    C-ordered complex array, read-only: numpy's conversion of the input when
+    numpy made it anew, the input itself when it is read-only and owns its
+    memory (base is None), else a copy made once.  A non-integer n (a bool
+    is none), n < 1 or another shape raises DimensionMismatch."""
 
     n: int
     mat: np.ndarray
@@ -107,11 +112,12 @@ class SuperOperator:
         mat = np.ascontiguousarray(_numeric(self.mat))
         if self.n < 1 or mat.shape != (self.n * self.n,) * 2:
             raise DimensionMismatch(f"map on M_{self.n} with a matrix of shape {mat.shape}")
-        if _writable_elsewhere(mat, self.mat):
+        # a caller can still write into its own writable array, and into
+        # the memory behind any view or buffer
+        if mat.base is not None or (mat is self.mat and mat.flags.writeable):
             mat = mat.copy()
         mat.flags.writeable = False  # a write would leave the kept values stale
-        object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "_placed", {})  # SuperOperator._place, by axes
+        vars(self).update(mat=mat, _placed={})  # _placed: SuperOperator._place, by axes
 
     @cached_property
     def _at(self):
@@ -194,33 +200,18 @@ class SuperOperator:
         return _adopt(self.n, np.linalg.matrix_power(self.mat, int(k)))
 
 
-def _writable_elsewhere(mat: np.ndarray, given) -> bool:
-    """Whether a caller could still write into mat, the array SuperOperator
-    made of its input given: mat holds given's memory (numpy converted
-    nothing), and mat or an array it views is writable, or its memory is
-    a buffer other than bytes.  A converted input is new memory."""
-    if isinstance(given, np.ndarray):
-        if not np.may_share_memory(mat, given):
-            return False
-    elif mat.base is None:  # built from a list or a scalar
-        return False
-    a = mat
-    while isinstance(a, np.ndarray):
-        if a.flags.writeable:
-            return True
-        a = a.base
-    return a is not None and not isinstance(a, bytes)
-
-
-def _adopt(n: int, mat: np.ndarray) -> SuperOperator:
-    """The map of a matrix that a builder made for it and keeps no other
-    reference to: mat and every array it views are frozen in place, so the
-    map keeps mat without a copy."""
+def _adopt(n: int, mat: np.ndarray, **kept) -> SuperOperator:
+    """The map on M_n of a C-ordered complex n^2 x n^2 matrix that a builder
+    made for it and keeps no other reference to: mat and every array it
+    views are frozen in place, and the map keeps mat without a copy or a
+    check, with the values kept handed over as its own (_from_entries)."""
     a = mat
     while isinstance(a, np.ndarray):
         a.flags.writeable = False
         a = a.base
-    return SuperOperator(n, mat)
+    s = object.__new__(SuperOperator)
+    vars(s).update(n=n, mat=mat, _placed={}, **kept)
+    return s
 
 
 # The realignments in use (_realign, SuperOperator._place), each an
@@ -409,14 +400,10 @@ def _from_entries(s: SuperOperator, axes, entries: np.ndarray) -> SuperOperator:
     realignments from s (SuperOperator._place)."""
     n = s.n
     if s._at is None:
-        new = _adopt(n, entries.reshape(n * n, n * n))
-        new.__dict__["_at"] = None  # where cached_property keeps its value
-        return new
+        return _adopt(n, entries.reshape(n * n, n * n), _at=None)
     flat = s._place(axes)[0]
-    new = _adopt(n, _spread(entries, flat, n**4).reshape(n * n, n * n))
-    entries.flags.writeable = False
-    new.__dict__.update(_at=flat, _entries=entries, _source=(s, axes))
-    return new
+    mat = _spread(entries, flat, n**4).reshape(n * n, n * n)
+    return _adopt(n, mat, _at=flat, _entries=_read_only(entries), _source=(s, axes))
 
 
 def _gathered_choi(s: SuperOperator):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from detbal.balance import (
+    ClassicalChain,
     check_db2_definition,
     check_db2_entangled,
     check_db2_modular,
@@ -387,6 +388,11 @@ def test_classical_identity_chain_passes():
 
 
 def test_classical_two_forms_agree_in_boolean():
+    """On basis pairs the functional form reduces to the products of the
+    pairwise one, p_j gamma_jk - gamma_kj p_k, so the two residuals are
+    bit-identical and the classical consistency flag cannot fail: on
+    random chains, Metropolis and cycle chains and their powers."""
+    rng = np.random.default_rng(31)
     chains = [
         metropolis_chain(3, 5),
         metropolis_chain(4, 6),
@@ -394,11 +400,15 @@ def test_classical_two_forms_agree_in_boolean():
         cycle_chain(4),
         make_chain([0.25, 0.75], [[0.9, 0.1], [0.2, 0.8]]),
     ]
+    for n in (2, 3, 5, 8):
+        chains.append(metropolis_chain(n, n))
+        chains.append(ClassicalChain(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n), n)))
     for chain in chains:
-        assert (
-            classical_detailed_balance(chain).passed
-            == classical_phi_balance(chain).passed
-        )
+        for k in (1, 2, 3, 7):
+            chain_k = ClassicalChain(chain.p, np.linalg.matrix_power(chain.gamma, k))
+            a = classical_detailed_balance(chain_k)
+            b = classical_phi_balance(chain_k)
+            assert a.residual == b.residual and a.passed == b.passed
 
 
 def test_report_is_deterministic():

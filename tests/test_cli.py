@@ -673,6 +673,13 @@ MALFORMED_FILES = [
         {"rho": [[[0.5, 0], [0, 1e300]], [[0, 1e300], [0.5, 0]]]},
         "rho: not Hermitian (residual 2.828e+300)",
     ),
+    # a unit trace with off-diagonal entries whose sum would overflow in the
+    # solve: the symmetrization halves first, and the eigenvalue is finite
+    (
+        "rho-offdiagonal-overflow",
+        {"rho": [[[0.5, 0], [1e308, 0]], [[1e308, 0], [0.5, 0]]]},
+        "rho: negative eigenvalue -1.000e+308",
+    ),
     # a finite Kraus entry whose square overflows in the checks, not at parse
     (
         "kraus-overflow",

@@ -134,6 +134,31 @@ def test_hermiticity_on_unit_entries_is_the_plain_comparison():
                 assert _hermiticity(m) == (plain, res)
 
 
+def test_eig_and_power_of_entries_near_the_float_limit():
+    # the solve halves before it adds, so Hermitian entries above 9e307 give
+    # finite eigenpairs, without a RuntimeWarning; the old sum overflowed
+    # to NaN eigenvalues, which mat_power then raised to its power
+    lam, u = hermitian_eig([[0.0, 1e308], [1e308, 0.0]])
+    assert np.allclose(lam, [1e308, -1e308], rtol=1e-15, atol=0)
+    assert np.allclose(np.abs(u), np.full((2, 2), 1.0 / math.sqrt(2)), atol=1e-15)
+    with pytest.raises(NotInvertible, match="min eigenvalue -1.000e\\+308"):
+        mat_power([[0.0, 1e308], [1e308, 0.0]], 0.5)
+    assert np.allclose(mat_power(np.diag([1e308, 1e308]), 0.5), 1e154 * np.eye(2), rtol=1e-13)
+
+
+def test_eig_symmetrizes_with_the_bits_of_the_plain_sum():
+    # 0.5 a + 0.5 a^dag is 0.5 (a + a^dag) bit for bit while neither a half
+    # is subnormal nor the sum overflows
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 5):
+        for e in (-300, -20, 0, 20, 300):
+            m = random_hermitian(n, rng, scale=10.0**e)
+            lam, u = np.linalg.eigh(0.5 * (m + m.conj().T))
+            order = np.argsort(-lam, kind="stable")
+            got = hermitian_eig(m)
+            assert np.array_equal(got[0], lam[order]) and np.array_equal(got[1], u[:, order])
+
+
 def test_eig_rejects_non_square():
     with pytest.raises(DimensionMismatch):
         hermitian_eig(np.ones((2, 3)))

@@ -74,6 +74,19 @@ def test_make_density_rejects_non_hermitian(m):
         make_density(np.array(m))
 
 
+# entries near the float limit: the trace overflows to inf, or to NaN as
+# inf - inf, and fails closed without a RuntimeWarning; a unit trace with
+# huge off-diagonal entries is solved to its negative eigenvalue, not NaN
+@pytest.mark.parametrize("m,line", [
+    ([[1e308, 0.0], [0.0, 1e308]], "trace must be 1, got inf"),
+    (np.diag([1e308, 1e308, -1e308, -1e308]), "trace must be 1, got nan"),
+    ([[0.5, 1e308], [1e308, 0.5]], "negative eigenvalue -1.000e\\+308"),
+])
+def test_make_density_rejects_entries_near_the_float_limit(m, line):
+    with pytest.raises(NotDensity, match=line):
+        make_density(m)
+
+
 def test_make_density_rejects_negative_eigenvalue():
     with pytest.raises(NotDensity):
         make_density(np.diag([1.1, -0.1]))

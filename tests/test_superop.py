@@ -7,13 +7,26 @@ import pytest
 
 from detbal import superop
 from detbal.balance import MODE_CP, MODE_POSITIVITY, require_dynamics
-from detbal.duals import bar_map, rho_dual, transpose_reversing
+from detbal.cli import CONVENTION, _parse_channel, _to_eigenbasis
+from detbal.duals import (
+    bar_map,
+    hs_adjoint,
+    kms_dual,
+    make_reversing,
+    modular_power,
+    rho_dual,
+    theta_conjugate,
+    tilde,
+    trace_dual,
+    transpose_reversing,
+)
 from detbal.errors import DimensionMismatch, InputNotDynamics
 from detbal.generators import (
     degenerate_db2_channel,
     gad_sqdb_channel,
     random_density,
     random_unital_channel,
+    random_unitary,
     schur_db2_channel,
     symmetrized_sqdb_channel,
 )
@@ -21,8 +34,10 @@ from detbal.linalg import (
     DEFAULT_TOL,
     Tolerance,
     _negativity,
+    _read_only,
     hermitian_eig,
 )
+from detbal.states import make_density
 from detbal.superop import (
     KrausChannel,
     SuperOperator,
@@ -151,25 +166,123 @@ def test_superoperator_matrix_is_read_only():
     assert SuperOperator(3, kept).mat[0, 0] == 2.0
 
 
-@pytest.mark.parametrize("given", ["plain", "read-only-view"])
+# each input made of the writable identity a, and whether the map keeps it
+# as it is: only a read-only array that owns its memory is kept
+GIVEN = {
+    "writable": (lambda a: a, False),
+    "read-only": (lambda a: _read_only(a.copy()), True),
+    "read-only-view": (lambda a: _read_only(a.view()), False),
+    "frozen-view": (lambda a: _read_only(_read_only(a.copy()).view()), False),
+    "bytes": (lambda a: np.frombuffer(a.tobytes(), dtype=complex).reshape(4, 4), False),
+    "list": (lambda a: a.tolist(), False),
+    "real": (lambda a: a.real, False),
+    "fortran": (lambda a: np.asfortranarray(a), False),
+}
+
+
+@pytest.mark.parametrize("given", list(GIVEN))
 def test_a_write_into_the_input_leaves_the_map_alone(given):
-    """A map copies an input a caller can still write into, also through a
-    read-only view of a writable array, so its kept values never go stale:
-    a write into the identity channel's matrix after its CP and unitality
-    tests changes neither the map nor their verdicts, while a fresh map on
-    the written matrix fails."""
+    """A map keeps the array numpy made of its input when numpy made it anew
+    (a list, a real or a Fortran-ordered matrix, converted once) or when it
+    is read-only and owns its memory; it copies any other array once, a
+    read-only view of a writable or of a frozen array and a bytes-backed one
+    too, so its kept values never go stale.  The caller's array stays
+    writable.  A write into the identity channel's matrix after its CP and
+    unitality tests changes neither the map nor their verdicts, while a
+    fresh map on the written matrix fails."""
+    make, kept = GIVEN[given]
     a = np.eye(4, dtype=complex)
-    view = a
-    if given == "read-only-view":
-        view = a.view()
-        view.flags.writeable = False
-    s = SuperOperator(2, view)
+    x = make(a)
+    s = SuperOperator(2, x)
+    assert (s.mat is x) == kept
+    assert s.mat.base is None and not s.mat.flags.writeable
+    assert s.mat.dtype == np.complex128 and s.mat.flags.c_contiguous
+    if not kept:
+        assert not np.shares_memory(s.mat, a) and not np.shares_memory(s.mat, x)
     assert is_completely_positive(s).passed and is_unital(s).passed
+    assert a.flags.writeable
     a[0, 0] = -5
     assert np.array_equal(s.mat, np.eye(4))
     assert is_completely_positive(s).passed and is_unital(s).passed
     assert is_completely_positive(SuperOperator(2, s.mat)).passed
     assert not is_completely_positive(SuperOperator(2, a)).passed
+
+
+def _builders(tau, rho):
+    """Every map a builder hands over through superop._adopt, from the
+    channel tau and the state rho on M_n."""
+    n = tau.n
+    u = random_unitary(n, 71)
+    th = make_reversing(np.diag(np.exp(1j * np.arange(n))))
+    spectrum = np.repeat(np.linspace(2.0, 1.0, (n + 1) // 2), 2)[:n]
+    v = random_unitary(n, 72)
+    rotated = make_density(v @ np.diag(rho.diag) @ v.conj().T)
+    data = [[[float(z.real), float(z.imag)] for z in row] for row in tau.mat]
+    parsed = _parse_channel(
+        {"kind": "matrix", "convention": CONVENTION, "data": data}, n, DEFAULT_TOL
+    )
+    return {
+        "from_kraus": from_kraus([u]),
+        "compose": tau.compose(tau),
+        "power-0": tau.power(0),
+        "power-1": tau.power(1),
+        "power-2": tau.power(2),
+        "pi_rep": pi_rep(u, u.conj()),
+        "tilde": tilde(u),
+        "hs_adjoint": hs_adjoint(tau),
+        "bar_map": bar_map(tau),
+        "trace_dual": trace_dual(tau),
+        "rho_dual": rho_dual(tau, rho),
+        "kms_dual": kms_dual(tau, rho),
+        "theta_conjugate": theta_conjugate(tau, th),
+        "reversing": th.superop(),
+        "modular_power": modular_power(rho, 0.3 + 0.5j),
+        "degenerate_db2_channel": degenerate_db2_channel(3, spectrum / spectrum.sum())[0],
+        "symmetrized_sqdb_channel": symmetrized_sqdb_channel(0.75, 0.2)[0],
+        "cli-parsed": parsed,
+        "cli-rotated": _to_eigenbasis(rotated, parsed, transpose_reversing(n))[0],
+    }
+
+
+BUILDERS = [
+    "from_kraus", "compose", "power-0", "power-1", "power-2", "pi_rep", "tilde", "hs_adjoint",
+    "bar_map", "trace_dual", "rho_dual", "kms_dual", "theta_conjugate", "reversing",
+    "modular_power", "degenerate_db2_channel", "symmetrized_sqdb_channel", "cli-parsed",
+    "cli-rotated",
+]
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+@pytest.mark.parametrize("route", ["dense", "stored"])
+def test_every_builder_hands_over_a_frozen_c_ordered_complex_matrix(route, name):
+    """superop._adopt checks nothing, so each builder's matrix is checked
+    here: C-ordered complex of shape (n^2, n^2) and read-only down its base
+    chain, on the dense route (random-unital, n = 3) and on the stored
+    route (schur-db2, n = 8).  A state dual is handed its positions and
+    entries (_at, _entries); they are where its matrix stores entries, and
+    the entries stored there, or None on the dense route."""
+    n = 3 if route == "dense" else 8
+    rho = random_density(n, seed=70)
+    tau = random_unital_channel(n, 3, 70) if route == "dense" else schur_db2_channel(rho, 70)
+    assert (tau._at is None) == (route == "dense")
+    built = _builders(tau, rho)
+    assert list(built) == BUILDERS
+    s = built[name]
+    m = s.mat
+    assert m.shape == (s.n**2, s.n**2) and m.dtype == np.complex128 and m.flags.c_contiguous
+    a = m
+    while isinstance(a, np.ndarray):
+        assert not a.flags.writeable
+        a = a.base
+    if name in ("rho_dual", "kms_dual"):
+        assert "_at" in vars(s)  # handed over, not searched
+        at = superop._stored(m, n)
+        if route == "dense":
+            assert s._at is None and at is None
+        else:
+            assert np.array_equal(np.sort(s._at), at)
+            assert np.array_equal(s._entries, m.take(s._at))
+            assert not s._entries.flags.writeable
 
 
 @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2), (1, 4, 1)])
@@ -205,9 +318,9 @@ def test_superoperator_holds_one_c_ordered_complex_matrix():
     assert np.array_equal(s.mat, m) and m.flags.writeable
     m.flags.writeable = False
     assert SuperOperator(3, m).mat is m
-    # read-only memory of bytes is kept as it is
+    # read-only memory of bytes is copied, as any other buffer-backed array
     frozen = np.frombuffer(m.tobytes(), dtype=complex).reshape(9, 9)
-    assert SuperOperator(3, frozen).mat is frozen
+    assert not np.shares_memory(SuperOperator(3, frozen).mat, frozen)
     # a sparse real or Fortran-ordered input takes the stored-entry route
     for given in (np.eye(49), np.asfortranarray(np.eye(49, dtype=complex))):
         assert superop._stored(SuperOperator(7, given).mat, 7) is not None

@@ -208,14 +208,15 @@ class ReversingOperation:
     construction.  Applied twice it is A -> w A w^dag with w = u conj(u), so
     it is an involution exactly when w is a phase times the identity;
     make_reversing checks unitarity and that condition.  u is a read-only
-    copy of the array given.  The operation keeps whether it is the plain
+    complex copy of the array given, so that superop hands a complex matrix
+    over (superop._adopt).  The operation keeps whether it is the plain
     transpose (_is_transpose), formed on the first read.
     """
 
     u: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "u", _read_only(np.array(self.u)))
+        object.__setattr__(self, "u", _read_only(np.array(self.u, dtype=complex)))
 
     @property
     def n(self) -> int:

@@ -18,7 +18,7 @@ other array, a writable one or any view or buffer-backed one, is copied
 once and the copy frozen.  The builders here, in duals, generators and
 the command line hand over C-ordered complex n^2 x n^2 arrays they made
 through _adopt, which freezes them and builds the map without checking
-them again.  A map keeps values computed from that matrix on their first
+them again: it asserts only their type, order and shape.  A map keeps values computed from that matrix on their first
 read, none of which depends on the tolerance: where it stores entries (_at
 and more, below), its unital residual ||s(1) - 1|| (_unital_residual), and
 the numbers of its CP test (_choi_spectrum): the Choi Hermiticity
@@ -204,7 +204,9 @@ def _adopt(n: int, mat: np.ndarray, **kept) -> SuperOperator:
     """The map on M_n of a C-ordered complex n^2 x n^2 matrix that a builder
     made for it and keeps no other reference to: mat and every array it
     views are frozen in place, and the map keeps mat without a copy or a
-    check, with the values kept handed over as its own (_from_entries)."""
+    check, with the values kept handed over as its own (_from_entries).
+    The assertion names a builder that breaks that contract."""
+    assert mat.dtype == np.complex128 and mat.flags.c_contiguous and mat.shape == (n * n, n * n)
     a = mat
     while isinstance(a, np.ndarray):
         a.flags.writeable = False

@@ -9,6 +9,7 @@ from detbal import superop
 from detbal.balance import MODE_CP, MODE_POSITIVITY, require_dynamics
 from detbal.cli import CONVENTION, _parse_channel, _to_eigenbasis
 from detbal.duals import (
+    ReversingOperation,
     bar_map,
     hs_adjoint,
     kms_dual,
@@ -210,7 +211,8 @@ def test_a_write_into_the_input_leaves_the_map_alone(given):
 
 def _builders(tau, rho):
     """Every map a builder hands over through superop._adopt, from the
-    channel tau and the state rho on M_n."""
+    channel tau and the state rho on M_n; a reversing operation built from
+    an integer u as well as one from make_reversing."""
     n = tau.n
     u = random_unitary(n, 71)
     th = make_reversing(np.diag(np.exp(1j * np.arange(n))))
@@ -236,6 +238,7 @@ def _builders(tau, rho):
         "kms_dual": kms_dual(tau, rho),
         "theta_conjugate": theta_conjugate(tau, th),
         "reversing": th.superop(),
+        "reversing-int": ReversingOperation(u=np.eye(n, dtype=int)[::-1]).superop(),
         "modular_power": modular_power(rho, 0.3 + 0.5j),
         "degenerate_db2_channel": degenerate_db2_channel(3, spectrum / spectrum.sum())[0],
         "symmetrized_sqdb_channel": symmetrized_sqdb_channel(0.75, 0.2)[0],
@@ -247,7 +250,7 @@ def _builders(tau, rho):
 BUILDERS = [
     "from_kraus", "compose", "power-0", "power-1", "power-2", "pi_rep", "tilde", "hs_adjoint",
     "bar_map", "trace_dual", "rho_dual", "kms_dual", "theta_conjugate", "reversing",
-    "modular_power", "degenerate_db2_channel", "symmetrized_sqdb_channel", "cli-parsed",
+    "reversing-int", "modular_power", "degenerate_db2_channel", "symmetrized_sqdb_channel", "cli-parsed",
     "cli-rotated",
 ]
 

@@ -64,9 +64,11 @@ the same channel reads the kept numbers and forms its verdict under its
 own tolerance.  A state dual is a new map per call that builds it, so its
 spectrum and residual are formed once per such call.  What depends on the
 state alone, the pair Gram g, the modular ratios, the KMS weights, 1 / d
-and vec(rho), the state keeps (states.DensityMatrix), and a reversing
-operation keeps whether it is the plain transpose
-(duals.ReversingOperation); no value is kept per pair of objects.  A
+and vec(rho), the state forms when it is built (states.DensityMatrix), and
+a reversing operation tests then whether it is the plain transpose
+(duals.ReversingOperation): a value formed from n or n^2 numbers is formed
+with its object, one that reads a map's matrix on its first read.  No
+value is kept per pair of objects.  A
 positivity-only mode replaces both CP tests with the weaker fixed-frame
 positivity probe for callers who want plain positive dynamics; that probe
 runs on every call.

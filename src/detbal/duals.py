@@ -30,8 +30,8 @@ realignments are read from s.  The row and column scalings are read from
 rho, which keeps 1 / d and the KMS weights (d_j d_k)^(1/2)
 (states.DensityMatrix).  The Theta-conjugate conj(W) M W,
 W = kron(conj u, u), is O(n^5), and for the plain transpose (u = 1) it is
-s itself, returned as is: a ReversingOperation keeps whether it is the
-plain transpose, and holds a read-only copy of u.
+s itself, returned as is: a ReversingOperation tests whether it is the
+plain transpose when it is built, and holds a read-only copy of u.
 
 The kms dual preserves complete positivity and is an involution; the state
 dual agrees with it exactly when s commutes with the modular map
@@ -61,7 +61,6 @@ check_db2_tfd and check_sqdb_tfd, are in balance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -208,24 +207,21 @@ class ReversingOperation:
     construction.  Applied twice it is A -> w A w^dag with w = u conj(u), so
     it is an involution exactly when w is a phase times the identity;
     make_reversing checks unitarity and that condition.  u is a read-only
-    complex copy of the array given, so that superop hands a complex matrix
-    over (superop._adopt).  The operation keeps whether it is the plain
-    transpose (_is_transpose), formed on the first read.
+    copy of the array given, read as make_reversing reads it (as_matrix):
+    square, finite and complex, so that superop hands a complex matrix over
+    (superop._adopt).  Whether u is the identity, so that Theta is the
+    plain transpose (_is_transpose), is tested here, once.
     """
 
     u: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "u", _read_only(np.array(self.u, dtype=complex)))
+        u = _read_only(as_matrix(self.u))
+        vars(self).update(u=u, _is_transpose=bool(np.array_equal(u, np.eye(len(u)))))
 
     @property
     def n(self) -> int:
         return self.u.shape[0]
-
-    @cached_property
-    def _is_transpose(self) -> bool:
-        """Whether u is the identity, so that Theta is the plain transpose."""
-        return bool(np.array_equal(self.u, np.eye(self.n)))
 
     def apply(self, a) -> np.ndarray:
         """Theta(a) for an n x n matrix a; another shape raises DimensionMismatch."""

@@ -103,8 +103,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def _numeric(x, dtype=complex) -> np.ndarray:
     """np.asarray(x, dtype); input numpy cannot shape or read as numbers
-    (ragged rows, a string) raises DimensionMismatch."""
+    (ragged rows, a string) raises DimensionMismatch, and so does complex
+    input for a real dtype, list or array (numpy would drop its imaginary
+    part with only a ComplexWarning)."""
     try:
+        if dtype is not complex and np.iscomplexobj(x):
+            raise TypeError("complex entries where real numbers are expected")
         return np.asarray(x, dtype=dtype)
     except (TypeError, ValueError) as exc:
         raise DimensionMismatch(f"expected a numeric array: {exc}") from None

@@ -16,28 +16,28 @@ marginals but has no off-diagonal correlations; the gap between the two is
 what the balance checks in this package exploit.
 
 A DensityMatrix holds read-only copies of its eigenvalues and basis, and
-keeps the values that the balance checks derive from rho alone, each
-formed on its first read and read-only: 1 / d, the pair Gram diagonal
-kron(d^(1/2), d^(1/2)) of the purified two-copy functional, the modular
-ratios d_j / d_k, the KMS weights (d_j d_k)^(1/2) and vec(rho).  Every
-check on the same state reads them instead of forming them again.
+forms when it is built, read-only, the values that the balance checks
+derive from rho alone: 1 / d, the pair Gram diagonal kron(d^(1/2), d^(1/2))
+of the purified two-copy functional, the modular ratios d_j / d_k, the KMS
+weights (d_j d_k)^(1/2) and vec(rho).  Every check on the same state reads
+them instead of forming them again.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import NonUnitary, NotDensity, NotInvertible
+from .errors import DimensionMismatch, NonUnitary, NotDensity, NotInvertible
 from .linalg import (
     DEFAULT_TOL,
     CheckResult,
     Tolerance,
     _eig_descending,
     _hermiticity,
+    _numeric,
     _read_only,
     _square,
     _verdict,
@@ -57,7 +57,8 @@ class DensityMatrix:
     below 1e-8, in which case the eigenbasis (and with it the purification
     below) is not canonical: V is still fixed deterministically by the
     eigensolver, but physically distinct choices exist.  diag and basis are
-    read-only copies of the arrays given.
+    read-only copies of the arrays given: n real numbers and an n x n
+    complex matrix, else DimensionMismatch.
     """
 
     n: int
@@ -66,38 +67,24 @@ class DensityMatrix:
     degenerate: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "diag", _read_only(np.array(self.diag)))
-        object.__setattr__(self, "basis", _read_only(np.array(self.basis)))
-
-    @cached_property
-    def _inverse(self) -> np.ndarray:
-        """1 / d, the row scaling of the state dual."""
-        return _read_only(1.0 / self.diag)
-
-    @cached_property
-    def _pair_gram(self) -> np.ndarray:
-        """Diagonal of the Gram matrix kron(r, conj(r)) of omega (w = 1) and
-        of the mirror Gram matrix kron(rho^(1/2), (rho^(1/2))^T):
-        kron(d^(1/2), d^(1/2)), rho = diag(d)."""
-        half = np.sqrt(self.diag)
-        return _read_only(np.outer(half, half).ravel())
-
-    @cached_property
-    def _modular_ratios(self) -> np.ndarray:
-        """Diagonal of the modular map in the matrix-unit basis: d_j / d_k
-        at vec index j + n k."""
-        return _read_only(np.outer(self._inverse, self.diag).ravel())
-
-    @cached_property
-    def _kms_weights(self) -> np.ndarray:
-        """(d_j d_k)^(1/2) at [k, j], vec index j + n k: the row and column
-        scalings of the kms dual."""
-        return _read_only(np.sqrt(np.outer(self.diag, self.diag)))
-
-    @cached_property
-    def _vec(self) -> np.ndarray:
-        """vec(rho) in the eigenbasis, the state-invariance test vector."""
-        return _read_only(vec(self.matrix()))
+        n = self.n
+        d = _read_only(np.array(_numeric(self.diag, float)))
+        if d.shape != (n,):
+            raise DimensionMismatch(f"expected {n} eigenvalues, got shape {d.shape}")
+        half, inverse = np.sqrt(d), _read_only(1.0 / d)  # 1 / d scales the state dual's rows
+        vars(self).update(
+            diag=d,
+            basis=_read_only(np.array(_square(self.basis, n))),
+            _inverse=inverse,
+            # diagonal of the Gram matrix kron(r, conj(r)) of omega (w = 1)
+            # and of the mirror Gram matrix kron(rho^(1/2), (rho^(1/2))^T)
+            _pair_gram=_read_only(np.outer(half, half).ravel()),
+            # the modular map in the matrix-unit basis: d_j / d_k at j + n k
+            _modular_ratios=_read_only(np.outer(inverse, d).ravel()),
+            # the kms dual's row and column scalings: (d_j d_k)^(1/2) at [k, j]
+            _kms_weights=_read_only(np.sqrt(np.outer(d, d))),
+            _vec=_read_only(vec(np.diag(d).astype(complex))),  # the invariance test vector
+        )
 
     def matrix(self) -> np.ndarray:
         """The density matrix in its eigenbasis (diagonal)."""

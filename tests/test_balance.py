@@ -359,6 +359,17 @@ def test_make_chain_validation():
         make_chain([np.nan, 0.5], [[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(NotStochastic, match="gamma has a non-finite entry"):
         make_chain([0.5, 0.5], [[1.0, 0.0], [np.nan, 1.0]])
+    # complex data, list or array, is refused whole: numpy would drop the
+    # imaginary part of an array with only a ComplexWarning
+    for p, gamma in (
+        ([0.5 + 1j, 0.5], np.eye(2)),
+        (np.array([0.5 + 1j, 0.5]), np.eye(2)),
+        (np.array([0.5 + 0j, 0.5]), np.eye(2)),
+        ([0.5, 0.5], [[1.0 + 1j, 0.0], [0.0, 1.0]]),
+        ([0.5, 0.5], np.eye(2, dtype=complex)),
+    ):
+        with pytest.raises(DimensionMismatch, match="complex entries"):
+            make_chain(p, gamma)
 
 
 def test_classical_metropolis_reversible():

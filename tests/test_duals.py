@@ -491,21 +491,27 @@ def test_theta_conjugate_of_identity():
 
 def reversings():
     """The plain transpose (also from a real identity), the spin reversal
-    and a rotated u = v v^T, each with a channel of its dimension."""
+    and a rotated u = v v^T, each with a channel of its dimension; then
+    operations built directly from an integer identity, a real spin
+    reversal and an integer reversal permutation."""
     rng = np.random.default_rng(95)
     v = haar(3, rng)
     yield transpose_reversing(3), random_channel(3, 2, 95)
     yield make_reversing(np.eye(2)), random_channel(2, 2, 96)
     yield make_reversing(np.array([[0.0, 1.0], [-1.0, 0.0]])), random_channel(2, 2, 97)
     yield make_reversing(v @ v.T), random_channel(3, 2, 98)
+    yield ReversingOperation(u=np.eye(3, dtype=int)), random_channel(3, 2, 99)
+    yield ReversingOperation(u=np.array([[0.0, 1.0], [-1.0, 0.0]])), random_channel(2, 2, 100)
+    yield ReversingOperation(u=np.eye(3, dtype=int)[::-1]), random_channel(3, 2, 101)
 
 
 def test_kept_transpose_test_is_the_formula_bit_for_bit():
-    """A reversing operation's kept transpose test is np.array_equal(u, 1),
-    and theta_conjugate returns s itself for the transpose, else the
-    sandwich conj(W) M W, bit for bit."""
+    """A reversing operation's kept transpose test is formed when it is
+    built, and is np.array_equal(u, 1); theta_conjugate returns s itself
+    for the transpose, else the sandwich conj(W) M W, bit for bit."""
     seen = []
     for th, s in reversings():
+        assert "_is_transpose" in vars(th)
         u, n = th.u, th.n
         plain = bool(np.array_equal(u, np.eye(n)))
         assert th._is_transpose is plain
@@ -516,7 +522,7 @@ def test_kept_transpose_test_is_the_formula_bit_for_bit():
             want = superop._kron_sandwich(s.mat, n, u.conj(), u, u, u.conj())
             assert got.mat.tobytes() == want.tobytes()
         seen.append(plain)
-    assert seen == [True, True, False, False]
+    assert seen == [True, True, False, False, True, False, False]
 
 
 def test_reversing_u_is_a_read_only_copy():

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from detbal.duals import make_reversing, tilde, transpose_reversing
+from detbal.balance import make_chain
+from detbal.duals import ReversingOperation, make_reversing, tilde, transpose_reversing
 from detbal.errors import DetbalError, DimensionMismatch, NotHermitian, NotInvertible
 from detbal.linalg import (
     DEFAULT_TOL,
@@ -18,7 +19,14 @@ from detbal.linalg import (
     mat_power,
     require_hermitian,
 )
-from detbal.states import expectation, make_density, omega_eval, purify, theta_eval
+from detbal.states import (
+    DensityMatrix,
+    expectation,
+    make_density,
+    omega_eval,
+    purify,
+    theta_eval,
+)
 from detbal.superop import SuperOperator, from_kraus, make_kraus, pi_rep, unvec, vec
 
 
@@ -285,6 +293,11 @@ def _unshaped_entry_points():
         "from_kraus": lambda x: from_kraus([x]),
         "omega_eval": lambda x: omega_eval(purify(rho), x, x),
         "theta_eval": lambda x: theta_eval(rho, x, x),
+        "ReversingOperation": lambda x: ReversingOperation(u=x),
+        "DensityMatrix.diag": lambda x: DensityMatrix(2, x, np.eye(2), False),
+        "DensityMatrix.basis": lambda x: DensityMatrix(2, [0.75, 0.25], x, False),
+        "make_chain.p": lambda x: make_chain(x, np.eye(2)),
+        "make_chain.gamma": lambda x: make_chain([0.5, 0.5], x),
     }
 
 
@@ -295,3 +308,23 @@ def test_unshaped_input_raises_dimension_mismatch(name, bad):
     error (linalg._numeric), not numpy's ValueError."""
     with pytest.raises(DimensionMismatch, match="expected a numeric array"):
         _unshaped_entry_points()[name](bad)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ReversingOperation(u=np.ones((2, 3))),
+        lambda: ReversingOperation(u=np.ones(2)),
+        lambda: DensityMatrix(2, [0.5, 0.3, 0.2], np.eye(2), False),
+        lambda: DensityMatrix(2, [[0.75, 0.25]], np.eye(2), False),
+        lambda: DensityMatrix(2, [0.75, 0.25], np.eye(3), False),
+        lambda: DensityMatrix(2, [0.75, 0.25], np.eye(2)[:1], False),
+    ],
+    ids=["u-2x3", "u-vector", "diag-3", "diag-1x2", "basis-3x3", "basis-1x2"],
+)
+def test_value_types_reject_arrays_off_their_dimension(build):
+    """A reversing operation wants a square u, and a state n eigenvalues and
+    an n x n basis; any other shape raises DimensionMismatch when the object
+    is built, not numpy's error in a later check."""
+    with pytest.raises(DimensionMismatch, match="expected"):
+        build()

@@ -271,19 +271,25 @@ def states_1_to_12():
 
 
 def test_kept_state_values_are_the_formulas_bit_for_bit():
-    """Each value a state keeps is bit-equal to the formula it replaced."""
-    for rho in states_1_to_12():
-        d = rho.diag
-        half = np.sqrt(d)
-        want = {
-            "_inverse": 1.0 / d,
-            "_pair_gram": np.outer(half, half).ravel(),
-            "_modular_ratios": np.outer(1.0 / d, d).ravel(),
-            "_kms_weights": np.sqrt(np.outer(d, d)),
-            "_vec": rho.matrix().reshape(-1, order="F"),
-        }
-        for name, value in want.items():
-            assert same_array(getattr(rho, name), value), (rho.n, name)
+    """Each value a state keeps is formed when the state is built, by
+    make_density or directly from lists, and is bit-equal to the formula it
+    replaced."""
+    for made in states_1_to_12():
+        direct = DensityMatrix(made.n, made.diag.tolist(), made.basis.tolist(), made.degenerate)
+        for rho in (made, direct):
+            d = rho.diag
+            half = np.sqrt(d)
+            want = {
+                "_inverse": 1.0 / d,
+                "_pair_gram": np.outer(half, half).ravel(),
+                "_modular_ratios": np.outer(1.0 / d, d).ravel(),
+                "_kms_weights": np.sqrt(np.outer(d, d)),
+                "_vec": rho.matrix().reshape(-1, order="F"),
+            }
+            assert want.keys() <= vars(rho).keys(), rho.n
+            for name, value in want.items():
+                assert same_array(getattr(rho, name), value), (rho.n, name)
+        assert same_array(direct.diag, made.diag) and same_array(direct.basis, made.basis)
     assert any(rho.degenerate for rho in states_1_to_12())
 
 

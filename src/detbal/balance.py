@@ -52,6 +52,21 @@ entries of R and the transposed ones of L, a norm over the sorted union of
 its operands' stored positions, where each operand's own entries are
 spread (superop._union).
 
+Every kernel takes maps on one M_n as a stack (superop._Stack) and returns
+one number per map: the modular commutators (_commutators), the state
+invariances (_invariances), the pair maxima (_pair_residual, _pair_max) and
+the two distances of the definition checks (_hat_distances,
+_kms_distances).  The dense passes run once over the stacked matrices, on
+a leading batch axis, with the state duals and Theta-conjugates of the
+stack formed as one stack too (duals._dual, duals._conjugates); the
+stored-entry route runs on a stack of one.  _reports decides several maps
+this way, the powers of one channel from the command line: it forms the
+Choi spectra and unital residuals of the maps and of their state duals in
+one stacked pass (superop._kept), then admits the maps in order.
+run_report and every public check are stacks of one, so each kernel has
+one implementation and a map's numbers are the same bits alone or
+stacked.
+
 On channels commuting with the modular map the kms and state duals
 coincide, so there sqdb implies db2; sqdb does not require that commutation.
 
@@ -83,13 +98,15 @@ import numpy as np
 
 from .duals import (
     _check_state,
+    _conjugates,
+    _dual,
     _kms_dual_entries,
-    rho_dual,
-    theta_conjugate,
+    _rho_dual_entries,
     ReversingOperation,
+    rho_dual,
 )
 from .errors import DimensionMismatch, InputNotDynamics, NotStochastic
-from .linalg import DEFAULT_TOL, CheckResult, Tolerance, _numeric, _verdict
+from .linalg import DEFAULT_TOL, CheckResult, Tolerance, _norms, _numeric, _verdict
 from .states import DensityMatrix
 from .superop import (
     _BAR_AXES,
@@ -97,7 +114,10 @@ from .superop import (
     _SAME_AXES,
     _TRANSPOSE_AXES,
     SuperOperator,
+    _Stack,
+    _stack,
     _compose,
+    _kept,
     _realign,
     _spread,
     _union,
@@ -140,44 +160,55 @@ def require_dynamics(
     return cp
 
 
+def _commutators(ss: _Stack, rho: DensityMatrix) -> list[float]:
+    """delta_commutator_residual of each map of the stack ss."""
+    _check_state(ss[0], rho)
+    r = rho._modular_ratios
+    s = ss.stored
+    if s is None:
+        n = ss[0].n
+        r = r.reshape(n, n)
+        rows, cols, entries = r.reshape(n, n, 1, 1), r, _realign(ss.mats, n, _SAME_AXES)
+    else:
+        _, i, j = s._place(_SAME_AXES)
+        rows, cols, entries = r.take(i), r.take(j), s._entries
+    out = np.empty(entries.shape, dtype=complex)
+    np.subtract(cols, rows, out=out, dtype=complex)
+    out *= entries
+    return _norms(out.reshape(len(ss), -1))
+
+
 def delta_commutator_residual(tau: SuperOperator, rho: DensityMatrix) -> float:
     """Frobenius norm of tau Delta - Delta tau on the superoperator level;
     Delta = diag(r), r = kron(1/d, d) (DensityMatrix._modular_ratios), so
     entry (i, j) is tau_ij (r_j - r_i), summed over the entries tau stores
     (superop._stored) or all of them."""
-    _check_state(tau, rho)
-    r = rho._modular_ratios
-    if tau._at is None:
-        n = tau.n
-        r = r.reshape(n, n)
-        rows, cols, entries = r.reshape(n, n, 1, 1), r, _realign(tau.mat, n, _SAME_AXES)
-    else:
-        _, i, j = tau._place(_SAME_AXES)
-        rows, cols, entries = r.take(i), r.take(j), tau._entries
-    out = np.subtract(cols, rows, dtype=complex)
-    out *= entries
-    return float(np.linalg.norm(out))
+    return _commutators(_stack((tau,)), rho)[0]
 
 
 def _pair_residual(
-    g: np.ndarray, tau: SuperOperator, other: SuperOperator, axes=_SAME_AXES, mirror=False
-) -> float:
+    g: np.ndarray, taus: _Stack, others: _Stack, axes=_SAME_AXES, mirror=False
+) -> list[float]:
     """Largest |F(e_i, R e_j) - F(tau e_i, e_j)| over basis pairs, for
     F(x, y) = x^T diag(g) y and R the realignment of other by axes:
-    max|g_i R_ij - tau_ji g_j|, O(n^4).  With mirror R is conjugated: other
-    in the antilinear mirror slot.  R is read as a view, never copied; the
-    dense pass is one _pair_max, with two n^2 x n^2 complex temporaries and
-    the real array of their absolute difference.
+    max|g_i R_ij - tau_ji g_j|, O(n^4), for each map tau of the stack taus
+    and other of others.  With mirror R is conjugated: other in the
+    antilinear mirror slot.  R is read as a view, never copied; the dense
+    pass is one _pair_max over the stacks, with two complex temporaries of
+    the stacks' size and the real array of their absolute difference.
 
-    When R and tau both store few entries (SuperOperator._place), every
+    When R and tau both store few entries, alone (_Stack.stored), every
     other term is zero: the maximum runs over the stored entries of R and
     the transposed ones of tau, and each operand there is a map's own
     entries or one take at the other map's positions.  The two partial
     maxima are joined by np.maximum, which keeps a NaN."""
-    n = tau.n
-    if other._at is None or tau._at is None:
-        right = _realign(other.mat, n, axes)
-        return float(_pair_max(g.reshape(n, n, 1, 1), right, tau.mat.T, g, mirror))
+    n = taus[0].n
+    tau, other = taus.stored, others.stored
+    if tau is None or other is None:
+        right = _realign(others.mats, n, axes)
+        left_t = taus.mats.swapaxes(-1, -2)
+        worst = _pair_max(g.reshape(n, n, 1, 1), right, left_t, g, mirror, (-2, -1))
+        return worst.reshape(-1).tolist()
     worst = 0.0
     # tau^T read at R's positions, and R at those of tau^T
     _, i, j = other._place(axes)
@@ -186,19 +217,58 @@ def _pair_residual(
     _, i, j = tau._place(_TRANSPOSE_AXES)
     right = other.mat.take(tau._place(_compose(_TRANSPOSE_AXES, axes))[0])
     worst = np.maximum(worst, _pair_max(g.take(i), right, tau._entries, g.take(j), mirror))
-    return float(worst)
+    return [float(worst)]
 
 
-def _pair_max(rows, right, left_t, g, conj):
-    """max|rows right - left_t g| (conj(rows right) with conj), over whole
-    operands or gathered entries; a NaN entry makes the result NaN, and no
-    entry at all gives 0."""
+def _pair_max(rows, right, left_t, g, conj, axis=None):
+    """max|rows right - left_t g| (conj(rows right) with conj) over axis,
+    over whole operands, each element of a stack, or gathered entries; a
+    NaN entry makes its maximum NaN, and no entry at all gives 0."""
     blk = np.multiply(rows, right, order="C")
     if conj:
         np.conjugate(blk, out=blk)
     flat = blk.reshape(left_t.shape)
     flat -= left_t * g
-    return np.abs(flat).max(initial=0.0)
+    return np.abs(flat).max(axis=axis, initial=0.0)
+
+
+def _invariances(ss: _Stack, rho: DensityMatrix) -> list[float]:
+    """max |<tau(E_i)> - <E_i>| over the matrix units, for each map tau of
+    the stack ss: vec(rho) = tau^T vec(rho), one product per map."""
+    r = rho._vec
+    return np.abs(r - ss.mats.swapaxes(-1, -2) @ r).max(axis=-1).reshape(-1).tolist()
+
+
+def _hat_distances(taus: _Stack, duals: _Stack) -> list[float]:
+    """||bar_map(dual) - tau|| for each map tau of the stack taus and its
+    state dual in duals, over the stored entries of either (_union) or all
+    of them: the distance of the transposed dual from the channel itself."""
+    both = _union(duals, _BAR_AXES, taus, _SAME_AXES)
+    if both is None:
+        n = taus[0].n
+        hat, channel = _realign(duals.mats, n, _BAR_AXES), _realign(taus.mats, n, _SAME_AXES)
+    else:
+        u, at_hat, at_tau = both
+        hat = _spread(duals[0]._entries, at_hat, len(u))
+        channel = _spread(taus[0]._entries, at_tau, len(u))
+    return _norms(np.subtract(hat, channel, order="C").reshape(len(taus), -1))
+
+
+def _kms_distances(taus: _Stack, rho: DensityMatrix, conjs: _Stack) -> list[float]:
+    """||kms_dual(tau) - bar_map(conj)|| for each map tau of the stack taus
+    and its Theta-conjugate in conjs, over the stored entries of either
+    (_union) or all of them."""
+    both = _union(taus, _DUAL_AXES, conjs, _BAR_AXES)
+    if both is None:
+        n = taus[0].n
+        diff = _kms_dual_entries(rho, _realign(taus.mats, n, _DUAL_AXES))
+        diff -= _realign(conjs.mats, n, _BAR_AXES)
+    else:
+        u, at_dual, at_bar = both
+        tau = taus[0]
+        diff = _spread(_kms_dual_entries(rho, tau._entries, tau), at_dual, len(u))
+        diff -= _spread(conjs[0]._entries, at_bar, len(u))
+    return _norms(diff.reshape(len(taus), -1))
 
 
 def _db2_definition(dual, un, tol, mode) -> CheckResult:
@@ -216,60 +286,23 @@ def _db2_definition(dual, un, tol, mode) -> CheckResult:
     )
 
 
-def _db2_modular(tau, rho, tol) -> CheckResult:
-    comm = delta_commutator_residual(tau, rho)
-    # <tau(E_i)> = <E_i> for every matrix unit: vec(rho) = tau^T vec(rho)
-    r = rho._vec
-    inv = float(np.max(np.abs(r - tau.mat.T @ r)))
-    return _verdict(tol, {"modular_commutator": comm, "state_invariance": inv})
+def _db2_modular(commutator, invariance, tol) -> CheckResult:
+    return _verdict(tol, {"modular_commutator": commutator, "state_invariance": invariance})
 
 
-def _db2_entangled(tau, g, dual, hat_unital, tol) -> CheckResult:
-    # hat = bar_map(dual), read as a view; hat(1) = dual(1)^T has dual's
-    # unital defect transposed, so hat_unital is is_unital(dual).residual
-    n = tau.n
-    # distance of the transposed dual from the channel itself, over the
-    # stored entries of either; diagnostic only, zero is not required for
-    # balance
-    both = _union(dual, _BAR_AXES, tau, _SAME_AXES)
-    if both is None:
-        hat, channel = _realign(dual.mat, n, _BAR_AXES), _realign(tau.mat, n, _SAME_AXES)
-    else:
-        u, at_hat, at_tau = both
-        hat, channel = _spread(dual._entries, at_hat, len(u)), _spread(tau._entries, at_tau, len(u))
-    hat_vs_channel = float(np.linalg.norm(np.subtract(hat, channel, order="C")))
+def _db2_entangled(pair, hat_unital, hat_vs_channel, tol) -> CheckResult:
+    # hat = bar_map(dual); hat(1) = dual(1)^T has dual's unital defect
+    # transposed, so hat_unital is is_unital(dual).residual.  hat_vs_channel
+    # is diagnostic only: zero is not required for balance
     return _verdict(
         tol,
-        {"pair_residual": _pair_residual(g, tau, dual, _BAR_AXES), "hat_unital": hat_unital},
+        {"pair_residual": pair, "hat_unital": hat_unital},
         info={"hat_vs_channel": hat_vs_channel},
     )
 
 
-def _sqdb_definition(tau, rho, conj, tol) -> CheckResult:
-    # kms_dual(tau) against bar_map(conj), over the stored entries of either
-    n = tau.n
-    both = _union(tau, _DUAL_AXES, conj, _BAR_AXES)
-    if both is None:
-        diff = _kms_dual_entries(rho, _realign(tau.mat, n, _DUAL_AXES))
-        diff -= _realign(conj.mat, n, _BAR_AXES)
-    else:
-        u, at_dual, at_bar = both
-        diff = _spread(_kms_dual_entries(rho, tau._entries, tau), at_dual, len(u))
-        diff -= _spread(conj._entries, at_bar, len(u))
-    return _verdict(tol, {"kms_vs_reversed": float(np.linalg.norm(diff))})
-
-
-def _sqdb_entangled(tau, g, conj, tol) -> CheckResult:
-    return _verdict(tol, {"pair_residual": _pair_residual(g, tau, conj)})
-
-
-def _db2_tfd(tau, g, dual, dual_unital, tol) -> CheckResult:
-    pair = _pair_residual(g, tau, dual, mirror=True)
+def _db2_tfd(pair, dual_unital, tol) -> CheckResult:
     return _verdict(tol, {"pair_residual": pair, "dual_unital": dual_unital})
-
-
-def _sqdb_tfd(tau, g, conj, tol) -> CheckResult:
-    return _verdict(tol, {"pair_residual": _pair_residual(g, tau, conj, _BAR_AXES, mirror=True)})
 
 
 def check_db2_definition(
@@ -292,7 +325,8 @@ def check_db2_modular(
 ) -> CheckResult:
     """Standard balance via modular commutation plus state invariance."""
     require_dynamics(tau, rho, tol, mode)
-    return _db2_modular(tau, rho, tol)
+    taus = _stack((tau,))
+    return _db2_modular(_commutators(taus, rho)[0], _invariances(taus, rho)[0], tol)
 
 
 def check_db2_entangled(
@@ -303,8 +337,11 @@ def check_db2_entangled(
 ) -> CheckResult:
     """Standard balance via the purified two-copy functional."""
     require_dynamics(tau, rho, tol, mode)
-    dual = rho_dual(tau, rho)
-    return _db2_entangled(tau, rho._pair_gram, dual, is_unital(dual, tol).residual, tol)
+    taus = _stack((tau,))
+    duals = _dual(taus, rho, _rho_dual_entries)
+    pair = _pair_residual(rho._pair_gram, taus, duals, _BAR_AXES)[0]
+    hat_unital = is_unital(duals[0], tol).residual
+    return _db2_entangled(pair, hat_unital, _hat_distances(taus, duals)[0], tol)
 
 
 def check_sqdb_definition(
@@ -316,7 +353,9 @@ def check_sqdb_definition(
 ) -> CheckResult:
     """Square-root balance by its definition: kms dual equals Theta tau Theta."""
     require_dynamics(tau, rho, tol, mode)
-    return _sqdb_definition(tau, rho, theta_conjugate(tau, th), tol)
+    taus = _stack((tau,))
+    kms = _kms_distances(taus, rho, _conjugates(taus, th))[0]
+    return _verdict(tol, {"kms_vs_reversed": kms})
 
 
 def check_sqdb_entangled(
@@ -328,7 +367,9 @@ def check_sqdb_entangled(
 ) -> CheckResult:
     """Square-root balance via the purified two-copy functional."""
     require_dynamics(tau, rho, tol, mode)
-    return _sqdb_entangled(tau, rho._pair_gram, theta_conjugate(tau, th), tol)
+    taus = _stack((tau,))
+    pair = _pair_residual(rho._pair_gram, taus, _conjugates(taus, th))[0]
+    return _verdict(tol, {"pair_residual": pair})
 
 
 def check_db2_tfd(
@@ -340,8 +381,10 @@ def check_db2_tfd(
     """Standard balance in mirror form: <tau(A) tilde(B)> = <A tilde(tau'(B))>
     on all matrix-unit pairs, plus unitality of the state dual."""
     require_dynamics(tau, rho, tol, mode)
-    dual = rho_dual(tau, rho)
-    return _db2_tfd(tau, rho._pair_gram, dual, is_unital(dual, tol).residual, tol)
+    taus = _stack((tau,))
+    duals = _dual(taus, rho, _rho_dual_entries)
+    pair = _pair_residual(rho._pair_gram, taus, duals, mirror=True)[0]
+    return _db2_tfd(pair, is_unital(duals[0], tol).residual, tol)
 
 
 def check_sqdb_tfd(
@@ -354,7 +397,9 @@ def check_sqdb_tfd(
     """Square-root balance in mirror form:
     <tau(A) tilde(B)> = <A tilde(Theta tau Theta(B))> on matrix-unit pairs."""
     require_dynamics(tau, rho, tol, mode)
-    return _sqdb_tfd(tau, rho._pair_gram, theta_conjugate(tau, th), tol)
+    taus = _stack((tau,))
+    pair = _pair_residual(rho._pair_gram, taus, _conjugates(taus, th), _BAR_AXES, mirror=True)[0]
+    return _verdict(tol, {"pair_residual": pair})
 
 
 @dataclass(frozen=True, eq=False)
@@ -455,25 +500,59 @@ def run_report(
     with the mirror checks if tfd; all share one dynamics check, state dual
     (and its unitality check) and Theta-conjugate, tau's stored entries and
     the values rho keeps, the pair Gram among them."""
-    dynamics = require_dynamics(tau, rho, tol, mode)
-    dual = rho_dual(tau, rho)
-    un = is_unital(dual, tol)
-    conj = theta_conjugate(tau, th)
+    return _reports((tau,), rho, th, tol, mode, tfd)[0]
+
+
+def _reports(maps, rho, th, tol=DEFAULT_TOL, mode=MODE_CP, tfd=False) -> list[BalanceReport]:
+    """run_report on each of the maps, all on one M_n, as one stack
+    (superop._Stack): each kernel makes one pass over the stacked maps,
+    their state duals and their Theta-conjugates, and each report holds the
+    bits run_report gives on its map alone.  The maps are admitted in order:
+    the first that is no channel raises InputNotDynamics."""
+    taus = _stack(maps)
+    n = taus[0].n
+    if n != rho.n:
+        raise DimensionMismatch(f"channel on M_{n} vs state of dimension {rho.n}")
+    duals = _dual(taus, rho, _rho_dual_entries)
+    _kept((taus, duals), mode == MODE_CP)
+    dynamics = [require_dynamics(s, rho, tol, mode) for s in taus]
+    conjs = _conjugates(taus, th)
     g = rho._pair_gram
+    columns = [
+        dynamics,
+        duals,
+        _commutators(taus, rho),
+        _invariances(taus, rho),
+        _pair_residual(g, taus, duals, _BAR_AXES),
+        _hat_distances(taus, duals),
+        _kms_distances(taus, rho, conjs),
+        _pair_residual(g, taus, conjs),
+    ]
+    if tfd:
+        columns.append(_pair_residual(g, taus, duals, mirror=True))
+        columns.append(_pair_residual(g, taus, conjs, _BAR_AXES, mirror=True))
+    return [_report(rho, tol, mode, *row) for row in zip(*columns)]
+
+
+def _report(
+    rho, tol, mode, dynamics, dual, comm, inv, pair, hat_vs_channel, kms, sq_pair,
+    tfd_pair=None, sq_tfd_pair=None,
+) -> BalanceReport:
+    """One report from its map's kernel results (_reports)."""
+    un = is_unital(dual, tol)
     db2_def = _db2_definition(dual, un, tol, mode)
-    db2_mod = _db2_modular(tau, rho, tol)
-    db2_ent = _db2_entangled(tau, g, dual, un.residual, tol)
-    sq_def = _sqdb_definition(tau, rho, conj, tol)
-    sq_ent = _sqdb_entangled(tau, g, conj, tol)
-    delta_commutes = _verdict(tol, {"modular_commutator": db2_mod.detail["modular_commutator"]})
+    db2_mod = _db2_modular(comm, inv, tol)
+    db2_ent = _db2_entangled(pair, un.residual, hat_vs_channel, tol)
+    sq_def = _verdict(tol, {"kms_vs_reversed": kms})
+    sq_ent = _verdict(tol, {"pair_residual": sq_pair})
     consistency = (
         db2_def.passed == db2_mod.passed == db2_ent.passed
         and sq_def.passed == sq_ent.passed
     )
     db2_tfd = sq_tfd = tfd_agrees = None
-    if tfd:
-        db2_tfd = _db2_tfd(tau, g, dual, un.residual, tol)
-        sq_tfd = _sqdb_tfd(tau, g, conj, tol)
+    if tfd_pair is not None:
+        db2_tfd = _db2_tfd(tfd_pair, un.residual, tol)
+        sq_tfd = _verdict(tol, {"pair_residual": sq_tfd_pair})
         tfd_agrees = db2_tfd.passed == db2_ent.passed and sq_tfd.passed == sq_def.passed
     return BalanceReport(
         db2_definition=db2_def,
@@ -481,7 +560,7 @@ def run_report(
         db2_entangled=db2_ent,
         sqdb_definition=sq_def,
         sqdb_entangled=sq_ent,
-        delta_commutes=delta_commutes,
+        delta_commutes=_verdict(tol, {"modular_commutator": comm}),
         consistency=consistency,
         degenerate_rho=rho.degenerate,
         dynamics=dynamics,

@@ -73,9 +73,9 @@ from .balance import (
     ClassicalChain,
     classical_detailed_balance,
     classical_phi_balance,
+    _reports,
     make_chain,
     require_dynamics,
-    run_report,
 )
 from .duals import ReversingOperation, make_reversing, transpose_reversing
 from .errors import DetbalError, InputNotDynamics, NotStochastic, SchemaError
@@ -92,6 +92,7 @@ from .linalg import DEFAULT_TOL, CheckResult, Tolerance
 from .states import DensityMatrix, make_density
 from .superop import (
     KrausChannel,
+    _GATHER_MIN_N,
     SuperOperator,
     _adopt,
     _kron_sandwich,
@@ -417,15 +418,22 @@ def run_checks(
 ) -> dict:
     """Run the battery per requested time power; returns the report payload.
     Without power 1 the file's map is admitted first: a power of a map that
-    is no channel can be one (the transpose map squares to the identity)."""
+    is no channel can be one (the transpose map squares to the identity).
+    The powers of a quantum map below the stored-entry route's size
+    (superop._GATHER_MIN_N) are decided together (balance._reports), in
+    order, as many at once as hold at most _GATHER_MIN_N**4 entries per
+    stacked operand; from that size on, one at a time."""
     reports = []
     if parsed.kind == "quantum":
+        tau, rho = parsed.tau, parsed.rho
         if 1 not in parsed.powers:
-            require_dynamics(parsed.tau, parsed.rho, parsed.tol, mode)
-        for k in parsed.powers:
-            tau_k = parsed.tau if k == 1 else parsed.tau.power(k)
-            report = run_report(tau_k, parsed.rho, parsed.theta, parsed.tol, mode, tfd)
-            reports.append(_quantum_power_payload(report, k))
+            require_dynamics(tau, rho, parsed.tol, mode)
+        size = max(1, _GATHER_MIN_N**4 // tau.n**4)
+        for at in range(0, len(parsed.powers), size):
+            powers = parsed.powers[at : at + size]
+            maps = [tau if k == 1 else tau.power(k) for k in powers]
+            for k, report in zip(powers, _reports(maps, rho, parsed.theta, parsed.tol, mode, tfd)):
+                reports.append(_quantum_power_payload(report, k))
         payload = {
             "kind": "quantum",
             "n": parsed.rho.n,

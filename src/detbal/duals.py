@@ -28,10 +28,13 @@ those positions and the scaled entries as its own (superop._from_entries),
 so no dual searches its matrix again or permutes a position: those of its
 realignments are read from s.  The row and column scalings are read from
 rho, which keeps 1 / d and the KMS weights (d_j d_k)^(1/2)
-(states.DensityMatrix).  The Theta-conjugate conj(W) M W,
-W = kron(conj u, u), is O(n^5), and for the plain transpose (u = 1) it is
-s itself, returned as is: a ReversingOperation tests whether it is the
-plain transpose when it is built, and holds a read-only copy of u.
+(states.DensityMatrix).  The duals of several maps on one M_n, a stack
+(superop._Stack), are formed at once from their stacked matrices (_dual),
+as are their Theta-conjugates (_conjugates).  The Theta-conjugate
+conj(W) M W, W = kron(conj u, u), is O(n^5), and for the plain transpose
+(u = 1) it is s itself, returned as is: a ReversingOperation tests whether
+it is the plain transpose when it is built, and holds a read-only copy of
+u.
 
 The kms dual preserves complete positivity and is an involution; the state
 dual agrees with it exactly when s commutes with the modular map
@@ -72,7 +75,10 @@ from .superop import (
     _DUAL_AXES,
     _INPUT_TRANSPOSE_AXES,
     SuperOperator,
+    _Stack,
+    _stack,
     _adopt,
+    _adopted,
     _from_entries,
     _kron_sandwich,
     _realign,
@@ -117,18 +123,21 @@ def rho_dual(s: SuperOperator, rho: DensityMatrix) -> SuperOperator:
     its entries.  The defining pairing is kept as a test oracle.  s' is
     unital iff s preserves <.>, and trace-of-rho-preserving iff s is unital.
     """
-    return _dual(s, rho, _rho_dual_entries)
+    return _dual(_stack((s,)), rho, _rho_dual_entries)[0]
 
 
-def _dual(s: SuperOperator, rho: DensityMatrix, entries_of) -> SuperOperator:
-    """The map whose (n, n, n, n) matrix entries_of(rho, ...) forms from
-    the _DUAL_AXES realignment of s.mat: from the whole view, or from its
-    stored entries (s._entries), which the dual keeps as its own with their
-    positions there (superop._from_entries)."""
-    _check_state(s, rho)
-    if s._at is None:
-        return _from_entries(s, _DUAL_AXES, entries_of(rho, _realign(s.mat, s.n, _DUAL_AXES)))
-    return _from_entries(s, _DUAL_AXES, entries_of(rho, s._entries, s))
+def _dual(ss: _Stack, rho: DensityMatrix, entries_of) -> _Stack:
+    """The stack of the maps whose (n, n, n, n) matrices entries_of(rho, ...)
+    forms from the _DUAL_AXES realignments of the maps of the stack ss: from
+    the whole views, stacked, or for a map with few stored entries, alone
+    (_Stack.stored), from those entries (s._entries), which its dual keeps
+    as its own with their positions there (superop._from_entries)."""
+    _check_state(ss[0], rho)
+    s, n = ss.stored, ss[0].n
+    if s is None:
+        entries = entries_of(rho, _realign(ss.mats, n, _DUAL_AXES))
+        return _adopted(n, entries.reshape(ss.mats.shape), _at=None)
+    return _stack((_from_entries(s, _DUAL_AXES, entries_of(rho, s._entries, s)),))
 
 
 def _rho_dual_entries(rho: DensityMatrix, dual: np.ndarray, s=None) -> np.ndarray:
@@ -157,7 +166,7 @@ def kms_dual(s: SuperOperator, rho: DensityMatrix) -> SuperOperator:
     with powers of the diagonal rho are row and column scalings: O(n^4), or
     O(stored) as in rho_dual.
     """
-    return _dual(s, rho, _kms_dual_entries)
+    return _dual(_stack((s,)), rho, _kms_dual_entries)[0]
 
 
 def _kms_dual_entries(rho: DensityMatrix, dual: np.ndarray, s=None) -> np.ndarray:
@@ -274,9 +283,16 @@ def theta_conjugate(s: SuperOperator, th: ReversingOperation) -> SuperOperator:
     the plain transpose (u = 1, ReversingOperation._is_transpose) the map
     is s, and s itself is returned.
     """
-    if s.n != th.n:
-        raise DimensionMismatch(f"map on M_{s.n} vs reversing operation on M_{th.n}")
+    return _conjugates(_stack((s,)), th)[0]
+
+
+def _conjugates(ss: _Stack, th: ReversingOperation) -> _Stack:
+    """theta_conjugate of each map of the stack ss: ss itself for the plain
+    transpose, else one _kron_sandwich of the stacked matrices."""
+    n = ss[0].n
+    if n != th.n:
+        raise DimensionMismatch(f"map on M_{n} vs reversing operation on M_{th.n}")
     if th._is_transpose:
-        return s
+        return ss
     u = th.u
-    return _adopt(s.n, _kron_sandwich(s.mat, s.n, u.conj(), u, u, u.conj()))
+    return _adopted(n, _kron_sandwich(ss.mats, n, u.conj(), u, u, u.conj()))

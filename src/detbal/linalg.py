@@ -95,6 +95,18 @@ def _negativity(lam_min, lam_max):
     return np.maximum(-lam_min, 0.0) / np.maximum(1.0, lam_max)
 
 
+def _norms(x: np.ndarray) -> list[float]:
+    """The Frobenius norm of each element of the complex stack x (leading
+    axis), C-ordered per element, formed as np.linalg.norm forms it (the
+    same two BLAS dots over its real and imaginary halves): the same bits
+    for any number of elements."""
+    x = x.reshape(len(x), -1)
+    out = []
+    for a, b in zip(x.real, x.imag):
+        out.append(math.sqrt(a.dot(a) + b.dot(b)))
+    return out
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     """a, with writes into it switched off."""
     a.flags.writeable = False

@@ -25,12 +25,13 @@ them instead of forming them again.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonUnitary, NotDensity, NotInvertible
+from .errors import DetbalError, DimensionMismatch, NonUnitary, NotDensity, NotInvertible
 from .linalg import (
     DEFAULT_TOL,
     CheckResult,
@@ -58,7 +59,12 @@ class DensityMatrix:
     below) is not canonical: V is still fixed deterministically by the
     eigensolver, but physically distinct choices exist.  diag and basis are
     read-only copies of the arrays given: n real numbers and an n x n
-    complex matrix, else DimensionMismatch.
+    complex matrix, else DimensionMismatch.  What it keeps is checked as
+    make_density checks it, with its error types and messages: diag finite
+    (DetbalError), strictly positive (NotDensity for a negative entry,
+    NotInvertible for a zero), summing to 1 within 1e-12 and descending
+    (NotDensity); basis unitary to 1e-12 * n in Frobenius norm
+    (NonUnitary); degenerate as the gaps of diag say (NotDensity).
     """
 
     n: int
@@ -71,10 +77,12 @@ class DensityMatrix:
         d = _read_only(np.array(_numeric(self.diag, float)))
         if d.shape != (n,):
             raise DimensionMismatch(f"expected {n} eigenvalues, got shape {d.shape}")
+        basis = _read_only(np.array(_square(self.basis, n)))
+        _check_spectrum(d, basis, self.degenerate)
         half, inverse = np.sqrt(d), _read_only(1.0 / d)  # 1 / d scales the state dual's rows
         vars(self).update(
             diag=d,
-            basis=_read_only(np.array(_square(self.basis, n))),
+            basis=basis,
             _inverse=inverse,
             # diagonal of the Gram matrix kron(r, conj(r)) of omega (w = 1)
             # and of the mirror Gram matrix kron(rho^(1/2), (rho^(1/2))^T)
@@ -96,6 +104,42 @@ class DensityMatrix:
         if not isinstance(z, numbers.Real):
             raise TypeError(f"power wants a real exponent, got {z!r}")
         return np.diag(np.power(self.diag, float(z))).astype(complex)
+
+
+def _check_spectrum(d: np.ndarray, basis: np.ndarray, degenerate) -> None:
+    """Raise unless d, basis and degenerate describe an invertible density
+    matrix in its eigenbasis (DensityMatrix); every comparison fails closed
+    on a NaN."""
+    n = len(d)
+    if not np.isfinite(d).all():
+        raise DetbalError("matrix entries must be finite")
+    low = d.min()
+    if not low >= 0.0:
+        raise NotDensity(f"negative eigenvalue {low:.3e}")
+    if not low > 0.0:
+        raise NotInvertible(f"density matrix must be invertible (min eigenvalue {low:.3e})")
+    total = float(d.sum())
+    if not abs(total - 1.0) <= 1e-12:
+        raise NotDensity(f"trace must be 1, got {total:.12g}")
+    gaps = d[:-1] - d[1:]
+    if not (gaps >= 0.0).all():
+        raise NotDensity("eigenvalues must be in descending order")
+    defect = basis.conj().T @ basis
+    defect.flat[:: n + 1] -= 1.0
+    ures = math.sqrt(np.vdot(defect, defect).real)
+    if not ures <= 1e-12 * n:
+        raise NonUnitary(f"basis is not unitary (residual {ures:.3e})")
+    if bool(degenerate) != _degenerate(gaps):
+        raise NotDensity(
+            f"degenerate is {bool(degenerate)}, but the smallest eigenvalue gap is"
+            f" {gaps.min(initial=np.inf):.3e} (degenerate below {_DEGENERACY_GAP:g})"
+        )
+
+
+def _degenerate(gaps: np.ndarray) -> bool:
+    """Whether a gap between neighbours of a descending spectrum,
+    lam[:-1] - lam[1:], lies below _DEGENERACY_GAP."""
+    return bool(gaps.min() < _DEGENERACY_GAP) if len(gaps) else False
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +175,7 @@ def make_density(m, tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
         raise NotInvertible(
             f"density matrix must be invertible (min eigenvalue {lam[-1]:.3e})"
         )
-    degenerate = bool(np.min(-np.diff(lam)) < _DEGENERACY_GAP) if len(lam) > 1 else False
+    degenerate = _degenerate(lam[:-1] - lam[1:])
     return DensityMatrix(n=m.shape[0], diag=lam, basis=basis, degenerate=degenerate)
 
 

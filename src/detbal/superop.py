@@ -11,21 +11,36 @@ solves only the coupled rows of the Choi matrix; the rest are 1x1 blocks.
 
 A SuperOperator holds one C-ordered complex n^2 x n^2 matrix, read-only,
 so each realignment of it (_realign, axes defined here only) is a view.
-No caller can write into it.  The map keeps the array numpy made of its
-input in two cases: numpy made it anew (from a list, or a real or
-Fortran-ordered matrix), or it is read-only and owns its memory.  Any
-other array, a writable one or any view or buffer-backed one, is copied
-once and the copy frozen.  The builders here, in duals, generators and
-the command line hand over C-ordered complex n^2 x n^2 arrays they made
-through _adopt, which freezes them and builds the map without checking
-them again: it asserts only their type, order and shape.  A map keeps values computed from that matrix on their first
-read, none of which depends on the tolerance: where it stores entries (_at
-and more, below), its unital residual ||s(1) - 1|| (_unital_residual), and
-the numbers of its CP test (_choi_spectrum): the Choi Hermiticity
-residual, the smallest and largest Choi eigenvalue and the Choi
-negativity.  Every unitality or CP test of the map after the first, from
-any public check, forms its verdict from those numbers without computing
-them again.  The positivity probe (is_positive_map) keeps nothing.
+No caller can write into it.  One rule decides the copy: the map keeps
+the array numpy made of its input only when numpy made it anew (from a
+list, or a real or Fortran-ordered matrix), and copies any caller array
+once, a read-only one that owns its memory included (its owner can
+switch writes back on), and freezes the copy.  The builders here, in
+duals, generators and the command line hand over C-ordered complex
+n^2 x n^2 arrays they made through _adopt, the only path without a copy,
+which freezes them and builds the map without checking them again: it
+asserts only their type, order and shape.  A map keeps values computed
+from that matrix on their first read, none of which depends on the
+tolerance: where it stores entries (_at and more, below), its unital
+residual ||s(1) - 1|| (_unital_residual), and the numbers of its CP test
+(_choi_spectrum): the Choi Hermiticity residual, the smallest and largest
+Choi eigenvalue and the Choi negativity.  Every unitality or CP test of
+the map after the first, from any public check, forms its verdict from
+those numbers without computing them again.  The positivity probe
+(is_positive_map) keeps nothing.
+
+Maps on one M_n can be decided together as a _Stack: the dense passes
+then run once over their matrices on a leading batch axis (_Stack.mats),
+and each element's numbers are the bits its map gives alone: every
+elementwise step is the same per element, each norm is formed per element
+as np.linalg.norm forms it (linalg._norms), and eigvalsh solves each
+matrix of a stack as it would alone.  A lone map is a stack of one, whose
+mats is its own matrix: a kernel reads the last axes, so it has one
+implementation for one map or several.  _kept forms the unital residuals
+and Choi spectra of several maps, powers of a channel and their state
+duals, in one stacked pass each and keeps them as each map's own; a pass
+holds at most _GATHER_MIN_N**4 entries, so it never takes more memory than
+one map at the stored-entry route's smallest size.
 
 _stored decides, for the CP test and every other O(n^4) kernel, whether a
 map's stored entries are followed instead of all n^4: at n >= 7 with at
@@ -43,7 +58,8 @@ realignment is found through the positions of a composed one (_compose).
 A map built from rescaled entries of another's realignment, as a dual is
 (_from_entries), is handed those positions and entries and reads the
 positions of its own realignments from the other map: it neither searches
-nor forms positions.  A kernel writes its elementwise expression once and
+nor forms positions.  The stored-entry route runs on a stack of one alone
+(_Stack.stored).  A kernel writes its elementwise expression once and
 is fed either the views of the dense pass or the gathered entries.  The CP
 test then finds the coupled rows at the stored entries and takes its
 coupled block (a copy of the Choi view if every row couples) and diagonal
@@ -68,6 +84,7 @@ from .linalg import (
     CheckResult,
     Tolerance,
     _negativity,
+    _norms,
     _numeric,
     _read_only,
     _square,
@@ -99,9 +116,9 @@ def unvec(v, n: int | None = None) -> np.ndarray:
 class SuperOperator:
     """Linear map on M_n stored as its n^2 x n^2 column-stacking matrix, one
     C-ordered complex array, read-only: numpy's conversion of the input when
-    numpy made it anew, the input itself when it is read-only and owns its
-    memory (base is None), else a copy made once.  A non-integer n (a bool
-    is none), n < 1 or another shape raises DimensionMismatch."""
+    numpy made it anew, else a copy of the caller's array made once,
+    read-only or not.  A non-integer n (a bool is none), n < 1 or another
+    shape raises DimensionMismatch."""
 
     n: int
     mat: np.ndarray
@@ -112,9 +129,9 @@ class SuperOperator:
         mat = np.ascontiguousarray(_numeric(self.mat))
         if self.n < 1 or mat.shape != (self.n * self.n,) * 2:
             raise DimensionMismatch(f"map on M_{self.n} with a matrix of shape {mat.shape}")
-        # a caller can still write into its own writable array, and into
-        # the memory behind any view or buffer
-        if mat.base is not None or (mat is self.mat and mat.flags.writeable):
+        # the caller's own array, or memory behind a view or buffer, can be
+        # written later: its owner can switch writes back on
+        if mat is self.mat or mat.base is not None:
             mat = mat.copy()
         mat.flags.writeable = False  # a write would leave the kept values stale
         vars(self).update(mat=mat, _placed={})  # _placed: SuperOperator._place, by axes
@@ -131,24 +148,17 @@ class SuperOperator:
 
     @cached_property
     def _unital_residual(self) -> float:
-        """||s(1) - 1|| (is_unital), formed on the first read.
-
-        s(1) = sum_j s(E_jj), and column j + n j of mat is vec(s(E_jj)), so
-        vec(s(1)) is the sum of the n diagonal-unit columns; 1 sits at the
-        same positions j + n j of the result.  No product with vec(1) is
-        formed."""
-        n = self.n
-        defect = self.mat[:, :: n + 1].sum(axis=1)
-        defect[:: n + 1] -= 1.0
-        return float(np.linalg.norm(defect))
+        """||s(1) - 1|| (is_unital, _unital_residuals), formed on the first
+        read, or kept from a stacked pass (_kept)."""
+        return _unital_residuals(self.mat, self.n)[0]
 
     @cached_property
     def _choi_spectrum(self):
         """The Choi Hermiticity residual, the extreme eigenvalues of the
-        Choi matrix's Hermitian part (_choi_test), solved on the first read,
-        and the Choi negativity they give."""
-        herm, lam_min, lam_max = _choi_test(self)
-        return herm, lam_min, lam_max, float(_negativity(lam_min, lam_max))
+        Choi matrix's Hermitian part and the Choi negativity they give
+        (_choi_test), solved on the first read, or kept from a stacked pass
+        (_kept)."""
+        return _choi_test(_stack((self,)))[0]
 
     def _place(self, axes):
         """Where the realignment of mat by axes (_realign) stores entries,
@@ -216,6 +226,68 @@ def _adopt(n: int, mat: np.ndarray, **kept) -> SuperOperator:
     return s
 
 
+class _Stack(tuple):
+    """Maps on one M_n decided together (_stack).  The dense passes run over
+    their matrices, mats: the one map's matrix itself, or those of several
+    on a leading axis (one copy, or the array they are views of), so that
+    a kernel reads the last two axes and a stack of one costs what a map
+    alone did.  The stored-entry route runs on a stack of one alone: stored
+    is its map when that map stores few entries (_at), else None."""
+
+
+def _stack(maps, mats=None) -> _Stack:
+    """The _Stack of maps, with mats when their matrices are views of it.  A
+    function rather than a __new__: a check builds a stack of one per
+    operand, and this way costs less (timed after gc.collect())."""
+    ss = tuple.__new__(_Stack, maps)
+    if len(ss) == 1:
+        s = ss[0]
+        ss.mats = s.mat if mats is None else mats
+        ss.stored = s if s._at is not None else None
+    else:
+        ss.mats = np.array([s.mat for s in ss]) if mats is None else mats
+        ss.stored = None
+    return ss
+
+
+def _adopted(n: int, mats: np.ndarray, **kept) -> _Stack:
+    """The maps on M_n of the C-ordered complex n^2 x n^2 matrix mats, or of
+    each matrix of a stack of them (leading axis), that a builder made
+    (_adopt), each map's matrix a view of it, as one stack whose mats is
+    that array."""
+    if mats.ndim == 2:
+        return _stack([_adopt(n, mats, **kept)], mats)
+    return _stack([_adopt(n, m, **kept) for m in mats], mats)
+
+
+def _kept(stacks, cp: bool) -> None:
+    """Form the unital residual and, with cp, the Choi spectrum of each map
+    of the stacks that lacks them (_unital_residuals, _choi_test), and keep
+    them as the map's own: in one stacked pass each over all the maps when
+    their matrices hold at most _GATHER_MIN_N**4 entries together, else in
+    one per stack of several maps.  A lone map forms its own on their first
+    read, as the one map of the stored-entry route does."""
+    count = sum(map(len, stacks))
+    if count * stacks[0][0].n ** 4 <= _GATHER_MIN_N**4:
+        groups = [[s for ss in stacks for s in ss]]
+    else:
+        groups = [ss for ss in stacks if len(ss) > 1]
+    for group in groups:
+        stack = ()
+        for name in ("_choi_spectrum", "_unital_residual") if cp else ("_unital_residual",):
+            todo = [s for s in group if name not in vars(s)]
+            if len(todo) < 2:
+                continue
+            if list(stack) != todo:
+                stack = _stack(todo)
+            if name == "_choi_spectrum":
+                values = _choi_test(stack)
+            else:
+                values = _unital_residuals(stack.mats, stack[0].n)
+            for s, value in zip(stack, values):
+                vars(s)[name] = value
+
+
 # The realignments in use (_realign, SuperOperator._place), each an
 # involution.  Swapping axes 0, 1 transposes a map's output, swapping 2, 3
 # its input.
@@ -229,8 +301,17 @@ _INPUT_TRANSPOSE_AXES = (0, 1, 3, 2)  # M K
 
 def _realign(m: np.ndarray, n: int, axes) -> np.ndarray:
     """m.reshape(n, n, n, n).transpose(axes), a view of the C-ordered m:
-    entry (a + n b, j + n k) of m sits at [b, a, k, j] of the reshape."""
-    return m.reshape(n, n, n, n).transpose(axes)
+    entry (a + n b, j + n k) of m sits at [b, a, k, j] of the reshape.  For
+    a stack of matrices on one leading axis, each is realigned."""
+    if m.ndim == 2:
+        return m.reshape(n, n, n, n).transpose(axes)
+    return m.reshape(len(m), n, n, n, n).transpose(_behind(axes))
+
+
+@lru_cache(maxsize=None)
+def _behind(axes):
+    """axes behind a leading axis that stays in place."""
+    return (0, *(a + 1 for a in axes))
 
 
 @lru_cache(maxsize=None)
@@ -249,12 +330,15 @@ def _split(flat: np.ndarray, base: int):
 
 def _kron_sandwich(m: np.ndarray, n: int, a, b, j, k) -> np.ndarray:
     """kron(b, a) m kron(k, j) in O(n^5): each n x n factor acts on its own axis
-    of m.reshape(n, n, n, n) (row = b-axis, a-axis; column = k-axis, j-axis)."""
-    m = m.reshape(n**3, n) @ j
-    m = k.T @ m.reshape(n * n, n, n)
-    m = b @ m.reshape(n, n**3)
-    m = a @ m.reshape(n, n, n * n)
-    return m.reshape(n * n, n * n)
+    of m.reshape(n, n, n, n) (row = b-axis, a-axis; column = k-axis, j-axis).
+    For a stack of matrices on leading axes, each is sandwiched; every
+    product is one per matrix, as for a matrix alone."""
+    shape = m.shape
+    m = m.reshape(-1, n**3, n) @ j
+    m = k.T @ m.reshape(-1, n, n)
+    m = b @ m.reshape(-1, n, n**3)
+    m = a @ m.reshape(-1, n, n * n)
+    return m.reshape(shape)
 
 
 def pi_rep(a, b) -> SuperOperator:
@@ -370,13 +454,15 @@ def _stored(m: np.ndarray, n: int):
     return pos if len(pos) <= limit else None
 
 
-def _union(s: SuperOperator, a, t: SuperOperator, b):
+def _union(ss: _Stack, a, ts: _Stack, b):
     """The positions stored by the realignment of s by a or of t by b
     (SuperOperator._place), once each and sorted, and where the entries of
-    s and of t (_entries) go among them (_spread); None if s or t has no
-    positions (_at).  At the union's other positions a realignment holds
+    s and of t (_entries) go among them (_spread), for the one map s of the
+    stack ss and t of ts; None unless both run the stored-entry route
+    (_Stack.stored).  At the union's other positions a realignment holds
     zero, of either sign, which no norm tells apart."""
-    if s._at is None or t._at is None:
+    s, t = ss.stored, ts.stored
+    if s is None or t is None:
         return None
     first, second = s._place(a)[0], t._place(b)[0]
     u = np.concatenate((first, second))
@@ -395,14 +481,11 @@ def _spread(entries: np.ndarray, at: np.ndarray, size: int) -> np.ndarray:
 
 def _from_entries(s: SuperOperator, axes, entries: np.ndarray) -> SuperOperator:
     """The map on M_n whose matrix holds entries where the realignment of
-    s by axes stores its own: the (n, n, n, n) array entries itself when s
-    has no positions (_at), and then neither has the new map, else one
-    scatter into zeros.  The new map is then handed those positions and
-    entries (_at, _entries), in s's order, and takes the positions of its
-    realignments from s (SuperOperator._place)."""
+    the map s with positions (_at) by axes stores its own: one scatter into
+    zeros.  The new map is handed those positions and entries (_at,
+    _entries), in s's order, and takes the positions of its realignments
+    from s (SuperOperator._place)."""
     n = s.n
-    if s._at is None:
-        return _adopt(n, entries.reshape(n * n, n * n), _at=None)
     flat = s._place(axes)[0]
     mat = _spread(entries, flat, n**4).reshape(n * n, n * n)
     return _adopt(n, mat, _at=flat, _entries=_read_only(entries), _source=(s, axes))
@@ -457,53 +540,83 @@ def _gathered_choi(s: SuperOperator):
         h = np.conjugate(block.T)
         h += block
         h *= 0.5
-        lam[coupled] = _block_spectrum(h, herm)
+        lam[coupled] = np.linalg.eigvalsh(h) if math.isfinite(herm) else np.nan
     return herm, lam
 
 
-def _block_spectrum(h: np.ndarray, herm: float) -> np.ndarray:
-    """eigvalsh of the coupled block h; NaNs, unsolved, when the Choi
-    Hermiticity residual herm is not finite, as it is whenever an entry of
-    the map is (LAPACK may refuse such a block)."""
-    if not math.isfinite(herm):
-        return np.full(len(h), np.nan)
-    return np.linalg.eigvalsh(h)
-
-
-def _choi_test(s: SuperOperator) -> tuple[float, float, float]:
-    """The tol-independent numbers of the CP test on s: the Choi Hermiticity
-    residual and the smallest and largest eigenvalue of the Hermitian part
-    H = (C + C^dag) / 2 (is_completely_positive).  A map with few stored
-    entries (_at) takes H's coupled block and diagonal straight from s.mat,
-    and the residual and its scale from the stored entries alone
+def _choi_test(ss: _Stack) -> list[tuple[float, float, float, float]]:
+    """The tol-independent numbers of the CP test on each map of the stack
+    ss: the Choi Hermiticity residual, the smallest and largest eigenvalue
+    of the Hermitian part H = (C + C^dag) / 2 (is_completely_positive) and
+    the Choi negativity they give.  A map with few stored entries, alone
+    (_Stack.stored), takes H's coupled block and diagonal straight from
+    s.mat, and the residual and its scale from the stored entries alone
     (_gathered_choi).  Otherwise C and its transpose are read as views of
-    s.mat, and one buffer holds in turn C, C - C^dag and H."""
-    n = s.n
-    if s._at is not None:
+    the stacked matrices, and one buffer holds in turn C, C - C^dag and H.
+
+    The maps whose coupled rows are the same go to eigvalsh as one stack,
+    which solves each block as it would alone.  A map whose Hermiticity
+    residual is not finite, as it is whenever an entry of the map is, keeps
+    NaN at its coupled rows, unsolved (LAPACK may refuse such a block)."""
+    s = ss.stored
+    if s is not None:
         herm, lam = _gathered_choi(s)
+        return [_spectrum(herm, lam)]
+    n = ss[0].n
+    big = n * n
+    c = _realign(ss.mats, n, _CHOI_AXES)
+    ct = _realign(ss.mats, n, _compose(_CHOI_AXES, _TRANSPOSE_AXES))
+    h = c.copy()
+    scale = _norms(h.reshape(-1, big * big))
+    np.conjugate(ct, out=h)
+    np.subtract(c, h, out=h)
+    herm = _norms(h.reshape(-1, big * big))
+    for i, x in enumerate(scale):
+        herm[i] /= max(1.0, x)
+    np.conjugate(ct, out=h)
+    h += c
+    h *= 0.5
+    h = h.reshape(-1, big, big)
+    # nonzero off-diagonal entries, read on the real and imaginary halves
+    off = h.view(h.real.dtype).reshape(len(h), big * big, -1) != 0
+    off[:, :: big + 1] = False
+    coupled = off.reshape(len(h), big, -1).any(axis=2)
+    if coupled.all() and all(map(math.isfinite, herm)):
+        lam = np.linalg.eigvalsh(h)
     else:
-        big = n * n
-        c = _realign(s.mat, n, _CHOI_AXES)
-        ct = c.transpose(_TRANSPOSE_AXES)
-        h = c.copy()
-        scale = max(1.0, float(np.linalg.norm(h)))
-        np.conjugate(ct, out=h)
-        np.subtract(c, h, out=h)
-        herm = float(np.linalg.norm(h)) / scale
-        np.conjugate(ct, out=h)
-        h += c
-        h *= 0.5
-        h = h.reshape(big, big)
-        lam = h.diagonal().real.copy()
-        # nonzero off-diagonal entries, read on the real and imaginary halves
-        off = h.view(h.real.dtype).reshape(big * big, -1) != 0
-        off[:: big + 1] = False
-        coupled = np.flatnonzero(off.reshape(big, -1).any(axis=1))
-        if len(coupled) == big:
-            lam = _block_spectrum(h, herm)
-        elif len(coupled):
-            lam[coupled] = _block_spectrum(h[coupled[:, None], coupled], herm)
-    return herm, float(lam.min()), float(lam.max())
+        lam = h.diagonal(0, 1, 2).real.copy()
+        same = {}
+        for i, (x, rows) in enumerate(zip(herm, coupled)):
+            if math.isfinite(x):
+                same.setdefault(rows.tobytes(), []).append(i)
+            else:
+                lam[i, rows] = np.nan
+        for group in same.values():
+            rows = np.flatnonzero(coupled[group[0]])
+            if len(rows):
+                group = np.array(group)[:, None]
+                lam[group, rows] = np.linalg.eigvalsh(h[group[:, :, None], rows[:, None], rows])
+    return [_spectrum(x, row) for x, row in zip(herm, lam)]
+
+
+def _spectrum(herm: float, lam: np.ndarray) -> tuple[float, float, float, float]:
+    """The numbers a map keeps of its CP test (SuperOperator._choi_spectrum)
+    from the Choi Hermiticity residual and eigenvalues lam."""
+    lam_min, lam_max = float(lam.min()), float(lam.max())
+    return herm, lam_min, lam_max, float(_negativity(lam_min, lam_max))
+
+
+def _unital_residuals(mats: np.ndarray, n: int) -> list[float]:
+    """||s(1) - 1|| (is_unital) for the map s on M_n of the matrix mats, or
+    for each map of a stack of matrices (leading axis).
+
+    s(1) = sum_j s(E_jj), and column j + n j of a map's matrix is
+    vec(s(E_jj)), so vec(s(1)) is the sum of the n diagonal-unit columns; 1
+    sits at the same positions j + n j of the result.  No product with
+    vec(1) is formed."""
+    defect = mats[..., :: n + 1].sum(axis=-1)
+    defect[..., :: n + 1] -= 1.0
+    return _norms(defect.reshape(-1, n * n))
 
 
 def is_completely_positive(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> CheckResult:

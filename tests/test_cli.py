@@ -347,10 +347,13 @@ def test_tfd_flag_adds_mirror_checks(tmp_path):
 
 
 def test_tfd_run_shares_the_reports_work(tmp_path, monkeypatch):
-    """Per power, one report: one search for the channel's stored entries,
-    two CP tests, each solving one Choi spectrum, and two unitality tests
-    (the channel's and its dual's), one state dual and one Theta-conjugate,
-    with the mirror checks included."""
+    """The powers of a small file are decided as one stack
+    (balance._reports), with the mirror checks included: one stacked state
+    dual and one stacked Theta-conjugate, and one stacked solve of the Choi
+    spectra and one of the unital residuals for the powers and their state
+    duals together.  Each map's CP and unitality verdict is then read from
+    its kept numbers, and no map searches for stored entries below the
+    stored-entry route's size."""
     parsed = parse_problem(_write(tmp_path, generate_payload("schur-db2", 3, 3, 0.75, 0.2, 4)))
     calls = collections.Counter()
 
@@ -361,28 +364,19 @@ def test_tfd_run_shares_the_reports_work(tmp_path, monkeypatch):
 
         return wrapper
 
-    names = (
-        "is_completely_positive", "is_unital", "rho_dual", "theta_conjugate",
-    )
-    for name in names:
+    for name in ("is_completely_positive", "is_unital", "_dual", "_conjugates"):
         monkeypatch.setattr(detbal.balance, name, counted(name, getattr(detbal.balance, name)))
-    # the search runs once per map, on the first read of its positions
-    monkeypatch.setattr(detbal.superop, "_stored", counted("_stored", detbal.superop._stored))
-    # the Choi spectrum is solved once per map, on its first CP test
-    monkeypatch.setattr(
-        detbal.superop, "_choi_test", counted("_choi_test", detbal.superop._choi_test)
-    )
+    for name in ("_stored", "_choi_test", "_unital_residuals"):
+        monkeypatch.setattr(detbal.superop, name, counted(name, getattr(detbal.superop, name)))
     payload = run_checks(replace(parsed, powers=(1, 2)), tfd=True)
     assert all(r["tfd_agrees"] for r in payload["reports"])
-    # unitality of the channel and of its dual; the dual's residual is read
-    # by db2_definition, the transposed dual's check and db2_tfd
     assert calls == {
-        "_stored": 2,
-        "_choi_test": 4,
+        "_choi_test": 1,
+        "_unital_residuals": 1,
         "is_completely_positive": 4,
         "is_unital": 4,
-        "rho_dual": 2,
-        "theta_conjugate": 2,
+        "_dual": 1,
+        "_conjugates": 1,
     }
 
 
@@ -741,9 +735,9 @@ def test_file_tolerances_reach_the_checkers(tmp_path, capsys, monkeypatch):
     payload = generate_payload("gad-sqdb", None, 3, 0.75, 0.2, 0)
     payload["tol"] = {"eq_tol": 10.0, "psd_tol": 1e-8, "inv_tol": 1e-10}
     seen = []
-    real = detbal.cli.run_report
+    real = detbal.cli._reports
     monkeypatch.setattr(
-        detbal.cli, "run_report", lambda *args: seen.append(args[3]) or real(*args)
+        detbal.cli, "_reports", lambda *args: seen.append(args[3]) or real(*args)
     )
     assert main(["check", _write(tmp_path, payload), "--format", "json"]) == 0
     checks = json.loads(capsys.readouterr().out)["reports"][0]["checks"]

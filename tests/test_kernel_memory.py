@@ -17,10 +17,12 @@ both of which differ between numpy versions.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
 from detbal import (
+    DEFAULT_TOL,
     MODE_POSITIVITY,
     SuperOperator,
     bar_map,
@@ -48,6 +50,7 @@ from detbal import (
     trace_dual,
     transpose_reversing,
 )
+from detbal.cli import ParsedProblem, run_checks
 
 
 def channels(n, seed):
@@ -173,3 +176,41 @@ def test_allocation_budget_at_n12(family):
     over.update({k: round(v, 2) for k, v in peaks.items() if k in BELOW and v >= BELOW[k]})
     assert not over, over
 
+
+
+def working_peak(call):
+    """Traced peak of one call above what it leaves allocated (its result,
+    such as the report payload), in bytes, after a first call that fills
+    the lazy caches."""
+    call()
+    tracemalloc.start()
+    try:
+        result = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result is not None  # held until measured, so current counts it
+    return peak - current
+
+
+@pytest.mark.parametrize("family", ["schur-db2", "random-unital"])
+def test_stacked_powers_stay_within_one_map_at_the_stored_route_size(family):
+    """The command line decides the powers of a map below n = 7 in stacks of
+    at most 7^4 entries per operand (cli.run_checks): 20 powers at n = 6 go
+    one map per stack, and work in no more memory than run_report(tfd=True)
+    on one dense map at n = 7, the smallest size of the stored-entry route.
+    A stack of all 20 would take about ten times as much."""
+    tau7, rho7 = channels(7, 61)["random-unital"]
+    th7 = transpose_reversing(7)
+    reference = working_peak(lambda: run_report(SuperOperator(7, tau7.mat), rho7, th7, tfd=True))
+    tau, rho = channels(6, 62)[family]
+    parsed = ParsedProblem(
+        kind="quantum", tol=DEFAULT_TOL, powers=tuple(range(1, 21)), rho=rho, tau=tau,
+        theta=transpose_reversing(6),
+    )
+
+    def powers():
+        return run_checks(replace(parsed, tau=SuperOperator(6, tau.mat)), tfd=True)
+
+    peak = working_peak(powers)
+    assert peak <= reference, (peak, reference)

@@ -35,6 +35,9 @@ eigenvalues must be the same bits, norms agree to 1e-15 relative and the
 duals' matrices entry for entry.  A map keeps the positions it finds
 first, so each route runs on a fresh copy of the map.  A NaN or inf entry
 must fail every kernel on both routes.
+
+Several maps decided as one stack (balance._reports) must give each map
+the report run_report gives it alone, bit for bit.
 """
 
 import collections
@@ -44,6 +47,7 @@ import numpy as np
 import pytest
 
 from detbal import balance, duals, superop
+from detbal.errors import InputNotDynamics
 from detbal.balance import (
     MODE_CP,
     MODE_POSITIVITY,
@@ -314,6 +318,11 @@ def close(new, oracle):
     return abs(new - oracle) <= 1e-12 * max(1.0, oracle)
 
 
+def one(s):
+    """The stack of the one map s that the kernels take (superop._Stack)."""
+    return superop._stack((s,))
+
+
 # ------------------------------------------------------------------ tests
 
 
@@ -353,10 +362,10 @@ def test_pair_residual_matches_the_one_shot_expression(n):
     for axes, copy in ((_SAME_AXES, right), (_BAR_AXES, bar)):
         for mirror in (False, True):
             want = np.max(np.abs(g[:, None] * (copy.conj() if mirror else copy) - left.T * g))
-            assert _pair_residual(g, tau, other, axes, mirror) == want
+            assert _pair_residual(g, one(tau), one(other), axes, mirror) == [want]
     right = right.copy()
     right[-1, -1] = np.nan
-    assert np.isnan(_pair_residual(g, tau, SuperOperator(n, right)))
+    assert np.isnan(_pair_residual(g, one(tau), one(SuperOperator(n, right)))[0])
 
 
 def dense_pair_residual(gram, left, right):
@@ -497,6 +506,83 @@ def test_report_mirror_checks_match_the_public_ones_bit_exactly(make, n, k, mode
     assert same_check(plain.dynamics, dynamics)
     for name in ("db2_definition", "db2_entangled", "sqdb_definition", "sqdb_entangled"):
         assert same_check(getattr(plain, name), getattr(report, name))
+
+
+REPORT_CHECKS = (
+    "dynamics", "db2_definition", "db2_modular", "db2_entangled", "sqdb_definition",
+    "sqdb_entangled", "delta_commutes", "db2_tfd", "sqdb_tfd",
+)
+
+
+def same_report(a, b):
+    """Every check of two reports holds the same verdict, residual and
+    detail, bit for bit (a NaN matches a NaN), and so do their flags."""
+    for name in REPORT_CHECKS:
+        x, y = getattr(a, name), getattr(b, name)
+        if x is None or y is None:
+            assert x is y, name
+            continue
+        assert x.passed == y.passed and same_bits(x.residual, y.residual), name
+        assert x.detail.keys() == y.detail.keys(), name
+        assert all(same_bits(x.detail[k], y.detail[k]) for k in x.detail), name
+    assert (a.consistency, a.tfd_agrees, a.degenerate_rho) == (
+        b.consistency, b.tfd_agrees, b.degenerate_rho
+    )
+
+
+# the cases above and dense maps at n = 5 and 6, the sizes below the
+# stored-entry route (superop._GATHER_MIN_N) that the command line stacks
+STACK_CASES = CASES + [
+    (f"{name}-{n}", make, n) for n in (5, 6) for name, make in (
+        ("schur-db2", _schur), ("random-unital", _random_unital),
+    )
+]
+STACK_PARAMS = [
+    pytest.param(make, n, k, id=f"{name}-{tname}")
+    for name, make, n in STACK_CASES
+    for k, (tname, _) in enumerate(thetas(n))
+]
+
+
+@pytest.mark.parametrize("mode", [MODE_CP, MODE_POSITIVITY])
+@pytest.mark.parametrize("make,n,k", STACK_PARAMS)
+def test_stacked_reports_match_each_map_alone_bit_for_bit(make, n, k, mode):
+    """balance._reports decides tau, tau^2 and tau^3 as one stack; each of
+    its reports is run_report on that map alone, with the mirror checks
+    and without, in every residual, detail, verdict, consistency and
+    tfd_agrees.  Each map alone is a fresh copy, so that it solves its own
+    Choi spectrum and unital residual."""
+    tau, rho = make(n)
+    th = thetas(n)[k][1]
+    maps = [tau, tau.power(2), tau.power(3)]
+    for tfd in (False, True):
+        stacked = balance._reports(maps, rho, th, mode=mode, tfd=tfd)
+        assert len(stacked) == 3
+        for m, report in zip(maps, stacked):
+            alone = run_report(SuperOperator(n, m.mat), rho, th, mode=mode, tfd=tfd)
+            same_report(report, alone)
+
+
+@pytest.mark.parametrize("make,n", CASE_PARAMS)
+def test_an_overflowing_power_leaves_the_other_reports_alone(make, n):
+    """A power whose entries overflow to inf and NaN (of twice the channel)
+    fails its CP test, unsolved, and the stack raises InputNotDynamics for
+    it, the first map in order that is no channel.  The maps before and
+    after it keep the numbers they would solve alone: their reports from
+    those kept numbers match fresh copies bit for bit."""
+    tau, rho = make(n)
+    th = transpose_reversing(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        big = SuperOperator(n, 2 * tau.mat).power(1100)
+        assert not np.all(np.isfinite(big.mat))
+        maps = [tau, big, tau.power(2)]
+        with pytest.raises(InputNotDynamics, match=r"not completely positive \(residual nan\)"):
+            balance._reports(maps, rho, th, tfd=True)
+    assert math.isnan(big._choi_spectrum[0])
+    kept = [maps[0], maps[2]]
+    assert all("_choi_spectrum" in vars(m) for m in kept)
+    for m, report in zip(kept, balance._reports(kept, rho, th, tfd=True)):
+        same_report(report, run_report(SuperOperator(n, m.mat), rho, th, tfd=True))
 
 
 @pytest.mark.parametrize(
@@ -772,21 +858,31 @@ def kernel_checks(tau, rho, th, mode=MODE_CP):
     entries which are NaN) reach them too; each check as a thunk.  A map
     keeps the positions it finds first, so the thunks run on a fresh copy
     of tau: call kernel_checks and its thunks under one route."""
-    tau = SuperOperator(tau.n, tau.mat)
-    dual = rho_dual(tau, rho)
-    conj = theta_conjugate(tau, th)
+    tau = one(SuperOperator(tau.n, tau.mat))
+    dual = one(rho_dual(tau[0], rho))
+    conj = one(theta_conjugate(tau[0], th))
     g = rho._pair_gram
     tol = DEFAULT_TOL
-    un = is_unital(dual, tol)
+    un = is_unital(dual[0], tol)
+
+    def pair(other, axes=_SAME_AXES, mirror=False):
+        return balance._pair_residual(g, tau, other, axes, mirror)[0]
+
     return {
-        "cp": lambda: balance._cp_check(tau, tol, mode),
-        "db2_definition": lambda: balance._db2_definition(dual, un, tol, mode),
-        "db2_modular": lambda: balance._db2_modular(tau, rho, tol),
-        "db2_entangled": lambda: balance._db2_entangled(tau, g, dual, un.residual, tol),
-        "sqdb_definition": lambda: balance._sqdb_definition(tau, rho, conj, tol),
-        "sqdb_entangled": lambda: balance._sqdb_entangled(tau, g, conj, tol),
-        "db2_tfd": lambda: balance._db2_tfd(tau, g, dual, un.residual, tol),
-        "sqdb_tfd": lambda: balance._sqdb_tfd(tau, g, conj, tol),
+        "cp": lambda: balance._cp_check(tau[0], tol, mode),
+        "db2_definition": lambda: balance._db2_definition(dual[0], un, tol, mode),
+        "db2_modular": lambda: balance._db2_modular(
+            balance._commutators(tau, rho)[0], balance._invariances(tau, rho)[0], tol
+        ),
+        "db2_entangled": lambda: balance._db2_entangled(
+            pair(dual, _BAR_AXES), un.residual, balance._hat_distances(tau, dual)[0], tol
+        ),
+        "sqdb_definition": lambda: _verdict(
+            tol, {"kms_vs_reversed": balance._kms_distances(tau, rho, conj)[0]}
+        ),
+        "sqdb_entangled": lambda: _verdict(tol, {"pair_residual": pair(conj)}),
+        "db2_tfd": lambda: balance._db2_tfd(pair(dual, mirror=True), un.residual, tol),
+        "sqdb_tfd": lambda: _verdict(tol, {"pair_residual": pair(conj, _BAR_AXES, True)}),
     }
 
 
@@ -901,9 +997,9 @@ def route_spies(monkeypatch):
     # or from the whole view
     spy(duals, "_rho_dual_entries", "rho_dual", lambda a, k, out: out.ndim == 1)
     spy(duals, "_kms_dual_entries", "kms_dual", lambda a, k, out: out.ndim == 1)
-    spy(balance, "delta_commutator_residual", "commutator", lambda a, k, out: a[0]._at is not None)
+    spy(balance, "_commutators", "commutator", lambda a, k, out: a[0].stored is not None)
     spy(balance, "_pair_residual", "pair",
-        lambda a, k, out: a[1]._at is not None and a[2]._at is not None)
+        lambda a, k, out: a[1].stored is not None and a[2].stored is not None)
     # the sorted flat positions stored by either operand of a norm, or None
     spy(balance, "_union", "norm", lambda a, k, out: out is not None)
     return seen
@@ -1001,10 +1097,10 @@ def test_union_norms_read_the_realigned_views(n, family, zeros):
         return float(np.linalg.norm(left[idx] - right[idx]))
 
     g = rho._pair_gram
-    got = balance._db2_entangled(tau, g, dual, 0.0, DEFAULT_TOL).detail["hat_vs_channel"]
+    got = balance._hat_distances(one(tau), one(dual))[0]
     hat = superop._realign(dual.mat, n, _BAR_AXES)
     assert same_bits(got, union_norm(hat, tau.mat.reshape((n,) * 4)))
-    got = balance._sqdb_definition(tau, rho, tau, DEFAULT_TOL).detail["kms_vs_reversed"]
+    got = balance._kms_distances(one(tau), rho, one(tau))[0]
     half = np.sqrt(np.outer(rho.diag, rho.diag))
     kms = superop._realign(tau.mat, n, superop._DUAL_AXES) / half[:, :, None, None] * half
     assert same_bits(got, union_norm(kms, superop._realign(tau.mat, n, _BAR_AXES)))
@@ -1048,9 +1144,9 @@ def test_one_choi_solve_per_map(family, n, monkeypatch):
     solved = []
     real = superop._choi_test
 
-    def counted(s):
-        solved.append(s)
-        return real(s)
+    def counted(ss):
+        solved.extend(ss)
+        return real(ss)
 
     monkeypatch.setattr(superop, "_choi_test", counted)
     run_report(tau, rho, th, tfd=True)
@@ -1105,9 +1201,12 @@ def test_derived_values_formed_once(family, n, monkeypatch):
     assert (tau._at is not None) == (family == "schur-db2")
     assert set(formed.values()) == {1}
     # the channel and the state duals of run_report and of the three db2
-    # checks that build one
+    # checks that build one; at n = 3 run_report forms the channel's and its
+    # dual's in one stacked pass (superop._kept), not through the properties
     maps = [obj for name, obj in formed if name == "_unital_residual"]
-    assert len(maps) == 5 and tau in maps
+    stacked = family == "random-unital"
+    assert len(maps) == (3 if stacked else 5) and (tau in maps) != stacked
+    assert {"_unital_residual", "_choi_spectrum"} <= vars(tau).keys()
     for obj, kept in built.items():
         assert vars(obj).keys() == kept.keys()
         assert all(vars(obj)[key] is value for key, value in kept.items())
@@ -1175,7 +1274,7 @@ def test_split_pair_maximum_keeps_nan(side, conj, monkeypatch):
 
         def pair():
             tau, other = SuperOperator(n, lt), SuperOperator(n, rt)
-            out = _pair_residual(g, tau, other, mirror=conj)
+            out = _pair_residual(g, one(tau), one(other), mirror=conj)[0]
             return out, (tau._at is None, other._at is None)
 
         with np.errstate(invalid="ignore"):  # inf times a zero factor

@@ -1,11 +1,15 @@
 """State construction, purification and two-copy functional checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from detbal.errors import DimensionMismatch, NonUnitary, NotDensity, NotInvertible
+from detbal.balance import run_report
+from detbal.duals import transpose_reversing
+from detbal.errors import DetbalError, DimensionMismatch, NonUnitary, NotDensity, NotInvertible
+from detbal.superop import SuperOperator
 from detbal.states import (
     DensityMatrix,
     expectation,
@@ -309,3 +313,61 @@ def test_state_arrays_are_read_only_copies():
     assert np.array_equal(built.diag, [0.75, 0.25])
     assert np.array_equal(built.basis, np.eye(2))
     assert diag.flags.writeable and basis.flags.writeable
+
+
+def test_a_state_built_directly_with_bad_values_is_refused():
+    """A DensityMatrix built directly is checked as make_density would check
+    it: an ascending diag whose sum is 1.2 never reaches run_report, and a
+    zero eigenvalue raises NotInvertible, not numpy's divide-by-zero
+    warning."""
+    with pytest.raises(NotDensity, match="trace must be 1, got 1.2"):
+        run_report(
+            SuperOperator(2, np.eye(4)),
+            DensityMatrix(2, [0.3, 0.9], np.eye(2), False),
+            transpose_reversing(2),
+        )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotInvertible, match="min eigenvalue 0.000e"):
+            DensityMatrix(2, [1.0, 0.0], np.eye(2), False)
+
+
+SKEW = np.array([[1.0, 1.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "diag,basis,degenerate,error,match",
+    [
+        ([np.nan, 0.5], np.eye(2), False, DetbalError, "entries must be finite"),
+        ([np.inf, 0.5], np.eye(2), False, DetbalError, "entries must be finite"),
+        ([1.25, -0.25], np.eye(2), False, NotDensity, "negative eigenvalue -2.500e-01"),
+        ([1.0, -0.0], np.eye(2), False, NotInvertible, "must be invertible"),
+        ([0.6, 0.3], np.eye(2), False, NotDensity, "trace must be 1, got 0.9"),
+        ([0.5, 0.5 + 2e-12], np.eye(2), True, NotDensity, "trace must be 1"),
+        ([0.25, 0.75], np.eye(2), False, NotDensity, "descending order"),
+        ([0.75, 0.25], SKEW, False, NonUnitary, "basis is not unitary"),
+        ([0.75, 0.25], np.eye(2) * 1.001, False, NonUnitary, "basis is not unitary"),
+        ([0.75, 0.25], np.eye(2), True, NotDensity, "degenerate is True"),
+        ([0.5, 0.5], np.eye(2), False, NotDensity, "degenerate is False"),
+        ([1.0], np.eye(1), True, NotDensity, "degenerate is True"),
+    ],
+    ids=["nan", "inf", "negative", "zero", "sum-0.9", "sum-above-1e-12", "ascending",
+         "skew-basis", "scaled-basis", "falsely-degenerate", "falsely-generic", "n1-degenerate"],
+)
+def test_density_matrix_validates_what_it_keeps(diag, basis, degenerate, error, match):
+    with pytest.raises(error, match=match):
+        DensityMatrix(len(diag), diag, basis, degenerate)
+
+
+def test_density_matrix_accepts_what_make_density_builds():
+    """Near-degenerate spectra on either side of the gap, a unitary basis
+    that is not the identity, and n = 1 pass, with the flag make_density
+    sets."""
+    u = haar_unitary(3, 90)
+    spectra = ([0.5, 0.3, 0.2], [0.4, 0.4, 0.2], [0.4 + 1e-8, 0.4 - 1e-8, 0.2],
+               [0.4 + 2e-9, 0.4 - 2e-9, 0.2])
+    for lam in spectra:
+        made = make_density(u @ np.diag(lam) @ u.conj().T)
+        built = DensityMatrix(3, made.diag, made.basis, made.degenerate)
+        assert built.degenerate == made.degenerate == (lam[0] - lam[1] < 1e-8)
+    assert not DensityMatrix(1, [1.0], np.eye(1), False).degenerate

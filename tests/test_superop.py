@@ -167,39 +167,36 @@ def test_superoperator_matrix_is_read_only():
     assert SuperOperator(3, kept).mat[0, 0] == 2.0
 
 
-# each input made of the writable identity a, and whether the map keeps it
-# as it is: only a read-only array that owns its memory is kept
+# each input made of the writable identity a; the map keeps none of them
 GIVEN = {
-    "writable": (lambda a: a, False),
-    "read-only": (lambda a: _read_only(a.copy()), True),
-    "read-only-view": (lambda a: _read_only(a.view()), False),
-    "frozen-view": (lambda a: _read_only(_read_only(a.copy()).view()), False),
-    "bytes": (lambda a: np.frombuffer(a.tobytes(), dtype=complex).reshape(4, 4), False),
-    "list": (lambda a: a.tolist(), False),
-    "real": (lambda a: a.real, False),
-    "fortran": (lambda a: np.asfortranarray(a), False),
+    "writable": lambda a: a,
+    "read-only": lambda a: _read_only(a.copy()),
+    "read-only-view": lambda a: _read_only(a.view()),
+    "frozen-view": lambda a: _read_only(_read_only(a.copy()).view()),
+    "bytes": lambda a: np.frombuffer(a.tobytes(), dtype=complex).reshape(4, 4),
+    "list": lambda a: a.tolist(),
+    "real": lambda a: a.real,
+    "fortran": lambda a: np.asfortranarray(a),
 }
 
 
 @pytest.mark.parametrize("given", list(GIVEN))
 def test_a_write_into_the_input_leaves_the_map_alone(given):
     """A map keeps the array numpy made of its input when numpy made it anew
-    (a list, a real or a Fortran-ordered matrix, converted once) or when it
-    is read-only and owns its memory; it copies any other array once, a
+    (a list, a real or a Fortran-ordered matrix, converted once); it copies
+    any caller array once, a read-only one that owns its memory, a
     read-only view of a writable or of a frozen array and a bytes-backed one
     too, so its kept values never go stale.  The caller's array stays
     writable.  A write into the identity channel's matrix after its CP and
     unitality tests changes neither the map nor their verdicts, while a
     fresh map on the written matrix fails."""
-    make, kept = GIVEN[given]
     a = np.eye(4, dtype=complex)
-    x = make(a)
+    x = GIVEN[given](a)
     s = SuperOperator(2, x)
-    assert (s.mat is x) == kept
+    assert s.mat is not x
     assert s.mat.base is None and not s.mat.flags.writeable
     assert s.mat.dtype == np.complex128 and s.mat.flags.c_contiguous
-    if not kept:
-        assert not np.shares_memory(s.mat, a) and not np.shares_memory(s.mat, x)
+    assert not np.shares_memory(s.mat, a) and not np.shares_memory(s.mat, x)
     assert is_completely_positive(s).passed and is_unital(s).passed
     assert a.flags.writeable
     a[0, 0] = -5
@@ -207,6 +204,22 @@ def test_a_write_into_the_input_leaves_the_map_alone(given):
     assert is_completely_positive(s).passed and is_unital(s).passed
     assert is_completely_positive(SuperOperator(2, s.mat)).passed
     assert not is_completely_positive(SuperOperator(2, a)).passed
+
+
+def test_a_frozen_input_written_after_its_owner_thaws_it_leaves_the_map_alone():
+    """numpy lets the owner of a read-only array switch writes back on.  A
+    map built from it holds its own copy: a write after the map's unitality
+    test changes neither the map nor the verdict it keeps, while a fresh
+    map on the written matrix fails."""
+    m = np.eye(4, dtype=complex)
+    m.flags.writeable = False
+    s = SuperOperator(2, m)
+    assert is_unital(s).passed
+    m.flags.writeable = True
+    m[0, 0] = 5
+    assert s.mat[0, 0] == 1 and np.array_equal(s.mat, np.eye(4))
+    assert is_unital(s).passed
+    assert not is_unital(SuperOperator(2, m)).passed
 
 
 def _builders(tau, rho):
@@ -304,8 +317,8 @@ def test_unvec_takes_n_from_the_size():
 
 def test_superoperator_holds_one_c_ordered_complex_matrix():
     """A real or Fortran-ordered input gives the same map, stored C-ordered
-    and complex; a C-ordered complex input is copied while a caller can
-    still write into it, and kept without a copy once it is read-only."""
+    and complex; a C-ordered complex input is copied, writable or
+    read-only."""
     rng = np.random.default_rng(13)
     real = rng.standard_normal((9, 9))
     want = SuperOperator(3, real.astype(complex))
@@ -320,7 +333,7 @@ def test_superoperator_holds_one_c_ordered_complex_matrix():
     assert not np.shares_memory(s.mat, m) and not s.mat.flags.writeable
     assert np.array_equal(s.mat, m) and m.flags.writeable
     m.flags.writeable = False
-    assert SuperOperator(3, m).mat is m
+    assert not np.shares_memory(SuperOperator(3, m).mat, m)
     # read-only memory of bytes is copied, as any other buffer-backed array
     frozen = np.frombuffer(m.tobytes(), dtype=complex).reshape(9, 9)
     assert not np.shares_memory(SuperOperator(3, frozen).mat, frozen)

@@ -87,6 +87,11 @@ value is kept per pair of objects.  A
 positivity-only mode replaces both CP tests with the weaker fixed-frame
 positivity probe for callers who want plain positive dynamics; that probe
 runs on every call.
+
+A classical chain is checked once, as every value type is
+(linalg._handed): a caller's data by ClassicalChain or make_chain, while
+a time power or a generated chain is handed over; the classical checks
+read a chain as it is.
 """
 
 from __future__ import annotations
@@ -106,7 +111,7 @@ from .duals import (
     rho_dual,
 )
 from .errors import DimensionMismatch, InputNotDynamics, NotStochastic
-from .linalg import DEFAULT_TOL, CheckResult, Tolerance, _norms, _numeric, _verdict
+from .linalg import DEFAULT_TOL, CheckResult, Tolerance, _norms, _numeric, _read_only, _verdict
 from .states import DensityMatrix
 from .superop import (
     _BAR_AXES,
@@ -404,10 +409,20 @@ def check_sqdb_tfd(
 
 @dataclass(frozen=True, eq=False)
 class ClassicalChain:
-    """Finite Markov chain: strictly positive distribution p, row-stochastic gamma."""
+    """Finite Markov chain: strictly positive distribution p, row-stochastic
+    gamma.  p and gamma are read-only copies of the real arrays given,
+    checked as make_chain checks them (_check_chain), with its error types
+    and messages.  A chain that a builder made from checked or exact data,
+    each time power gamma^k of the command line or a generator's chain, is
+    handed over (linalg._handed) without a copy or a check."""
 
     p: np.ndarray
     gamma: np.ndarray
+
+    def __post_init__(self):
+        p, gamma = (_read_only(np.array(_numeric(x, float))) for x in (self.p, self.gamma))
+        _check_chain(p, gamma)
+        vars(self).update(p=p, gamma=gamma)
 
     @property
     def n(self) -> int:
@@ -416,8 +431,14 @@ class ClassicalChain:
 
 def make_chain(p, gamma) -> ClassicalChain:
     """Validate chain data to 1e-12 (finiteness, positivity, normalization,
-    stochasticity); every comparison fails closed on a NaN."""
-    p, gamma = _numeric(p, float), _numeric(gamma, float)
+    stochasticity) into a ClassicalChain; every comparison fails closed on a
+    NaN.  The same as ClassicalChain(p, gamma)."""
+    return ClassicalChain(p=p, gamma=gamma)
+
+
+def _check_chain(p: np.ndarray, gamma: np.ndarray) -> None:
+    """Raise unless the real arrays p and gamma describe a chain
+    (ClassicalChain)."""
     if p.ndim != 1 or not len(p) or gamma.shape != (len(p), len(p)):
         raise DimensionMismatch(f"chain shapes p {p.shape}, gamma {gamma.shape}")
     for name, x in (("p", p), ("gamma", gamma)):
@@ -432,7 +453,6 @@ def make_chain(p, gamma) -> ClassicalChain:
     rows = np.abs(gamma.sum(axis=1) - 1.0)
     if not float(np.max(rows)) <= 1e-12:
         raise NotStochastic("gamma", f"rows must sum to 1 (worst {np.max(rows):.3e})")
-    return ClassicalChain(p=p, gamma=gamma)
 
 
 def classical_detailed_balance(c: ClassicalChain, tol: Tolerance = DEFAULT_TOL) -> CheckResult:

@@ -34,8 +34,10 @@ and some of them are required.  Each matrix is read with one numpy
 conversion, kept only when every entry is a finite [re, im] pair of JSON
 numbers; otherwise a walk over the entries names the first one at fault.  A
 flat rho names its first entry that is not a number.  Each value read from
-the file is checked once, here; values derived from checked ones (the
-eigenbasis rotation, each classical time power) are built, not re-checked.
+the file is checked once, here.  Values derived from checked ones are
+handed over unchecked, by the rule for every value type (linalg._handed):
+the state make_density made, the channel and reversing operation rotated
+to its eigenbasis, and each classical time power.
 
 A non-diagonal rho is rotated to its eigenbasis and the channel and
 reversing operation are conjugated along, so checks always run in the basis
@@ -77,7 +79,7 @@ from .balance import (
     make_chain,
     require_dynamics,
 )
-from .duals import ReversingOperation, make_reversing, transpose_reversing
+from .duals import ReversingOperation, _reversing, make_reversing, transpose_reversing
 from .errors import DetbalError, InputNotDynamics, NotStochastic, SchemaError
 from .generators import (
     cycle_chain,
@@ -88,7 +90,7 @@ from .generators import (
     schur_kraus,
     schur_multiplier_matrix,
 )
-from .linalg import DEFAULT_TOL, CheckResult, Tolerance
+from .linalg import DEFAULT_TOL, CheckResult, Tolerance, _handed
 from .states import DensityMatrix, make_density
 from .superop import (
     KrausChannel,
@@ -326,7 +328,8 @@ def _to_eigenbasis(rho, channel, theta):
     op become v^dag op v before the one from_kraus; a matrix channel M becomes
     pi_rep(v^dag, v^T) M pi_rep(v, conj v).  v is eigh's unitary basis, so
     the rotated operators keep their shape and the rotated u = v^dag u conj(v)
-    stays unitary with u conj(u) a phase: both are built, not re-validated."""
+    stays unitary with u conj(u) a phase: both are handed over, not
+    re-validated (duals._reversing)."""
     v = rho.basis
     if np.array_equal(v, np.eye(rho.n)):
         return (channel if isinstance(channel, SuperOperator) else from_kraus(channel)), theta
@@ -334,7 +337,7 @@ def _to_eigenbasis(rho, channel, theta):
         tau = _adopt(rho.n, _kron_sandwich(channel.mat, rho.n, v.conj().T, v.T, v, v.conj()))
     else:
         tau = from_kraus(KrausChannel(tuple(v.conj().T @ op @ v for op in channel.ops)))
-    return tau, ReversingOperation(u=v.conj().T @ theta.u @ v.conj())
+    return tau, _reversing(v.conj().T @ theta.u @ v.conj())
 
 
 def parse_problem(path: str) -> ParsedProblem:
@@ -450,7 +453,7 @@ def run_checks(
             # p and gamma passed make_chain at parse; the row sums of gamma^k
             # drift from 1 by rounding alone, more with every power
             gamma_k = np.linalg.matrix_power(parsed.chain.gamma, k)
-            chain_k = ClassicalChain(parsed.chain.p, gamma_k)
+            chain_k = _handed(ClassicalChain, p=parsed.chain.p, gamma=gamma_k)
             pairwise = classical_detailed_balance(chain_k, parsed.tol)
             functional = classical_phi_balance(chain_k, parsed.tol)
             reports.append(

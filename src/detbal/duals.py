@@ -33,8 +33,8 @@ rho, which keeps 1 / d and the KMS weights (d_j d_k)^(1/2)
 as are their Theta-conjugates (_conjugates).  The Theta-conjugate
 conj(W) M W, W = kron(conj u, u), is O(n^5), and for the plain transpose
 (u = 1) it is s itself, returned as is: a ReversingOperation tests whether
-it is the plain transpose when it is built, and holds a read-only copy of
-u.
+it is the plain transpose when it is built, and holds u read-only, copied
+and checked once, as a map's matrix is (linalg._handed).
 
 The kms dual preserves complete positivity and is an involution; the state
 dual agrees with it exactly when s commutes with the modular map
@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DetbalError, DimensionMismatch, NonUnitary, NotInvolutive
-from .linalg import DEFAULT_TOL, Tolerance, _read_only, _square, as_matrix
+from .linalg import DEFAULT_TOL, Tolerance, _handed, _square, as_matrix
 from .states import DensityMatrix
 from .superop import (
     _BAR_AXES,
@@ -215,18 +215,21 @@ class ReversingOperation:
     For unitary u the map is anti-multiplicative and *-preserving by
     construction.  Applied twice it is A -> w A w^dag with w = u conj(u), so
     it is an involution exactly when w is a phase times the identity;
-    make_reversing checks unitarity and that condition.  u is a read-only
-    copy of the array given, read as make_reversing reads it (as_matrix):
-    square, finite and complex, so that superop hands a complex matrix over
-    (superop._adopt).  Whether u is the identity, so that Theta is the
-    plain transpose (_is_transpose), is tested here, once.
+    make_reversing checks unitarity and that condition.  Built directly, it
+    holds a read-only copy of the array given, read as make_reversing reads
+    it (as_matrix): square, finite and complex, so that superop hands a
+    complex matrix over (superop._adopt).  make_reversing,
+    transpose_reversing and the command line's eigenbasis rotation hand
+    over the u they made and checked (_reversing), with no second copy or
+    check.  Whether u is the identity, so that Theta is the plain transpose
+    (_is_transpose), is tested once, when Theta is built.
     """
 
     u: np.ndarray
 
     def __post_init__(self):
-        u = _read_only(as_matrix(self.u))
-        vars(self).update(u=u, _is_transpose=bool(np.array_equal(u, np.eye(len(u)))))
+        # u read and copied as make_reversing reads it, then kept as a builder's
+        vars(self).update(vars(_reversing(as_matrix(self.u))))
 
     @property
     def n(self) -> int:
@@ -267,12 +270,22 @@ def make_reversing(u, tol: Tolerance = DEFAULT_TOL) -> ReversingOperation:
             f"u conj(u) differs from a phase times the identity by {invol:.3e}; "
             "the operation does not square to the identity"
         )
-    return ReversingOperation(u=u)
+    return _reversing(u)
+
+
+def _reversing(u: np.ndarray) -> ReversingOperation:
+    """The ReversingOperation of the square complex array u that a builder
+    made and checked, handed over (linalg._handed), with whether it is the
+    plain transpose (_is_transpose) tested once."""
+    return _handed(ReversingOperation, u=u, _is_transpose=bool(np.array_equal(u, np.eye(len(u)))))
 
 
 def transpose_reversing(n: int) -> ReversingOperation:
-    """The plain transpose, the canonical reversing operation."""
-    return ReversingOperation(u=np.eye(n, dtype=complex))
+    """The plain transpose, the canonical reversing operation.  A
+    non-integer n (a bool is none) or n < 1 raises DimensionMismatch."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise DimensionMismatch(f"transpose dimension must be an integer >= 1, got {n!r}")
+    return _reversing(np.eye(n, dtype=complex))
 
 
 def theta_conjugate(s: SuperOperator, th: ReversingOperation) -> SuperOperator:

@@ -35,7 +35,7 @@ import numpy as np
 from .balance import ClassicalChain
 from .duals import bar_map, kms_dual
 from .errors import DetbalError
-from .linalg import hermitian_eig, mat_power
+from .linalg import _handed, hermitian_eig, mat_power
 from .states import DensityMatrix, make_density
 from .superop import KrausChannel, SuperOperator, _adopt, from_kraus
 
@@ -222,7 +222,7 @@ def metropolis_chain(n: int, seed: int) -> ClassicalChain:
     """Reversible chain: uniform proposal, Metropolis acceptance min(1, p_k/p_j).
     p is positive with unit sum up to rounding, the off-diagonal rates are
     at most 1/(n-1) and each diagonal entry completes its row of gamma, so
-    the chain skips make_chain."""
+    the chain is handed over unchecked (linalg._handed)."""
     if n < 2:
         raise ValueError(f"need at least two states, got {n}")
     rng = np.random.default_rng(seed)
@@ -235,7 +235,7 @@ def metropolis_chain(n: int, seed: int) -> ClassicalChain:
             if j != k:
                 gamma[j, k] = min(1.0, p[k] / p[j]) / (n - 1)
         gamma[j, j] = 1.0 - gamma[j].sum()
-    return ClassicalChain(p, gamma)
+    return _handed(ClassicalChain, p=p, gamma=gamma)
 
 
 def cycle_chain(n: int) -> ClassicalChain:
@@ -243,7 +243,8 @@ def cycle_chain(n: int) -> ClassicalChain:
 
     Stationary but maximally irreversible: every pairwise flow difference
     equals 1/n, so the balance residual is exactly 1/n.  The uniform p and
-    the permutation gamma are exact, so the chain skips make_chain.
+    the permutation gamma are exact, so the chain is handed over unchecked
+    (linalg._handed).
     """
     if n < 3:
         raise ValueError(f"a cycle needs at least three states, got {n}")
@@ -251,4 +252,4 @@ def cycle_chain(n: int) -> ClassicalChain:
     gamma = np.zeros((n, n))
     for j in range(n):
         gamma[j, (j + 1) % n] = 1.0
-    return ClassicalChain(p, gamma)
+    return _handed(ClassicalChain, p=p, gamma=gamma)

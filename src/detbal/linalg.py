@@ -113,6 +113,23 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _handed(cls, **fields):
+    """The instance of the frozen dataclass cls that holds fields, values a
+    package builder made and checked and keeps no other reference to: every
+    array among them and every array it views is frozen in place, and the
+    instance is built without cls.__post_init__, so with no second copy or
+    check.  The one hand-over path for maps (superop._adopt), states,
+    reversing operations and chains; their public constructors check what
+    a caller gives."""
+    for a in fields.values():
+        while isinstance(a, np.ndarray):
+            a.flags.writeable = False
+            a = a.base
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
+
 def _numeric(x, dtype=complex) -> np.ndarray:
     """np.asarray(x, dtype); input numpy cannot shape or read as numbers
     (ragged rows, a string) raises DimensionMismatch, and so does complex

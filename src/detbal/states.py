@@ -15,12 +15,15 @@ correlated counterpart theta_eval, sum_j rho_j a_jj b_jj, shares both
 marginals but has no off-diagonal correlations; the gap between the two is
 what the balance checks in this package exploit.
 
-A DensityMatrix holds read-only copies of its eigenvalues and basis, and
-forms when it is built, read-only, the values that the balance checks
-derive from rho alone: 1 / d, the pair Gram diagonal kron(d^(1/2), d^(1/2))
-of the purified two-copy functional, the modular ratios d_j / d_k, the KMS
+A DensityMatrix holds its eigenvalues and basis read-only, and forms when
+it is built, read-only, the values that the balance checks derive from rho
+alone (_formed): 1 / d, the pair Gram diagonal kron(d^(1/2), d^(1/2)) of
+the purified two-copy functional, the modular ratios d_j / d_k, the KMS
 weights (d_j d_k)^(1/2) and vec(rho).  Every check on the same state reads
-them instead of forming them again.
+them instead of forming them again.  Its spectrum is checked once: a
+DensityMatrix built directly copies and checks what a caller gives, and
+make_density hands over the eigendecomposition it made and checked, as
+superop._adopt hands over a map's matrix (linalg._handed).
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .linalg import (
     CheckResult,
     Tolerance,
     _eig_descending,
+    _handed,
     _hermiticity,
     _numeric,
     _read_only,
@@ -57,14 +61,22 @@ class DensityMatrix:
     with V^dag rho_user V = diag(diag).  degenerate flags an eigenvalue gap
     below 1e-8, in which case the eigenbasis (and with it the purification
     below) is not canonical: V is still fixed deterministically by the
-    eigensolver, but physically distinct choices exist.  diag and basis are
-    read-only copies of the arrays given: n real numbers and an n x n
-    complex matrix, else DimensionMismatch.  What it keeps is checked as
-    make_density checks it, with its error types and messages: diag finite
-    (DetbalError), strictly positive (NotDensity for a negative entry,
-    NotInvertible for a zero), summing to 1 within 1e-12 and descending
-    (NotDensity); basis unitary to 1e-12 * n in Frobenius norm
-    (NonUnitary); degenerate as the gaps of diag say (NotDensity).
+    eigensolver, but physically distinct choices exist.
+
+    Built directly, it holds read-only copies of the arrays given: n real
+    numbers and an n x n complex matrix, else DimensionMismatch.  What it
+    keeps is checked once (_check_spectrum) as make_density checks it, with
+    its error types and messages: diag finite (DetbalError), strictly
+    positive (NotDensity for a negative entry, NotInvertible for a zero),
+    summing to 1 within 1e-12 and descending (NotDensity); basis unitary to
+    1e-12 * n in Frobenius norm (NonUnitary); degenerate as the gaps of diag
+    say (NotDensity).  make_density hands over the eigendecomposition it
+    made (linalg._handed) unchecked, since eigh's output holds all of that
+    by construction but for the sum: make_density checks its input's
+    trace, from which the eigenvalue sum differs by rounding (up to about
+    1.2e-15 at n <= 8), so for a trace that close to 1 +- 1e-12 diag can
+    sum to just outside, and the same diag built directly raises
+    NotDensity.
     """
 
     n: int
@@ -79,20 +91,7 @@ class DensityMatrix:
             raise DimensionMismatch(f"expected {n} eigenvalues, got shape {d.shape}")
         basis = _read_only(np.array(_square(self.basis, n)))
         _check_spectrum(d, basis, self.degenerate)
-        half, inverse = np.sqrt(d), _read_only(1.0 / d)  # 1 / d scales the state dual's rows
-        vars(self).update(
-            diag=d,
-            basis=basis,
-            _inverse=inverse,
-            # diagonal of the Gram matrix kron(r, conj(r)) of omega (w = 1)
-            # and of the mirror Gram matrix kron(rho^(1/2), (rho^(1/2))^T)
-            _pair_gram=_read_only(np.outer(half, half).ravel()),
-            # the modular map in the matrix-unit basis: d_j / d_k at j + n k
-            _modular_ratios=_read_only(np.outer(inverse, d).ravel()),
-            # the kms dual's row and column scalings: (d_j d_k)^(1/2) at [k, j]
-            _kms_weights=_read_only(np.sqrt(np.outer(d, d))),
-            _vec=_read_only(vec(np.diag(d).astype(complex))),  # the invariance test vector
-        )
+        vars(self).update(_formed(d, basis))
 
     def matrix(self) -> np.ndarray:
         """The density matrix in its eigenbasis (diagonal)."""
@@ -104,6 +103,25 @@ class DensityMatrix:
         if not isinstance(z, numbers.Real):
             raise TypeError(f"power wants a real exponent, got {z!r}")
         return np.diag(np.power(self.diag, float(z))).astype(complex)
+
+
+def _formed(d: np.ndarray, basis: np.ndarray) -> dict:
+    """The eigenvalues d and basis of a DensityMatrix with the values formed
+    from d that it keeps, read-only."""
+    half, inverse = np.sqrt(d), _read_only(1.0 / d)  # 1 / d scales the state dual's rows
+    return dict(
+        diag=d,
+        basis=basis,
+        _inverse=inverse,
+        # diagonal of the Gram matrix kron(r, conj(r)) of omega (w = 1)
+        # and of the mirror Gram matrix kron(rho^(1/2), (rho^(1/2))^T)
+        _pair_gram=_read_only(np.outer(half, half).ravel()),
+        # the modular map in the matrix-unit basis: d_j / d_k at j + n k
+        _modular_ratios=_read_only(np.outer(inverse, d).ravel()),
+        # the kms dual's row and column scalings: (d_j d_k)^(1/2) at [k, j]
+        _kms_weights=_read_only(np.sqrt(np.outer(d, d))),
+        _vec=_read_only(vec(np.diag(d).astype(complex))),  # the invariance test vector
+    )
 
 
 def _check_spectrum(d: np.ndarray, basis: np.ndarray, degenerate) -> None:
@@ -158,7 +176,8 @@ def make_density(m, tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
     within tol.psd_tol, and all eigenvalues above tol.inv_tol (the whole
     toolkit assumes invertible states).  Every comparison fails closed: a
     NaN residual is rejected.  The matrix is copied and checked here once;
-    the solve is hermitian_eig's, without its second copy and check.
+    the solve is hermitian_eig's, without its second copy and check, and
+    the state it gives is handed over unchecked (DensityMatrix).
     """
     m = as_matrix(m)
     hermitian, herm = _hermiticity(m)
@@ -176,7 +195,7 @@ def make_density(m, tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
             f"density matrix must be invertible (min eigenvalue {lam[-1]:.3e})"
         )
     degenerate = _degenerate(lam[:-1] - lam[1:])
-    return DensityMatrix(n=m.shape[0], diag=lam, basis=basis, degenerate=degenerate)
+    return _handed(DensityMatrix, n=m.shape[0], degenerate=degenerate, **_formed(lam, basis))
 
 
 def expectation(rho: DensityMatrix, a) -> complex:

@@ -19,7 +19,9 @@ switch writes back on), and freezes the copy.  The builders here, in
 duals, generators and the command line hand over C-ordered complex
 n^2 x n^2 arrays they made through _adopt, the only path without a copy,
 which freezes them and builds the map without checking them again: it
-asserts only their type, order and shape.  A map keeps values computed
+asserts only their type, order and shape, and hands over through
+linalg._handed, the path that states, reversing operations and chains
+share.  A map keeps values computed
 from that matrix on their first read, none of which depends on the
 tolerance: where it stores entries (_at and more, below), its unital
 residual ||s(1) - 1|| (_unital_residual), and the numbers of its CP test
@@ -67,7 +69,7 @@ from the matrix; the Choi Hermiticity residual is summed over the stored
 entries and may differ from the dense form's in the last bits.  Any other
 map has the Choi matrix and its transpose read as views of its matrix,
 with one n^2 x n^2 buffer.  No function here writes into its input;
-_adopt only switches off writes into the array a builder hands it.
+_adopt only switches off writes into the arrays a builder hands it.
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ from .linalg import (
     DEFAULT_TOL,
     CheckResult,
     Tolerance,
+    _handed,
     _negativity,
     _norms,
     _numeric,
@@ -212,18 +215,12 @@ class SuperOperator:
 
 def _adopt(n: int, mat: np.ndarray, **kept) -> SuperOperator:
     """The map on M_n of a C-ordered complex n^2 x n^2 matrix that a builder
-    made for it and keeps no other reference to: mat and every array it
-    views are frozen in place, and the map keeps mat without a copy or a
-    check, with the values kept handed over as its own (_from_entries).
-    The assertion names a builder that breaks that contract."""
+    made for it and keeps no other reference to, handed over (_handed):
+    mat is kept without a copy or a check, with the values kept handed over
+    as its own (_from_entries).  The assertion names a builder that breaks
+    that contract."""
     assert mat.dtype == np.complex128 and mat.flags.c_contiguous and mat.shape == (n * n, n * n)
-    a = mat
-    while isinstance(a, np.ndarray):
-        a.flags.writeable = False
-        a = a.base
-    s = object.__new__(SuperOperator)
-    vars(s).update(n=n, mat=mat, _placed={}, **kept)
-    return s
+    return _handed(SuperOperator, n=n, mat=mat, _placed={}, **kept)
 
 
 class _Stack(tuple):

@@ -372,6 +372,29 @@ def test_make_chain_validation():
             make_chain(p, gamma)
 
 
+
+def test_a_chain_built_directly_is_checked_as_make_chain_checks():
+    """ClassicalChain checks its data with make_chain's error types and
+    messages, so a chain whose p sums to 1.2 gets no verdict and one with
+    a negative gamma entry raises NotStochastic, not a bare TypeError."""
+    with pytest.raises(NotStochastic, match="p must sum to 1, got 1.2"):
+        classical_detailed_balance(ClassicalChain(np.array([0.3, 0.9]), np.eye(2)))
+    with pytest.raises(NotStochastic, match=r"gamma has a negative entry \(-1.000e\+00\)"):
+        ClassicalChain([0.5, 0.5], [[2.0, -1.0], [0.0, 1.0]])
+    with pytest.raises(DimensionMismatch, match="chain shapes"):
+        ClassicalChain([0.5, 0.5], [[1.0]])
+
+
+def test_chain_arrays_are_read_only_copies():
+    p, gamma = np.array([0.5, 0.5]), np.eye(2)
+    chain = ClassicalChain(p, gamma)
+    p[0], gamma[0, 0] = 9.0, 9.0
+    assert np.array_equal(chain.p, [0.5, 0.5]) and np.array_equal(chain.gamma, np.eye(2))
+    for a in (chain.p, chain.gamma, make_chain([0.5, 0.5], np.eye(2)).gamma):
+        with pytest.raises(ValueError):
+            a.flat[0] = 0.0
+
+
 def test_classical_metropolis_reversible():
     for n, seed in [(2, 0), (3, 1), (5, 2)]:
         chain = metropolis_chain(n, seed)

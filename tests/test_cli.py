@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 import detbal.balance
+import detbal.duals
+import detbal.states
 from detbal import (
     MODE_CP,
     MODE_POSITIVITY,
@@ -43,7 +45,11 @@ from detbal.cli import (
     parse_problem,
     run_checks,
 )
+from detbal.balance import ClassicalChain
+from detbal.duals import ReversingOperation
+from detbal.generators import gad_kraus
 from detbal.linalg import DEFAULT_TOL
+from detbal.states import DensityMatrix
 
 QUANTUM_CHECKS = (
     "db2_definition",
@@ -776,6 +782,77 @@ def test_non_utf8_file_is_reported_under_file(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: file: 'utf-8' codec can't decode byte 0xff")
+
+
+
+def _rotated_gad_payloads():
+    """One problem stated twice: gad-sqdb at diag(0.7, 0.3) rotated by
+    v = (1 + i sx) / sqrt(2), with the reversing unitary sx, and the same
+    problem in rho's eigenbasis, where Theta's unitary is v^dag sx conj(v)
+    = -i (the plain transpose, up to a phase)."""
+    v = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2.0)
+    ops = gad_kraus(0.7, 0.2).ops
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    rotated = {
+        "rho": _enc(v @ np.diag([0.7, 0.3]) @ v.conj().T),
+        "channel": {"kind": "kraus", "data": [_enc(v @ op @ v.conj().T) for op in ops]},
+        "theta": {"kind": "unitary", "u": _enc(sx)},
+    }
+    eigen = {
+        "rho": [0.7, 0.3],
+        "channel": {"kind": "kraus", "data": [_enc(op) for op in ops]},
+        "theta": {"kind": "unitary", "u": _enc(v.conj().T @ sx @ v.conj())},
+    }
+    return rotated, eigen
+
+
+def test_rotated_file_and_its_eigenbasis_twin_agree(tmp_path):
+    rotated, eigen = _rotated_gad_payloads()
+    verdicts = []
+    for name, payload in (("rotated.json", rotated), ("eigen.json", eigen)):
+        report = run_checks(parse_problem(_write(tmp_path, payload, name)), tfd=True)
+        rep = report["reports"][0]
+        verdicts.append([rep[k] for k in ("db2", "sqdb", "consistency", "tfd_agrees")])
+    assert verdicts[0] == verdicts[1] == [False, True, True, True]
+
+
+def test_each_value_is_checked_once(tmp_path, monkeypatch):
+    """A value read from a file is checked once, and what is built from it
+    is handed over (linalg._handed): make_density's eigendecomposition never
+    runs DensityMatrix's spectrum check, and a unitary Theta's u is copied
+    and checked once, by make_reversing, not again when it is kept or
+    rotated to rho's eigenbasis; the plain transpose copies none.  A
+    classical file's chain is checked once, at parse, and each of its time
+    powers is handed over.  A state, reversing operation or chain built
+    directly is checked once."""
+    calls = collections.Counter()
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(detbal.states, "_check_spectrum")
+    counted(detbal.duals, "as_matrix")
+    counted(detbal.balance, "_check_chain")
+    rotated, _ = _rotated_gad_payloads()
+    assert main(["check", _write(tmp_path, rotated), "--format", "json", "--tfd"]) == 0
+    assert calls == {"as_matrix": 1}
+    calls.clear()
+    assert main(["check", _gad_file(tmp_path), "--format", "json", "--tfd"]) == 0
+    assert calls == {}
+    path = _write(tmp_path, generate_payload("metropolis", 3, 3, 0.75, 0.2, 0), "chain.json")
+    assert main(["check", path, "--powers", "1,2,3"]) == 0
+    assert calls == {"_check_chain": 1}
+    calls.clear()
+    DensityMatrix(2, [0.75, 0.25], np.eye(2), False)
+    ReversingOperation(np.eye(2))
+    ClassicalChain([0.5, 0.5], np.eye(2))
+    assert calls == {"_check_spectrum": 1, "as_matrix": 1, "_check_chain": 1}
 
 
 def test_large_classical_powers_are_not_rebuilt_through_make_chain(tmp_path, capsys):

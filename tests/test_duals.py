@@ -537,3 +537,17 @@ def test_reversing_u_is_a_read_only_copy():
         assert np.array_equal(th.u, [[0.0, 1.0], [-1.0, 0.0]])
         u[0, 1] = 1.0
     assert u.flags.writeable
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5, 2.0, True, "2", None])
+def test_transpose_reversing_wants_a_positive_integer(n):
+    """As for a SuperOperator, a bool, a non-integer or n < 1 raises
+    DimensionMismatch; numpy's integers are integers."""
+    with pytest.raises(DimensionMismatch, match="transpose dimension must be an integer >= 1"):
+        transpose_reversing(n)
+
+
+def test_transpose_reversing_takes_numpy_integers():
+    th = transpose_reversing(np.int64(3))
+    assert th.n == 3 and th._is_transpose
+    assert not th.u.flags.writeable

@@ -10,8 +10,10 @@ from detbal.balance import run_report
 from detbal.duals import transpose_reversing
 from detbal.errors import DetbalError, DimensionMismatch, NonUnitary, NotDensity, NotInvertible
 from detbal.superop import SuperOperator
+from detbal.linalg import DEFAULT_TOL
 from detbal.states import (
     DensityMatrix,
+    _check_spectrum,
     expectation,
     make_density,
     marginals_check,
@@ -371,3 +373,41 @@ def test_density_matrix_accepts_what_make_density_builds():
         built = DensityMatrix(3, made.diag, made.basis, made.degenerate)
         assert built.degenerate == made.degenerate == (lam[0] - lam[1] < 1e-8)
     assert not DensityMatrix(1, [1.0], np.eye(1), False).degenerate
+
+
+def spectra_at_the_edges(rng):
+    """Spectra at n = 1 ... 8: generic, with a repeated eigenvalue, with the
+    least eigenvalue just above inv_tol, and summing to 1 +- 0.9e-12."""
+    for n in range(1, 9):
+        lam = rng.dirichlet(np.ones(n))
+        yield lam
+        yield lam * (1.0 + 0.9e-12)
+        yield lam * (1.0 - 0.9e-12)
+        if n >= 2:
+            twin = lam.copy()
+            twin[1] = twin[0]
+            yield twin / twin.sum()
+            yield np.full(n, 1.0 / n)
+            least = lam.copy()
+            least[-1] = 0.0
+            least *= (1.0 - 1.5 * DEFAULT_TOL.inv_tol) / least.sum()
+            least[-1] = 1.5 * DEFAULT_TOL.inv_tol
+            yield least
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_make_density_output_passes_the_spectrum_check(seed):
+    """make_density hands over its eigendecomposition unchecked, because
+    it passes the check that a DensityMatrix built directly makes: in the
+    basis the spectrum is given in and in a random one."""
+    rng = np.random.default_rng(seed)
+    count = 0
+    for lam in spectra_at_the_edges(rng):
+        n = len(lam)
+        for u in (np.eye(n), haar_unitary(n, int(rng.integers(1 << 30)))):
+            rho = make_density(u @ np.diag(lam) @ u.conj().T)
+            _check_spectrum(rho.diag, rho.basis, rho.degenerate)
+            built = DensityMatrix(n, rho.diag, rho.basis, rho.degenerate)
+            assert same_array(built.diag, rho.diag) and same_array(built.basis, rho.basis)
+            count += 1
+    assert count == 2 * (3 + 7 * 6)

@@ -55,8 +55,8 @@ spread (superop._union).
 Every kernel takes maps on one M_n as a stack (superop._Stack) and returns
 one number per map: the modular commutators (_commutators), the state
 invariances (_invariances), the pair maxima (_pair_residual, _pair_max) and
-the two distances of the definition checks (_hat_distances,
-_kms_distances).  The dense passes run once over the stacked matrices, on
+the two distances of the definition checks (_distances, one kernel for
+both).  The dense passes run once over the stacked matrices, on
 a leading batch axis, with the state duals and Theta-conjugates of the
 stack formed as one stack too (duals._dual, duals._conjugates); the
 stored-entry route runs on a stack of one.  _reports decides several maps
@@ -78,13 +78,14 @@ spectrum and forms its unital residual once
 the same channel reads the kept numbers and forms its verdict under its
 own tolerance.  A state dual is a new map per call that builds it, so its
 spectrum and residual are formed once per such call.  What depends on the
-state alone, the pair Gram g, the modular ratios, the KMS weights, 1 / d
-and vec(rho), the state forms when it is built (states.DensityMatrix), and
-a reversing operation tests then whether it is the plain transpose
-(duals.ReversingOperation): a value formed from n or n^2 numbers is formed
-with its object, one that reads a map's matrix on its first read.  No
-value is kept per pair of objects.  A
-positivity-only mode replaces both CP tests with the weaker fixed-frame
+state alone, the pair Gram g, the modular ratios, the KMS weights, the
+state dual's scalings and vec(rho), the state forms when it is built
+(states.DensityMatrix), and a reversing operation tests then whether it is
+the plain transpose (duals.ReversingOperation): a value formed from n or
+n^2 numbers is formed with its object, one that reads a map's matrix on
+its first read.  No value is kept per pair of objects.  One function
+checks that a map and the state share their dimension (duals._check_state).
+A positivity-only mode replaces both CP tests with the weaker fixed-frame
 positivity probe for callers who want plain positive dynamics; that probe
 runs on every call.
 
@@ -105,8 +106,8 @@ from .duals import (
     _check_state,
     _conjugates,
     _dual,
-    _kms_dual_entries,
-    _rho_dual_entries,
+    _scaled,
+    _scaling,
     ReversingOperation,
     rho_dual,
 )
@@ -151,8 +152,7 @@ def require_dynamics(
 ) -> CheckResult:
     """Raise InputNotDynamics unless tau is a (completely) positive unital map;
     return its complete positivity (positivity in MODE_POSITIVITY) check."""
-    if tau.n != rho.n:
-        raise DimensionMismatch(f"channel on M_{tau.n} vs state of dimension {rho.n}")
+    _check_state(tau, rho)
     cp = _cp_check(tau, tol, mode)
     if not cp.passed:
         raise InputNotDynamics(
@@ -244,36 +244,24 @@ def _invariances(ss: _Stack, rho: DensityMatrix) -> list[float]:
     return np.abs(r - ss.mats.swapaxes(-1, -2) @ r).max(axis=-1).reshape(-1).tolist()
 
 
-def _hat_distances(taus: _Stack, duals: _Stack) -> list[float]:
-    """||bar_map(dual) - tau|| for each map tau of the stack taus and its
-    state dual in duals, over the stored entries of either (_union) or all
-    of them: the distance of the transposed dual from the channel itself."""
-    both = _union(duals, _BAR_AXES, taus, _SAME_AXES)
+def _distances(xs: _Stack, a, ys: _Stack, b, scale=None) -> list[float]:
+    """||scale(x realigned by a) - y realigned by b|| for each map x of the
+    stack xs and y of ys, over the stored entries of either (_union) or all
+    of them, scale a dual's (duals._scaling, with a = _DUAL_AXES): the
+    transposed state dual from tau, or the kms dual from Theta tau Theta."""
+    both = _union(xs, a, ys, b)
     if both is None:
-        n = taus[0].n
-        hat, channel = _realign(duals.mats, n, _BAR_AXES), _realign(taus.mats, n, _SAME_AXES)
+        n = xs[0].n
+        left, right = _realign(xs.mats, n, a), _realign(ys.mats, n, b)
+        if scale is not None:
+            left = _scaled(scale, left)
     else:
-        u, at_hat, at_tau = both
-        hat = _spread(duals[0]._entries, at_hat, len(u))
-        channel = _spread(taus[0]._entries, at_tau, len(u))
-    return _norms(np.subtract(hat, channel, order="C").reshape(len(taus), -1))
-
-
-def _kms_distances(taus: _Stack, rho: DensityMatrix, conjs: _Stack) -> list[float]:
-    """||kms_dual(tau) - bar_map(conj)|| for each map tau of the stack taus
-    and its Theta-conjugate in conjs, over the stored entries of either
-    (_union) or all of them."""
-    both = _union(taus, _DUAL_AXES, conjs, _BAR_AXES)
-    if both is None:
-        n = taus[0].n
-        diff = _kms_dual_entries(rho, _realign(taus.mats, n, _DUAL_AXES))
-        diff -= _realign(conjs.mats, n, _BAR_AXES)
-    else:
-        u, at_dual, at_bar = both
-        tau = taus[0]
-        diff = _spread(_kms_dual_entries(rho, tau._entries, tau), at_dual, len(u))
-        diff -= _spread(conjs[0]._entries, at_bar, len(u))
-    return _norms(diff.reshape(len(taus), -1))
+        u, at_x, at_y = both
+        x = xs[0]
+        entries = x._entries if scale is None else _scaled(scale, x._entries, x)
+        left = _spread(entries, at_x, len(u))
+        right = _spread(ys[0]._entries, at_y, len(u))
+    return _norms(np.subtract(left, right, order="C").reshape(len(xs), -1))
 
 
 def _db2_definition(dual, un, tol, mode) -> CheckResult:
@@ -343,10 +331,11 @@ def check_db2_entangled(
     """Standard balance via the purified two-copy functional."""
     require_dynamics(tau, rho, tol, mode)
     taus = _stack((tau,))
-    duals = _dual(taus, rho, _rho_dual_entries)
+    duals = _dual(taus, rho)
     pair = _pair_residual(rho._pair_gram, taus, duals, _BAR_AXES)[0]
     hat_unital = is_unital(duals[0], tol).residual
-    return _db2_entangled(pair, hat_unital, _hat_distances(taus, duals)[0], tol)
+    hat_vs_channel = _distances(duals, _BAR_AXES, taus, _SAME_AXES)[0]
+    return _db2_entangled(pair, hat_unital, hat_vs_channel, tol)
 
 
 def check_sqdb_definition(
@@ -359,7 +348,8 @@ def check_sqdb_definition(
     """Square-root balance by its definition: kms dual equals Theta tau Theta."""
     require_dynamics(tau, rho, tol, mode)
     taus = _stack((tau,))
-    kms = _kms_distances(taus, rho, _conjugates(taus, th))[0]
+    conjs = _conjugates(taus, th)
+    kms = _distances(taus, _DUAL_AXES, conjs, _BAR_AXES, _scaling(rho, kms=True))[0]
     return _verdict(tol, {"kms_vs_reversed": kms})
 
 
@@ -387,7 +377,7 @@ def check_db2_tfd(
     on all matrix-unit pairs, plus unitality of the state dual."""
     require_dynamics(tau, rho, tol, mode)
     taus = _stack((tau,))
-    duals = _dual(taus, rho, _rho_dual_entries)
+    duals = _dual(taus, rho)
     pair = _pair_residual(rho._pair_gram, taus, duals, mirror=True)[0]
     return _db2_tfd(pair, is_unital(duals[0], tol).residual, tol)
 
@@ -530,10 +520,7 @@ def _reports(maps, rho, th, tol=DEFAULT_TOL, mode=MODE_CP, tfd=False) -> list[Ba
     bits run_report gives on its map alone.  The maps are admitted in order:
     the first that is no channel raises InputNotDynamics."""
     taus = _stack(maps)
-    n = taus[0].n
-    if n != rho.n:
-        raise DimensionMismatch(f"channel on M_{n} vs state of dimension {rho.n}")
-    duals = _dual(taus, rho, _rho_dual_entries)
+    duals = _dual(taus, rho)
     _kept((taus, duals), mode == MODE_CP)
     dynamics = [require_dynamics(s, rho, tol, mode) for s in taus]
     conjs = _conjugates(taus, th)
@@ -544,8 +531,8 @@ def _reports(maps, rho, th, tol=DEFAULT_TOL, mode=MODE_CP, tfd=False) -> list[Ba
         _commutators(taus, rho),
         _invariances(taus, rho),
         _pair_residual(g, taus, duals, _BAR_AXES),
-        _hat_distances(taus, duals),
-        _kms_distances(taus, rho, conjs),
+        _distances(duals, _BAR_AXES, taus, _SAME_AXES),
+        _distances(taus, _DUAL_AXES, conjs, _BAR_AXES, _scaling(rho, kms=True)),
         _pair_residual(g, taus, conjs),
     ]
     if tfd:

@@ -36,8 +36,9 @@ numbers; otherwise a walk over the entries names the first one at fault.  A
 flat rho names its first entry that is not a number.  Each value read from
 the file is checked once, here.  Values derived from checked ones are
 handed over unchecked, by the rule for every value type (linalg._handed):
-the state make_density made, the channel and reversing operation rotated
-to its eigenbasis, and each classical time power.
+the Kraus operators read, the state make_density made, the channel and
+reversing operation rotated to its eigenbasis, and each classical time
+power.
 
 A non-diagonal rho is rotated to its eigenbasis and the channel and
 reversing operation are conjugated along, so checks always run in the basis
@@ -274,7 +275,7 @@ def _parse_channel(obj, n: int, tol: Tolerance) -> KrausChannel | SuperOperator:
                     f"channel.data[{idx}]", f"expected a {n}x{n} matrix, got {v.shape}"
                 )
             ops.append(v)
-        return KrausChannel(tuple(ops))
+        return _handed(KrausChannel, ops=tuple(ops))
     if kind == "matrix":
         _check_object(obj, "channel", {"kind", "data", "convention"})
         if obj.get("convention") != CONVENTION:
@@ -336,7 +337,8 @@ def _to_eigenbasis(rho, channel, theta):
     if isinstance(channel, SuperOperator):
         tau = _adopt(rho.n, _kron_sandwich(channel.mat, rho.n, v.conj().T, v.T, v, v.conj()))
     else:
-        tau = from_kraus(KrausChannel(tuple(v.conj().T @ op @ v for op in channel.ops)))
+        ops = tuple(v.conj().T @ op @ v for op in channel.ops)
+        tau = from_kraus(_handed(KrausChannel, ops=ops))
     return tau, _reversing(v.conj().T @ theta.u @ v.conj())
 
 

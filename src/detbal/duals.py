@@ -21,16 +21,19 @@ for s with matrix M, K the commutation matrix and rho = diag(d):
 where row or column j + n k belongs to the unit E_jk.  Products with K are
 index permutations, so no dual costs a matrix product: K M^T K is read as a
 view of M and scaled into the one array the dual returns, O(n^4), and the
-input is never written.  When M stores few entries (superop._stored) only
-those are scaled, with the rows and columns they take in K M^T K
+input is never written.  Both duals are that view with its rows and
+columns scaled, and differ only in the scalings and the ufunc that applies
+the row scaling: one kernel (_scaled) forms either.  When M stores few
+entries (superop._stored) only those are scaled, with the rows and columns
+they take in K M^T K, read as every kernel reads a stored entry's position
 (SuperOperator._place), and scattered into zeros.  The dual is handed
 those positions and the scaled entries as its own (superop._from_entries),
 so no dual searches its matrix again or permutes a position: those of its
 realignments are read from s.  The row and column scalings are read from
-rho, which keeps 1 / d and the KMS weights (d_j d_k)^(1/2)
-(states.DensityMatrix).  The duals of several maps on one M_n, a stack
-(superop._Stack), are formed at once from their stacked matrices (_dual),
-as are their Theta-conjugates (_conjugates).  The Theta-conjugate
+rho, which keeps them n^2 long, 1 / d_j and d_j and the KMS weights
+(d_j d_k)^(1/2) at j + n k (states.DensityMatrix).  The duals of several
+maps on one M_n, a stack (superop._Stack), are formed at once from their
+stacked matrices (_dual), as are their Theta-conjugates (_conjugates).  The Theta-conjugate
 conj(W) M W, W = kron(conj u, u), is O(n^5), and for the plain transpose
 (u = 1) it is s itself, returned as is: a ReversingOperation tests whether
 it is the plain transpose when it is built, and holds u read-only, copied
@@ -110,6 +113,8 @@ def trace_dual(s: SuperOperator) -> SuperOperator:
 
 
 def _check_state(s: SuperOperator, rho: DensityMatrix) -> None:
+    """Raise DimensionMismatch unless the map s and the state rho share n:
+    the one such check of every dual, balance kernel and dynamics test."""
     if s.n != rho.n:
         raise DimensionMismatch(f"map on M_{s.n} vs state on dimension {rho.n}")
 
@@ -123,37 +128,45 @@ def rho_dual(s: SuperOperator, rho: DensityMatrix) -> SuperOperator:
     its entries.  The defining pairing is kept as a test oracle.  s' is
     unital iff s preserves <.>, and trace-of-rho-preserving iff s is unital.
     """
-    return _dual(_stack((s,)), rho, _rho_dual_entries)[0]
+    return _dual(_stack((s,)), rho)[0]
 
 
-def _dual(ss: _Stack, rho: DensityMatrix, entries_of) -> _Stack:
-    """The stack of the maps whose (n, n, n, n) matrices entries_of(rho, ...)
-    forms from the _DUAL_AXES realignments of the maps of the stack ss: from
-    the whole views, stacked, or for a map with few stored entries, alone
-    (_Stack.stored), from those entries (s._entries), which its dual keeps
-    as its own with their positions there (superop._from_entries)."""
+def _dual(ss: _Stack, rho: DensityMatrix, kms=False) -> _Stack:
+    """The state duals, or with kms the kms duals, of the maps of the stack
+    ss (_scaled): from their whole views, stacked, or for a map with few
+    stored entries, alone (_Stack.stored), from those entries, which its
+    dual keeps as its own with their positions (superop._from_entries)."""
     _check_state(ss[0], rho)
+    scaling = _scaling(rho, kms)
     s, n = ss.stored, ss[0].n
     if s is None:
-        entries = entries_of(rho, _realign(ss.mats, n, _DUAL_AXES))
+        entries = _scaled(scaling, _realign(ss.mats, n, _DUAL_AXES))
         return _adopted(n, entries.reshape(ss.mats.shape), _at=None)
-    return _stack((_from_entries(s, _DUAL_AXES, entries_of(rho, s._entries, s)),))
+    return _stack((_from_entries(s, _DUAL_AXES, _scaled(scaling, s._entries, s)),))
 
 
-def _rho_dual_entries(rho: DensityMatrix, dual: np.ndarray, s=None) -> np.ndarray:
-    """Entries of rho_dual(s, rho).mat.reshape(n, n, n, n) from those of
-    the view dual of s.mat realigned by _DUAL_AXES: all of them, or with s
-    given, the stored ones (s._entries).  Axes (k, j, k', j') of row j + n k,
-    column j' + n k': rows / d_j, columns * d_j', with 1 / d kept by rho
-    (DensityMatrix._inverse)."""
-    d, inverse = rho.diag, rho._inverse
+def _scaling(rho: DensityMatrix, kms=False):
+    """(ufunc, rows, cols) of the state dual, or with kms of the kms dual,
+    for _scaled, from the arrays rho keeps (states.DensityMatrix)."""
+    if kms:
+        return np.divide, rho._kms_weights, rho._kms_weights
+    return np.multiply, rho._dual_rows, rho._dual_cols
+
+
+def _scaled(scaling, dual: np.ndarray, s=None) -> np.ndarray:
+    """A dual's entries from those of the _DUAL_AXES realignment dual of a
+    matrix or a stack, or with s given from the stored ones of s: with
+    scaling = (ufunc, rows, cols) (_scaling), the entry at row r and column
+    c becomes ufunc(entry, rows[r]) * cols[c], a stored entry's r and c
+    read where every kernel reads them (SuperOperator._place)."""
+    ufunc, rows, cols = scaling
     if s is None:
-        rows, cols = inverse[:, None, None], d
+        n = dual.shape[-1]
+        rows, cols = rows.reshape(n, n, 1, 1), cols.reshape(n, n)
     else:
-        # index k of a position of the realignment is index _DUAL_AXES[k] of s's
-        x = s._digits
-        rows, cols = inverse.take(x[_DUAL_AXES[1]]), d.take(x[_DUAL_AXES[3]])
-    m = np.multiply(rows, dual, order="C")
+        _, i, j = s._place(_DUAL_AXES)
+        rows, cols = rows.take(i), cols.take(j)
+    m = ufunc(dual, rows, order="C")
     m *= cols
     return m
 
@@ -164,26 +177,9 @@ def kms_dual(s: SuperOperator, rho: DensityMatrix) -> SuperOperator:
     Involutive, completely positive for completely positive s, and equal to
     rho_dual exactly on maps commuting with the modular map.  The products
     with powers of the diagonal rho are row and column scalings: O(n^4), or
-    O(stored) as in rho_dual.
+    O(stored) as in rho_dual, by the state dual's kernel (_scaled).
     """
-    return _dual(_stack((s,)), rho, _kms_dual_entries)[0]
-
-
-def _kms_dual_entries(rho: DensityMatrix, dual: np.ndarray, s=None) -> np.ndarray:
-    """Entries of kms_dual(s, rho).mat.reshape(n, n, n, n) from those of
-    the view dual of s.mat realigned by _DUAL_AXES, all of them or with s
-    given the stored ones (_rho_dual_entries): rows / (d_j d_k)^(1/2),
-    columns * (d_j' d_k')^(1/2), the KMS weights kept by rho
-    (DensityMatrix._kms_weights)."""
-    half = rho._kms_weights  # [k, j] -> (d_j d_k)^(1/2), vec index j + n k
-    if s is None:
-        rows, cols = half.reshape(half.shape + (1, 1)), half
-    else:
-        _, i, j = s._place(_DUAL_AXES)
-        rows, cols = half.take(i), half.take(j)
-    m = np.divide(dual, rows, order="C")
-    m *= cols
-    return m
+    return _dual(_stack((s,)), rho, kms=True)[0]
 
 
 def modular_power(rho: DensityMatrix, z) -> SuperOperator:

@@ -83,7 +83,8 @@ def schur_kraus(h) -> KrausChannel:
     Spectral form: h = sum_m lam_m w_m w_m^dag gives diagonal Kraus
     operators diag(sqrt(lam_m) w_m); eigenvalues at numerical zero are
     dropped.  Unital exactly when diag(h) = 1.  hermitian_eig validated h,
-    so the operators are finite square arrays and skip make_kraus.
+    so the operators are finite square arrays, handed over unchecked
+    (linalg._handed).
     """
     lams, ws = hermitian_eig(h)
     ops = []
@@ -92,7 +93,7 @@ def schur_kraus(h) -> KrausChannel:
         if lam <= 1e-14 * scale:
             continue
         ops.append(np.diag(math.sqrt(lam) * w))
-    return KrausChannel(tuple(ops))
+    return _handed(KrausChannel, ops=tuple(ops))
 
 
 def schur_db2_channel(rho: DensityMatrix, seed: int) -> SuperOperator:
@@ -117,7 +118,7 @@ def gad_kraus(p: float, s: float) -> KrausChannel:
     sum V V^dag = 1 (unital) and sum V^dag rho V = rho (state-preserving)
     identically in (p, s).  At s = (1-p)/p rounding can leave b^2 a few
     ulps below zero, so it is clamped at 0.  Both operators are finite for
-    (p, s) in range, so they skip make_kraus.
+    (p, s) in range, so they are handed over unchecked (linalg._handed).
     """
     if not 0.5 < p < 1.0:
         raise ValueError(f"p must lie in (1/2, 1), got {p}")
@@ -130,7 +131,7 @@ def gad_kraus(p: float, s: float) -> KrausChannel:
     b = math.sqrt(max(0.0, 1.0 - p * s / q))
     v1 = np.diag([a, b]).astype(complex)
     v2 = np.array([[0.0, c], [d, 0.0]], dtype=complex)
-    return KrausChannel((v1, v2))
+    return _handed(KrausChannel, ops=(v1, v2))
 
 
 def gad_sqdb_channel(p: float, s: float) -> tuple[SuperOperator, DensityMatrix]:
@@ -144,7 +145,8 @@ def random_unital_kraus(n: int, k: int, seed: int) -> KrausChannel:
 
     W_j = M^(-1/2) V_j with M = sum V V^dag; k = 1 reduces to a single
     unitary.  Resamples in the measure-zero event that M is near singular.
-    Every W_j is finite then, so the family skips make_kraus.
+    Every W_j is finite then, so the family is handed over unchecked
+    (linalg._handed).
     """
     if k < 1:
         raise ValueError(f"need at least one Kraus operator, got {k}")
@@ -155,7 +157,7 @@ def random_unital_kraus(n: int, k: int, seed: int) -> KrausChannel:
         lam = np.linalg.eigvalsh(m)
         if lam[0] > 1e-8 * lam[-1]:
             root = mat_power(m, -0.5)
-            return KrausChannel(tuple(root @ v for v in vs))
+            return _handed(KrausChannel, ops=tuple(root @ v for v in vs))
     raise DetbalError("could not draw a nonsingular Kraus normalization")
 
 

@@ -116,15 +116,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def _handed(cls, **fields):
     """The instance of the frozen dataclass cls that holds fields, values a
     package builder made and checked and keeps no other reference to: every
-    array among them and every array it views is frozen in place, and the
-    instance is built without cls.__post_init__, so with no second copy or
-    check.  The one hand-over path for maps (superop._adopt), states,
-    reversing operations and chains; their public constructors check what
-    a caller gives."""
-    for a in fields.values():
-        while isinstance(a, np.ndarray):
-            a.flags.writeable = False
-            a = a.base
+    array among them or in a tuple among them, and every array it views, is
+    frozen in place, and the instance is built without cls.__post_init__,
+    so with no second copy or check.  The one hand-over path for maps
+    (superop._adopt), states, reversing operations, Kraus families and
+    chains; their public constructors check what a caller gives."""
+    for value in fields.values():
+        for a in value if isinstance(value, tuple) else (value,):
+            while isinstance(a, np.ndarray):
+                a.flags.writeable = False
+                a = a.base
     obj = object.__new__(cls)
     vars(obj).update(fields)
     return obj

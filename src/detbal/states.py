@@ -17,10 +17,13 @@ what the balance checks in this package exploit.
 
 A DensityMatrix holds its eigenvalues and basis read-only, and forms when
 it is built, read-only, the values that the balance checks derive from rho
-alone (_formed): 1 / d, the pair Gram diagonal kron(d^(1/2), d^(1/2)) of
-the purified two-copy functional, the modular ratios d_j / d_k, the KMS
-weights (d_j d_k)^(1/2) and vec(rho).  Every check on the same state reads
-them instead of forming them again.  Its spectrum is checked once: a
+alone (_formed), each n^2 long at j + n k for the unit E_jk: the state
+dual's scalings 1 / d_j and d_j, the pair Gram diagonal kron(d^(1/2),
+d^(1/2)) of the purified two-copy functional, the modular ratios d_j / d_k,
+the KMS weights (d_j d_k)^(1/2) and vec(rho).  Both duals read their
+scalings with one kernel (duals._scaled), whole or at the rows and columns
+of a map's stored positions (superop.SuperOperator._place).  Its spectrum
+is checked once, by make_density's rules (_check_eigenvalues): a
 DensityMatrix built directly copies and checks what a caller gives, and
 make_density hands over the eigendecomposition it made and checked, as
 superop._adopt hands over a map's matrix (linalg._handed).
@@ -43,7 +46,6 @@ from .linalg import (
     _handed,
     _hermiticity,
     _numeric,
-    _read_only,
     _square,
     _verdict,
     as_matrix,
@@ -71,12 +73,9 @@ class DensityMatrix:
     summing to 1 within 1e-12 and descending (NotDensity); basis unitary to
     1e-12 * n in Frobenius norm (NonUnitary); degenerate as the gaps of diag
     say (NotDensity).  make_density hands over the eigendecomposition it
-    made (linalg._handed) unchecked, since eigh's output holds all of that
-    by construction but for the sum: make_density checks its input's
-    trace, from which the eigenvalue sum differs by rounding (up to about
-    1.2e-15 at n <= 8), so for a trace that close to 1 +- 1e-12 diag can
-    sum to just outside, and the same diag built directly raises
-    NotDensity.
+    made (linalg._handed) unchecked: eigh's output holds all of that by
+    construction, and make_density checks the sum of the eigenvalues it
+    keeps by the rule applied here (_check_eigenvalues).
     """
 
     n: int
@@ -86,12 +85,13 @@ class DensityMatrix:
 
     def __post_init__(self):
         n = self.n
-        d = _read_only(np.array(_numeric(self.diag, float)))
+        d = np.array(_numeric(self.diag, float))
         if d.shape != (n,):
             raise DimensionMismatch(f"expected {n} eigenvalues, got shape {d.shape}")
-        basis = _read_only(np.array(_square(self.basis, n)))
+        basis = np.array(_square(self.basis, n))
         _check_spectrum(d, basis, self.degenerate)
-        vars(self).update(_formed(d, basis))
+        # the copies checked here, then kept as a builder's, frozen
+        vars(self).update(vars(_handed(DensityMatrix, **_formed(d, basis))))
 
     def matrix(self) -> np.ndarray:
         """The density matrix in its eigenbasis (diagonal)."""
@@ -107,20 +107,22 @@ class DensityMatrix:
 
 def _formed(d: np.ndarray, basis: np.ndarray) -> dict:
     """The eigenvalues d and basis of a DensityMatrix with the values formed
-    from d that it keeps, read-only."""
-    half, inverse = np.sqrt(d), _read_only(1.0 / d)  # 1 / d scales the state dual's rows
+    from d that it keeps, to be handed over (linalg._handed)."""
+    n, half, inverse = len(d), np.sqrt(d), 1.0 / d
     return dict(
         diag=d,
         basis=basis,
-        _inverse=inverse,
+        # the state dual's row and column scalings: 1 / d_j and d_j at j + n k
+        _dual_rows=np.tile(inverse, n),
+        _dual_cols=np.tile(d, n),
         # diagonal of the Gram matrix kron(r, conj(r)) of omega (w = 1)
         # and of the mirror Gram matrix kron(rho^(1/2), (rho^(1/2))^T)
-        _pair_gram=_read_only(np.outer(half, half).ravel()),
+        _pair_gram=np.outer(half, half).ravel(),
         # the modular map in the matrix-unit basis: d_j / d_k at j + n k
-        _modular_ratios=_read_only(np.outer(inverse, d).ravel()),
-        # the kms dual's row and column scalings: (d_j d_k)^(1/2) at [k, j]
-        _kms_weights=_read_only(np.sqrt(np.outer(d, d))),
-        _vec=_read_only(vec(np.diag(d).astype(complex))),  # the invariance test vector
+        _modular_ratios=np.outer(inverse, d).ravel(),
+        # the kms dual's row and column scalings: (d_j d_k)^(1/2) at j + n k
+        _kms_weights=np.sqrt(np.outer(d, d)).ravel(),
+        _vec=vec(np.diag(d).astype(complex)),  # the invariance test vector
     )
 
 
@@ -131,14 +133,7 @@ def _check_spectrum(d: np.ndarray, basis: np.ndarray, degenerate) -> None:
     n = len(d)
     if not np.isfinite(d).all():
         raise DetbalError("matrix entries must be finite")
-    low = d.min()
-    if not low >= 0.0:
-        raise NotDensity(f"negative eigenvalue {low:.3e}")
-    if not low > 0.0:
-        raise NotInvertible(f"density matrix must be invertible (min eigenvalue {low:.3e})")
-    total = float(d.sum())
-    if not abs(total - 1.0) <= 1e-12:
-        raise NotDensity(f"trace must be 1, got {total:.12g}")
+    _check_eigenvalues(d, d.min())
     gaps = d[:-1] - d[1:]
     if not (gaps >= 0.0).all():
         raise NotDensity("eigenvalues must be in descending order")
@@ -152,6 +147,21 @@ def _check_spectrum(d: np.ndarray, basis: np.ndarray, degenerate) -> None:
             f"degenerate is {bool(degenerate)}, but the smallest eigenvalue gap is"
             f" {gaps.min(initial=np.inf):.3e} (degenerate below {_DEGENERACY_GAP:g})"
         )
+
+
+def _check_eigenvalues(d: np.ndarray, low, psd=0.0, inv=0.0) -> None:
+    """Raise unless the eigenvalues d, the least of them low, are at least
+    -psd (NotDensity) and above inv (NotInvertible) and sum to 1 within
+    1e-12 (NotDensity), a sum that fails when it overflows: the rules of
+    make_density and DensityMatrix, the trace read as the kept sum."""
+    if not low >= -psd:
+        raise NotDensity(f"negative eigenvalue {low:.3e}")
+    if not low > inv:
+        raise NotInvertible(f"density matrix must be invertible (min eigenvalue {low:.3e})")
+    with np.errstate(over="ignore"):
+        total = float(d.sum())
+    if not abs(total - 1.0) <= 1e-12:
+        raise NotDensity(f"trace must be 1, got {total:.12g}")
 
 
 def _degenerate(gaps: np.ndarray) -> bool:
@@ -172,28 +182,20 @@ class Purification:
 def make_density(m, tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
     """Validate and eigendecompose a density matrix.
 
-    Requires Hermiticity, unit trace to 1e-12, positive semidefiniteness
-    within tol.psd_tol, and all eigenvalues above tol.inv_tol (the whole
-    toolkit assumes invertible states).  Every comparison fails closed: a
-    NaN residual is rejected.  The matrix is copied and checked here once;
-    the solve is hermitian_eig's, without its second copy and check, and
-    the state it gives is handed over unchecked (DensityMatrix).
+    Requires Hermiticity, positive semidefiniteness within tol.psd_tol, all
+    eigenvalues above tol.inv_tol (the whole toolkit assumes invertible
+    states) and their sum, the trace, 1 to 1e-12 (_check_eigenvalues).
+    Every comparison fails closed: a NaN residual is rejected.  The matrix
+    is copied and checked here once; the solve is hermitian_eig's, without
+    its second copy and check, and the state it gives is handed over
+    unchecked (DensityMatrix).
     """
     m = as_matrix(m)
     hermitian, herm = _hermiticity(m)
     if not hermitian:
         raise NotDensity(f"not Hermitian (residual {herm:.3e})")
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN trace fails
-        tr = complex(np.trace(m))
-    if not abs(tr - 1.0) <= 1e-12:
-        raise NotDensity(f"trace must be 1, got {tr.real:.12g}")
     lam, basis = _eig_descending(m)
-    if not lam[-1] >= -tol.psd_tol:
-        raise NotDensity(f"negative eigenvalue {lam[-1]:.3e}")
-    if not lam[-1] > tol.inv_tol:
-        raise NotInvertible(
-            f"density matrix must be invertible (min eigenvalue {lam[-1]:.3e})"
-        )
+    _check_eigenvalues(lam, lam[-1], tol.psd_tol, tol.inv_tol)
     degenerate = _degenerate(lam[:-1] - lam[1:])
     return _handed(DensityMatrix, n=m.shape[0], degenerate=degenerate, **_formed(lam, basis))
 

@@ -20,13 +20,13 @@ duals, generators and the command line hand over C-ordered complex
 n^2 x n^2 arrays they made through _adopt, the only path without a copy,
 which freezes them and builds the map without checking them again: it
 asserts only their type, order and shape, and hands over through
-linalg._handed, the path that states, reversing operations and chains
-share.  A map keeps values computed
-from that matrix on their first read, none of which depends on the
-tolerance: where it stores entries (_at and more, below), its unital
-residual ||s(1) - 1|| (_unital_residual), and the numbers of its CP test
-(_choi_spectrum): the Choi Hermiticity residual, the smallest and largest
-Choi eigenvalue and the Choi negativity.  Every unitality or CP test of
+linalg._handed, the path that states, reversing operations, Kraus
+families and chains share.  A map keeps values computed from that matrix
+on their first read, none of which depends on the tolerance, and nothing
+else (SuperOperator): where it stores entries (_at and more, below), its
+unital residual ||s(1) - 1|| (_unital_residual), and the numbers of its
+CP test (_choi_spectrum): the Choi Hermiticity residual, the smallest and
+largest Choi eigenvalue and the Choi negativity.  Every unitality or CP test of
 the map after the first, from any public check, forms its verdict from
 those numbers without computing them again.  The positivity probe
 (is_positive_map) keeps nothing.
@@ -53,10 +53,13 @@ stored there (_entries).  A realignment stores the same entries at
 permuted positions: SuperOperator._place gives them as flat positions of
 the realignment's (n, n, n, n) layout, in _at's order, with the row and
 column of each in its n^2 x n^2 layout, formed once per map and
-realignment and kept.  So a map's realignment read at its own positions is
-_entries, and any other operand there is one take: every realignment in
-use is an involution, so the matrix entry behind a position of one
-realignment is found through the positions of a composed one (_compose).
+realignment and kept (_placed).  It is the one accessor of a stored
+entry's position: every kernel that reads one, the duals' row and column
+scalings and the CP test's Choi rows included, reads it there.  So a
+map's realignment read at its own positions is _entries, and any other
+operand there is one take: every realignment in use is an involution, so
+the matrix entry behind a position of one realignment is found through
+the positions of a composed one (_compose).
 A map built from rescaled entries of another's realignment, as a dual is
 (_from_entries), is handed those positions and entries and reads the
 positions of its own realignments from the other map: it neither searches
@@ -121,7 +124,9 @@ class SuperOperator:
     C-ordered complex array, read-only: numpy's conversion of the input when
     numpy made it anew, else a copy of the caller's array made once,
     read-only or not.  A non-integer n (a bool is none), n < 1 or another
-    shape raises DimensionMismatch."""
+    shape raises DimensionMismatch.  It holds n, mat, _placed (_place) and,
+    once read, _at, _entries, _unital_residual and _choi_spectrum; a map
+    built from another's entries (_from_entries) also holds _source."""
 
     n: int
     mat: np.ndarray
@@ -168,8 +173,10 @@ class SuperOperator:
         for a map with positions (_at): their flat positions in its
         (n, n, n, n) layout, in _at's order, and their rows and columns in
         its n^2 x n^2 layout (flat // n^2, flat % n^2).  Formed once per
-        axes from _digits, or read from the map this one was built from
-        (_from_entries)."""
+        axes from the four indices of each entry, split from the rows and
+        columns of _SAME_AXES, or read from the map this one was built from
+        (_from_entries).  Every kernel that reads a stored entry's position
+        reads it here."""
         got = self._placed.get(axes)
         if got is None:
             source = self.__dict__.get("_source")
@@ -179,20 +186,13 @@ class SuperOperator:
             elif axes == _SAME_AXES:
                 got = (self._at, *_split(self._at, n * n))
             else:
-                x = self._digits
+                _, rows, cols = self._place(_SAME_AXES)
+                x = (*_split(rows, n), *_split(cols, n))
                 rows = x[axes[0]] * n + x[axes[1]]
                 cols = x[axes[2]] * n + x[axes[3]]
                 got = (rows * (n * n) + cols, rows, cols)
             self._placed[axes] = got
         return got
-
-    @cached_property
-    def _digits(self):
-        """The four indices of each stored entry in the (n, n, n, n) layout,
-        in _at's order: those of its row and of its column.  They only form
-        positions (_place) and the state dual's row and column scalings."""
-        _, rows, cols = self._place(_SAME_AXES)
-        return (*_split(rows, self.n), *_split(cols, self.n))
 
     def apply(self, x) -> np.ndarray:
         """Evaluate the map on an n x n matrix."""
@@ -353,19 +353,20 @@ def pi_rep(a, b) -> SuperOperator:
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """A finite Kraus family of square operators of one shape."""
+    """A finite Kraus family of square operators of one shape: a tuple of
+    read-only copies of the operators given, each read by as_matrix, or of
+    those a builder made and hands over (linalg._handed).  An empty family
+    or two shapes raise DimensionMismatch."""
 
     ops: tuple
 
     def __post_init__(self):
-        if len(self.ops) == 0:
+        ops = tuple(as_matrix(v) for v in self.ops)
+        if not ops:
             raise DimensionMismatch("a Kraus channel needs at least one operator")
-        if not all(isinstance(v, np.ndarray) for v in self.ops):
-            raise DimensionMismatch("Kraus operators must be arrays (make_kraus converts them)")
-        shape = self.ops[0].shape
-        for v in self.ops:
-            if v.shape != shape or v.ndim != 2 or v.shape[0] != v.shape[1]:
-                raise DimensionMismatch("Kraus operators must share one square shape")
+        if any(v.shape != ops[0].shape for v in ops):
+            raise DimensionMismatch("Kraus operators must share one square shape")
+        vars(self).update(vars(_handed(KrausChannel, ops=ops)))
 
     @property
     def n(self) -> int:
@@ -373,8 +374,8 @@ class KrausChannel:
 
 
 def make_kraus(ops) -> KrausChannel:
-    """Validate a sequence of arrays into a KrausChannel."""
-    return KrausChannel(tuple(as_matrix(v) for v in ops))
+    """Validate square matrices into a KrausChannel: KrausChannel(ops)."""
+    return KrausChannel(ops)
 
 
 def from_kraus(k) -> SuperOperator:
@@ -385,7 +386,7 @@ def from_kraus(k) -> SuperOperator:
     = conj(V_j)[a, c] V_j[b, d]: the same products np.kron forms, bit for bit.
     """
     if not isinstance(k, KrausChannel):
-        k = make_kraus(k)
+        k = KrausChannel(k)
     n = k.n
     mat = np.zeros((n * n, n * n), dtype=complex)
     for v in k.ops:
@@ -531,7 +532,7 @@ def _gathered_choi(s: SuperOperator):
         block = _realign(m, n, _CHOI_AXES).reshape(big, big)
     elif len(coupled):
         # Choi entry (j n + a, k n + b) is entry [b, a, k, j] of the reshape
-        j, a = np.divmod(coupled, n)
+        j, a = _split(coupled, n)
         block = m.reshape(n, n, n, n)[a, a[:, None], j, j[:, None]]
     if len(coupled):
         h = np.conjugate(block.T)

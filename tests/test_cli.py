@@ -12,6 +12,7 @@ import pytest
 import detbal.balance
 import detbal.duals
 import detbal.states
+import detbal.superop
 from detbal import (
     MODE_CP,
     MODE_POSITIVITY,
@@ -50,6 +51,7 @@ from detbal.duals import ReversingOperation
 from detbal.generators import gad_kraus
 from detbal.linalg import DEFAULT_TOL
 from detbal.states import DensityMatrix
+from detbal.superop import KrausChannel
 
 QUANTUM_CHECKS = (
     "db2_definition",
@@ -821,23 +823,26 @@ def test_each_value_is_checked_once(tmp_path, monkeypatch):
     is handed over (linalg._handed): make_density's eigendecomposition never
     runs DensityMatrix's spectrum check, and a unitary Theta's u is copied
     and checked once, by make_reversing, not again when it is kept or
-    rotated to rho's eigenbasis; the plain transpose copies none.  A
-    classical file's chain is checked once, at parse, and each of its time
-    powers is handed over.  A state, reversing operation or chain built
-    directly is checked once."""
+    rotated to rho's eigenbasis; the plain transpose copies none.  A Kraus
+    file's operators are coerced once, when the file is read, and handed
+    over, in the user basis and rotated, with no copy or check by
+    KrausChannel.  A classical file's chain is checked once, at parse, and
+    each of its time powers is handed over.  A state, reversing operation,
+    Kraus family or chain built directly is checked once."""
     calls = collections.Counter()
 
-    def counted(module, name):
+    def counted(module, name, key=None):
         real = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[key or name] += 1
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
     counted(detbal.states, "_check_spectrum")
     counted(detbal.duals, "as_matrix")
+    counted(detbal.superop, "as_matrix", "kraus_as_matrix")
     counted(detbal.balance, "_check_chain")
     rotated, _ = _rotated_gad_payloads()
     assert main(["check", _write(tmp_path, rotated), "--format", "json", "--tfd"]) == 0
@@ -852,7 +857,10 @@ def test_each_value_is_checked_once(tmp_path, monkeypatch):
     DensityMatrix(2, [0.75, 0.25], np.eye(2), False)
     ReversingOperation(np.eye(2))
     ClassicalChain([0.5, 0.5], np.eye(2))
-    assert calls == {"_check_spectrum": 1, "as_matrix": 1, "_check_chain": 1}
+    KrausChannel(([[1, 0], [0, 1]],))
+    assert calls == {
+        "_check_spectrum": 1, "as_matrix": 1, "_check_chain": 1, "kraus_as_matrix": 1
+    }
 
 
 def test_large_classical_powers_are_not_rebuilt_through_make_chain(tmp_path, capsys):

@@ -875,11 +875,12 @@ def kernel_checks(tau, rho, th, mode=MODE_CP):
             balance._commutators(tau, rho)[0], balance._invariances(tau, rho)[0], tol
         ),
         "db2_entangled": lambda: balance._db2_entangled(
-            pair(dual, _BAR_AXES), un.residual, balance._hat_distances(tau, dual)[0], tol
+            pair(dual, _BAR_AXES), un.residual,
+            balance._distances(dual, _BAR_AXES, tau, _SAME_AXES)[0], tol,
         ),
-        "sqdb_definition": lambda: _verdict(
-            tol, {"kms_vs_reversed": balance._kms_distances(tau, rho, conj)[0]}
-        ),
+        "sqdb_definition": lambda: _verdict(tol, {"kms_vs_reversed": balance._distances(
+            tau, superop._DUAL_AXES, conj, _BAR_AXES, duals._scaling(rho, kms=True)
+        )[0]}),
         "sqdb_entangled": lambda: _verdict(tol, {"pair_residual": pair(conj)}),
         "db2_tfd": lambda: balance._db2_tfd(pair(dual, mirror=True), un.residual, tol),
         "sqdb_tfd": lambda: _verdict(tol, {"pair_residual": pair(conj, _BAR_AXES, True)}),
@@ -987,16 +988,17 @@ def route_spies(monkeypatch):
 
         def wrapper(*args, **kwargs):
             out = real(*args, **kwargs)
-            seen[kernel].add(gathered(args, kwargs, out))
+            seen[kernel(args) if callable(kernel) else kernel].add(gathered(args, kwargs, out))
             return out
 
         monkeypatch.setattr(module, name, wrapper)
 
     spy(superop, "_gathered_choi", "cp", lambda a, k, out: True)
     # a dual's entries are formed from rows and columns of stored entries,
-    # or from the whole view
-    spy(duals, "_rho_dual_entries", "rho_dual", lambda a, k, out: out.ndim == 1)
-    spy(duals, "_kms_dual_entries", "kms_dual", lambda a, k, out: out.ndim == 1)
+    # or from the whole view, by one kernel: the state dual's multiplies
+    # its rows, the kms dual's divides them
+    spy(duals, "_scaled", lambda a: "rho_dual" if a[0][0] is np.multiply else "kms_dual",
+        lambda a, k, out: out.ndim == 1)
     spy(balance, "_commutators", "commutator", lambda a, k, out: a[0].stored is not None)
     spy(balance, "_pair_residual", "pair",
         lambda a, k, out: a[1].stored is not None and a[2].stored is not None)
@@ -1097,10 +1099,11 @@ def test_union_norms_read_the_realigned_views(n, family, zeros):
         return float(np.linalg.norm(left[idx] - right[idx]))
 
     g = rho._pair_gram
-    got = balance._hat_distances(one(tau), one(dual))[0]
+    got = balance._distances(one(dual), _BAR_AXES, one(tau), _SAME_AXES)[0]
     hat = superop._realign(dual.mat, n, _BAR_AXES)
     assert same_bits(got, union_norm(hat, tau.mat.reshape((n,) * 4)))
-    got = balance._kms_distances(one(tau), rho, one(tau))[0]
+    kms_scaling = duals._scaling(rho, kms=True)
+    got = balance._distances(one(tau), superop._DUAL_AXES, one(tau), _BAR_AXES, kms_scaling)[0]
     half = np.sqrt(np.outer(rho.diag, rho.diag))
     kms = superop._realign(tau.mat, n, superop._DUAL_AXES) / half[:, :, None, None] * half
     assert same_bits(got, union_norm(kms, superop._realign(tau.mat, n, _BAR_AXES)))
@@ -1165,7 +1168,7 @@ def test_one_choi_solve_per_map(family, n, monkeypatch):
 
 # the values a map forms on their first read; a state and a reversing
 # operation form theirs when they are built (test_states, test_duals)
-KEPT = ("_at", "_entries", "_digits", "_unital_residual", "_choi_spectrum")
+KEPT = ("_at", "_entries", "_unital_residual", "_choi_spectrum")
 
 
 @pytest.mark.parametrize("family,n", [("random-unital", 3), ("schur-db2", 8)])
@@ -1210,6 +1213,38 @@ def test_derived_values_formed_once(family, n, monkeypatch):
     for obj, kept in built.items():
         assert vars(obj).keys() == kept.keys()
         assert all(vars(obj)[key] is value for key, value in kept.items())
+
+
+# everything a map holds after every kernel has read it: n, mat, the
+# positions it formed per realignment (_placed) and the values of KEPT; a
+# dense map forms no stored entries, and a state dual of a map on the
+# stored-entry route also holds the map it reads its positions from
+HELD = {"n", "mat", "_placed", *KEPT}
+
+
+@pytest.mark.parametrize("family,n", [("schur-db2", 12), ("random-unital", 8)])
+def test_each_map_holds_only_the_documented_values(family, n, monkeypatch):
+    rho = random_density(n, seed=338)
+    if family == "schur-db2":
+        tau = schur_db2_channel(rho, seed=338)
+    else:
+        tau = random_unital_channel(n, 3, 338)
+    made = []
+
+    def recorded(*args, **kwargs):
+        out = real(*args, **kwargs)
+        made.extend(out)
+        return out
+
+    real = balance._dual
+    monkeypatch.setattr(balance, "_dual", recorded)
+    run_report(tau, rho, transpose_reversing(n), tfd=True)
+    stored = family == "schur-db2"
+    assert (tau._at is not None) == stored
+    held = HELD if stored else HELD - {"_entries"}
+    assert set(vars(tau)) == held
+    (dual,) = made
+    assert set(vars(dual)) == (held | {"_source"} if stored else held)
 
 
 def poisoned(tau, spot, bad):

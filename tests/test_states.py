@@ -80,17 +80,42 @@ def test_make_density_rejects_non_hermitian(m):
         make_density(np.array(m))
 
 
-# entries near the float limit: the trace overflows to inf, or to NaN as
-# inf - inf, and fails closed without a RuntimeWarning; a unit trace with
-# huge off-diagonal entries is solved to its negative eigenvalue, not NaN
+# entries near the float limit: the eigenvalue sum overflows to inf and
+# fails closed without a RuntimeWarning; the eigenvalues are checked before
+# their sum, so a diagonal whose trace is inf - inf, and a unit trace with
+# huge off-diagonal entries, are solved to their negative eigenvalue
 @pytest.mark.parametrize("m,line", [
     ([[1e308, 0.0], [0.0, 1e308]], "trace must be 1, got inf"),
-    (np.diag([1e308, 1e308, -1e308, -1e308]), "trace must be 1, got nan"),
+    (np.diag([1e308, 1e308, -1e308, -1e308]), "negative eigenvalue -1.000e\\+308"),
     ([[0.5, 1e308], [1e308, 0.5]], "negative eigenvalue -1.000e\\+308"),
 ])
 def test_make_density_rejects_entries_near_the_float_limit(m, line):
     with pytest.raises(NotDensity, match=line):
         make_density(m)
+
+
+def test_make_density_and_the_constructor_apply_one_trace_rule():
+    """Every state make_density builds is one that DensityMatrix accepts:
+    both read the trace as the sum of the kept eigenvalues.  At a trace of
+    1 +- (1e-12 - 3e-16), within rounding of the bound, the sum of the
+    eigenvalues can fall on either side of 1 +- 1e-12 (n = 2 ... 8)."""
+    rng = np.random.default_rng(4)
+    built = 0
+    for i in range(600):
+        n = 2 + i % 7
+        lam = rng.uniform(0.05, 1.0, n)
+        u = haar_unitary(n, i)
+        m = u @ np.diag(lam / lam.sum()) @ u.conj().T
+        delta = (1e-12 - 3e-16) * (1 if i % 2 else -1)
+        m += (1.0 + delta - np.trace(m).real) / n * np.eye(n)
+        try:
+            rho = make_density(m)
+        except NotDensity as exc:
+            assert str(exc).startswith("trace must be 1, got "), exc
+            continue
+        DensityMatrix(rho.n, rho.diag, rho.basis, rho.degenerate)
+        built += 1
+    assert 300 < built < 600
 
 
 def test_make_density_rejects_negative_eigenvalue():
@@ -286,10 +311,11 @@ def test_kept_state_values_are_the_formulas_bit_for_bit():
             d = rho.diag
             half = np.sqrt(d)
             want = {
-                "_inverse": 1.0 / d,
+                "_dual_rows": np.tile(1.0 / d, rho.n),
+                "_dual_cols": np.tile(d, rho.n),
                 "_pair_gram": np.outer(half, half).ravel(),
                 "_modular_ratios": np.outer(1.0 / d, d).ravel(),
-                "_kms_weights": np.sqrt(np.outer(d, d)),
+                "_kms_weights": np.sqrt(np.outer(d, d)).ravel(),
                 "_vec": rho.matrix().reshape(-1, order="F"),
             }
             assert want.keys() <= vars(rho).keys(), rho.n
@@ -304,7 +330,7 @@ def test_state_arrays_are_read_only_copies():
     from a caller's arrays does not change when the caller writes to them."""
     u = haar_unitary(3, 80)
     rho = make_density(u @ np.diag([0.5, 0.3, 0.2]) @ u.conj().T)
-    kept = ("_inverse", "_pair_gram", "_modular_ratios", "_kms_weights", "_vec")
+    kept = ("_dual_rows", "_dual_cols", "_pair_gram", "_modular_ratios", "_kms_weights", "_vec")
     for name in ("diag", "basis", *kept):
         a = getattr(rho, name)
         with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ from detbal.duals import (
     trace_dual,
     transpose_reversing,
 )
-from detbal.errors import DimensionMismatch, InputNotDynamics
+from detbal.errors import DetbalError, DimensionMismatch, InputNotDynamics
 from detbal.generators import (
     degenerate_db2_channel,
     gad_sqdb_channel,
@@ -127,9 +127,36 @@ def test_kraus_channel_validation():
         make_kraus([np.eye(2), np.eye(3)])
     with pytest.raises(DimensionMismatch):
         KrausChannel((np.ones((2, 3)),))
-    with pytest.raises(DimensionMismatch, match="must be arrays"):
-        KrausChannel((np.eye(2), [[1, 0], [0, 1]]))
+    with pytest.raises(DimensionMismatch, match="share one square shape"):
+        KrausChannel((np.eye(2), [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     assert KrausChannel((np.eye(2),)).n == 2
+
+
+def test_a_kraus_channel_coerces_its_operators_as_make_kraus_does():
+    """KrausChannel reads each operator as make_kraus reads it: a nested
+    list is coerced to a complex array, as every other constructor coerces
+    its input."""
+    k = KrausChannel(([[1, 0], [0, 1]],))
+    assert k.n == 2 and k.ops[0].dtype == complex
+    assert np.array_equal(from_kraus(k).mat, np.eye(4))
+    assert np.array_equal(make_kraus([[[1, 0], [0, 1]]]).ops[0], k.ops[0])
+
+
+def test_a_kraus_channel_refuses_a_non_finite_operator():
+    with pytest.raises(DetbalError, match="finite"):
+        KrausChannel((np.array([[np.nan, 0], [0, 1]], dtype=complex),))
+
+
+def test_a_kraus_channel_keeps_read_only_copies():
+    """A write into the caller's array after the channel is built does not
+    reach the channel, and the operators it holds refuse writes."""
+    a = np.eye(2, dtype=complex)
+    k = KrausChannel((a,))
+    a[0, 0] = 5
+    assert from_kraus(k).mat[0, 0] == 1
+    assert isinstance(k.ops, tuple) and a.flags.writeable
+    with pytest.raises(ValueError):
+        k.ops[0][0, 0] = 5
 
 
 def test_apply_shape_guard():

@@ -29,7 +29,7 @@ correlation <A tilde(B)> = tr(rho^(1/2) A rho^(1/2) B^dag) (see duals):
   sqdb_tfd     <tau(A) tilde(B)> = <A tilde(Theta tau Theta(B))> for all A, B
 
 tau_hat(1) = tau'(1)^T, so the three db2 checks that ask for unitality
-report one residual, is_unital(tau'), read once per report: dual_unital
+report one residual, the state dual's kept _unital_residual: dual_unital
 of the definition and the mirror form, hat_unital of the entangled form.
 
 Every pair identity is decided at once: a bilinear form with Gram matrix G
@@ -56,16 +56,19 @@ Every kernel takes maps on one M_n as a stack (superop._Stack) and returns
 one number per map: the modular commutators (_commutators), the state
 invariances (_invariances), the pair maxima (_pair_residual, _pair_max) and
 the two distances of the definition checks (_distances, one kernel for
-both).  The dense passes run once over the stacked matrices, on
-a leading batch axis, with the state duals and Theta-conjugates of the
-stack formed as one stack too (duals._dual, duals._conjugates); the
-stored-entry route runs on a stack of one.  _reports decides several maps
-this way, the powers of one channel from the command line: it forms the
-Choi spectra and unital residuals of the maps and of their state duals in
-one stacked pass (superop._kept), then admits the maps in order.
-run_report and every public check are stacks of one, so each kernel has
-one implementation and a map's numbers are the same bits alone or
-stacked.
+both).  The dense passes run once over the stacked matrices, on a leading
+batch axis; the stored-entry route runs on a stack of one.  Each
+characterization is one function of stacks of the operands it reads, the
+maps, their state duals or their Theta-conjugates (duals._dual,
+duals._conjugates), with one CheckResult per map: _db2_definition,
+_db2_modular, _db2_entangled, _sqdb_definition, _sqdb_entangled, _db2_tfd
+and _sqdb_tfd.  A public check is require_dynamics, its one operand on a
+stack of one and its one function.  _reports forms the operands of several
+maps once, solves their Choi spectra and unital residuals in stacked
+passes (superop._kept), admits the maps in order and calls all seven;
+run_report is a stack of one, and _power_reports alone splits the command
+line's time powers into stacks (_stack_size).  A map's numbers are the
+same bits alone or stacked.
 
 On channels commuting with the modular map the kms and state duals
 coincide, so there sqdb implies db2; sqdb does not require that commutation.
@@ -109,7 +112,6 @@ from .duals import (
     _scaled,
     _scaling,
     ReversingOperation,
-    rho_dual,
 )
 from .errors import DimensionMismatch, InputNotDynamics, NotStochastic
 from .linalg import DEFAULT_TOL, CheckResult, Tolerance, _norms, _numeric, _read_only, _verdict
@@ -118,6 +120,7 @@ from .superop import (
     _BAR_AXES,
     _DUAL_AXES,
     _SAME_AXES,
+    _GATHER_MIN_N,
     _TRANSPOSE_AXES,
     SuperOperator,
     _Stack,
@@ -264,78 +267,96 @@ def _distances(xs: _Stack, a, ys: _Stack, b, scale=None) -> list[float]:
     return _norms(np.subtract(left, right, order="C").reshape(len(xs), -1))
 
 
-def _db2_definition(dual, un, tol, mode) -> CheckResult:
-    # un = is_unital(dual, tol)
-    cp = _cp_check(dual, tol, mode)
-    detail = {f"dual_{k}": v for k, v in cp.detail.items()}
-    detail["dual_unital"] = un.residual
-    # Python max alone would drop a NaN that does not come first
-    residual = max(cp.residual, un.residual)
-    return CheckResult(
-        passed=bool(cp.passed and un.passed),
-        residual=math.nan if math.isnan(cp.residual + un.residual) else residual,
-        detail=detail,
-        tol=tol,
-    )
+def _db2_definition(duals: _Stack, tol, mode) -> list[CheckResult]:
+    """db2 by its definition on each state dual of the stack duals: CP
+    (positive in MODE_POSITIVITY) and unital."""
+    out = []
+    for dual in duals:
+        cp, un = _cp_check(dual, tol, mode), is_unital(dual, tol)
+        detail = {f"dual_{k}": v for k, v in cp.detail.items()}
+        detail["dual_unital"] = un.residual
+        # Python max alone would drop a NaN that does not come first
+        residual = max(cp.residual, un.residual)
+        if math.isnan(cp.residual + un.residual):
+            residual = math.nan
+        out.append(CheckResult(bool(cp.passed and un.passed), residual, detail, tol))
+    return out
 
 
-def _db2_modular(commutator, invariance, tol) -> CheckResult:
-    return _verdict(tol, {"modular_commutator": commutator, "state_invariance": invariance})
+def _db2_modular(taus: _Stack, rho, tol) -> list[CheckResult]:
+    """db2 via modular commutation plus state invariance."""
+    return [
+        _verdict(tol, {"modular_commutator": c, "state_invariance": i})
+        for c, i in zip(_commutators(taus, rho), _invariances(taus, rho))
+    ]
 
 
-def _db2_entangled(pair, hat_unital, hat_vs_channel, tol) -> CheckResult:
-    # hat = bar_map(dual); hat(1) = dual(1)^T has dual's unital defect
-    # transposed, so hat_unital is is_unital(dual).residual.  hat_vs_channel
-    # is diagnostic only: zero is not required for balance
-    return _verdict(
-        tol,
-        {"pair_residual": pair, "hat_unital": hat_unital},
-        info={"hat_vs_channel": hat_vs_channel},
-    )
+def _db2_entangled(taus: _Stack, duals: _Stack, rho, tol) -> list[CheckResult]:
+    """db2 via the purified two-copy functional, with tau_hat = bar_map(dual):
+    tau_hat(1) = dual(1)^T, so hat_unital is the dual's unital residual.
+    hat_vs_channel is diagnostic only: zero is not required for balance."""
+    pairs = _pair_residual(rho._pair_gram, taus, duals, _BAR_AXES)
+    hats = _distances(duals, _BAR_AXES, taus, _SAME_AXES)
+    return [
+        _verdict(
+            tol,
+            {"pair_residual": pair, "hat_unital": dual._unital_residual},
+            info={"hat_vs_channel": hat},
+        )
+        for pair, dual, hat in zip(pairs, duals, hats)
+    ]
 
 
-def _db2_tfd(pair, dual_unital, tol) -> CheckResult:
-    return _verdict(tol, {"pair_residual": pair, "dual_unital": dual_unital})
+def _sqdb_definition(taus: _Stack, conjs: _Stack, rho, tol) -> list[CheckResult]:
+    """sqdb by its definition: the kms dual equals Theta tau Theta."""
+    kms = _distances(taus, _DUAL_AXES, conjs, _BAR_AXES, _scaling(rho, kms=True))
+    return [_verdict(tol, {"kms_vs_reversed": x}) for x in kms]
+
+
+def _sqdb_entangled(taus: _Stack, conjs: _Stack, rho, tol) -> list[CheckResult]:
+    """sqdb via the purified two-copy functional."""
+    pairs = _pair_residual(rho._pair_gram, taus, conjs)
+    return [_verdict(tol, {"pair_residual": x}) for x in pairs]
+
+
+def _db2_tfd(taus: _Stack, duals: _Stack, rho, tol) -> list[CheckResult]:
+    """db2 in mirror form, with the state dual's unital residual."""
+    pairs = _pair_residual(rho._pair_gram, taus, duals, mirror=True)
+    return [
+        _verdict(tol, {"pair_residual": x, "dual_unital": dual._unital_residual})
+        for x, dual in zip(pairs, duals)
+    ]
+
+
+def _sqdb_tfd(taus: _Stack, conjs: _Stack, rho, tol) -> list[CheckResult]:
+    """sqdb in mirror form."""
+    pairs = _pair_residual(rho._pair_gram, taus, conjs, _BAR_AXES, mirror=True)
+    return [_verdict(tol, {"pair_residual": x}) for x in pairs]
 
 
 def check_db2_definition(
-    tau: SuperOperator,
-    rho: DensityMatrix,
-    tol: Tolerance = DEFAULT_TOL,
-    mode: str = MODE_CP,
+    tau: SuperOperator, rho: DensityMatrix, tol: Tolerance = DEFAULT_TOL, mode: str = MODE_CP
 ) -> CheckResult:
     """Standard balance by its definition: the state dual is CP and unital."""
     require_dynamics(tau, rho, tol, mode)
-    dual = rho_dual(tau, rho)
-    return _db2_definition(dual, is_unital(dual, tol), tol, mode)
+    return _db2_definition(_dual(_stack((tau,)), rho), tol, mode)[0]
 
 
 def check_db2_modular(
-    tau: SuperOperator,
-    rho: DensityMatrix,
-    tol: Tolerance = DEFAULT_TOL,
-    mode: str = MODE_CP,
+    tau: SuperOperator, rho: DensityMatrix, tol: Tolerance = DEFAULT_TOL, mode: str = MODE_CP
 ) -> CheckResult:
     """Standard balance via modular commutation plus state invariance."""
     require_dynamics(tau, rho, tol, mode)
-    taus = _stack((tau,))
-    return _db2_modular(_commutators(taus, rho)[0], _invariances(taus, rho)[0], tol)
+    return _db2_modular(_stack((tau,)), rho, tol)[0]
 
 
 def check_db2_entangled(
-    tau: SuperOperator,
-    rho: DensityMatrix,
-    tol: Tolerance = DEFAULT_TOL,
-    mode: str = MODE_CP,
+    tau: SuperOperator, rho: DensityMatrix, tol: Tolerance = DEFAULT_TOL, mode: str = MODE_CP
 ) -> CheckResult:
     """Standard balance via the purified two-copy functional."""
     require_dynamics(tau, rho, tol, mode)
     taus = _stack((tau,))
-    duals = _dual(taus, rho)
-    pair = _pair_residual(rho._pair_gram, taus, duals, _BAR_AXES)[0]
-    hat_unital = is_unital(duals[0], tol).residual
-    hat_vs_channel = _distances(duals, _BAR_AXES, taus, _SAME_AXES)[0]
-    return _db2_entangled(pair, hat_unital, hat_vs_channel, tol)
+    return _db2_entangled(taus, _dual(taus, rho), rho, tol)[0]
 
 
 def check_sqdb_definition(
@@ -348,9 +369,7 @@ def check_sqdb_definition(
     """Square-root balance by its definition: kms dual equals Theta tau Theta."""
     require_dynamics(tau, rho, tol, mode)
     taus = _stack((tau,))
-    conjs = _conjugates(taus, th)
-    kms = _distances(taus, _DUAL_AXES, conjs, _BAR_AXES, _scaling(rho, kms=True))[0]
-    return _verdict(tol, {"kms_vs_reversed": kms})
+    return _sqdb_definition(taus, _conjugates(taus, th), rho, tol)[0]
 
 
 def check_sqdb_entangled(
@@ -363,23 +382,17 @@ def check_sqdb_entangled(
     """Square-root balance via the purified two-copy functional."""
     require_dynamics(tau, rho, tol, mode)
     taus = _stack((tau,))
-    pair = _pair_residual(rho._pair_gram, taus, _conjugates(taus, th))[0]
-    return _verdict(tol, {"pair_residual": pair})
+    return _sqdb_entangled(taus, _conjugates(taus, th), rho, tol)[0]
 
 
 def check_db2_tfd(
-    tau: SuperOperator,
-    rho: DensityMatrix,
-    tol: Tolerance = DEFAULT_TOL,
-    mode: str = MODE_CP,
+    tau: SuperOperator, rho: DensityMatrix, tol: Tolerance = DEFAULT_TOL, mode: str = MODE_CP
 ) -> CheckResult:
     """Standard balance in mirror form: <tau(A) tilde(B)> = <A tilde(tau'(B))>
     on all matrix-unit pairs, plus unitality of the state dual."""
     require_dynamics(tau, rho, tol, mode)
     taus = _stack((tau,))
-    duals = _dual(taus, rho)
-    pair = _pair_residual(rho._pair_gram, taus, duals, mirror=True)[0]
-    return _db2_tfd(pair, is_unital(duals[0], tol).residual, tol)
+    return _db2_tfd(taus, _dual(taus, rho), rho, tol)[0]
 
 
 def check_sqdb_tfd(
@@ -393,8 +406,7 @@ def check_sqdb_tfd(
     <tau(A) tilde(B)> = <A tilde(Theta tau Theta(B))> on matrix-unit pairs."""
     require_dynamics(tau, rho, tol, mode)
     taus = _stack((tau,))
-    pair = _pair_residual(rho._pair_gram, taus, _conjugates(taus, th), _BAR_AXES, mirror=True)[0]
-    return _verdict(tol, {"pair_residual": pair})
+    return _sqdb_tfd(taus, _conjugates(taus, th), rho, tol)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -508,73 +520,70 @@ def run_report(
 ) -> BalanceReport:
     """Run every checker on one (channel, state, reversing operation) triple,
     with the mirror checks if tfd; all share one dynamics check, state dual
-    (and its unitality check) and Theta-conjugate, tau's stored entries and
+    (and its unital residual) and Theta-conjugate, tau's stored entries and
     the values rho keeps, the pair Gram among them."""
     return _reports((tau,), rho, th, tol, mode, tfd)[0]
 
 
+def _stack_size(n: int) -> int:
+    """How many maps on M_n one stack holds: at most _GATHER_MIN_N**4 entries."""
+    return max(1, _GATHER_MIN_N**4 // n**4)
+
+
+def _power_reports(tau, rho, th, powers, tol=DEFAULT_TOL, mode=MODE_CP, tfd=False):
+    """run_report on tau^k for each k of the command line's powers, in order,
+    in stacks of _stack_size(n), one power at a time from the stored-entry
+    route's size on.  Without power 1, tau is admitted first: a power of a
+    map that is no channel can be one (the transpose squares to the identity)."""
+    if 1 not in powers:
+        require_dynamics(tau, rho, tol, mode)
+    size = _stack_size(tau.n)
+    reports = []
+    for at in range(0, len(powers), size):
+        maps = [tau if k == 1 else tau.power(k) for k in powers[at : at + size]]
+        reports += _reports(maps, rho, th, tol, mode, tfd)
+    return reports
+
+
 def _reports(maps, rho, th, tol=DEFAULT_TOL, mode=MODE_CP, tfd=False) -> list[BalanceReport]:
-    """run_report on each of the maps, all on one M_n, as one stack
-    (superop._Stack): each kernel makes one pass over the stacked maps,
-    their state duals and their Theta-conjugates, and each report holds the
-    bits run_report gives on its map alone.  The maps are admitted in order:
-    the first that is no channel raises InputNotDynamics."""
+    """run_report on each of the maps, all on one M_n, as one stack, with
+    the bits run_report gives each alone.  The Choi spectra and unital
+    residuals of the maps and their duals are solved in one pass if all fit
+    one stack (_stack_size), else in one per stack (superop._kept).  The
+    first map in order that is no channel raises InputNotDynamics."""
     taus = _stack(maps)
     duals = _dual(taus, rho)
-    _kept((taus, duals), mode == MODE_CP)
+    together = 2 * len(taus) <= _stack_size(taus[0].n)
+    _kept([(*taus, *duals)] if together else [taus, duals], mode == MODE_CP)
     dynamics = [require_dynamics(s, rho, tol, mode) for s in taus]
     conjs = _conjugates(taus, th)
-    g = rho._pair_gram
-    columns = [
-        dynamics,
-        duals,
-        _commutators(taus, rho),
-        _invariances(taus, rho),
-        _pair_residual(g, taus, duals, _BAR_AXES),
-        _distances(duals, _BAR_AXES, taus, _SAME_AXES),
-        _distances(taus, _DUAL_AXES, conjs, _BAR_AXES, _scaling(rho, kms=True)),
-        _pair_residual(g, taus, conjs),
-    ]
+    db2 = zip(
+        _db2_definition(duals, tol, mode),
+        _db2_modular(taus, rho, tol),
+        _db2_entangled(taus, duals, rho, tol),
+    )
+    sqdb = zip(_sqdb_definition(taus, conjs, rho, tol), _sqdb_entangled(taus, conjs, rho, tol))
+    mirror = [(None, None)] * len(taus)
     if tfd:
-        columns.append(_pair_residual(g, taus, duals, mirror=True))
-        columns.append(_pair_residual(g, taus, conjs, _BAR_AXES, mirror=True))
-    return [_report(rho, tol, mode, *row) for row in zip(*columns)]
+        mirror = zip(_db2_tfd(taus, duals, rho, tol), _sqdb_tfd(taus, conjs, rho, tol))
+    return [_report(rho, tol, *row) for row in zip(dynamics, db2, sqdb, mirror)]
 
 
-def _report(
-    rho, tol, mode, dynamics, dual, comm, inv, pair, hat_vs_channel, kms, sq_pair,
-    tfd_pair=None, sq_tfd_pair=None,
-) -> BalanceReport:
-    """One report from its map's kernel results (_reports)."""
-    un = is_unital(dual, tol)
-    db2_def = _db2_definition(dual, un, tol, mode)
-    db2_mod = _db2_modular(comm, inv, tol)
-    db2_ent = _db2_entangled(pair, un.residual, hat_vs_channel, tol)
-    sq_def = _verdict(tol, {"kms_vs_reversed": kms})
-    sq_ent = _verdict(tol, {"pair_residual": sq_pair})
+def _report(rho, tol, dynamics, db2, sqdb, mirror) -> BalanceReport:
+    """One report from its map's checks (_reports), in BalanceReport's field
+    order; delta_commutes reads the modular check's commutator."""
+    (definition, modular, entangled), (sq_definition, sq_entangled), (db2_tfd, sq_tfd) = (
+        db2, sqdb, mirror
+    )
     consistency = (
-        db2_def.passed == db2_mod.passed == db2_ent.passed
-        and sq_def.passed == sq_ent.passed
+        definition.passed == modular.passed == entangled.passed
+        and sq_definition.passed == sq_entangled.passed
     )
-    db2_tfd = sq_tfd = tfd_agrees = None
-    if tfd_pair is not None:
-        db2_tfd = _db2_tfd(tfd_pair, un.residual, tol)
-        sq_tfd = _verdict(tol, {"pair_residual": sq_tfd_pair})
-        tfd_agrees = db2_tfd.passed == db2_ent.passed and sq_tfd.passed == sq_def.passed
-    return BalanceReport(
-        db2_definition=db2_def,
-        db2_modular=db2_mod,
-        db2_entangled=db2_ent,
-        sqdb_definition=sq_def,
-        sqdb_entangled=sq_ent,
-        delta_commutes=_verdict(tol, {"modular_commutator": comm}),
-        consistency=consistency,
-        degenerate_rho=rho.degenerate,
-        dynamics=dynamics,
-        db2_tfd=db2_tfd,
-        sqdb_tfd=sq_tfd,
-        tfd_agrees=tfd_agrees,
-    )
+    delta = _verdict(tol, {"modular_commutator": modular.detail["modular_commutator"]})
+    agrees = None
+    if db2_tfd is not None:
+        agrees = db2_tfd.passed == entangled.passed and sq_tfd.passed == sq_definition.passed
+    return BalanceReport(*db2, *sqdb, delta, consistency, rho.degenerate, dynamics, *mirror, agrees)
 
 
 def in_deadband(residual: float, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -76,9 +76,8 @@ from .balance import (
     ClassicalChain,
     classical_detailed_balance,
     classical_phi_balance,
-    _reports,
+    _power_reports,
     make_chain,
-    require_dynamics,
 )
 from .duals import ReversingOperation, _reversing, make_reversing, transpose_reversing
 from .errors import DetbalError, InputNotDynamics, NotStochastic, SchemaError
@@ -95,7 +94,6 @@ from .linalg import DEFAULT_TOL, CheckResult, Tolerance, _handed
 from .states import DensityMatrix, make_density
 from .superop import (
     KrausChannel,
-    _GATHER_MIN_N,
     SuperOperator,
     _adopt,
     _kron_sandwich,
@@ -422,23 +420,14 @@ def run_checks(
     mode: str = MODE_CP,
 ) -> dict:
     """Run the battery per requested time power; returns the report payload.
-    Without power 1 the file's map is admitted first: a power of a map that
-    is no channel can be one (the transpose map squares to the identity).
-    The powers of a quantum map below the stored-entry route's size
-    (superop._GATHER_MIN_N) are decided together (balance._reports), in
-    order, as many at once as hold at most _GATHER_MIN_N**4 entries per
-    stacked operand; from that size on, one at a time."""
-    reports = []
+    The powers of a quantum file are decided by balance._power_reports,
+    which admits the file's map first when power 1 is absent and splits the
+    powers into stacks."""
     if parsed.kind == "quantum":
-        tau, rho = parsed.tau, parsed.rho
-        if 1 not in parsed.powers:
-            require_dynamics(tau, rho, parsed.tol, mode)
-        size = max(1, _GATHER_MIN_N**4 // tau.n**4)
-        for at in range(0, len(parsed.powers), size):
-            powers = parsed.powers[at : at + size]
-            maps = [tau if k == 1 else tau.power(k) for k in powers]
-            for k, report in zip(powers, _reports(maps, rho, parsed.theta, parsed.tol, mode, tfd)):
-                reports.append(_quantum_power_payload(report, k))
+        found = _power_reports(
+            parsed.tau, parsed.rho, parsed.theta, parsed.powers, parsed.tol, mode, tfd
+        )
+        reports = [_quantum_power_payload(r, k) for k, r in zip(parsed.powers, found)]
         payload = {
             "kind": "quantum",
             "n": parsed.rho.n,
@@ -451,6 +440,7 @@ def run_checks(
     else:
         if tfd:
             raise SchemaError("--tfd", "only applies to quantum problem files")
+        reports = []
         for k in parsed.powers:
             # p and gamma passed make_chain at parse; the row sums of gamma^k
             # drift from 1 by rounding alone, more with every power

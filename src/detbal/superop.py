@@ -39,10 +39,10 @@ as np.linalg.norm forms it (linalg._norms), and eigvalsh solves each
 matrix of a stack as it would alone.  A lone map is a stack of one, whose
 mats is its own matrix: a kernel reads the last axes, so it has one
 implementation for one map or several.  _kept forms the unital residuals
-and Choi spectra of several maps, powers of a channel and their state
-duals, in one stacked pass each and keeps them as each map's own; a pass
-holds at most _GATHER_MIN_N**4 entries, so it never takes more memory than
-one map at the stored-entry route's smallest size.
+and Choi spectra of groups of maps in one stacked pass per group and keeps
+them as each map's own.  balance alone groups them, powers of a channel
+and their state duals, so that a pass holds at most _GATHER_MIN_N**4
+entries: no more memory than one map at the stored-entry route's size.
 
 _stored decides, for the CP test and every other O(n^4) kernel, whether a
 map's stored entries are followed instead of all n^4: at n >= 7 with at
@@ -257,18 +257,13 @@ def _adopted(n: int, mats: np.ndarray, **kept) -> _Stack:
     return _stack([_adopt(n, m, **kept) for m in mats], mats)
 
 
-def _kept(stacks, cp: bool) -> None:
+def _kept(groups, cp: bool) -> None:
     """Form the unital residual and, with cp, the Choi spectrum of each map
-    of the stacks that lacks them (_unital_residuals, _choi_test), and keep
-    them as the map's own: in one stacked pass each over all the maps when
-    their matrices hold at most _GATHER_MIN_N**4 entries together, else in
-    one per stack of several maps.  A lone map forms its own on their first
-    read, as the one map of the stored-entry route does."""
-    count = sum(map(len, stacks))
-    if count * stacks[0][0].n ** 4 <= _GATHER_MIN_N**4:
-        groups = [[s for ss in stacks for s in ss]]
-    else:
-        groups = [ss for ss in stacks if len(ss) > 1]
+    of the groups that lacks them (_unital_residuals, _choi_test), in one
+    stacked pass per group, and keep them as the map's own.  A group with
+    fewer than two such maps leaves them to their first read, as a lone map
+    of the stored-entry route forms its own.  The caller sizes the groups:
+    balance, which splits the time powers of a channel into stacks."""
     for group in groups:
         stack = ()
         for name in ("_choi_spectrum", "_unital_residual") if cp else ("_unital_residual",):
@@ -632,7 +627,7 @@ def is_completely_positive(s: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> Ch
     (SuperOperator._choi_spectrum); the verdict under tol is formed on
     every call.  Both routes of _choi_test give the same eigenvalues; the
     residual may differ in its last bits.  A map with a non-finite entry
-    fails with residual NaN on either route, unsolved (_block_spectrum).
+    fails with residual NaN on either route, unsolved (_choi_test).
     """
     herm, lam_min, lam_max, negativity = s._choi_spectrum
     return _verdict(

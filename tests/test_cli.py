@@ -743,9 +743,9 @@ def test_file_tolerances_reach_the_checkers(tmp_path, capsys, monkeypatch):
     payload = generate_payload("gad-sqdb", None, 3, 0.75, 0.2, 0)
     payload["tol"] = {"eq_tol": 10.0, "psd_tol": 1e-8, "inv_tol": 1e-10}
     seen = []
-    real = detbal.cli._reports
+    real = detbal.balance._reports
     monkeypatch.setattr(
-        detbal.cli, "_reports", lambda *args: seen.append(args[3]) or real(*args)
+        detbal.balance, "_reports", lambda *args: seen.append(args[3]) or real(*args)
     )
     assert main(["check", _write(tmp_path, payload), "--format", "json"]) == 0
     checks = json.loads(capsys.readouterr().out)["reports"][0]["checks"]

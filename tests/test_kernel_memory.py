@@ -196,9 +196,10 @@ def working_peak(call):
 @pytest.mark.parametrize("family", ["schur-db2", "random-unital"])
 def test_stacked_powers_stay_within_one_map_at_the_stored_route_size(family):
     """The command line decides the powers of a map below n = 7 in stacks of
-    at most 7^4 entries per operand (cli.run_checks): 20 powers at n = 6 go
-    one map per stack, and work in no more memory than run_report(tfd=True)
-    on one dense map at n = 7, the smallest size of the stored-entry route.
+    at most 7^4 entries per operand (balance._power_reports): 20 powers at
+    n = 6 go one map per stack, and work in no more memory than
+    run_report(tfd=True) on one dense map at n = 7, the smallest size of the
+    stored-entry route.
     A stack of all 20 would take about ten times as much."""
     tau7, rho7 = channels(7, 61)["random-unital"]
     th7 = transpose_reversing(7)

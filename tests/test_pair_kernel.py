@@ -37,11 +37,16 @@ first, so each route runs on a fresh copy of the map.  A NaN or inf entry
 must fail every kernel on both routes.
 
 Several maps decided as one stack (balance._reports) must give each map
-the report run_report gives it alone, bit for bit.
+the report run_report gives it alone, bit for bit, and so must the command
+line's time powers, split into stacks by balance._power_reports.  Each
+public check forms only the operands and runs only the kernels of its own
+characterization.
 """
 
 import collections
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,7 +70,13 @@ from detbal.balance import (
     require_dynamics,
     run_report,
 )
-from detbal.cli import _to_eigenbasis
+from detbal.cli import (
+    _quantum_power_payload,
+    _to_eigenbasis,
+    generate_payload,
+    parse_problem,
+    run_checks,
+)
 from detbal.duals import (
     ReversingOperation,
     bar_map,
@@ -89,7 +100,7 @@ from detbal.generators import (
     schur_db2_channel,
     symmetrized_sqdb_channel,
 )
-from detbal.linalg import DEFAULT_TOL, _verdict
+from detbal.linalg import DEFAULT_TOL
 from detbal.states import (
     expectation,
     make_density,
@@ -563,6 +574,103 @@ def test_stacked_reports_match_each_map_alone_bit_for_bit(make, n, k, mode):
             same_report(report, alone)
 
 
+def command_line_problem(tmp_path, family, n, rotated):
+    """The parsed problem file of a generated family on M_n, in rho's
+    eigenbasis or, rotated, stated in the basis of a Haar unitary."""
+    payload = generate_payload(family, n, 3, 0.75, 0.2, 380 + n)
+    if rotated:
+        w = haar_unitary(n, 390 + n)
+
+        def enc(m):
+            return [[[x.real, x.imag] for x in row] for row in m.tolist()]
+
+        ops = [np.array(op) @ [1, 1j] for op in payload["channel"]["data"]]
+        payload["rho"] = enc(w @ np.diag(payload["rho"]) @ w.conj().T)
+        payload["channel"]["data"] = [enc(w @ op @ w.conj().T) for op in ops]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return parse_problem(str(path))
+
+
+@pytest.mark.parametrize("mode", [MODE_CP, MODE_POSITIVITY])
+@pytest.mark.parametrize("rotated", [False, True], ids=["eigenbasis", "rotated"])
+@pytest.mark.parametrize("family", ["schur-db2", "random-unital"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_command_line_stacks_match_each_power_alone(
+    n, family, rotated, mode, tmp_path, monkeypatch
+):
+    """cli.run_checks with --tfd on the powers 1 ... 2 s + 1 of a file, s
+    the stack size at n (balance._stack_size), decides them in three stacks;
+    each power's payload holds the bits of run_report(tfd=True) on that
+    power alone, a fresh map."""
+    parsed = command_line_problem(tmp_path, family, n, rotated)
+    powers = tuple(range(1, 2 * balance._stack_size(n) + 2))
+    stacks = []
+    real = balance._reports
+    monkeypatch.setattr(
+        balance, "_reports", lambda maps, *args: stacks.append(len(maps)) or real(maps, *args)
+    )
+    got = run_checks(replace(parsed, powers=powers), tfd=True, mode=mode)["reports"]
+    assert stacks == [balance._stack_size(n)] * 2 + [1]
+    for k, entry in zip(powers, got, strict=True):
+        tau_k = SuperOperator(n, parsed.tau.power(k).mat)
+        alone = run_report(tau_k, parsed.rho, parsed.theta, parsed.tol, mode, tfd=True)
+        assert json.dumps(entry) == json.dumps(_quantum_power_payload(alone, k)), k
+
+
+# the operands and kernels that each public check forms for itself once its
+# channel is admitted: a state dual (duals._dual), Theta-conjugates
+# (duals._conjugates), the dual's Choi spectrum (superop._choi_test) and the
+# kernels of balance
+OWN_WORK = {
+    "check_db2_definition": {"_dual": 1, "_choi_test": 1},
+    "check_db2_modular": {"_commutators": 1},
+    "check_db2_entangled": {"_dual": 1, "_pair_residual": 1, "_distances": 1},
+    "check_sqdb_definition": {"_conjugates": 1, "_distances": 1},
+    "check_sqdb_entangled": {"_conjugates": 1, "_pair_residual": 1},
+    "check_db2_tfd": {"_dual": 1, "_pair_residual": 1},
+    "check_sqdb_tfd": {"_conjugates": 1, "_pair_residual": 1},
+}
+SPIED = {
+    duals: ("_dual", "_conjugates"),
+    superop: ("_choi_test",),
+    balance: ("_dual", "_conjugates", "_distances", "_commutators", "_pair_residual"),
+}
+
+
+@pytest.mark.parametrize("name", OWN_WORK)
+@pytest.mark.parametrize("n", [3, 8])
+def test_each_public_check_forms_only_its_own_operands(n, name, monkeypatch):
+    """Each public check forms its own operands and runs its own kernels,
+    nothing of the other characterizations: on a dense map at n = 3 and a
+    schur-db2 map at n = 8 that takes the stored-entry route, after the map
+    is admitted (require_dynamics), so its Choi spectrum is kept.  A check
+    that took its verdict from the whole report would form them all."""
+    rho = random_density(n, seed=400 + n)
+    if n == 3:
+        tau = random_unital_channel(n, 3, 400 + n)
+    else:
+        tau = schur_db2_channel(rho, seed=400 + n)
+        assert tau._at is not None
+    th = transpose_reversing(n)
+    require_dynamics(tau, rho)
+    calls = collections.Counter()
+
+    def counted(key, real):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for module, keys in SPIED.items():
+        for key in keys:
+            monkeypatch.setattr(module, key, counted(key, getattr(module, key)))
+    args = (tau, rho, th) if "sqdb" in name else (tau, rho)
+    getattr(balance, name)(*args)
+    assert calls == OWN_WORK[name]
+
+
 @pytest.mark.parametrize("make,n", CASE_PARAMS)
 def test_an_overflowing_power_leaves_the_other_reports_alone(make, n):
     """A power whose entries overflow to inf and NaN (of twice the channel)
@@ -853,37 +961,25 @@ ROUTE_PARAMS = [
 
 
 def kernel_checks(tau, rho, th, mode=MODE_CP):
-    """Every kernel of run_report, wired as run_report wires them but
-    without the dynamics check, so that maps which are no channels (and
-    entries which are NaN) reach them too; each check as a thunk.  A map
-    keeps the positions it finds first, so the thunks run on a fresh copy
-    of tau: call kernel_checks and its thunks under one route."""
+    """Every check of run_report, each characterization's function on
+    run_report's operands, but without the dynamics check, so that maps
+    which are no channels (and entries which are NaN) reach them too; each
+    check as a thunk.  A map keeps the positions it finds first, so the
+    thunks run on a fresh copy of tau: call kernel_checks and its thunks
+    under one route."""
     tau = one(SuperOperator(tau.n, tau.mat))
     dual = one(rho_dual(tau[0], rho))
     conj = one(theta_conjugate(tau[0], th))
-    g = rho._pair_gram
     tol = DEFAULT_TOL
-    un = is_unital(dual[0], tol)
-
-    def pair(other, axes=_SAME_AXES, mirror=False):
-        return balance._pair_residual(g, tau, other, axes, mirror)[0]
-
     return {
         "cp": lambda: balance._cp_check(tau[0], tol, mode),
-        "db2_definition": lambda: balance._db2_definition(dual[0], un, tol, mode),
-        "db2_modular": lambda: balance._db2_modular(
-            balance._commutators(tau, rho)[0], balance._invariances(tau, rho)[0], tol
-        ),
-        "db2_entangled": lambda: balance._db2_entangled(
-            pair(dual, _BAR_AXES), un.residual,
-            balance._distances(dual, _BAR_AXES, tau, _SAME_AXES)[0], tol,
-        ),
-        "sqdb_definition": lambda: _verdict(tol, {"kms_vs_reversed": balance._distances(
-            tau, superop._DUAL_AXES, conj, _BAR_AXES, duals._scaling(rho, kms=True)
-        )[0]}),
-        "sqdb_entangled": lambda: _verdict(tol, {"pair_residual": pair(conj)}),
-        "db2_tfd": lambda: balance._db2_tfd(pair(dual, mirror=True), un.residual, tol),
-        "sqdb_tfd": lambda: _verdict(tol, {"pair_residual": pair(conj, _BAR_AXES, True)}),
+        "db2_definition": lambda: balance._db2_definition(dual, tol, mode)[0],
+        "db2_modular": lambda: balance._db2_modular(tau, rho, tol)[0],
+        "db2_entangled": lambda: balance._db2_entangled(tau, dual, rho, tol)[0],
+        "sqdb_definition": lambda: balance._sqdb_definition(tau, conj, rho, tol)[0],
+        "sqdb_entangled": lambda: balance._sqdb_entangled(tau, conj, rho, tol)[0],
+        "db2_tfd": lambda: balance._db2_tfd(tau, dual, rho, tol)[0],
+        "sqdb_tfd": lambda: balance._sqdb_tfd(tau, conj, rho, tol)[0],
     }
 
 
@@ -1328,8 +1424,8 @@ def test_db2_definition_keeps_a_nan_unital_residual():
     n = 3
     rho = random_density(n, seed=360)
     dual = rho_dual(schur_db2_channel(rho, seed=360), rho)
-    un = _verdict(DEFAULT_TOL, {"unital": math.nan})
-    res = balance._db2_definition(dual, un, DEFAULT_TOL, MODE_CP)
+    vars(dual)["_unital_residual"] = math.nan
+    res = balance._db2_definition(one(dual), DEFAULT_TOL, MODE_CP)[0]
     assert math.isfinite(res.detail["dual_choi_hermiticity"])
     assert math.isnan(res.residual)
     assert not res.passed

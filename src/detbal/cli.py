@@ -30,11 +30,14 @@ explicit "convention": "column-stacking" tag, because a silently wrong
 vectorization convention is the most dangerous mistake in this domain.
 
 Every object in a file obeys one key rule: its keys come from a known set
-and some of them are required.  Each matrix is read with one numpy
-conversion, kept only when every entry is a finite [re, im] pair of JSON
-numbers; otherwise a walk over the entries names the first one at fault.  A
-flat rho names its first entry that is not a number.  Each value read from
-the file is checked once, here.  Values derived from checked ones are
+and some of them are required (_FILE_KEYS holds the top level's, per kind).
+Each matrix is read with one numpy conversion, kept only when every entry is
+a finite [re, im] pair of JSON numbers; otherwise a walk over the entries
+names the first one at fault.  The same reader checks the matrix's shape.
+A flat rho names its first entry that is not a number.  Each value read from
+the file is checked once, here, and each rule has one reader: a flag is read
+by the reader of its file field (--tol by tol's, --powers by time_powers'),
+and its errors name the flag.  Values derived from checked ones are
 handed over unchecked, by the rule for every value type (linalg._handed):
 the Kraus operators read, the state make_density made, the channel and
 reversing operation rotated to its eigenbasis, and each classical time
@@ -44,6 +47,10 @@ A non-diagonal rho is rotated to its eigenbasis and the channel and
 reversing operation are conjugated along, so checks always run in the basis
 the rest of the package assumes.  Kraus operators are rotated before their
 superoperator is built, once per file.
+
+One writer serves quantum and classical reports alike: _power_payload
+builds each power's entry, and the text report prints every verdict line
+from one ordered list (_VERDICTS).
 
 `check --format json` and `generate` write the bytes of
 json.dumps(payload, indent=2, sort_keys=True) and one newline, from an emitter
@@ -104,8 +111,11 @@ from .superop import (
 
 CONVENTION = "column-stacking"
 
-_QUANTUM_KEYS = {"kind", "rho", "channel", "theta", "time_powers", "tol"}
-_CLASSICAL_KEYS = {"kind", "p", "gamma", "time_powers", "tol"}
+# the key rule of the top level for each file kind: (keys, required keys)
+_FILE_KEYS = {
+    "quantum": ({"kind", "rho", "channel", "theta", "time_powers", "tol"}, ("rho", "channel")),
+    "classical": ({"kind", "p", "gamma", "time_powers", "tol"}, ("p", "gamma")),
+}
 _TOL_KEYS = {"eq_tol", "psd_tol", "inv_tol"}
 _QUANTUM_CHECKS = (
     "db2_definition",
@@ -114,6 +124,15 @@ _QUANTUM_CHECKS = (
     "sqdb_definition",
     "sqdb_entangled",
     "delta_commutes",
+)
+# the verdict line of a power's report, in print order: each flag the report
+# carries, with its words for True and False
+_VERDICTS = (
+    ("db2", "yes", "no"),
+    ("sqdb", "yes", "no"),
+    ("balanced", "yes", "no"),
+    ("consistency", "ok", "BROKEN"),
+    ("tfd_agrees", "yes", "no"),
 )
 
 
@@ -169,12 +188,14 @@ def _check_object(obj, field: str, keys: set, required: tuple = ()) -> None:
             raise SchemaError(prefix + key, "missing")
 
 
-def _parse_matrix(data, field: str) -> np.ndarray:
+def _parse_matrix(data, field: str, shape: tuple[int, int] | None = None) -> np.ndarray:
     """Rows of [re, im] pairs to a complex matrix: one numpy conversion,
     accepted when it has shape (rows, width, 2), or (rows, 0) when every row
     is empty, every leaf is a JSON number and every entry is finite;
     .view(complex) then holds complex(re, im) exactly.  Any other data is
-    rejected by _matrix_fault, which names the first bad entry."""
+    rejected by _matrix_fault, which names the first bad entry.  A matrix of
+    well-formed entries whose shape is not shape, when given, is rejected
+    under field."""
     if not (isinstance(data, list) and data and all(isinstance(r, list) for r in data)):
         raise SchemaError(field, "expected a non-empty nested array of rows")
     rows, width = len(data), len(data[0])
@@ -187,7 +208,10 @@ def _parse_matrix(data, field: str) -> np.ndarray:
         and {type(x) for row in data for entry in row for x in entry} <= {int, float}
         and np.isfinite(arr).all()
     ):
-        return arr.reshape(rows, width, 2).view(complex)[..., 0]
+        mat = arr.reshape(rows, width, 2).view(complex)[..., 0]
+        if shape is not None and mat.shape != shape:
+            raise SchemaError(field, f"expected a {shape[0]}x{shape[1]} matrix, got {mat.shape}")
+        return mat
     _matrix_fault(data, field)
 
 
@@ -232,27 +256,35 @@ def _parse_rho(data, tol: Tolerance) -> DensityMatrix:
         raise SchemaError("rho", str(exc)) from exc
 
 
+def _tolerance(val, field: str) -> float:
+    """One tolerance, a tol.<key> entry or --tol: a finite positive number."""
+    if not _is_number(val) or not math.isfinite(_float(val, field)) or val <= 0:
+        raise SchemaError(field, "must be a finite positive number")
+    return float(val)
+
+
 def _parse_tol(data) -> Tolerance:
     if data is None:
         return DEFAULT_TOL
     _check_object(data, "tol", _TOL_KEYS)
-    for key, val in data.items():
-        if not _is_number(val) or not math.isfinite(_float(val, f"tol.{key}")) or val <= 0:
-            raise SchemaError(f"tol.{key}", "must be a finite positive number")
-    return replace(DEFAULT_TOL, **{key: float(val) for key, val in data.items()})
+    return replace(
+        DEFAULT_TOL, **{key: _tolerance(val, f"tol.{key}") for key, val in data.items()}
+    )
 
 
-def _parse_powers(data) -> tuple[int, ...]:
-    if data is None:
+def _parse_powers(values, field: str) -> tuple[int, ...]:
+    """The time powers, time_powers or --powers: a non-empty list of
+    integers >= 1; absent (None), the one power 1."""
+    if values is None:
         return (1,)
     ok = (
-        isinstance(data, list)
-        and data
-        and all(isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in data)
+        isinstance(values, list)
+        and values
+        and all(isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in values)
     )
     if not ok:
-        raise SchemaError("time_powers", "expected a non-empty array of integers >= 1")
-    return tuple(data)
+        raise SchemaError(field, "expected a non-empty array of integers >= 1")
+    return tuple(values)
 
 
 def _parse_channel(obj, n: int, tol: Tolerance) -> KrausChannel | SuperOperator:
@@ -265,15 +297,10 @@ def _parse_channel(obj, n: int, tol: Tolerance) -> KrausChannel | SuperOperator:
         data = obj.get("data")
         if not (isinstance(data, list) and data):
             raise SchemaError("channel.data", "expected a non-empty array of matrices")
-        ops = []
-        for idx, m in enumerate(data):
-            v = _parse_matrix(m, f"channel.data[{idx}]")
-            if v.shape != (n, n):
-                raise SchemaError(
-                    f"channel.data[{idx}]", f"expected a {n}x{n} matrix, got {v.shape}"
-                )
-            ops.append(v)
-        return _handed(KrausChannel, ops=tuple(ops))
+        ops = tuple(
+            _parse_matrix(m, f"channel.data[{idx}]", (n, n)) for idx, m in enumerate(data)
+        )
+        return _handed(KrausChannel, ops=ops)
     if kind == "matrix":
         _check_object(obj, "channel", {"kind", "data", "convention"})
         if obj.get("convention") != CONVENTION:
@@ -281,12 +308,7 @@ def _parse_channel(obj, n: int, tol: Tolerance) -> KrausChannel | SuperOperator:
                 "channel.convention",
                 f'matrix channels must declare "convention": "{CONVENTION}"',
             )
-        mat = _parse_matrix(obj.get("data"), "channel.data")
-        if mat.shape != (n * n, n * n):
-            raise SchemaError(
-                "channel.data", f"expected a {n * n}x{n * n} matrix, got {mat.shape}"
-            )
-        s = _adopt(n, mat)
+        s = _adopt(n, _parse_matrix(obj.get("data"), "channel.data", (n * n, n * n)))
         herm = is_hermitian_map(s, tol)
         if not herm.passed:
             raise InputNotDynamics(
@@ -311,9 +333,7 @@ def _parse_theta(obj, n: int) -> ReversingOperation:
         return transpose_reversing(n)
     if kind == "unitary":
         _check_object(obj, "theta", {"kind", "u"})
-        u = _parse_matrix(obj.get("u"), "theta.u")
-        if u.shape != (n, n):
-            raise SchemaError("theta.u", f"expected a {n}x{n} matrix, got {u.shape}")
+        u = _parse_matrix(obj.get("u"), "theta.u", (n, n))
         try:
             return make_reversing(u)
         except DetbalError as exc:
@@ -351,12 +371,14 @@ def parse_problem(path: str) -> ParsedProblem:
         raise SchemaError("file", f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise SchemaError("file", "invalid JSON: nested too deeply") from None
-    # a non-object takes the quantum branch, whose key rule rejects it
+    # a non-object is read as a quantum file, whose key rule rejects it
     kind = raw.get("kind", "quantum") if isinstance(raw, dict) else "quantum"
+    if not isinstance(kind, str) or kind not in _FILE_KEYS:
+        raise SchemaError("kind", 'expected "quantum" or "classical"')
+    _check_object(raw, "file", *_FILE_KEYS[kind])
+    tol = _parse_tol(raw.get("tol"))
+    powers = _parse_powers(raw.get("time_powers"), "time_powers")
     if kind == "quantum":
-        _check_object(raw, "file", _QUANTUM_KEYS, ("rho", "channel"))
-        tol = _parse_tol(raw.get("tol"))
-        powers = _parse_powers(raw.get("time_powers"))
         rho = _parse_rho(raw["rho"], tol)
         channel = _parse_channel(raw["channel"], rho.n, tol)
         theta = _parse_theta(raw.get("theta"), rho.n)
@@ -364,27 +386,22 @@ def parse_problem(path: str) -> ParsedProblem:
         return ParsedProblem(
             kind="quantum", tol=tol, powers=powers, rho=rho, tau=tau, theta=theta
         )
-    if kind == "classical":
-        _check_object(raw, "file", _CLASSICAL_KEYS, ("p", "gamma"))
-        tol = _parse_tol(raw.get("tol"))
-        powers = _parse_powers(raw.get("time_powers"))
-        p = _parse_real_vector(raw["p"], "p")
-        gamma = raw["gamma"]
-        if not (isinstance(gamma, list) and all(isinstance(r, list) for r in gamma)):
-            raise SchemaError("gamma", "expected a nested array of rows")
-        rows = [_parse_real_vector(r, f"gamma[{i}]") for i, r in enumerate(gamma)]
-        width = len(rows[0]) if rows else 0
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                raise SchemaError("gamma", f"row {i} has length {len(row)}, expected {width}")
-        try:
-            chain = make_chain(p, np.asarray(rows))
-        except NotStochastic as exc:
-            raise SchemaError(exc.argument, str(exc)) from exc
-        except DetbalError as exc:
-            raise SchemaError("gamma", str(exc)) from exc
-        return ParsedProblem(kind="classical", tol=tol, powers=powers, chain=chain)
-    raise SchemaError("kind", 'expected "quantum" or "classical"')
+    p = _parse_real_vector(raw["p"], "p")
+    gamma = raw["gamma"]
+    if not (isinstance(gamma, list) and all(isinstance(r, list) for r in gamma)):
+        raise SchemaError("gamma", "expected a nested array of rows")
+    rows = [_parse_real_vector(r, f"gamma[{i}]") for i, r in enumerate(gamma)]
+    width = len(rows[0]) if rows else 0
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise SchemaError("gamma", f"row {i} has length {len(row)}, expected {width}")
+    try:
+        chain = make_chain(p, np.asarray(rows))
+    except NotStochastic as exc:
+        raise SchemaError(exc.argument, str(exc)) from exc
+    except DetbalError as exc:
+        raise SchemaError("gamma", str(exc)) from exc
+    return ParsedProblem(kind="classical", tol=tol, powers=powers, chain=chain)
 
 
 def _check_payload(c: CheckResult) -> dict:
@@ -395,22 +412,24 @@ def _check_payload(c: CheckResult) -> dict:
     }
 
 
-def _quantum_power_payload(report: BalanceReport, power: int) -> dict:
-    checks = {
-        name: _check_payload(getattr(report, name)) for name in _QUANTUM_CHECKS
-    }
-    entry = {
+def _power_payload(power: int, checks: dict, **verdicts) -> dict:
+    """One power's report entry, quantum or classical: each CheckResult of
+    checks as its payload, under its name and in its order, and each verdict
+    flag as a bool."""
+    return {
         "power": power,
-        "checks": checks,
-        "db2": bool(report.db2),
-        "sqdb": bool(report.sqdb),
-        "consistency": bool(report.consistency),
+        "checks": {name: _check_payload(c) for name, c in checks.items()},
+        **{key: bool(flag) for key, flag in verdicts.items()},
     }
+
+
+def _quantum_entry(power: int, report: BalanceReport) -> dict:
+    checks = {name: getattr(report, name) for name in _QUANTUM_CHECKS}
+    verdicts = {"db2": report.db2, "sqdb": report.sqdb, "consistency": report.consistency}
     if report.tfd_agrees is not None:
-        checks["db2_tfd"] = _check_payload(report.db2_tfd)
-        checks["sqdb_tfd"] = _check_payload(report.sqdb_tfd)
-        entry["tfd_agrees"] = bool(report.tfd_agrees)
-    return entry
+        checks.update(db2_tfd=report.db2_tfd, sqdb_tfd=report.sqdb_tfd)
+        verdicts["tfd_agrees"] = report.tfd_agrees
+    return _power_payload(power, checks, **verdicts)
 
 
 def run_checks(
@@ -422,21 +441,15 @@ def run_checks(
     """Run the battery per requested time power; returns the report payload.
     The powers of a quantum file are decided by balance._power_reports,
     which admits the file's map first when power 1 is absent and splits the
-    powers into stacks."""
+    powers into stacks.  A classical file's one verdict, balanced, answers
+    either assertion."""
     if parsed.kind == "quantum":
         found = _power_reports(
             parsed.tau, parsed.rho, parsed.theta, parsed.powers, parsed.tol, mode, tfd
         )
-        reports = [_quantum_power_payload(r, k) for k, r in zip(parsed.powers, found)]
-        payload = {
-            "kind": "quantum",
-            "n": parsed.rho.n,
-            "degenerate_rho": bool(parsed.rho.degenerate),
-            "mode": mode,
-            "reports": reports,
-        }
-        db2_all = all(r["db2"] for r in reports)
-        sqdb_all = all(r["sqdb"] for r in reports)
+        reports = [_quantum_entry(k, r) for k, r in zip(parsed.powers, found)]
+        head = {"n": parsed.rho.n, "degenerate_rho": bool(parsed.rho.degenerate)}
+        flag = assertion
     else:
         if tfd:
             raise SchemaError("--tfd", "only applies to quantum problem files")
@@ -449,31 +462,23 @@ def run_checks(
             pairwise = classical_detailed_balance(chain_k, parsed.tol)
             functional = classical_phi_balance(chain_k, parsed.tol)
             reports.append(
-                {
-                    "power": k,
-                    "checks": {
-                        "pairwise": _check_payload(pairwise),
-                        "functional": _check_payload(functional),
-                    },
-                    "balanced": bool(pairwise.passed),
-                    "consistency": bool(pairwise.passed == functional.passed),
-                }
+                _power_payload(
+                    k,
+                    {"pairwise": pairwise, "functional": functional},
+                    balanced=pairwise.passed,
+                    consistency=pairwise.passed == functional.passed,
+                )
             )
-        payload = {
-            "kind": "classical",
-            "n": parsed.chain.n,
-            "mode": mode,
-            "reports": reports,
-        }
-        db2_all = sqdb_all = all(r["balanced"] for r in reports)
-    payload["assert"] = assertion
-    if assertion == "db2":
-        payload["ok"] = db2_all
-    elif assertion == "sqdb":
-        payload["ok"] = sqdb_all
-    else:
-        payload["ok"] = True
-    return payload
+        head = {"n": parsed.chain.n}
+        flag = "balanced"
+    return {
+        "kind": parsed.kind,
+        **head,
+        "mode": mode,
+        "reports": reports,
+        "assert": assertion,
+        "ok": assertion == "none" or all(r[flag] for r in reports),
+    }
 
 
 def _use_color(no_color_env: bool) -> bool:
@@ -502,22 +507,13 @@ def _render_text(payload: dict, color: bool) -> str:
                 f"  {name.ljust(width)}  {_verdict(chk['passed'], color)}"
                 f"  residual {chk['residual']:.6e}"
             )
-        if payload["kind"] == "quantum":
-            verdicts = (
-                f"  db2: {_verdict(rep['db2'], color, 'yes', 'no')}"
-                f"  sqdb: {_verdict(rep['sqdb'], color, 'yes', 'no')}"
-                f"  consistency: {_verdict(rep['consistency'], color, 'ok', 'BROKEN')}"
+        lines.append(
+            "".join(
+                f"  {key}: {_verdict(rep[key], color, yes, no)}"
+                for key, yes, no in _VERDICTS
+                if key in rep
             )
-            if "tfd_agrees" in rep:
-                verdicts += (
-                    f"  tfd_agrees: {_verdict(rep['tfd_agrees'], color, 'yes', 'no')}"
-                )
-            lines.append(verdicts)
-        else:
-            lines.append(
-                f"  balanced: {_verdict(rep['balanced'], color, 'yes', 'no')}"
-                f"  consistency: {_verdict(rep['consistency'], color, 'ok', 'BROKEN')}"
-            )
+        )
     if payload["assert"] != "none":
         lines.append(
             f"assert {payload['assert']}: {_verdict(payload['ok'], color, 'ok', 'FAILED')}"
@@ -585,17 +581,14 @@ def _emit_json(o, nl: str, out: list[str]) -> None:
 def _cmd_check(args) -> int:
     parsed = parse_problem(args.file)
     if args.tol is not None:
-        if not math.isfinite(args.tol) or args.tol <= 0:
-            raise SchemaError("--tol", "must be a finite positive number")
-        parsed = replace(parsed, tol=replace(parsed.tol, eq_tol=args.tol))
+        eq_tol = _tolerance(args.tol, "--tol")
+        parsed = replace(parsed, tol=replace(parsed.tol, eq_tol=eq_tol))
     if args.powers is not None:
         try:
-            powers = tuple(int(tok) for tok in args.powers.split(","))
+            values = [int(tok) for tok in args.powers.split(",")]
         except ValueError as exc:
             raise SchemaError("--powers", "expected comma-separated integers") from exc
-        if not powers or any(k < 1 for k in powers):
-            raise SchemaError("--powers", "powers must be integers >= 1")
-        parsed = replace(parsed, powers=powers)
+        parsed = replace(parsed, powers=_parse_powers(values, "--powers"))
     mode = MODE_POSITIVITY if args.positivity_only else MODE_CP
     payload = run_checks(parsed, tfd=args.tfd, assertion=args.assertion, mode=mode)
     if args.format == "json":
@@ -611,6 +604,8 @@ def generate_payload(
     family: str, n: int | None, k: int, p: float, s: float, seed: int
 ) -> dict:
     """Build the problem-file payload for one controlled family."""
+    if seed < 0:
+        raise SchemaError("--seed", f"must be a non-negative integer, got {seed}")
     if family in ("metropolis", "cycle"):
         n = 3 if n is None else n
         chain = metropolis_chain(n, seed) if family == "metropolis" else cycle_chain(n)

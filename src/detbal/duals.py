@@ -70,8 +70,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DetbalError, DimensionMismatch, NonUnitary, NotInvolutive
-from .linalg import DEFAULT_TOL, Tolerance, _handed, _square, as_matrix
+from .errors import DetbalError, DimensionMismatch, NotInvolutive
+from .linalg import DEFAULT_TOL, Tolerance, _handed, _require_unitary, _square, as_matrix
 from .states import DensityMatrix
 from .superop import (
     _BAR_AXES,
@@ -256,9 +256,7 @@ def make_reversing(u, tol: Tolerance = DEFAULT_TOL) -> ReversingOperation:
     """
     u = as_matrix(u)
     n = u.shape[0]
-    ures = float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
-    if not ures <= 1e-12 * n:
-        raise NonUnitary(f"u is not unitary (residual {ures:.3e})")
+    _require_unitary(u, "u")
     w = u @ u.conj()
     invol = float(np.linalg.norm(w - (np.trace(w) / n) * np.eye(n)))
     if not invol <= tol.eq_tol:

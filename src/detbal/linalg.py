@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DetbalError, DimensionMismatch, NotHermitian, NotInvertible
+from .errors import DetbalError, DimensionMismatch, NonUnitary, NotHermitian, NotInvertible
 
 
 @dataclass(frozen=True)
@@ -172,6 +172,19 @@ def _hermiticity(m: np.ndarray) -> tuple[bool, float]:
     a = m / s if s > 1.0 else m
     res = float(np.linalg.norm(a - a.conj().T))
     return res <= 1e-12 * max(1.0 / s, float(np.linalg.norm(a))), res * s
+
+
+def _require_unitary(u: np.ndarray, name: str) -> None:
+    """Raise NonUnitary, naming u by name, unless the square complex matrix u
+    is unitary: ||u^dag u - 1|| <= 1e-12 * n in Frobenius norm.  The
+    comparison fails closed: a NaN residual, as from entries whose products
+    overflow, is rejected."""
+    n = u.shape[0]
+    defect = u.conj().T @ u
+    defect.flat[:: n + 1] -= 1.0
+    res = math.sqrt(np.vdot(defect, defect).real)
+    if not res <= 1e-12 * n:
+        raise NonUnitary(f"{name} is not unitary (residual {res:.3e})")
 
 
 def require_hermitian(m: np.ndarray) -> np.ndarray:

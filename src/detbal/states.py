@@ -31,7 +31,6 @@ superop._adopt hands over a map's matrix (linalg._handed).
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -46,6 +45,7 @@ from .linalg import (
     _handed,
     _hermiticity,
     _numeric,
+    _require_unitary,
     _square,
     _verdict,
     as_matrix,
@@ -130,18 +130,13 @@ def _check_spectrum(d: np.ndarray, basis: np.ndarray, degenerate) -> None:
     """Raise unless d, basis and degenerate describe an invertible density
     matrix in its eigenbasis (DensityMatrix); every comparison fails closed
     on a NaN."""
-    n = len(d)
     if not np.isfinite(d).all():
         raise DetbalError("matrix entries must be finite")
     _check_eigenvalues(d, d.min())
     gaps = d[:-1] - d[1:]
     if not (gaps >= 0.0).all():
         raise NotDensity("eigenvalues must be in descending order")
-    defect = basis.conj().T @ basis
-    defect.flat[:: n + 1] -= 1.0
-    ures = math.sqrt(np.vdot(defect, defect).real)
-    if not ures <= 1e-12 * n:
-        raise NonUnitary(f"basis is not unitary (residual {ures:.3e})")
+    _require_unitary(basis, "basis")
     if bool(degenerate) != _degenerate(gaps):
         raise NotDensity(
             f"degenerate is {bool(degenerate)}, but the smallest eigenvalue gap is"
@@ -216,9 +211,7 @@ def purify(rho: DensityMatrix, w=None) -> Purification:
     w = as_matrix(w)
     if w.shape[0] != rho.n:
         raise NonUnitary(f"w has dimension {w.shape[0]}, state has {rho.n}")
-    res = float(np.linalg.norm(w.conj().T @ w - np.eye(rho.n)))
-    if not res <= 1e-12 * rho.n:
-        raise NonUnitary(f"w is not unitary (residual {res:.3e})")
+    _require_unitary(w, "w")
     return Purification(rho=rho, r=rho.power(0.5) @ w, w=w)
 
 

@@ -2,6 +2,7 @@
 
 import collections
 import json
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -440,6 +441,38 @@ def test_non_finite_tolerances_are_schema_errors(tmp_path, capsys, tol):
     assert "error: tol.eq_tol: must be a finite positive number" in capsys.readouterr().err
 
 
+POSITIVE = "must be a finite positive number"
+POWERS = "expected a non-empty array of integers >= 1"
+
+
+@pytest.mark.parametrize(
+    "changes,flags,line",
+    [
+        ({"tol": {"eq_tol": 0}}, [], f"tol.eq_tol: {POSITIVE}"),
+        ({}, ["--tol", "0"], f"--tol: {POSITIVE}"),
+        ({"time_powers": [0]}, [], f"time_powers: {POWERS}"),
+        ({}, ["--powers", "0"], f"--powers: {POWERS}"),
+        ({}, ["--powers", "x"], "--powers: expected comma-separated integers"),
+    ],
+    ids=["tol-file", "tol-flag", "powers-file", "powers-flag", "powers-flag-token"],
+)
+def test_a_flag_and_its_file_field_give_one_message(tmp_path, capsys, changes, flags, line):
+    # each flag is read by the reader of its file field, under its own name
+    payload = dict(generate_payload("gad-sqdb", None, 3, 0.75, 0.2, 0), **changes)
+    assert main(["check", _write(tmp_path, payload), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {line}\n"
+
+
+@pytest.mark.parametrize("family", ["schur-db2", "gad-sqdb", "random-unital", "metropolis", "cycle"])
+def test_generate_rejects_a_negative_seed(family, capsys):
+    assert main(["generate", family, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed: must be a non-negative integer, got -1\n"
+
+
 @pytest.mark.parametrize(
     "p,gamma,name",
     [
@@ -775,6 +808,62 @@ def test_verdicts_are_colored_on_a_terminal(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("NO_COLOR", "1")
     assert main(["check", path]) == 0
     assert "\x1b[" not in capsys.readouterr().out
+
+
+# (file, flags, exit code, text report): every verdict word is a
+# placeholder, filled in plain or in its color; residuals are not pinned
+GOLDEN_TEXT = {
+    "classical-assert-db2": (
+        ("cycle", 4),
+        ["--assert", "db2", "--powers", "1,2"],
+        1,
+        [
+            "problem: classical, n=4",
+            "power 1",
+            "  pairwise    {fail}  residual R",
+            "  functional  {fail}  residual R",
+            "  balanced: {no}  consistency: {ok}",
+            "power 2",
+            "  pairwise    {pass}  residual R",
+            "  functional  {pass}  residual R",
+            "  balanced: {yes}  consistency: {ok}",
+            "assert db2: {FAILED}",
+        ],
+    ),
+    "quantum-tfd-assert-sqdb": (
+        ("gad-sqdb", None),
+        ["--tfd", "--assert", "sqdb"],
+        0,
+        [
+            "problem: quantum, n=2, degenerate_rho=False, mode=cp",
+            "power 1",
+            "  db2_definition   {fail}  residual R",
+            "  db2_modular      {fail}  residual R",
+            "  db2_entangled    {fail}  residual R",
+            "  sqdb_definition  {pass}  residual R",
+            "  sqdb_entangled   {pass}  residual R",
+            "  delta_commutes   {fail}  residual R",
+            "  db2_tfd          {fail}  residual R",
+            "  sqdb_tfd         {pass}  residual R",
+            "  db2: {no}  sqdb: {yes}  consistency: {ok}  tfd_agrees: {yes}",
+            "assert sqdb: {ok}",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("color", [False, True], ids=["plain", "color"])
+@pytest.mark.parametrize("case", list(GOLDEN_TEXT))
+def test_text_report_golden(tmp_path, capsys, monkeypatch, case, color):
+    (family, n), flags, code, lines = GOLDEN_TEXT[case]
+    path = _write(tmp_path, generate_payload(family, n, 3, 0.75, 0.2, 0))
+    monkeypatch.delenv("NO_COLOR", raising=False)
+    monkeypatch.setattr(sys.stdout, "isatty", lambda: color)
+    assert main(["check", path, *flags]) == code
+    words = {w: f"\x1b[32m{w}\x1b[0m" if color else w for w in ("pass", "yes", "ok")}
+    words.update({w: f"\x1b[31m{w}\x1b[0m" if color else w for w in ("fail", "no", "FAILED")})
+    out = re.sub(r"residual \S+", "residual R", capsys.readouterr().out)
+    assert out == "".join(line.format(**words) + "\n" for line in lines)
 
 
 def test_non_utf8_file_is_reported_under_file(tmp_path, capsys):

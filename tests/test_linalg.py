@@ -8,7 +8,7 @@ import pytest
 
 from detbal.balance import make_chain
 from detbal.duals import ReversingOperation, make_reversing, tilde, transpose_reversing
-from detbal.errors import DetbalError, DimensionMismatch, NotHermitian, NotInvertible
+from detbal.errors import DetbalError, DimensionMismatch, NonUnitary, NotHermitian, NotInvertible
 from detbal.linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -140,6 +140,35 @@ def test_hermiticity_on_unit_entries_is_the_plain_comparison():
                 res = float(np.linalg.norm(m - m.conj().T))
                 plain = res <= 1e-12 * max(1.0, float(np.linalg.norm(m)))
                 assert _hermiticity(m) == (plain, res)
+
+
+@pytest.mark.parametrize(
+    "build,name",
+    [
+        (make_reversing, "u"),
+        (lambda u: purify(make_density(np.diag([0.75, 0.25])), u), "w"),
+        (lambda u: DensityMatrix(2, [0.75, 0.25], u, False), "basis"),
+    ],
+    ids=["reversing", "purification", "state-basis"],
+)
+@pytest.mark.parametrize(
+    "u,residual",
+    [
+        (2.0 * np.eye(2), "4.243e+00"),
+        (np.diag([1.0, 1.0 + 1e-12]), "2.000e-12"),
+        # u^dag u overflows, so the residual is nan, and it fails closed
+        (np.diag([1e308, 1.0]), "nan"),
+    ],
+    ids=["scaled", "just-above-the-bound", "overflow"],
+)
+def test_one_unitarity_rule_names_each_matrix(build, name, u, residual):
+    # ||u^dag u - 1|| <= 1e-12 n in Frobenius norm, for every unitary the
+    # library is handed
+    with pytest.raises(NonUnitary) as err:
+        with np.errstate(over="ignore", invalid="ignore"):
+            build(u)
+    assert str(err.value) == f"{name} is not unitary (residual {residual})"
+    build(np.diag([1.0, 1.0 + 0.9e-12]))
 
 
 def test_eig_and_power_of_entries_near_the_float_limit():

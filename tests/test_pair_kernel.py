@@ -71,7 +71,7 @@ from detbal.balance import (
     run_report,
 )
 from detbal.cli import (
-    _quantum_power_payload,
+    _quantum_entry,
     _to_eigenbasis,
     generate_payload,
     parse_problem,
@@ -615,7 +615,7 @@ def test_command_line_stacks_match_each_power_alone(
     for k, entry in zip(powers, got, strict=True):
         tau_k = SuperOperator(n, parsed.tau.power(k).mat)
         alone = run_report(tau_k, parsed.rho, parsed.theta, parsed.tol, mode, tfd=True)
-        assert json.dumps(entry) == json.dumps(_quantum_power_payload(alone, k)), k
+        assert json.dumps(entry) == json.dumps(_quantum_entry(k, alone)), k
 
 
 # the operands and kernels that each public check forms for itself once its

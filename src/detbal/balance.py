@@ -94,8 +94,8 @@ runs on every call.
 
 A classical chain is checked once, as every value type is
 (linalg._handed): a caller's data by ClassicalChain or make_chain, while
-a time power or a generated chain is handed over; the classical checks
-read a chain as it is.
+a time power (_chain_reports) or a generated chain is handed over; the
+classical checks read a chain as it is.
 """
 
 from __future__ import annotations
@@ -114,7 +114,9 @@ from .duals import (
     ReversingOperation,
 )
 from .errors import DimensionMismatch, InputNotDynamics, NotStochastic
-from .linalg import DEFAULT_TOL, CheckResult, Tolerance, _norms, _numeric, _read_only, _verdict
+from .linalg import (
+    DEFAULT_TOL, CheckResult, Tolerance, _handed, _norms, _numeric, _read_only, _verdict
+)
 from .states import DensityMatrix
 from .superop import (
     _BAR_AXES,
@@ -543,6 +545,20 @@ def _power_reports(tau, rho, th, powers, tol=DEFAULT_TOL, mode=MODE_CP, tfd=Fals
         maps = [tau if k == 1 else tau.power(k) for k in powers[at : at + size]]
         reports += _reports(maps, rho, th, tol, mode, tfd)
     return reports
+
+
+def _chain_reports(chain, powers, tol):
+    """(pairwise, functional, balanced, consistency) of gamma^k for each k of
+    powers, in order: both classical checks, the pairwise verdict and its
+    agreement with the functional one.  Each power is handed over
+    (linalg._handed): its row sums drift from 1 by rounding alone."""
+    out = []
+    for k in powers:
+        chain_k = _handed(ClassicalChain, p=chain.p, gamma=np.linalg.matrix_power(chain.gamma, k))
+        pairwise = classical_detailed_balance(chain_k, tol)
+        functional = classical_phi_balance(chain_k, tol)
+        out.append((pairwise, functional, pairwise.passed, pairwise.passed == functional.passed))
+    return out
 
 
 def _reports(maps, rho, th, tol=DEFAULT_TOL, mode=MODE_CP, tfd=False) -> list[BalanceReport]:

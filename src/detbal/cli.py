@@ -39,9 +39,10 @@ the file is checked once, here, and each rule has one reader: a flag is read
 by the reader of its file field (--tol by tol's, --powers by time_powers'),
 and its errors name the flag.  Values derived from checked ones are
 handed over unchecked, by the rule for every value type (linalg._handed):
-the Kraus operators read, the state make_density made, the channel and
-reversing operation rotated to its eigenbasis, and each classical time
-power.
+the Kraus operators read, the state make_density made, and the channel and
+reversing operation rotated to its eigenbasis.  The command line validates
+values; balance decides dynamics (require_dynamics, before any verdict)
+and time powers (_power_reports, _chain_reports).
 
 A non-diagonal rho is rotated to its eigenbasis and the channel and
 reversing operation are conjugated along, so checks always run in the basis
@@ -81,13 +82,12 @@ from .balance import (
     MODE_POSITIVITY,
     BalanceReport,
     ClassicalChain,
-    classical_detailed_balance,
-    classical_phi_balance,
+    _chain_reports,
     _power_reports,
     make_chain,
 )
 from .duals import ReversingOperation, _reversing, make_reversing, transpose_reversing
-from .errors import DetbalError, InputNotDynamics, NotStochastic, SchemaError
+from .errors import DetbalError, NotStochastic, SchemaError
 from .generators import (
     cycle_chain,
     gad_kraus,
@@ -105,8 +105,6 @@ from .superop import (
     _adopt,
     _kron_sandwich,
     from_kraus,
-    is_hermitian_map,
-    is_unital,
 )
 
 CONVENTION = "column-stacking"
@@ -287,7 +285,7 @@ def _parse_powers(values, field: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _parse_channel(obj, n: int, tol: Tolerance) -> KrausChannel | SuperOperator:
+def _parse_channel(obj, n: int) -> KrausChannel | SuperOperator:
     """The channel in the user basis: the KrausChannel of a kraus channel, or
     the SuperOperator of a matrix channel."""
     # a non-object takes the first branch, whose key rule rejects it
@@ -308,18 +306,7 @@ def _parse_channel(obj, n: int, tol: Tolerance) -> KrausChannel | SuperOperator:
                 "channel.convention",
                 f'matrix channels must declare "convention": "{CONVENTION}"',
             )
-        s = _adopt(n, _parse_matrix(obj.get("data"), "channel.data", (n * n, n * n)))
-        herm = is_hermitian_map(s, tol)
-        if not herm.passed:
-            raise InputNotDynamics(
-                f"matrix channel is not Hermiticity-preserving (residual {herm.residual:.3e})"
-            )
-        unital = is_unital(s, tol)
-        if not unital.passed:
-            raise InputNotDynamics(
-                f"matrix channel is not unital (residual {unital.residual:.3e})"
-            )
-        return s
+        return _adopt(n, _parse_matrix(obj.get("data"), "channel.data", (n * n, n * n)))
     raise SchemaError("channel.kind", 'expected "kraus" or "matrix"')
 
 
@@ -380,7 +367,7 @@ def parse_problem(path: str) -> ParsedProblem:
     powers = _parse_powers(raw.get("time_powers"), "time_powers")
     if kind == "quantum":
         rho = _parse_rho(raw["rho"], tol)
-        channel = _parse_channel(raw["channel"], rho.n, tol)
+        channel = _parse_channel(raw["channel"], rho.n)
         theta = _parse_theta(raw.get("theta"), rho.n)
         tau, theta = _to_eigenbasis(rho, channel, theta)
         return ParsedProblem(
@@ -441,8 +428,8 @@ def run_checks(
     """Run the battery per requested time power; returns the report payload.
     The powers of a quantum file are decided by balance._power_reports,
     which admits the file's map first when power 1 is absent and splits the
-    powers into stacks.  A classical file's one verdict, balanced, answers
-    either assertion."""
+    powers into stacks, those of a classical file by balance._chain_reports.
+    A classical file's one verdict, balanced, answers either assertion."""
     if parsed.kind == "quantum":
         found = _power_reports(
             parsed.tau, parsed.rho, parsed.theta, parsed.powers, parsed.tol, mode, tfd
@@ -453,22 +440,11 @@ def run_checks(
     else:
         if tfd:
             raise SchemaError("--tfd", "only applies to quantum problem files")
-        reports = []
-        for k in parsed.powers:
-            # p and gamma passed make_chain at parse; the row sums of gamma^k
-            # drift from 1 by rounding alone, more with every power
-            gamma_k = np.linalg.matrix_power(parsed.chain.gamma, k)
-            chain_k = _handed(ClassicalChain, p=parsed.chain.p, gamma=gamma_k)
-            pairwise = classical_detailed_balance(chain_k, parsed.tol)
-            functional = classical_phi_balance(chain_k, parsed.tol)
-            reports.append(
-                _power_payload(
-                    k,
-                    {"pairwise": pairwise, "functional": functional},
-                    balanced=pairwise.passed,
-                    consistency=pairwise.passed == functional.passed,
-                )
-            )
+        found = _chain_reports(parsed.chain, parsed.powers, parsed.tol)
+        reports = [
+            _power_payload(k, {"pairwise": pw, "functional": fn}, balanced=b, consistency=c)
+            for k, (pw, fn, b, c) in zip(parsed.powers, found)
+        ]
         head = {"n": parsed.chain.n}
         flag = "balanced"
     return {
@@ -603,31 +579,38 @@ def _cmd_check(args) -> int:
 def generate_payload(
     family: str, n: int | None, k: int, p: float, s: float, seed: int
 ) -> dict:
-    """Build the problem-file payload for one controlled family."""
+    """Build the problem-file payload for one controlled family; errors name the flag."""
     if seed < 0:
         raise SchemaError("--seed", f"must be a non-negative integer, got {seed}")
-    if family in ("metropolis", "cycle"):
-        n = 3 if n is None else n
-        chain = metropolis_chain(n, seed) if family == "metropolis" else cycle_chain(n)
-        return {
-            "kind": "classical",
-            "p": [float(x) for x in chain.p],
-            "gamma": [[float(x) for x in row] for row in chain.gamma],
-            "time_powers": [1],
-        }
-    if family == "gad-sqdb":
-        if n not in (None, 2):
-            raise SchemaError("--n", f"gad-sqdb is a qubit family, n must be 2, got {n}")
-        diag, ops = [p, 1.0 - p], gad_kraus(p, s).ops
-    elif family in ("schur-db2", "random-unital"):
-        n = 2 if n is None else n
-        diag = [float(x) for x in random_density(n, seed=seed).diag]
-        if family == "schur-db2":
-            ops = schur_kraus(schur_multiplier_matrix(n, seed)).ops
+    at = "n"  # the parameter the next generator call checks
+    try:
+        if family in ("metropolis", "cycle"):
+            n = 3 if n is None else n
+            chain = metropolis_chain(n, seed) if family == "metropolis" else cycle_chain(n)
+            return {
+                "kind": "classical",
+                "p": [float(x) for x in chain.p],
+                "gamma": [[float(x) for x in row] for row in chain.gamma],
+                "time_powers": [1],
+            }
+        if family == "gad-sqdb":
+            if n not in (None, 2):
+                raise SchemaError("--n", f"gad-sqdb is a qubit family, n must be 2, got {n}")
+            diag, ops = [p, 1.0 - p], gad_kraus(p, s).ops
+        elif family in ("schur-db2", "random-unital"):
+            n = 2 if n is None else n
+            diag = [float(x) for x in random_density(n, seed=seed).diag]
+            if family == "schur-db2":
+                ops = schur_kraus(schur_multiplier_matrix(n, seed)).ops
+            else:
+                at = "k"
+                ops = random_unital_kraus(n, k, seed).ops
         else:
-            ops = random_unital_kraus(n, k, seed).ops
-    else:
-        raise SchemaError("family", f"unknown family {family!r}")
+            raise SchemaError("family", f"unknown family {family!r}")
+    except ValueError as exc:
+        # gad_kraus checks p, then s, and its message opens with the one at fault
+        at = str(exc).split()[0] if family == "gad-sqdb" else at
+        raise SchemaError(f"--{at}", str(exc)) from None
     return {
         "kind": "quantum",
         "rho": diag,

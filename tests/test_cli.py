@@ -17,7 +17,6 @@ import detbal.superop
 from detbal import (
     MODE_CP,
     MODE_POSITIVITY,
-    InputNotDynamics,
     NotInvolutive,
     SchemaError,
     Tolerance,
@@ -157,38 +156,52 @@ def test_matrix_channel_requires_convention_tag(tmp_path):
     assert np.allclose(parsed.tau.mat, np.eye(4), atol=0)
 
 
-def test_matrix_channel_must_be_unital_and_hermitian_preserving(tmp_path):
+NOT_HERMITIAN_PRESERVING = np.eye(4, dtype=complex)
+NOT_HERMITIAN_PRESERVING[1, 2] = 0.5j
+
+
+@pytest.mark.parametrize("powers", ["1", "2"])
+@pytest.mark.parametrize(
+    "mat, cp_line, positive_line",
+    [
+        (
+            0.9 * np.eye(4),
+            "channel is not unital (residual 1.414e-01)",
+            "channel is not unital (residual 1.414e-01)",
+        ),
+        # the relative Choi Hermiticity residual ||C - C^dag|| / ||C|| fails
+        # the CP test, and the output Hermiticity the positivity probe
+        (
+            NOT_HERMITIAN_PRESERVING,
+            "channel is not completely positive (residual 3.430e-01)",
+            "channel is not positive (residual 3.430e-01)",
+        ),
+        # the transpose map is unital and positive but not CP
+        (np.eye(4)[[0, 2, 1, 3]], "channel is not completely positive (residual 1.000e+00)", None),
+    ],
+    ids=["not-unital", "not-hermitian-preserving", "transpose"],
+)
+@pytest.mark.parametrize("positivity_only", [False, True], ids=["cp", "positivity"])
+def test_matrix_channel_must_be_unital_and_hermitian_preserving(
+    tmp_path, capsys, mat, cp_line, positive_line, positivity_only, powers
+):
+    # a matrix channel is read as given and admitted by require_dynamics,
+    # as a Kraus channel is, before any verdict and whichever powers are asked
     payload = {
         "kind": "quantum",
         "rho": [0.75, 0.25],
-        "channel": {
-            "kind": "matrix",
-            "convention": "column-stacking",
-            "data": _enc(0.9 * np.eye(4)),
-        },
-    }
-    with pytest.raises(InputNotDynamics):
-        parse_problem(_write(tmp_path, payload))
-
-
-def test_positive_only_matrix_channel_needs_flag(tmp_path, capsys):
-    # The transpose map is Hermiticity-preserving and unital, so it parses,
-    # but it is not completely positive: plain check exits 2, the
-    # positivity-only mode accepts it.
-    k = np.zeros((4, 4))
-    for r in range(2):
-        for c in range(2):
-            k[r + 2 * c, c + 2 * r] = 1.0
-    payload = {
-        "kind": "quantum",
-        "rho": [0.75, 0.25],
-        "channel": {"kind": "matrix", "convention": "column-stacking", "data": _enc(k)},
+        "channel": {"kind": "matrix", "convention": "column-stacking", "data": _enc(mat)},
     }
     path = _write(tmp_path, payload)
-    assert main(["check", path]) == 2
-    assert "error:" in capsys.readouterr().err
-    assert main(["check", path, "--positivity-only"]) == 0
-    capsys.readouterr()
+    flags = ["--positivity-only"] if positivity_only else []
+    line = positive_line if positivity_only else cp_line
+    code = main(["check", path, "--powers", powers, *flags])
+    captured = capsys.readouterr()
+    if line is None:
+        assert (code, captured.err) == (0, "")
+        assert "mode=positivity" in captured.out
+    else:
+        assert (code, captured.out, captured.err) == (2, "", f"error: {line}\n")
 
 
 def test_unitary_theta_diag_1_i_is_involutive(tmp_path):
@@ -596,6 +609,25 @@ def test_generate_rejects_nonpositive_dimension(family, n, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert f"dimension n must be at least 1, got {n}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["metropolis", "--n", "1"], "--n: need at least two states, got 1"),
+        (["cycle", "--n", "2"], "--n: a cycle needs at least three states, got 2"),
+        (["schur-db2", "--n", "0"], "--n: dimension n must be at least 1, got 0"),
+        (["random-unital", "--n", "0"], "--n: dimension n must be at least 1, got 0"),
+        (["random-unital", "--k", "0"], "--k: need at least one Kraus operator, got 0"),
+        (["gad-sqdb", "--p", "2"], "--p: p must lie in (1/2, 1), got 2.0"),
+        (["gad-sqdb", "--s", "2"], "--s: s must lie in (0, 0.333333], got 2.0"),
+    ],
+    ids=["metropolis-n", "cycle-n", "schur-n", "unital-n", "unital-k", "gad-p", "gad-s"],
+)
+def test_generate_names_the_flag_of_a_bad_family_parameter(argv, line, capsys):
+    assert main(["generate", *argv]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {line}\n")
 
 
 @pytest.mark.parametrize("family", ["schur-db2", "random-unital"])

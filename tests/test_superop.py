@@ -260,9 +260,7 @@ def _builders(tau, rho):
     v = random_unitary(n, 72)
     rotated = make_density(v @ np.diag(rho.diag) @ v.conj().T)
     data = [[[float(z.real), float(z.imag)] for z in row] for row in tau.mat]
-    parsed = _parse_channel(
-        {"kind": "matrix", "convention": CONVENTION, "data": data}, n, DEFAULT_TOL
-    )
+    parsed = _parse_channel({"kind": "matrix", "convention": CONVENTION, "data": data}, n)
     return {
         "from_kraus": from_kraus([u]),
         "compose": tau.compose(tau),

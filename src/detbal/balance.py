@@ -114,9 +114,7 @@ from .duals import (
     ReversingOperation,
 )
 from .errors import DimensionMismatch, InputNotDynamics, NotStochastic
-from .linalg import (
-    DEFAULT_TOL, CheckResult, Tolerance, _handed, _norms, _numeric, _read_only, _verdict
-)
+from .linalg import DEFAULT_TOL, CheckResult, Tolerance, _handed, _norms, _numeric, _verdict
 from .states import DensityMatrix
 from .superop import (
     _BAR_AXES,
@@ -414,19 +412,20 @@ def check_sqdb_tfd(
 @dataclass(frozen=True, eq=False)
 class ClassicalChain:
     """Finite Markov chain: strictly positive distribution p, row-stochastic
-    gamma.  p and gamma are read-only copies of the real arrays given,
-    checked as make_chain checks them (_check_chain), with its error types
-    and messages.  A chain that a builder made from checked or exact data,
-    each time power gamma^k of the command line or a generator's chain, is
-    handed over (linalg._handed) without a copy or a check."""
+    gamma.  p and gamma are read-only copies of the real arrays given, one
+    each (linalg._numeric with own), checked as make_chain checks them
+    (_check_chain), with its error types and messages.  A chain that a
+    builder made from checked or exact data, each time power gamma^k of the
+    command line or a generator's chain, is handed over (linalg._handed)
+    without a copy or a check."""
 
     p: np.ndarray
     gamma: np.ndarray
 
     def __post_init__(self):
-        p, gamma = (_read_only(np.array(_numeric(x, float))) for x in (self.p, self.gamma))
+        p, gamma = (_numeric(x, float, own=True) for x in (self.p, self.gamma))
         _check_chain(p, gamma)
-        vars(self).update(p=p, gamma=gamma)
+        vars(self).update(vars(_handed(ClassicalChain, p=p, gamma=gamma)))
 
     @property
     def n(self) -> int:

@@ -34,7 +34,8 @@ and some of them are required (_FILE_KEYS holds the top level's, per kind).
 Each matrix is read with one numpy conversion, kept only when every entry is
 a finite [re, im] pair of JSON numbers; otherwise a walk over the entries
 names the first one at fault.  The same reader checks the matrix's shape.
-A flat rho names its first entry that is not a number.  Each value read from
+A flat rho, p and each row of gamma are read by one reader of a real
+vector, which names its first entry at fault.  Each value read from
 the file is checked once, here, and each rule has one reader: a flag is read
 by the reader of its file field (--tol by tol's, --powers by time_powers'),
 and its errors name the flag.  Values derived from checked ones are
@@ -230,9 +231,15 @@ def _matrix_fault(data, field: str) -> NoReturn:
 
 
 def _parse_real_vector(data, field: str) -> np.ndarray:
-    if not (isinstance(data, list) and data and all(_is_number(v) for v in data)):
+    """A non-empty array of finite JSON numbers, a flat rho, p or a gamma
+    row; the first entry at fault is named field[i]."""
+    if not (isinstance(data, list) and data):
         raise SchemaError(field, "expected a non-empty array of numbers")
-    return np.asarray([_float(v, field) for v in data], dtype=float)
+    for i, v in enumerate(data):
+        if not _is_number(v):
+            raise SchemaError(f"{field}[{i}]", "expected a number")
+        _finite(v, f"{field}[{i}]")
+    return np.array(data, dtype=float)
 
 
 def _encode_matrix(m) -> list:
@@ -242,10 +249,7 @@ def _encode_matrix(m) -> list:
 
 def _parse_rho(data, tol: Tolerance) -> DensityMatrix:
     if isinstance(data, list) and data and not any(isinstance(v, list) for v in data):
-        for i, v in enumerate(data):
-            if not _is_number(v):
-                raise SchemaError(f"rho[{i}]", "expected a number")
-        mat = np.diag([_finite(v, "rho") for v in data]).astype(complex)
+        mat = np.diag(_parse_real_vector(data, "rho")).astype(complex)
     else:
         mat = _parse_matrix(data, "rho")
     try:
@@ -599,7 +603,9 @@ def generate_payload(
             diag, ops = [p, 1.0 - p], gad_kraus(p, s).ops
         elif family in ("schur-db2", "random-unital"):
             n = 2 if n is None else n
-            diag = [float(x) for x in random_density(n, seed=seed).diag]
+            # random_density's default smallest eigenvalue, 0.05, needs n < 20
+            min_eig = 0.05 if n < 20 else 0.5 / n
+            diag = [float(x) for x in random_density(n, min_eig, seed=seed).diag]
             if family == "schur-db2":
                 ops = schur_kraus(schur_multiplier_matrix(n, seed)).ops
             else:

@@ -37,7 +37,7 @@ stacked matrices (_dual), as are their Theta-conjugates (_conjugates).  The Thet
 conj(W) M W, W = kron(conj u, u), is O(n^5), and for the plain transpose
 (u = 1) it is s itself, returned as is: a ReversingOperation tests whether
 it is the plain transpose when it is built, and holds u read-only, copied
-and checked once, as a map's matrix is (linalg._handed).
+once and checked, as a map's matrix is (linalg._handed).
 
 The kms dual preserves complete positivity and is an involution; the state
 dual agrees with it exactly when s commutes with the modular map
@@ -71,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DetbalError, DimensionMismatch, NotInvolutive
-from .linalg import DEFAULT_TOL, Tolerance, _handed, _require_unitary, _square, as_matrix
+from .linalg import _handed, _require_unitary, _square, as_matrix
 from .states import DensityMatrix
 from .superop import (
     _BAR_AXES,
@@ -204,28 +204,41 @@ def tilde(a) -> SuperOperator:
     return pi_rep(np.eye(a.shape[0]), a.conj())
 
 
+_INVOLUTION_TOL = 1e-9  # the bound on ||u conj(u) - phase * 1||, Frobenius norm
+
+
 @dataclass(frozen=True, eq=False)
 class ReversingOperation:
     """Involutive *-anti-automorphism A -> u A^T u^dag (time reversal).
 
     For unitary u the map is anti-multiplicative and *-preserving by
     construction.  Applied twice it is A -> w A w^dag with w = u conj(u), so
-    it is an involution exactly when w is a phase times the identity;
-    make_reversing checks unitarity and that condition.  Built directly, it
-    holds a read-only copy of the array given, read as make_reversing reads
-    it (as_matrix): square, finite and complex, so that superop hands a
-    complex matrix over (superop._adopt).  make_reversing,
-    transpose_reversing and the command line's eigenbasis rotation hand
-    over the u they made and checked (_reversing), with no second copy or
-    check.  Whether u is the identity, so that Theta is the plain transpose
-    (_is_transpose), is tested once, when Theta is built.
+    it is an involution exactly when w is a phase times the identity.  It
+    holds a read-only copy of u read by as_matrix (square, finite, complex)
+    and checks that u is unitary (NonUnitary) and w a phase times the
+    identity to _INVOLUTION_TOL (NotInvolutive), each comparison failing
+    closed on a NaN residual: the spin reversal [[0, 1], [-1, 0]] (w = -1)
+    passes, a real rotation by other than a multiple of pi/2 fails.
+    transpose_reversing and the command line's eigenbasis rotation hand over
+    the u they made (_reversing), unchecked.  Whether Theta is the plain
+    transpose (_is_transpose) is tested once, when it is built.
     """
 
     u: np.ndarray
 
     def __post_init__(self):
-        # u read and copied as make_reversing reads it, then kept as a builder's
-        vars(self).update(vars(_reversing(as_matrix(self.u))))
+        u = as_matrix(self.u)
+        n = u.shape[0]
+        _require_unitary(u, "u")
+        w = u @ u.conj()
+        invol = float(np.linalg.norm(w - (np.trace(w) / n) * np.eye(n)))
+        if not invol <= _INVOLUTION_TOL:
+            raise NotInvolutive(
+                f"u conj(u) differs from a phase times the identity by {invol:.3e}; "
+                "the operation does not square to the identity"
+            )
+        # the copy checked here, then kept as a builder's, frozen
+        vars(self).update(vars(_reversing(u)))
 
     @property
     def n(self) -> int:
@@ -242,35 +255,16 @@ class ReversingOperation:
         return _adopt(n, _realign(w, n, _INPUT_TRANSPOSE_AXES).reshape(n * n, n * n))
 
 
-def make_reversing(u, tol: Tolerance = DEFAULT_TOL) -> ReversingOperation:
-    """Validate u and build the reversing operation A -> u A^T u^dag.
-
-    Checks that u is unitary (NonUnitary otherwise) and that w = u conj(u)
-    is a phase times the identity to within tol.eq_tol in Frobenius norm
-    (NotInvolutive otherwise).  Anti-multiplicativity and compatibility
-    with the adjoint hold for every unitary u and are not re-checked.  The
-    spin reversal u = [[0, 1], [-1, 0]] (w = -1) passes; a real rotation
-    by an angle other than a multiple of pi/2 fails.  Both comparisons fail
-    closed: a NaN residual, as from entries whose products overflow, is
-    rejected.
-    """
-    u = as_matrix(u)
-    n = u.shape[0]
-    _require_unitary(u, "u")
-    w = u @ u.conj()
-    invol = float(np.linalg.norm(w - (np.trace(w) / n) * np.eye(n)))
-    if not invol <= tol.eq_tol:
-        raise NotInvolutive(
-            f"u conj(u) differs from a phase times the identity by {invol:.3e}; "
-            "the operation does not square to the identity"
-        )
-    return _reversing(u)
+def make_reversing(u) -> ReversingOperation:
+    """The reversing operation A -> u A^T u^dag, ReversingOperation(u), which
+    checks that u is unitary and that the operation is an involution."""
+    return ReversingOperation(u)
 
 
 def _reversing(u: np.ndarray) -> ReversingOperation:
-    """The ReversingOperation of the square complex array u that a builder
-    made and checked, handed over (linalg._handed), with whether it is the
-    plain transpose (_is_transpose) tested once."""
+    """The ReversingOperation of the square complex array u, unitary with u
+    conj(u) a phase, that a builder made, handed over (linalg._handed), with
+    whether it is the plain transpose (_is_transpose) tested once."""
     return _handed(ReversingOperation, u=u, _is_transpose=bool(np.array_equal(u, np.eye(len(u)))))
 
 

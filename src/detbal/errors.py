@@ -2,7 +2,8 @@
 
 
 class DetbalError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error about the data the package checks; a bad
+    call parameter raises ValueError."""
 
 
 class DimensionMismatch(DetbalError):

@@ -131,15 +131,21 @@ def _handed(cls, **fields):
     return obj
 
 
-def _numeric(x, dtype=complex) -> np.ndarray:
-    """np.asarray(x, dtype); input numpy cannot shape or read as numbers
-    (ragged rows, a string) raises DimensionMismatch, and so does complex
-    input for a real dtype, list or array (numpy would drop its imaginary
-    part with only a ComplexWarning)."""
+def _numeric(x, dtype=complex, own=False) -> np.ndarray:
+    """np.asarray(x, dtype), or with own the one copy a value type makes of
+    what a caller gives: a new C-ordered array of dtype that owns its memory,
+    whatever numpy held x in, one allocation for a list of numbers.  Input
+    numpy cannot shape or read as numbers (ragged rows, a string) raises
+    DimensionMismatch, and so does complex input for a real dtype, list or
+    array (numpy would drop its imaginary part with only a ComplexWarning)."""
     try:
-        if dtype is not complex and np.iscomplexobj(x):
+        if dtype is complex:
+            return np.array(x, dtype, order="C") if own else np.asarray(x, dtype)
+        # read as numpy reads it first: a complex entry is found before the cast
+        a = np.array(x, order="C") if own else np.asarray(x)
+        if np.iscomplexobj(a):
             raise TypeError("complex entries where real numbers are expected")
-        return np.asarray(x, dtype=dtype)
+        return a.astype(dtype, copy=False)
     except (TypeError, ValueError) as exc:
         raise DimensionMismatch(f"expected a numeric array: {exc}") from None
 
@@ -153,8 +159,9 @@ def _square(x, n: int) -> np.ndarray:
 
 
 def as_matrix(x) -> np.ndarray:
-    """Coerce input to a square, finite, complex ndarray copy."""
-    m = _numeric(x).copy()
+    """Coerce input to a square, finite, complex ndarray: its one copy
+    (_numeric with own)."""
+    m = _numeric(x, own=True)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):

@@ -15,18 +15,21 @@ correlated counterpart theta_eval, sum_j rho_j a_jj b_jj, shares both
 marginals but has no off-diagonal correlations; the gap between the two is
 what the balance checks in this package exploit.
 
-A DensityMatrix holds its eigenvalues and basis read-only, and forms when
-it is built, read-only, the values that the balance checks derive from rho
-alone (_formed), each n^2 long at j + n k for the unit E_jk: the state
-dual's scalings 1 / d_j and d_j, the pair Gram diagonal kron(d^(1/2),
-d^(1/2)) of the purified two-copy functional, the modular ratios d_j / d_k,
-the KMS weights (d_j d_k)^(1/2) and vec(rho).  Both duals read their
-scalings with one kernel (duals._scaled), whole or at the rows and columns
-of a map's stored positions (superop.SuperOperator._place).  Its spectrum
-is checked once, by make_density's rules (_check_eigenvalues): a
-DensityMatrix built directly copies and checks what a caller gives, and
-make_density hands over the eigendecomposition it made and checked, as
-superop._adopt hands over a map's matrix (linalg._handed).
+A DensityMatrix is given its eigenvalues and basis alone, holds them
+read-only and forms when it is built what follows from them (_formed): n,
+whether the spectrum is degenerate and, read-only, the values that the
+balance checks derive from rho alone, each n^2 long at j + n k for the unit
+E_jk: the state dual's scalings 1 / d_j and d_j, the pair Gram diagonal
+kron(d^(1/2), d^(1/2)) of the purified two-copy functional, the modular
+ratios d_j / d_k, the KMS weights (d_j d_k)^(1/2) and vec(rho).  Both duals
+read their scalings with one kernel (duals._scaled), whole or at the rows
+and columns of a map's stored positions (superop.SuperOperator._place).
+Its spectrum is checked once, by make_density's rules (_check_eigenvalues):
+a DensityMatrix built directly copies what a caller gives once
+(linalg._numeric with own) and checks it, and make_density hands over the
+eigendecomposition it made and checked, as superop._adopt hands over a
+map's matrix (linalg._handed).  A Purification is given rho and w alone:
+it checks w as purify did and forms r = rho^(1/2) w.
 """
 
 from __future__ import annotations
@@ -60,36 +63,33 @@ class DensityMatrix:
     """Invertible density matrix in its eigenbasis.
 
     diag holds the eigenvalues in descending order; basis is the unitary V
-    with V^dag rho_user V = diag(diag).  degenerate flags an eigenvalue gap
-    below 1e-8, in which case the eigenbasis (and with it the purification
-    below) is not canonical: V is still fixed deterministically by the
-    eigensolver, but physically distinct choices exist.
+    with V^dag rho_user V = diag(diag).  The state forms n = len(diag) and
+    degenerate, which flags an eigenvalue gap below 1e-8: the eigenbasis
+    (and with it the purification below) is then not canonical, V being
+    fixed by the eigensolver among physically distinct choices.
 
-    Built directly, it holds read-only copies of the arrays given: n real
-    numbers and an n x n complex matrix, else DimensionMismatch.  What it
-    keeps is checked once (_check_spectrum) as make_density checks it, with
-    its error types and messages: diag finite (DetbalError), strictly
-    positive (NotDensity for a negative entry, NotInvertible for a zero),
-    summing to 1 within 1e-12 and descending (NotDensity); basis unitary to
-    1e-12 * n in Frobenius norm (NonUnitary); degenerate as the gaps of diag
-    say (NotDensity).  make_density hands over the eigendecomposition it
-    made (linalg._handed) unchecked: eigh's output holds all of that by
-    construction, and make_density checks the sum of the eigenvalues it
-    keeps by the rule applied here (_check_eigenvalues).
+    Built directly, it holds read-only copies of the arrays given
+    (linalg._numeric with own): a non-empty vector of real numbers and a
+    square matrix of its length, else DimensionMismatch.  What it keeps is
+    checked once (_check_spectrum) as make_density checks it, with its
+    error types and messages: diag finite (DetbalError), strictly positive
+    (NotDensity for a negative entry, NotInvertible for a zero), summing to
+    1 within 1e-12 and descending (NotDensity); basis unitary to 1e-12 * n
+    in Frobenius norm (NonUnitary).  make_density hands over the
+    eigendecomposition it made (linalg._handed) unchecked: eigh's output
+    holds all of that by construction, and make_density checks the sum of
+    the eigenvalues it keeps by the rule applied here (_check_eigenvalues).
     """
 
-    n: int
     diag: np.ndarray
     basis: np.ndarray
-    degenerate: bool
 
     def __post_init__(self):
-        n = self.n
-        d = np.array(_numeric(self.diag, float))
-        if d.shape != (n,):
-            raise DimensionMismatch(f"expected {n} eigenvalues, got shape {d.shape}")
-        basis = np.array(_square(self.basis, n))
-        _check_spectrum(d, basis, self.degenerate)
+        d = _numeric(self.diag, float, own=True)
+        if d.ndim != 1 or not len(d):
+            raise DimensionMismatch(f"expected a vector of eigenvalues, got shape {d.shape}")
+        basis = _square(_numeric(self.basis, own=True), len(d))
+        _check_spectrum(d, basis)
         # the copies checked here, then kept as a builder's, frozen
         vars(self).update(vars(_handed(DensityMatrix, **_formed(d, basis))))
 
@@ -110,6 +110,8 @@ def _formed(d: np.ndarray, basis: np.ndarray) -> dict:
     from d that it keeps, to be handed over (linalg._handed)."""
     n, half, inverse = len(d), np.sqrt(d), 1.0 / d
     return dict(
+        n=n,
+        degenerate=_degenerate(d[:-1] - d[1:]),
         diag=d,
         basis=basis,
         # the state dual's row and column scalings: 1 / d_j and d_j at j + n k
@@ -126,22 +128,15 @@ def _formed(d: np.ndarray, basis: np.ndarray) -> dict:
     )
 
 
-def _check_spectrum(d: np.ndarray, basis: np.ndarray, degenerate) -> None:
-    """Raise unless d, basis and degenerate describe an invertible density
-    matrix in its eigenbasis (DensityMatrix); every comparison fails closed
-    on a NaN."""
+def _check_spectrum(d: np.ndarray, basis: np.ndarray) -> None:
+    """Raise unless d and basis describe an invertible density matrix in its
+    eigenbasis (DensityMatrix); every comparison fails closed on a NaN."""
     if not np.isfinite(d).all():
         raise DetbalError("matrix entries must be finite")
     _check_eigenvalues(d, d.min())
-    gaps = d[:-1] - d[1:]
-    if not (gaps >= 0.0).all():
+    if not (d[:-1] >= d[1:]).all():
         raise NotDensity("eigenvalues must be in descending order")
     _require_unitary(basis, "basis")
-    if bool(degenerate) != _degenerate(gaps):
-        raise NotDensity(
-            f"degenerate is {bool(degenerate)}, but the smallest eigenvalue gap is"
-            f" {gaps.min(initial=np.inf):.3e} (degenerate below {_DEGENERACY_GAP:g})"
-        )
 
 
 def _check_eigenvalues(d: np.ndarray, low, psd=0.0, inv=0.0) -> None:
@@ -167,11 +162,20 @@ def _degenerate(gaps: np.ndarray) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class Purification:
-    """Pure two-copy extension of rho, represented by r = rho^(1/2) w."""
+    """Pure two-copy extension of rho, represented by r = rho^(1/2) w, which
+    it forms.  w defaults to the identity; one given is read by as_matrix and
+    must be unitary on rho's dimension (NonUnitary).  w and r are read-only."""
 
     rho: DensityMatrix
-    r: np.ndarray
-    w: np.ndarray
+    w: np.ndarray | None = None
+
+    def __post_init__(self):
+        rho = self.rho
+        w = np.eye(rho.n, dtype=complex) if self.w is None else as_matrix(self.w)
+        if w.shape[0] != rho.n:
+            raise NonUnitary(f"w has dimension {w.shape[0]}, state has {rho.n}")
+        _require_unitary(w, "w")
+        vars(self).update(vars(_handed(Purification, rho=rho, w=w, r=rho.power(0.5) @ w)))
 
 
 def make_density(m, tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
@@ -191,8 +195,7 @@ def make_density(m, tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
         raise NotDensity(f"not Hermitian (residual {herm:.3e})")
     lam, basis = _eig_descending(m)
     _check_eigenvalues(lam, lam[-1], tol.psd_tol, tol.inv_tol)
-    degenerate = _degenerate(lam[:-1] - lam[1:])
-    return _handed(DensityMatrix, n=m.shape[0], degenerate=degenerate, **_formed(lam, basis))
+    return _handed(DensityMatrix, **_formed(lam, basis))
 
 
 def expectation(rho: DensityMatrix, a) -> complex:
@@ -201,18 +204,11 @@ def expectation(rho: DensityMatrix, a) -> complex:
 
 
 def purify(rho: DensityMatrix, w=None) -> Purification:
-    """Purification r = rho^(1/2) w; w defaults to the identity.
-
-    With w = identity both marginals of the induced two-copy functional
-    reduce to tr(rho .); any other unitary w reproduces only the first.
-    """
-    if w is None:
-        w = np.eye(rho.n, dtype=complex)
-    w = as_matrix(w)
-    if w.shape[0] != rho.n:
-        raise NonUnitary(f"w has dimension {w.shape[0]}, state has {rho.n}")
-    _require_unitary(w, "w")
-    return Purification(rho=rho, r=rho.power(0.5) @ w, w=w)
+    """Purification r = rho^(1/2) w, Purification(rho, w), w the identity by
+    default.  With w = identity both marginals of the induced two-copy
+    functional reduce to tr(rho .); any other unitary w reproduces only the
+    first."""
+    return Purification(rho, w)
 
 
 def omega_eval(p: Purification, a, b) -> complex:

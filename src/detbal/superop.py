@@ -11,11 +11,10 @@ solves only the coupled rows of the Choi matrix; the rest are 1x1 blocks.
 
 A SuperOperator holds one C-ordered complex n^2 x n^2 matrix, read-only,
 so each realignment of it (_realign, axes defined here only) is a view.
-No caller can write into it.  One rule decides the copy: the map keeps
-the array numpy made of its input only when numpy made it anew (from a
-list, or a real or Fortran-ordered matrix), and copies any caller array
-once, a read-only one that owns its memory included (its owner can
-switch writes back on), and freezes the copy.  The builders here, in
+No caller can write into it.  The map makes one copy of what a caller
+gives, as every value type does (linalg._numeric with own): a new
+C-ordered complex array that shares no memory with the input, whatever
+numpy held it in, and freezes that copy.  The builders here, in
 duals, generators and the command line hand over C-ordered complex
 n^2 x n^2 arrays they made through _adopt, the only path without a copy,
 which freezes them and builds the map without checking them again: it
@@ -121,9 +120,8 @@ def unvec(v, n: int | None = None) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SuperOperator:
     """Linear map on M_n stored as its n^2 x n^2 column-stacking matrix, one
-    C-ordered complex array, read-only: numpy's conversion of the input when
-    numpy made it anew, else a copy of the caller's array made once,
-    read-only or not.  A non-integer n (a bool is none), n < 1 or another
+    C-ordered complex array, read-only: the one copy made of what a caller
+    gives (linalg._numeric with own).  A non-integer n (a bool is none), n < 1 or another
     shape raises DimensionMismatch.  It holds n, mat, _placed (_place) and,
     once read, _at, _entries, _unital_residual and _choi_spectrum; a map
     built from another's entries (_from_entries) also holds _source."""
@@ -134,13 +132,9 @@ class SuperOperator:
     def __post_init__(self):
         if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
             raise DimensionMismatch(f"map dimension must be an integer, got {self.n!r}")
-        mat = np.ascontiguousarray(_numeric(self.mat))
+        mat = _numeric(self.mat, own=True)
         if self.n < 1 or mat.shape != (self.n * self.n,) * 2:
             raise DimensionMismatch(f"map on M_{self.n} with a matrix of shape {mat.shape}")
-        # the caller's own array, or memory behind a view or buffer, can be
-        # written later: its owner can switch writes back on
-        if mat is self.mat or mat.base is not None:
-            mat = mat.copy()
         mat.flags.writeable = False  # a write would leave the kept values stale
         vars(self).update(mat=mat, _placed={})  # _placed: SuperOperator._place, by axes
 

@@ -489,18 +489,18 @@ def test_generate_rejects_a_negative_seed(family, capsys):
 @pytest.mark.parametrize(
     "p,gamma,name",
     [
-        ([float("nan"), 0.5], [[1.0, 0.0], [0.0, 1.0]], "p"),
-        ([0.5, 0.5], [[1.0, 0.0], [float("nan"), 1.0]], "gamma"),
+        ([float("nan"), 0.5], [[1.0, 0.0], [0.0, 1.0]], "p[0]"),
+        ([0.5, 0.5], [[1.0, 0.0], [float("nan"), 1.0]], "gamma[1][0]"),
     ],
     ids=["p", "gamma"],
 )
 def test_non_finite_chain_entries_are_rejected(tmp_path, capsys, p, gamma, name):
+    # the real-vector reader names the entry at fault, as a flat rho's
     path = _write(tmp_path, {"kind": "classical", "p": p, "gamma": gamma})
     assert main(["check", path, "--format", "json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error:")
-    assert f"{name} has a non-finite entry" in captured.err
+    assert captured.err == f"error: {name}: must be a finite number, got nan\n"
 
 
 @pytest.mark.parametrize(
@@ -522,15 +522,16 @@ def test_chain_errors_in_gamma_are_reported_under_gamma(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: gamma: gamma has a negative entry")
 
 
-NON_FINITE_FIELDS = ["rho", "rho[1][1]", "channel.data[0][0][0]", "channel.data[1][2]", "theta.u[1][0]"]
+NON_FINITE_FIELDS = ["rho[1]", "rho[1][1]", "channel.data[0][0][0]", "channel.data[1][2]", "theta.u[1][0]"]
 
 
 def _non_finite_text(field, token):
-    """A gad-sqdb problem file with the JSON number token at field; rho[1][1]
-    uses the matrix form of rho and channel.data[1][2] a matrix channel."""
+    """A gad-sqdb problem file with the JSON number token at field; rho[1]
+    uses the flat form of rho, rho[1][1] its matrix form and
+    channel.data[1][2] a matrix channel."""
     payload = generate_payload("gad-sqdb", None, 3, 0.75, 0.2, 0)
     mark = "NON_FINITE"
-    if field == "rho":
+    if field == "rho[1]":
         payload["rho"][1] = mark
     elif field == "rho[1][1]":
         payload["rho"] = _enc(np.diag(payload["rho"]))
@@ -564,9 +565,9 @@ HUGE = 10**400  # a JSON integer literal no float can hold
 
 
 def _overflow_payload(field):
-    if field in ("p", "gamma[0]"):
+    if field in ("p[0]", "gamma[0][0]"):
         payload = generate_payload("metropolis", 2, 3, 0.75, 0.2, 0)
-        if field == "p":
+        if field == "p[0]":
             payload["p"][0] = HUGE
         else:
             payload["gamma"][0][0] = HUGE
@@ -574,7 +575,7 @@ def _overflow_payload(field):
     payload = generate_payload("gad-sqdb", None, 3, 0.75, 0.2, 0)
     if field == "tol.eq_tol":
         payload["tol"] = {"eq_tol": HUGE}
-    elif field == "rho":
+    elif field == "rho[0]":
         payload["rho"][0] = HUGE
     elif field == "channel.data[0][0][0]":
         payload["channel"]["data"][0][0][0] = [HUGE, 0.0]
@@ -585,7 +586,8 @@ def _overflow_payload(field):
 
 
 @pytest.mark.parametrize(
-    "field", ["tol.eq_tol", "rho", "channel.data[0][0][0]", "theta.u[0][0]", "p", "gamma[0]"]
+    "field",
+    ["tol.eq_tol", "rho[0]", "channel.data[0][0][0]", "theta.u[0][0]", "p[0]", "gamma[0][0]"],
 )
 def test_integers_too_large_for_a_float_are_schema_errors(tmp_path, capsys, field):
     path = _write(tmp_path, _overflow_payload(field))
@@ -762,10 +764,15 @@ MALFORMED_FILES = [
         "gamma: gamma rows must sum to 1 (worst inf)",
     ),
     ("gamma-not-rows", {"p": [0.5, 0.5], "gamma": [1, 0]}, "gamma: expected a nested array of rows"),
+    # a flat rho, p and each gamma row are read by one reader of a real
+    # vector, which names the entry at fault
+    ("rho-nan", {"rho": [0.5, float("nan")]}, "rho[1]: must be a finite number, got nan"),
+    ("p-entry", {"p": [0.5, "x"]}, "p[1]: expected a number"),
+    ("p-nan", {"p": [float("nan"), 0.5]}, "p[0]: must be a finite number, got nan"),
     (
         "gamma-row",
         {"p": [0.5, 0.5], "gamma": [[1.0, 0.0], [0.0, "x"]]},
-        "gamma[1]: expected a non-empty array of numbers",
+        "gamma[1][1]: expected a number",
     ),
     (
         "gamma-ragged",
@@ -943,8 +950,8 @@ def test_each_value_is_checked_once(tmp_path, monkeypatch):
     """A value read from a file is checked once, and what is built from it
     is handed over (linalg._handed): make_density's eigendecomposition never
     runs DensityMatrix's spectrum check, and a unitary Theta's u is copied
-    and checked once, by make_reversing, not again when it is kept or
-    rotated to rho's eigenbasis; the plain transpose copies none.  A Kraus
+    and checked once, by the ReversingOperation that make_reversing builds,
+    not again when it is rotated to rho's eigenbasis; the plain transpose copies none.  A Kraus
     file's operators are coerced once, when the file is read, and handed
     over, in the user basis and rotated, with no copy or check by
     KrausChannel.  A classical file's chain is checked once, at parse, and
@@ -975,7 +982,7 @@ def test_each_value_is_checked_once(tmp_path, monkeypatch):
     assert main(["check", path, "--powers", "1,2,3"]) == 0
     assert calls == {"_check_chain": 1}
     calls.clear()
-    DensityMatrix(2, [0.75, 0.25], np.eye(2), False)
+    DensityMatrix([0.75, 0.25], np.eye(2))
     ReversingOperation(np.eye(2))
     ClassicalChain([0.5, 0.5], np.eye(2))
     KrausChannel(([[1, 0], [0, 1]],))
@@ -991,6 +998,30 @@ def test_large_classical_powers_are_not_rebuilt_through_make_chain(tmp_path, cap
     assert main(["check", str(path), "--powers", "100000,1000000"]) == 0
     out = capsys.readouterr().out
     assert out.count("balanced: yes") == 2
+
+
+@pytest.mark.parametrize("n", [20, 24])
+@pytest.mark.parametrize("family", ["schur-db2", "random-unital"])
+def test_generate_draws_a_state_at_n_20_and_beyond(tmp_path, family, n):
+    """random_density's default smallest eigenvalue, 0.05, is no longer
+    below 1/n from n = 20 on, so the state is drawn with 0.5 / n there: the
+    file is written and checked, and a schur-db2 file passes db2 with the
+    mirror checks."""
+    path = tmp_path / "p.json"
+    assert main(["generate", family, "--n", str(n), "--out", str(path)]) == 0
+    rho = json.loads(path.read_text(encoding="utf-8"))["rho"]
+    assert len(rho) == n and min(rho) > 0.49 / n
+    code = main(["check", str(path), "--tfd", "--assert", "db2"])
+    assert code == (0 if family == "schur-db2" else 1)
+
+
+def test_generate_keeps_the_default_state_below_n_20():
+    """Below n = 20 the state is random_density's default draw, so files
+    stay as they were."""
+    for n in (2, 19):
+        want = [float(x) for x in random_density(n, seed=5).diag]
+        for family in ("schur-db2", "random-unital"):
+            assert generate_payload(family, n, 3, 0.75, 0.2, 5)["rho"] == want
 
 
 def test_generate_gad_sqdb_is_a_qubit_family(capsys):

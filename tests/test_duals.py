@@ -462,6 +462,31 @@ def test_make_reversing_rejects_non_unitary():
         make_reversing(np.diag([1.0, 0.5]))
 
 
+@pytest.mark.parametrize(
+    "u,error,message",
+    [
+        ([[2.0, 0.0], [0.0, 1.0]], NonUnitary, "u is not unitary (residual 3.000e+00)"),
+        (
+            [[math.cos(0.3), math.sin(0.3)], [-math.sin(0.3), math.cos(0.3)]],
+            NotInvolutive,
+            f"u conj(u) differs from a phase times the identity by"
+            f" {math.sqrt(2.0) * math.sin(0.6):.3e}; the operation does not square to the identity",
+        ),
+    ],
+    ids=["not-unitary", "not-involutive"],
+)
+def test_a_reversing_operation_built_directly_checks_u(u, error, message):
+    """ReversingOperation(u) refuses what make_reversing refuses, with its
+    error types and messages, from a list or an array: no check of the
+    balance ever runs against a Theta that is no involutive
+    *-anti-automorphism."""
+    for given in (u, np.array(u)):
+        for build in (ReversingOperation, make_reversing):
+            with pytest.raises(error) as err:
+                build(given)
+            assert str(err.value) == message
+
+
 def test_reversing_superop_matches_apply():
     th = make_reversing(np.diag([1.0, 1j]))
     sop = th.superop()

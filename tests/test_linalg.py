@@ -2,17 +2,19 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from detbal.balance import make_chain
+from detbal.balance import ClassicalChain, make_chain
 from detbal.duals import ReversingOperation, make_reversing, tilde, transpose_reversing
 from detbal.errors import DetbalError, DimensionMismatch, NonUnitary, NotHermitian, NotInvertible
 from detbal.linalg import (
     DEFAULT_TOL,
     Tolerance,
     _hermiticity,
+    _numeric,
     _verdict,
     as_matrix,
     hermitian_eig,
@@ -27,7 +29,7 @@ from detbal.states import (
     purify,
     theta_eval,
 )
-from detbal.superop import SuperOperator, from_kraus, make_kraus, pi_rep, unvec, vec
+from detbal.superop import KrausChannel, SuperOperator, from_kraus, make_kraus, pi_rep, unvec, vec
 
 
 def random_hermitian(n, rng, scale=1.0):
@@ -147,7 +149,7 @@ def test_hermiticity_on_unit_entries_is_the_plain_comparison():
     [
         (make_reversing, "u"),
         (lambda u: purify(make_density(np.diag([0.75, 0.25])), u), "w"),
-        (lambda u: DensityMatrix(2, [0.75, 0.25], u, False), "basis"),
+        (lambda u: DensityMatrix([0.75, 0.25], u), "basis"),
     ],
     ids=["reversing", "purification", "state-basis"],
 )
@@ -323,8 +325,8 @@ def _unshaped_entry_points():
         "omega_eval": lambda x: omega_eval(purify(rho), x, x),
         "theta_eval": lambda x: theta_eval(rho, x, x),
         "ReversingOperation": lambda x: ReversingOperation(u=x),
-        "DensityMatrix.diag": lambda x: DensityMatrix(2, x, np.eye(2), False),
-        "DensityMatrix.basis": lambda x: DensityMatrix(2, [0.75, 0.25], x, False),
+        "DensityMatrix.diag": lambda x: DensityMatrix(x, np.eye(2)),
+        "DensityMatrix.basis": lambda x: DensityMatrix([0.75, 0.25], x),
         "make_chain.p": lambda x: make_chain(x, np.eye(2)),
         "make_chain.gamma": lambda x: make_chain([0.5, 0.5], x),
     }
@@ -344,16 +346,104 @@ def test_unshaped_input_raises_dimension_mismatch(name, bad):
     [
         lambda: ReversingOperation(u=np.ones((2, 3))),
         lambda: ReversingOperation(u=np.ones(2)),
-        lambda: DensityMatrix(2, [0.5, 0.3, 0.2], np.eye(2), False),
-        lambda: DensityMatrix(2, [[0.75, 0.25]], np.eye(2), False),
-        lambda: DensityMatrix(2, [0.75, 0.25], np.eye(3), False),
-        lambda: DensityMatrix(2, [0.75, 0.25], np.eye(2)[:1], False),
+        lambda: DensityMatrix([0.5, 0.3, 0.2], np.eye(2)),
+        lambda: DensityMatrix([[0.75, 0.25]], np.eye(2)),
+        lambda: DensityMatrix([], np.eye(0)),
+        lambda: DensityMatrix([0.75, 0.25], np.eye(3)),
+        lambda: DensityMatrix([0.75, 0.25], np.eye(2)[:1]),
     ],
-    ids=["u-2x3", "u-vector", "diag-3", "diag-1x2", "basis-3x3", "basis-1x2"],
+    ids=["u-2x3", "u-vector", "diag-3", "diag-1x2", "diag-empty", "basis-3x3", "basis-1x2"],
 )
 def test_value_types_reject_arrays_off_their_dimension(build):
-    """A reversing operation wants a square u, and a state n eigenvalues and
-    an n x n basis; any other shape raises DimensionMismatch when the object
-    is built, not numpy's error in a later check."""
+    """A reversing operation wants a square u, and a state a non-empty
+    vector of n eigenvalues and an n x n basis; any other shape raises
+    DimensionMismatch when the object is built, not numpy's error in a later
+    check."""
     with pytest.raises(DimensionMismatch, match="expected"):
         build()
+
+
+def _kept_arrays(given):
+    """Each of the five value types built from given(x) for its inputs x,
+    with the arrays it keeps of them."""
+    eye2, eye4 = np.eye(2), np.eye(4)
+    s = SuperOperator(2, given(eye4))
+    rho = DensityMatrix(given(np.array([0.75, 0.25])), given(eye2))
+    th = ReversingOperation(given(eye2[::-1]))
+    k = KrausChannel((given(eye2),))
+    c = ClassicalChain(given(np.array([0.5, 0.5])), given(eye2))
+    return {
+        "SuperOperator.mat": s.mat,
+        "DensityMatrix.diag": rho.diag,
+        "DensityMatrix.basis": rho.basis,
+        "ReversingOperation.u": th.u,
+        "KrausChannel.ops": k.ops[0],
+        "ClassicalChain.p": c.p,
+        "ClassicalChain.gamma": c.gamma,
+    }
+
+
+def _frozen(x):
+    x = np.array(x)
+    x.flags.writeable = False
+    return x
+
+
+COPY_INPUTS = {
+    "list": lambda x: x.tolist(),
+    "array": np.array,
+    "fortran": np.asfortranarray,
+    "view": lambda x: np.pad(x, [(0, 1)] * x.ndim)[tuple(slice(0, k) for k in x.shape)],
+    "read-only": _frozen,
+}
+
+
+@pytest.mark.parametrize("given", list(COPY_INPUTS))
+def test_each_value_type_keeps_one_owned_copy(given):
+    """SuperOperator, DensityMatrix, ReversingOperation, KrausChannel and
+    ClassicalChain each keep one new C-ordered array per input, read-only,
+    that owns its memory (.base is None) and shares none with what the
+    caller gave, whatever numpy held it in."""
+    inputs = []
+
+    def record(x):
+        inputs.append(COPY_INPUTS[given](x))
+        return inputs[-1]
+
+    kept = _kept_arrays(record)
+    assert len(inputs) == len(kept)
+    for (name, a), x in zip(kept.items(), inputs):
+        assert a.base is None and a.flags.c_contiguous and not a.flags.writeable, name
+        if isinstance(x, np.ndarray):
+            assert not np.shares_memory(a, x), name
+        assert np.array_equal(a, x), name
+
+
+@pytest.mark.parametrize(
+    "build,dtype",
+    [
+        (lambda x: _numeric(x, own=True), complex),
+        (lambda x: _numeric(x, float, own=True), float),
+        (as_matrix, complex),
+        (lambda x: KrausChannel((x,)).ops[0], complex),
+        (lambda x: SuperOperator(16, x).mat, complex),
+        (lambda x: ClassicalChain(np.full(256, 1.0 / 256), x).gamma, float),
+    ],
+    ids=["copy", "copy-real", "as_matrix", "KrausChannel", "SuperOperator", "ClassicalChain"],
+)
+def test_a_list_is_allocated_once(build, dtype):
+    """A 256 x 256 list of numbers becomes one array: the peak of the
+    memory the build takes stays below one and a half times that array's
+    size (two copies would take twice)."""
+    x = (np.full((256, 256), 1.0 / 256) if dtype is float else np.eye(256)).tolist()
+    size = 256 * 256 * np.dtype(dtype).itemsize
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        kept = build(x)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert kept.shape == (256, 256) and kept.dtype == dtype
+    assert size <= peak < 1.5 * size

@@ -753,12 +753,12 @@ def random_map(n, seed):
 
 
 def reversings(n):
-    """A Haar u (not involutive, so built without make_reversing: the
-    formulas hold for every unitary u), a symmetric v v^T and, for even n,
-    the block spin reversal."""
+    """A Haar u (not involutive, so handed over unchecked, as a builder
+    hands over its u: the formulas hold for every unitary u), a symmetric v
+    v^T and, for even n, the block spin reversal."""
     v = haar_unitary(n, 140 + n)
     out = [
-        ("haar", ReversingOperation(u=haar_unitary(n, 150 + n))),
+        ("haar", duals._reversing(haar_unitary(n, 150 + n))),
         ("symmetric", make_reversing(v @ v.T)),
     ]
     if n % 2 == 0:

@@ -13,6 +13,7 @@ from detbal.superop import SuperOperator
 from detbal.linalg import DEFAULT_TOL
 from detbal.states import (
     DensityMatrix,
+    Purification,
     _check_spectrum,
     expectation,
     make_density,
@@ -113,7 +114,7 @@ def test_make_density_and_the_constructor_apply_one_trace_rule():
         except NotDensity as exc:
             assert str(exc).startswith("trace must be 1, got "), exc
             continue
-        DensityMatrix(rho.n, rho.diag, rho.basis, rho.degenerate)
+        DensityMatrix(rho.diag, rho.basis)
         built += 1
     assert 300 < built < 600
 
@@ -166,6 +167,42 @@ def test_purify_rejects_non_unitary():
         purify(rho_34(), np.array([[1.0, 0.0], [0.0, 0.5]]))
     with pytest.raises(NonUnitary):
         purify(rho_34(), np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "w,message",
+    [
+        (3.0 * np.eye(2), "w is not unitary (residual 1.131e+01)"),
+        (np.diag([1.0, 0.5]), "w is not unitary (residual 7.500e-01)"),
+        (np.eye(3), "w has dimension 3, state has 2"),
+    ],
+    ids=["scaled", "contraction", "wrong-size"],
+)
+def test_a_purification_built_directly_checks_w(w, message):
+    """Purification(rho, w) refuses what purify refuses, with its error type
+    and message: a hand-built purification cannot carry a w that is not
+    unitary on rho's dimension, nor an r other than rho^(1/2) w."""
+    for build in (Purification, purify):
+        with pytest.raises(NonUnitary) as err:
+            build(rho_34(), w)
+        assert str(err.value) == message
+
+
+def test_a_purification_forms_r_from_rho_and_w():
+    """r is formed, not given: rho^(1/2) w, read-only, bit-equal to
+    purify's; w defaults to the identity."""
+    rho = rho_34()
+    w = haar_unitary(2, 9)
+    for given in (w, w.tolist(), None):
+        p = Purification(rho, given)
+        want = np.eye(2) if given is None else w
+        assert np.array_equal(p.w, want)
+        assert same_array(p.r, rho.power(0.5) @ p.w)
+        assert same_array(p.r, purify(rho, given).r)
+        for a in (p.r, p.w):
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
+    assert marginals_check(Purification(rho)).passed
 
 
 def test_omega_normalization_and_first_marginal():
@@ -306,7 +343,7 @@ def test_kept_state_values_are_the_formulas_bit_for_bit():
     make_density or directly from lists, and is bit-equal to the formula it
     replaced."""
     for made in states_1_to_12():
-        direct = DensityMatrix(made.n, made.diag.tolist(), made.basis.tolist(), made.degenerate)
+        direct = DensityMatrix(made.diag.tolist(), made.basis.tolist())
         for rho in (made, direct):
             d = rho.diag
             half = np.sqrt(d)
@@ -336,7 +373,7 @@ def test_state_arrays_are_read_only_copies():
         with pytest.raises(ValueError):
             a.flat[0] = 0.0
     diag, basis = np.array([0.75, 0.25]), np.eye(2, dtype=complex)
-    built = DensityMatrix(n=2, diag=diag, basis=basis, degenerate=False)
+    built = DensityMatrix(diag=diag, basis=basis)
     diag[0], basis[0, 0] = 9.0, 9.0
     assert np.array_equal(built.diag, [0.75, 0.25])
     assert np.array_equal(built.basis, np.eye(2))
@@ -351,40 +388,37 @@ def test_a_state_built_directly_with_bad_values_is_refused():
     with pytest.raises(NotDensity, match="trace must be 1, got 1.2"):
         run_report(
             SuperOperator(2, np.eye(4)),
-            DensityMatrix(2, [0.3, 0.9], np.eye(2), False),
+            DensityMatrix([0.3, 0.9], np.eye(2)),
             transpose_reversing(2),
         )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NotInvertible, match="min eigenvalue 0.000e"):
-            DensityMatrix(2, [1.0, 0.0], np.eye(2), False)
+            DensityMatrix([1.0, 0.0], np.eye(2))
 
 
 SKEW = np.array([[1.0, 1.0], [0.0, 1.0]])
 
 
 @pytest.mark.parametrize(
-    "diag,basis,degenerate,error,match",
+    "diag,basis,error,match",
     [
-        ([np.nan, 0.5], np.eye(2), False, DetbalError, "entries must be finite"),
-        ([np.inf, 0.5], np.eye(2), False, DetbalError, "entries must be finite"),
-        ([1.25, -0.25], np.eye(2), False, NotDensity, "negative eigenvalue -2.500e-01"),
-        ([1.0, -0.0], np.eye(2), False, NotInvertible, "must be invertible"),
-        ([0.6, 0.3], np.eye(2), False, NotDensity, "trace must be 1, got 0.9"),
-        ([0.5, 0.5 + 2e-12], np.eye(2), True, NotDensity, "trace must be 1"),
-        ([0.25, 0.75], np.eye(2), False, NotDensity, "descending order"),
-        ([0.75, 0.25], SKEW, False, NonUnitary, "basis is not unitary"),
-        ([0.75, 0.25], np.eye(2) * 1.001, False, NonUnitary, "basis is not unitary"),
-        ([0.75, 0.25], np.eye(2), True, NotDensity, "degenerate is True"),
-        ([0.5, 0.5], np.eye(2), False, NotDensity, "degenerate is False"),
-        ([1.0], np.eye(1), True, NotDensity, "degenerate is True"),
+        ([np.nan, 0.5], np.eye(2), DetbalError, "entries must be finite"),
+        ([np.inf, 0.5], np.eye(2), DetbalError, "entries must be finite"),
+        ([1.25, -0.25], np.eye(2), NotDensity, "negative eigenvalue -2.500e-01"),
+        ([1.0, -0.0], np.eye(2), NotInvertible, "must be invertible"),
+        ([0.6, 0.3], np.eye(2), NotDensity, "trace must be 1, got 0.9"),
+        ([0.5, 0.5 + 2e-12], np.eye(2), NotDensity, "trace must be 1"),
+        ([0.25, 0.75], np.eye(2), NotDensity, "descending order"),
+        ([0.75, 0.25], SKEW, NonUnitary, "basis is not unitary"),
+        ([0.75, 0.25], np.eye(2) * 1.001, NonUnitary, "basis is not unitary"),
     ],
     ids=["nan", "inf", "negative", "zero", "sum-0.9", "sum-above-1e-12", "ascending",
-         "skew-basis", "scaled-basis", "falsely-degenerate", "falsely-generic", "n1-degenerate"],
+         "skew-basis", "scaled-basis"],
 )
-def test_density_matrix_validates_what_it_keeps(diag, basis, degenerate, error, match):
+def test_density_matrix_validates_what_it_keeps(diag, basis, error, match):
     with pytest.raises(error, match=match):
-        DensityMatrix(len(diag), diag, basis, degenerate)
+        DensityMatrix(diag, basis)
 
 
 def test_density_matrix_accepts_what_make_density_builds():
@@ -396,9 +430,35 @@ def test_density_matrix_accepts_what_make_density_builds():
                [0.4 + 2e-9, 0.4 - 2e-9, 0.2])
     for lam in spectra:
         made = make_density(u @ np.diag(lam) @ u.conj().T)
-        built = DensityMatrix(3, made.diag, made.basis, made.degenerate)
+        built = DensityMatrix(made.diag, made.basis)
         assert built.degenerate == made.degenerate == (lam[0] - lam[1] < 1e-8)
-    assert not DensityMatrix(1, [1.0], np.eye(1), False).degenerate
+    assert not DensityMatrix([1.0], np.eye(1)).degenerate
+
+
+@pytest.mark.parametrize("as_lists", [False, True], ids=["arrays", "lists"])
+def test_a_state_forms_n_and_degenerate_as_make_density_does(as_lists):
+    """DensityMatrix(diag, basis) forms its dimension and its degenerate
+    flag from diag: those of make_density, on generic and degenerate spectra
+    at n = 1 ... 8, from arrays and from lists."""
+    rng = np.random.default_rng(23)
+    flags = []
+    for n in range(1, 9):
+        spectra = [rng.dirichlet(np.ones(n))]
+        if n >= 2:
+            twin = rng.dirichlet(np.ones(n))
+            twin[1] = twin[0]
+            spectra += [twin / twin.sum(), np.full(n, 1.0 / n)]
+        for lam in spectra:
+            u = haar_unitary(n, int(rng.integers(1 << 30)))
+            made = make_density(u @ np.diag(lam) @ u.conj().T)
+            diag, basis = made.diag, made.basis
+            if as_lists:
+                diag, basis = diag.tolist(), basis.tolist()
+            built = DensityMatrix(diag, basis)
+            assert built.n == made.n == n
+            assert built.degenerate is made.degenerate
+            flags.append(made.degenerate)
+    assert flags.count(True) == 14 and flags.count(False) == 8
 
 
 def spectra_at_the_edges(rng):
@@ -432,8 +492,8 @@ def test_make_density_output_passes_the_spectrum_check(seed):
         n = len(lam)
         for u in (np.eye(n), haar_unitary(n, int(rng.integers(1 << 30)))):
             rho = make_density(u @ np.diag(lam) @ u.conj().T)
-            _check_spectrum(rho.diag, rho.basis, rho.degenerate)
-            built = DensityMatrix(n, rho.diag, rho.basis, rho.degenerate)
+            _check_spectrum(rho.diag, rho.basis)
+            built = DensityMatrix(rho.diag, rho.basis)
             assert same_array(built.diag, rho.diag) and same_array(built.basis, rho.basis)
             count += 1
     assert count == 2 * (3 + 7 * 6)

@@ -209,11 +209,10 @@ GIVEN = {
 
 @pytest.mark.parametrize("given", list(GIVEN))
 def test_a_write_into_the_input_leaves_the_map_alone(given):
-    """A map keeps the array numpy made of its input when numpy made it anew
-    (a list, a real or a Fortran-ordered matrix, converted once); it copies
-    any caller array once, a read-only one that owns its memory, a
-    read-only view of a writable or of a frozen array and a bytes-backed one
-    too, so its kept values never go stale.  The caller's array stays
+    """A map keeps one copy of its input, whatever numpy held it in (a
+    list, a real or a Fortran-ordered matrix, a caller's array, a read-only
+    one that owns its memory, a read-only view of a writable or of a frozen
+    array, a bytes-backed one), so its kept values never go stale.  The caller's array stays
     writable.  A write into the identity channel's matrix after its CP and
     unitality tests changes neither the map nor their verdicts, while a
     fresh map on the written matrix fails."""
